@@ -9,6 +9,7 @@ from .detector_model import (
     DetectorParams,
     afterpulse_coeff,
     afterpulse_prob_infinite,
+    detector_set,
     response_prob,
     response_prob_no_afterpulse,
     total_afterpulse_finite,
@@ -50,7 +51,6 @@ from .finite_size import (
 )
 from .simulator import (
     BitStream,
-    ClickRecord,
     ClickRecords,
     PulseTrainConfig,
     SimulationResult,

@@ -28,12 +28,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .detector_model import AfterpulseSpec, DetectorParams
+from .detector_model import AfterpulseSpec, detector_set
 from .entropy_engine import (
     autocorrelation_stderr,
     empirical_autocorrelation,
@@ -43,11 +43,19 @@ from .entropy_engine import (
 )
 from .errors import ParameterError, SiqrngError
 from .finite_size import (
+    DEFAULT_EPS_TERM,
     DEFAULT_ETA_BS,
     DEFAULT_ETA_DET,
     DEFAULT_LOSS_MAX_DB,
+    DEFAULT_MISALIGNMENT,
+    DEFAULT_T_E,
+    DEFAULT_TOTAL_PULSES,
+    DEFAULT_X_FRACTION,
+    DEFAULT_Z_RATE,
     hmin_with_tau_uncertainty,
+    loss_grid,
     scenario_from_params,
+    split_sweep_spec,
 )
 from .source_monitor import hoeffding_delta, poisson_distribution
 from .simulator import PulseTrainConfig, extract, simulate, z_window_bits
@@ -71,9 +79,11 @@ _DEFAULTS: Dict[str, dict] = {
     },
     "rates": {
         "from": 0.0, "to": DEFAULT_LOSS_MAX_DB, "points": 200, "nu": 50.0,
-        "eta": 0.1, "e_d": 6e-7, "e_q": 0.02, "N": 1e10, "q_x": 0.02,
-        "eps_all": 2.0 * 2.0**-50, "eps_d": 2.0**-50, "eps_e": 2.0**-50,
-        "t_e": 100, "v": 1e6, "eta_bs": DEFAULT_ETA_BS, "eta_det": DEFAULT_ETA_DET,
+        "eta": 0.1, "e_d": 6e-7, "e_q": DEFAULT_MISALIGNMENT,
+        "N": DEFAULT_TOTAL_PULSES, "q_x": DEFAULT_X_FRACTION,
+        "eps_all": 2.0 * DEFAULT_EPS_TERM, "eps_d": DEFAULT_EPS_TERM,
+        "eps_e": DEFAULT_EPS_TERM, "t_e": DEFAULT_T_E, "v": DEFAULT_Z_RATE,
+        "eta_bs": DEFAULT_ETA_BS, "eta_det": DEFAULT_ETA_DET,
         "p_hat_ap": 0.05, "omega": 0.001,
     },
     "finite-sampling": {
@@ -151,26 +161,13 @@ def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> List:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _uniform_detectors(eta: float, e_d: float, spec: AfterpulseSpec,
-                       eta_1: Optional[float] = None):
-    mk = lambda label, eff: DetectorParams(efficiency=eff, dark_rate=e_d,
-                                           afterpulse=spec, label=label)
-    return (mk("0", eta), mk("1", eta_1 if eta_1 is not None else eta),
-            mk("+", eta), mk("-", eta))
-
-
-def _sweep_afterpulse_spec(p_hat: float, omega: float,
-                           windows: Optional[int]) -> AfterpulseSpec:
-    if p_hat == 0.0:
-        return AfterpulseSpec.none()
-    return AfterpulseSpec.exponential_from_rate(p_hat, omega, windows)
+def _arms(source, dets: Sequence, e_q: float) -> list:
+    """Each of the four detectors followed by its vacuum probability behind
+    ``source``: the argument list of :func:`entropy_report_from_taus`."""
+    taus = measurement_taus(source, eta_0=dets[0].efficiency, eta_1=dets[1].efficiency,
+                            eta_plus=dets[2].efficiency, eta_minus=dets[3].efficiency,
+                            misalignment=e_q)
+    return [value for pair in zip(dets, taus) for value in pair]
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +190,29 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     if points < 2 or not (0.0 <= p_hat < 1.0) or lag < 1:
         raise ParameterError("autocorr needs points >= 2, 0 <= p_hat < 1, lag >= 1")
     source = poisson_distribution(nu)
-    grid = np.linspace(0.0, p_hat, points)
-
-    def analytic(p_hat_i: float) -> float:
-        spec = _autocorr_spec(p_hat_i, p_hat, lag)
-        det0, det1, _, _ = _uniform_detectors(eta, e_d, spec)
-        taus = measurement_taus(source, eta_0=eta, eta_1=eta, eta_plus=eta,
-                                eta_minus=eta)
-        return prior_autocorrelation(det0, taus.tau_0, det1, taus.tau_1, lag)
-
-    rows: List[List] = [[float(p), analytic(float(p))] for p in grid]
+    grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
+    dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
+            for p_hat_i in grid]
+    # _arms(...)[:4] is (det_0, tau_0, det_1, tau_1)
+    rows: List[List] = [[p_hat_i, prior_autocorrelation(*_arms(source, d, 0.0)[:4], lag)]
+                        for p_hat_i, d in zip(grid, dets)]
     header = "p_hat_i,a_prior"
 
     if config["mc"]:
         pulses = int(config["pulses"])
         seed = int(config["seed"])
 
-        def mc_point(item):
-            idx, p_hat_i = item
-            spec = _autocorr_spec(float(p_hat_i), p_hat, lag)
-            det0, det1, _, _ = _uniform_detectors(eta, e_d, spec)
+        def mc_point(idx: int):
             sim_cfg = PulseTrainConfig(pulses=pulses, source=source,
-                                       det_0=det0, det_1=det1, x_fraction=0.0,
-                                       seed=seed + idx)
-            result = simulate(sim_cfg)
-            bits, mask = z_window_bits(result.clicks)
+                                       det_0=dets[idx][0], det_1=dets[idx][1],
+                                       x_fraction=0.0, seed=seed + idx)
+            bits, mask = z_window_bits(simulate(sim_cfg).clicks)
             return (empirical_autocorrelation(bits, lag, mask=mask),
                     autocorrelation_stderr(mask, lag))
 
-        mc = _parallel_map(mc_point, list(enumerate(grid)), threads)
+        # Each point is a NumPy Monte Carlo run, so worker threads overlap.
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            mc = list(pool.map(mc_point, range(points)))
         rows = [row + [a, se] for row, (a, se) in zip(rows, mc)]
         header = "p_hat_i,a_prior,a_mc,a_mc_stderr"
 
@@ -235,19 +226,6 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 # hmin
 
 
-def _hmin_point(source, eta0: float, eta1: float, eta_x: float, e_d: float,
-                e_q: float, spec: AfterpulseSpec) -> float:
-    det0 = DetectorParams(efficiency=eta0, dark_rate=e_d, afterpulse=spec, label="0")
-    det1 = DetectorParams(efficiency=eta1, dark_rate=e_d, afterpulse=spec, label="1")
-    detp = DetectorParams(efficiency=eta_x, dark_rate=e_d, afterpulse=spec, label="+")
-    detm = DetectorParams(efficiency=eta_x, dark_rate=e_d, afterpulse=spec, label="-")
-    taus = measurement_taus(source, eta_0=eta0, eta_1=eta1, eta_plus=eta_x,
-                            eta_minus=eta_x, misalignment=e_q)
-    report = entropy_report_from_taus(det0, taus.tau_0, det1, taus.tau_1,
-                                      detp, taus.tau_plus, detm, taus.tau_minus)
-    return report.hmin_a
-
-
 def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     nu, eta, e_d, e_q = config["nu"], config["eta"], config["e_d"], config["e_q"]
     omega = config["omega"]
@@ -257,37 +235,24 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     source = poisson_distribution(nu)
     sweep = config["sweep"]
 
+    def hmin_a(spec: AfterpulseSpec, eta_1: Optional[float] = None) -> float:
+        dets = detector_set(eta, e_d, spec, eta_1)
+        return entropy_report_from_taus(*_arms(source, dets, e_q)).hmin_a
+
     if sweep == "afterpulse":
         fp_windows = int(config["fp_windows"])
-        grid = np.linspace(0.0, config["p_hat_max"], points)
-
-        def point(p_hat: float) -> List:
-            specs = {
-                "np": AfterpulseSpec.none(),
-                "ip": _sweep_afterpulse_spec(p_hat, omega, None),
-                "fp": _sweep_afterpulse_spec(p_hat, omega, fp_windows),
-            }
-            return [p_hat] + [
-                _hmin_point(source, eta, eta, eta, e_d, e_q, specs[m])
-                for m in ("np", "ip", "fp")
-            ]
-
-        rows = _parallel_map(lambda p: point(float(p)), list(grid), threads)
+        rows = [[p_hat, hmin_a(AfterpulseSpec.none()),
+                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega)),
+                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega, fp_windows))]
+                for p_hat in map(float, np.linspace(0.0, config["p_hat_max"], points))]
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
-        grid = np.linspace(config["ratio_min"], config["ratio_max"], points)
-        spec_ap = _sweep_afterpulse_spec(config["p_hat_ap"], omega, None)
-
-        def point(ratio: float) -> List:
-            return [
-                ratio,
-                _hmin_point(source, eta, ratio * eta, eta, e_d, e_q,
-                            AfterpulseSpec.none()),
-                _hmin_point(source, eta, ratio * eta, eta, e_d, e_q, spec_ap),
-            ]
-
-        rows = _parallel_map(lambda r: point(float(r)), list(grid), threads)
+        spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], omega)
+        rows = [[ratio, hmin_a(AfterpulseSpec.none(), ratio * eta),
+                 hmin_a(spec_ap, ratio * eta)]
+                for ratio in map(float, np.linspace(config["ratio_min"],
+                                                    config["ratio_max"], points))]
         header = "eta_ratio,hmin_a_no_ap,hmin_a_ap"
         path = out_dir / "hmin_efficiency.csv"
     else:
@@ -306,25 +271,19 @@ def cmd_rates(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     points = int(config["points"])
     if points < 2:
         raise ParameterError("rates needs points >= 2")
-    lo, hi = float(config["from"]), float(config["to"])
-    if hi < lo:
-        raise ParameterError(f"rates sweep range is empty: from {lo} to {hi}")
+    losses = loss_grid(config["from"], config["to"], points)
     base_params = {k: config[k] for k in
                    ("N", "q_x", "eps_all", "eps_d", "eps_e", "t_e", "e_q", "v",
                     "e_d", "eta", "eta_bs", "eta_det", "nu", "omega")}
     plain = scenario_from_params(base_params)
     withap = scenario_from_params({**base_params, "p_hat": config["p_hat_ap"]})
-    losses = np.linspace(lo, hi, points)
-
-    def point(loss: float) -> List:
-        a = plain.rates(loss)
-        b = withap.rates(loss)
+    n = plain.security.total_pulses
+    rows = []
+    for loss in map(float, losses):
+        a, b = plain.rates(loss), withap.rates(loss)
         bits = [a["random_sampling"], a["entropy_inequality"], a["infinite_length"],
                 b["random_sampling"], b["entropy_inequality"], b["infinite_length"]]
-        n = plain.security.total_pulses
-        return [loss] + bits + [v / n for v in bits]
-
-    rows = _parallel_map(lambda v: point(float(v)), list(losses), threads)
+        rows.append([loss] + bits + [v / n for v in bits])
     header = ("loss_db,bits_rs,bits_ei,bits_il,bits_rs_ap,bits_ei_ap,bits_il_ap,"
               "per_pulse_rs,per_pulse_ei,per_pulse_il,"
               "per_pulse_rs_ap,per_pulse_ei_ap,per_pulse_il_ap")
@@ -348,33 +307,21 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
     lengths = np.logspace(math.log10(config["length_min"]),
                           math.log10(config["length_max"]), points)
     source = poisson_distribution(nu)
-    variants = {
-        "no_ap": AfterpulseSpec.none(),
-        "ap": _sweep_afterpulse_spec(config["p_hat_ap"], config["omega"], None),
-    }
-    setups = {}
-    for name, spec in variants.items():
-        dets = _uniform_detectors(eta, e_d, spec)
-        taus = measurement_taus(source, eta_0=eta, eta_1=eta, eta_plus=eta,
-                                eta_minus=eta, misalignment=e_q)
-        report = entropy_report_from_taus(dets[0], taus.tau_0, dets[1], taus.tau_1,
-                                          dets[2], taus.tau_plus, dets[3], taus.tau_minus)
-        setups[name] = (dets, taus, report.hmin_a)
+    variants = []    # (arms, infinite-length hmin_a) without and with afterpulsing
+    spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], config["omega"])
+    for spec in (AfterpulseSpec.none(), spec_ap):
+        arms = _arms(source, detector_set(eta, e_d, spec), e_q)
+        variants.append((arms, entropy_report_from_taus(*arms).hmin_a))
 
-    def point(n_samples: float) -> List:
-        n_s = int(round(n_samples))
+    rows = []
+    for n_samples in lengths:
+        n_s = int(round(float(n_samples)))
         delta = hoeffding_delta(n_s, eps_d)
         row = [float(n_s), delta]
-        for name in ("no_ap", "ap"):
-            dets, taus, h_il = setups[name]
-            h_fs = hmin_with_tau_uncertainty(
-                dets[0], taus.tau_0, dets[1], taus.tau_1,
-                dets[2], taus.tau_plus, dets[3], taus.tau_minus,
-                delta, grid_points=grid_points)
-            row.extend([h_fs, h_il])
-        return row
-
-    rows = _parallel_map(lambda v: point(float(v)), list(lengths), threads)
+        for arms, h_il in variants:
+            row += [hmin_with_tau_uncertainty(*arms, delta, grid_points=grid_points),
+                    h_il]
+        rows.append(row)
     header = "n_samples,delta_d,hmin_fs,hmin_il,hmin_fs_ap,hmin_il_ap"
     mhash = _manifest_hash("finite-sampling", config, None)
     path = out_dir / "finite_sampling.csv"
@@ -388,12 +335,11 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
 
 def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     seed = int(config["seed"])
-    p_hat = float(config["p_hat"])
-    depth = config.get("window_depth")
-    spec = (AfterpulseSpec.none() if p_hat == 0.0 else
-            AfterpulseSpec.exponential_from_rate(p_hat, float(config["omega"]),
-                                                 int(depth) if depth else None))
-    det0, det1, detp, detm = _uniform_detectors(config["eta"], config["e_d"], spec)
+    depth = config["window_depth"]
+    spec = AfterpulseSpec.exponential_from_rate(
+        float(config["p_hat"]), float(config["omega"]),
+        None if depth is None else int(depth))
+    det0, det1, detp, detm = detector_set(config["eta"], config["e_d"], spec)
     sim_cfg = PulseTrainConfig(
         pulses=int(config["pulses"]),
         source=poisson_distribution(config["nu"]),
@@ -467,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", type=str, default=".")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: SIQRNG_THREADS or 1)")
+                       help="Monte Carlo worker threads (default: "
+                            "SIQRNG_THREADS or 1)")
         p.add_argument("--points", type=int, default=None)
         if name == "autocorr":
             p.add_argument("--mc", action="store_true", default=None,
@@ -487,14 +434,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if "sweep_var" in file_cfg:
             if command != "rates":
                 raise ParameterError("sweep specifications apply to the rates command")
-            if file_cfg.get("sweep_var") != "voa_loss_db":
-                raise ParameterError(
-                    f"unsupported sweep variable {file_cfg.get('sweep_var')!r}")
-            flat = dict(file_cfg.get("params", {}))
-            for key in ("from", "to", "points"):
-                if key in file_cfg:
-                    flat[key] = file_cfg[key]
-            file_cfg = flat
+            params, span = split_sweep_spec(file_cfg)
+            file_cfg = {**params, **span}
         unknown = set(file_cfg) - set(config)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .errors import ConvergenceError, ParameterError
 
@@ -351,3 +351,12 @@ class DetectorParams:
             afterpulse=AfterpulseSpec.from_dict(data["afterpulse"]),
             label=data.get("label", "0"),
         )
+
+
+def detector_set(eta: float, e_d: float, spec: AfterpulseSpec,
+                 eta_1: Optional[float] = None) -> Tuple[DetectorParams, ...]:
+    """Detectors "0", "1", "+", "-" of efficiency eta ("1": eta_1 if given)."""
+    effs = (eta, eta if eta_1 is None else eta_1, eta, eta)
+    return tuple(DetectorParams(efficiency=eff, dark_rate=e_d, afterpulse=spec,
+                                label=label)
+                 for eff, label in zip(effs, DETECTOR_LABELS))

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .detector_model import AfterpulseSpec, DetectorParams
+from .detector_model import AfterpulseSpec, DetectorParams, detector_set
 from .entropy_engine import (
     ArmState,
     EntropyReport,
@@ -231,17 +231,6 @@ def rate_infinite_length(n_z: float, report: EntropyReport) -> float:
     return max(0.0, n_z * _bracket(report, 0.0))
 
 
-def legacy_rate_detected(n_z_detected: float, e_bx: float, theta: float,
-                         t_e: float) -> float:
-    """Diagnostic n'_z [1 - h(e_bx + theta)] - t_e on detected-pulse counts.
-
-    Kept for comparison with the simpler detected-count accounting; the
-    bracket-based rates above are authoritative.
-    """
-    x = min(e_bx + theta, 0.5)
-    return n_z_detected * (1.0 - binary_entropy(x)) - t_e
-
-
 def composable_epsilon(eps_d: float, eps_e: float, t_e: float) -> float:
     """Composable security parameter sqrt(s(2-s)), s = eps_d + eps_e + 2^-t_e."""
     for name, v in (("eps_d", eps_d), ("eps_e", eps_e)):
@@ -419,16 +408,22 @@ class RateScenario:
                                         self.det_plus, t.tau_plus,
                                         self.det_minus, t.tau_minus)
 
+    def _random_sampling(self, report: EntropyReport) -> Tuple[float, float]:
+        """(theta, bits) of the random-sampling bound; (nan, 0) when no theta
+        is admissible."""
+        sec = self.security
+        try:
+            theta = theta_random_sampling(report.eq, sec.x_fraction,
+                                          sec.total_pulses, sec.eps_e)
+            return theta, rate_random_sampling(sec.n_z, report, theta, sec.t_e)
+        except (InfeasibleError, ParameterError):
+            return math.nan, 0.0
+
     def rates(self, loss_db: float) -> Dict[str, float]:
         """Bit counts of all three bounding methods at one attenuation."""
         sec = self.security
         report = self.entropy(loss_db)
-        try:
-            th_rs = theta_random_sampling(report.eq, sec.x_fraction,
-                                          sec.total_pulses, sec.eps_e)
-            r_rs = rate_random_sampling(sec.n_z, report, th_rs, sec.t_e)
-        except (InfeasibleError, ParameterError):
-            r_rs = 0.0
+        _, r_rs = self._random_sampling(report)
         th_ei = theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all)
         r_ei = rate_entropy_inequality(sec.n_z, report, th_ei, sec.eps_all)
         r_il = rate_infinite_length(sec.n_z, report)
@@ -448,12 +443,7 @@ class RateScenario:
                 return final_rate(sec, self.det_0, t.tau_0, self.det_1, t.tau_1,
                                   self.det_plus, t.tau_plus,
                                   self.det_minus, t.tau_minus, delta)
-            try:
-                theta = theta_random_sampling(report.eq, sec.x_fraction,
-                                              sec.total_pulses, sec.eps_e)
-                bits = rate_random_sampling(sec.n_z, report, theta, sec.t_e)
-            except (InfeasibleError, ParameterError):
-                theta, bits = math.nan, 0.0
+            theta, bits = self._random_sampling(report)
         elif method == "entropy_inequality":
             theta = theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all)
             bits = rate_entropy_inequality(sec.n_z, report, theta, sec.eps_all)
@@ -484,26 +474,35 @@ def scenario_from_params(params: dict) -> RateScenario:
         misalignment=float(params.get("e_q", DEFAULT_MISALIGNMENT)),
         z_rate=float(params.get("v", DEFAULT_Z_RATE)),
     )
-    eta = float(params.get("eta", 0.1))
-    e_d = float(params.get("e_d", 6e-7))
-    p_hat = float(params.get("p_hat", 0.0))
-    if p_hat > 0.0:
-        depth = params.get("window_depth")
-        if depth is not None:
-            depth = int(depth)
-        spec = AfterpulseSpec.exponential_from_rate(
-            p_hat, float(params.get("omega", 0.001)), depth)
-    else:
-        spec = AfterpulseSpec.none()
-    dets = {label: DetectorParams(efficiency=eta, dark_rate=e_d, afterpulse=spec,
-                                  label=label) for label in ("0", "1", "+", "-")}
+    depth = params.get("window_depth")
+    spec = AfterpulseSpec.exponential_from_rate(
+        float(params.get("p_hat", 0.0)), float(params.get("omega", 0.001)),
+        None if depth is None else int(depth))
+    dets = detector_set(float(params.get("eta", 0.1)), float(params.get("e_d", 6e-7)),
+                        spec)
     return RateScenario(
-        det_0=dets["0"], det_1=dets["1"], det_plus=dets["+"], det_minus=dets["-"],
-        security=security,
+        *dets, security=security,
         nu=float(params.get("nu", 50.0)),
         eta_bs=float(params.get("eta_bs", DEFAULT_ETA_BS)),
         eta_det=float(params.get("eta_det", DEFAULT_ETA_DET)),
     )
+
+
+def split_sweep_spec(spec: dict) -> Tuple[dict, dict]:
+    """Split a sweep specification into (scenario params, from/to/points keys)."""
+    var = spec.get("sweep_var", "voa_loss_db")
+    if var != "voa_loss_db":
+        raise ParameterError(f"unsupported sweep variable {var!r}")
+    span = {key: spec[key] for key in ("from", "to", "points") if key in spec}
+    return dict(spec.get("params", {})), span
+
+
+def loss_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``points`` attenuations evenly spaced from ``lo`` to ``hi`` dB."""
+    lo, hi = float(lo), float(hi)
+    if hi < lo:
+        raise ParameterError(f"sweep range is empty: from {lo} to {hi}")
+    return np.linspace(lo, hi, points)
 
 
 def run_sweep(spec: dict) -> List[RateReport]:
@@ -513,17 +512,12 @@ def run_sweep(spec: dict) -> List[RateReport]:
     "points": n, "params": {...}, "method": ...}; points are evaluated in
     order and independently.
     """
-    var = spec.get("sweep_var", "voa_loss_db")
-    if var != "voa_loss_db":
-        raise ParameterError(f"unsupported sweep variable {var!r}")
-    lo = float(spec.get("from", 0.0))
-    hi = float(spec.get("to", DEFAULT_LOSS_MAX_DB))
-    points = int(spec.get("points", 200))
+    params, span = split_sweep_spec(spec)
+    points = int(span.get("points", 200))
     if points < 1:
         raise ParameterError(f"points must be >= 1, got {points}")
-    if hi < lo:
-        raise ParameterError(f"sweep range is empty: from {lo} to {hi}")
+    losses = loss_grid(span.get("from", 0.0), span.get("to", DEFAULT_LOSS_MAX_DB),
+                       points)
     method = spec.get("method", "random_sampling")
-    scenario = scenario_from_params(spec.get("params", {}))
-    losses = np.linspace(lo, hi, points)
+    scenario = scenario_from_params(params)
     return [scenario.rate_report(float(loss), method=method) for loss in losses]

@@ -112,20 +112,8 @@ class PulseTrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class ClickRecord:
-    """One pulse: active-arm click and afterpulse flags."""
-
-    index: int
-    basis: str          # "Z" or "X"
-    d0: bool            # first detector of the active arm (D0 or D+)
-    d1: bool            # second detector of the active arm (D1 or D-)
-    ap0: bool
-    ap1: bool
-
-
 class ClickRecords:
-    """Columnar per-pulse outcomes; rows view as :class:`ClickRecord`."""
+    """Columnar per-pulse outcomes: basis, active-arm clicks and afterpulses."""
 
     CSV_HEADER = "index,basis,d0,d1,ap0,ap1"
 
@@ -142,16 +130,6 @@ class ClickRecords:
 
     def __len__(self) -> int:
         return self.basis_is_x.size
-
-    def __getitem__(self, index: int) -> ClickRecord:
-        return ClickRecord(
-            index=index,
-            basis="X" if self.basis_is_x[index] else "Z",
-            d0=bool(self.d0[index]),
-            d1=bool(self.d1[index]),
-            ap0=bool(self.ap0[index]),
-            ap1=bool(self.ap1[index]),
-        )
 
     def to_csv(self, path, header_comment: Optional[str] = None) -> None:
         basis = np.where(self.basis_is_x, "X", "Z")
@@ -413,21 +391,6 @@ def empirical_click_stats(clicks: ClickRecords) -> Tuple[float, float, int]:
     single = int((clicks.d0[z] ^ clicks.d1[z]).sum())
     double = int((clicks.d0[z] & clicks.d1[z]).sum())
     return single / n, double / n, n
-
-
-def click_rate_pulls(clicks: ClickRecords, q_single: float,
-                     q_double: float) -> Tuple[float, float]:
-    """Standardized deviations of the empirical click ratios from a model.
-
-    Diagnostic for the gap between the per-pulse afterpulse sampling rule and
-    the ensemble formulas it approximates: pulls stay within a few units where
-    the closed-form model is accurate and grow with the afterpulse rate.
-    """
-    qs_hat, qd_hat, n = empirical_click_stats(clicks)
-    return (
-        (qs_hat - q_single) / math.sqrt(q_single * (1.0 - q_single) / n),
-        (qd_hat - q_double) / math.sqrt(q_double * (1.0 - q_double) / n),
-    )
 
 
 def z_window_bits(clicks: ClickRecords) -> Tuple[np.ndarray, np.ndarray]:

@@ -54,14 +54,6 @@ class PhotonDistribution:
         """Mean photon number of the truncated part."""
         return float(np.dot(np.arange(self.probs.size), self.probs))
 
-    @classmethod
-    def point_mass(cls, n: int) -> "PhotonDistribution":
-        if n < 0:
-            raise ParameterError(f"photon number must be >= 0, got {n}")
-        probs = np.zeros(n + 1)
-        probs[n] = 1.0
-        return cls(probs=probs)
-
     def to_dict(self) -> dict:
         return {"probs": self.probs.tolist(), "tail_mass": self.tail_mass}
 

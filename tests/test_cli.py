@@ -81,6 +81,12 @@ class TestRates:
         assert len(rows) == 4
         assert rows[0][0] == 1.0 and rows[-1][0] == 2.0
 
+    def test_negative_afterpulse_rate_rejected(self, tmp_path, capsys):
+        assert run(["rates", "--out-dir", str(tmp_path), "--points", "3",
+                    "--p-hat-ap", "-0.1"]) == 2
+        assert "first_order_rate must lie in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "rates.csv").exists()
+
 
 class TestFiniteSampling:
     def test_gap_shrinks(self, tmp_path):
@@ -137,6 +143,21 @@ class TestSimulateCommand:
                            p_minus=stationary_click_prob(detm, taus.tau_minus))
         n_x = sidecar["x_windows"]
         assert abs(sidecar["eq_empirical"] - eq) <= 3.0 * math.sqrt(eq / n_x)
+
+    def test_window_depth_zero_means_no_afterpulse(self, tmp_path):
+        args = ["simulate", "--pulses", "5000", "--seed", "4"]
+        assert run(args + ["--p-hat", "0.05", "--window-depth", "0",
+                           "--out-dir", str(tmp_path / "d0")]) == 0
+        assert run(args + ["--p-hat", "0", "--out-dir", str(tmp_path / "ref")]) == 0
+        rows = (tmp_path / "d0" / "clicks.csv").read_text().splitlines()[2:]
+        assert len(rows) == 5000
+        assert all(row.endswith(",0,0") for row in rows)     # ap0, ap1
+        # zero history windows draw exactly the afterpulse-free clicks and bits
+        ref = (tmp_path / "ref" / "clicks.csv").read_text().splitlines()[2:]
+        assert rows == ref
+        for name in ("bits.bin", "extracted.bin"):
+            assert ((tmp_path / "d0" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes())
 
     def test_manifest_hash_links_outputs(self, tmp_path):
         assert run(["simulate", "--pulses", "5000", "--out-dir",

@@ -27,7 +27,6 @@ from siqrng.entropy_engine import (
 )
 from siqrng.finite_size import (
     hmin_with_tau_uncertainty,
-    legacy_rate_detected,
     random_sampling_epsilon,
     scenario_from_params,
 )
@@ -117,10 +116,6 @@ class TestRates:
         base = rate_entropy_inequality(1e9, report, 0.0, 1.0)
         tighter = rate_entropy_inequality(1e9, report, 0.0, 2.0 * 2.0**-50)
         assert base - tighter == pytest.approx(98.0, abs=1e-6)
-
-    def test_legacy_detected_count_rate(self):
-        assert legacy_rate_detected(1e6, 0.01, 0.0, 100) == pytest.approx(
-            1e6 * (1.0 - binary_entropy(0.01)) - 100, rel=1e-12)
 
     def test_rates_non_increasing_in_theta(self):
         report = simple_report()
@@ -283,6 +278,10 @@ class TestRateScenario:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError):
             scenario_from_params({"bogus": 1.0})
+
+    def test_negative_afterpulse_rate_rejected(self):
+        with pytest.raises(ParameterError, match="first_order_rate"):
+            scenario_from_params({"p_hat": -0.1})
 
 
 class TestRatePeakLocation:

@@ -219,9 +219,6 @@ class TestClickRecords:
     def test_row_view_and_csv(self, tmp_path):
         cfg = make_config(pulses=64, x_fraction=0.5, seed=2)
         result = simulate(cfg)
-        rec = result.clicks[3]
-        assert rec.index == 3
-        assert rec.basis in ("Z", "X")
         path = tmp_path / "clicks.csv"
         result.clicks.to_csv(path, header_comment="test")
         lines = path.read_text().splitlines()
