@@ -359,10 +359,12 @@ def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     bits_path.write_bytes(result.bits.packed())
     sidecar = result.bits.sidecar(seed, sim_cfg.config_hash())
     sidecar["manifest_hash"] = mhash
-    sidecar["eq_empirical"] = result.eq_empirical
+    # no X windows leaves EQ undefined (NaN), which JSON cannot carry
+    sidecar["eq_empirical"] = result.eq_empirical if result.bits.x_windows else None
     sidecar_path = out_dir / "bits.json"
-    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    sidecar_path.write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8")
 
     n_raw = len(result.bits)
     extract_bits = config.get("extract_bits")

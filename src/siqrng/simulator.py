@@ -112,6 +112,15 @@ class PulseTrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+_CSV_BLOCK_ROWS = 1 << 16
+
+# Row suffix ",basis,d0,d1,ap0,ap1\n" for the flag code
+# is_x << 4 | d0 << 3 | d1 << 2 | ap0 << 1 | ap1.
+_ROW_SUFFIX = np.frombuffer(b"".join(
+    f",{'X' if c & 16 else 'Z'},{c >> 3 & 1},{c >> 2 & 1},{c >> 1 & 1},{c & 1}\n".encode()
+    for c in range(32)), dtype=np.uint8).reshape(32, 11)
+
+
 class ClickRecords:
     """Columnar per-pulse outcomes: basis, active-arm clicks and afterpulses."""
 
@@ -132,15 +141,39 @@ class ClickRecords:
         return self.basis_is_x.size
 
     def to_csv(self, path, header_comment: Optional[str] = None) -> None:
-        basis = np.where(self.basis_is_x, "X", "Z")
-        flags = [col.astype(np.uint8) for col in (self.d0, self.d1, self.ap0, self.ap1)]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        """Write one ``index,basis,d0,d1,ap0,ap1`` row per pulse.
+
+        ``basis`` is ``Z`` or ``X``; the four flags are ``0``/``1``.  A truthy
+        ``header_comment`` is written first as a ``# ...`` line.  Every row
+        whose index has w decimal digits is exactly w + 11 bytes long, so the
+        rows of one decimal-width band are built as a ``uint8`` byte block:
+        index digits by repeated ``% 10``, the rest by a lookup of the five
+        flags in a 32-row suffix table.  Blocks hold at most
+        ``_CSV_BLOCK_ROWS`` rows, so beyond one code byte per pulse the
+        writer needs a few MB, whatever the pulse count.
+        """
+        codes = np.zeros(len(self), dtype=np.uint8)
+        for shift, col in zip((4, 3, 2, 1, 0), (self.basis_is_x, self.d0, self.d1,
+                                                self.ap0, self.ap1)):
+            codes |= col.view(np.uint8) << shift
+        with open(path, "wb") as fh:
             if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write(self.CSV_HEADER + "\n")
-            for i in range(len(self)):
-                fh.write(f"{i},{basis[i]},{flags[0][i]},{flags[1][i]},"
-                         f"{flags[2][i]},{flags[3][i]}\n")
+                fh.write(f"# {header_comment}\n".encode("utf-8"))
+            fh.write((self.CSV_HEADER + "\n").encode("utf-8"))
+            start, width = 0, 1
+            while start < codes.size:
+                band_end = min(codes.size, 10 ** width)
+                for lo in range(start, band_end, _CSV_BLOCK_ROWS):
+                    hi = min(lo + _CSV_BLOCK_ROWS, band_end)
+                    block = np.empty((hi - lo, width + _ROW_SUFFIX.shape[1]),
+                                     dtype=np.uint8)
+                    index = np.arange(lo, hi, dtype=np.int64)
+                    for digit in range(width - 1, -1, -1):
+                        block[:, digit] = index % 10 + ord("0")
+                        index //= 10
+                    block[:, width:] = _ROW_SUFFIX[codes[lo:hi]]
+                    fh.write(block.tobytes())
+                start, width = band_end, width + 1
 
 
 @dataclass

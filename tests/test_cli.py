@@ -159,6 +159,19 @@ class TestSimulateCommand:
             assert ((tmp_path / "d0" / name).read_bytes()
                     == (tmp_path / "ref" / name).read_bytes())
 
+    @pytest.mark.parametrize("flags", [["--pulses", "1000", "--q-x", "0"],
+                                       ["--pulses", "1"]])
+    def test_no_x_windows_writes_strict_json(self, tmp_path, flags):
+        assert run(["simulate", *flags, "--out-dir", str(tmp_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        sidecar = json.loads((tmp_path / "bits.json").read_text(),
+                             parse_constant=reject)
+        assert sidecar["x_windows"] == 0
+        assert sidecar["eq_empirical"] is None
+
     def test_manifest_hash_links_outputs(self, tmp_path):
         assert run(["simulate", "--pulses", "5000", "--out-dir",
                     str(tmp_path)]) == 0

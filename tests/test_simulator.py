@@ -23,7 +23,7 @@ from siqrng.entropy_engine import (
     stationary_click_prob,
     x_basis_error,
 )
-from siqrng.simulator import BitStream, empirical_click_stats
+from siqrng.simulator import BitStream, ClickRecords, empirical_click_stats
 
 from conftest import make_detectors
 
@@ -227,6 +227,32 @@ class TestClickRecords:
         assert len(lines) == 2 + 64
         first = lines[2].split(",")
         assert first[0] == "0" and first[1] in ("Z", "X")
+
+    @pytest.mark.parametrize("header_comment", [None, "siqrng csv=1 hé"])
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 65535, 65536,
+                                   65537, 100000, 131073])
+    def test_csv_bytes_match_row_formatter(self, tmp_path, n, header_comment):
+        # every flag code in order, then a seeded random set
+        codes = np.arange(n) % 32
+        rng = np.random.default_rng(n)
+        codes[n // 2:] = rng.integers(0, 32, size=n - n // 2)
+        cols = [(codes >> shift) & 1 == 1 for shift in (4, 3, 2, 1, 0)]
+        clicks = ClickRecords(*cols)
+        path = tmp_path / "clicks.csv"
+        clicks.to_csv(path, header_comment=header_comment)
+
+        ref = tmp_path / "reference.csv"
+        basis = np.where(clicks.basis_is_x, "X", "Z")
+        flags = [col.astype(np.uint8)
+                 for col in (clicks.d0, clicks.d1, clicks.ap0, clicks.ap1)]
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            if header_comment:
+                fh.write(f"# {header_comment}\n")
+            fh.write(ClickRecords.CSV_HEADER + "\n")
+            for i in range(n):
+                fh.write(f"{i},{basis[i]},{flags[0][i]},{flags[1][i]},"
+                         f"{flags[2][i]},{flags[3][i]}\n")
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_packed_bits_round_trip(self):
         result = simulate(make_config(pulses=2000, seed=19))
