@@ -303,9 +303,11 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
     points = int(config["points"])
     if points < 2:
         raise ParameterError("finite-sampling needs points >= 2")
+    lo, hi = config["length_min"], config["length_max"]
+    if not (lo > 0.0 and hi > 0.0):
+        raise ParameterError(f"length_min and length_max must be > 0, got {lo} and {hi}")
     grid_points = int(config["grid_points"])
-    lengths = np.logspace(math.log10(config["length_min"]),
-                          math.log10(config["length_max"]), points)
+    lengths = np.logspace(math.log10(lo), math.log10(hi), points)
     source = poisson_distribution(nu)
     variants = []    # (arms, infinite-length hmin_a) without and with afterpulsing
     spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], config["omega"])

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import ConvergenceError, ParameterError
 
 DETECTOR_LABELS = ("0", "1", "+", "-")
@@ -33,9 +35,13 @@ _RATIO_EPS = 1e-14
 _DEPTH_FROM_LIST = object()
 
 
-def _check_unit(name: str, value: float, *, high_open: bool = False) -> None:
-    hi_ok = value < 1.0 if high_open else value <= 1.0
-    if not (0.0 <= value and hi_ok):
+def _check_unit(name: str, value, *, high_open: bool = False) -> None:
+    """Raise unless ``value``, or every array entry, lies in [0, 1] ([0, 1) if high_open)."""
+    low = high = value
+    if type(value) is not float and isinstance(value, np.ndarray):  # fast float path
+        low, high = value.min(), value.max()
+    hi_ok = high < 1.0 if high_open else high <= 1.0
+    if not (0.0 <= low and hi_ok):
         hi = "1)" if high_open else "1]"
         raise ParameterError(f"{name} must lie in [0, {hi}, got {value!r}")
 

@@ -8,6 +8,9 @@ min-entropy treats the adversary as knowing which detector fired previously,
 so each detector is evaluated both with its full worst-case afterpulse and
 with none at all, and the most predictable single-click outcome decides
 H_min(Z|E).
+
+``ArmState.from_detectors`` and ``make_entropy_report`` broadcast arrays of tau,
+each cell equal to the float result; EQ and ``binary_entropy`` stay scalar.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .detector_model import DetectorParams, response_prob, response_prob_no_afterpulse
+from .detector_model import (DetectorParams, _check_unit, response_prob,
+                             response_prob_no_afterpulse)
 from .errors import DegenerateError, ParameterError
 from .source_monitor import PhotonDistribution, vacuum_probability
 
@@ -29,8 +33,7 @@ _LN2 = math.log(2.0)
 
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy -x log2 x - (1-x) log2(1-x), h(0) = h(1) = 0."""
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"binary entropy argument must lie in [0, 1], got {x}")
+    _check_unit("binary entropy argument", x)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)
@@ -38,17 +41,15 @@ def binary_entropy(x: float) -> float:
 
 def click_probabilities(p_0: float, p_1: float) -> Tuple[float, float]:
     """(Q_single, Q_double) of a two-detector arm with response probs p_0, p_1."""
-    for name, p in (("p_0", p_0), ("p_1", p_1)):
-        if not (0.0 <= p <= 1.0):
-            raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+    _check_unit("p_0", p_0)
+    _check_unit("p_1", p_1)
     return p_0 * (1.0 - p_1) + p_1 * (1.0 - p_0), p_0 * p_1
 
 
 def x_basis_error(p_plus: float, p_minus: float) -> float:
     """Per-pulse check-basis error rate p_-(1-p_+) + p_- p_+ / 2."""
-    for name, p in (("p_plus", p_plus), ("p_minus", p_minus)):
-        if not (0.0 <= p <= 1.0):
-            raise ParameterError(f"{name} must lie in [0, 1], got {p}")
+    _check_unit("p_plus", p_plus)
+    _check_unit("p_minus", p_minus)
     return p_minus * (1.0 - p_plus) + 0.5 * p_minus * p_plus
 
 
@@ -68,7 +69,7 @@ def expectation_k(p_0: float, p_1: float) -> float:
     """Expected raw-bit value k = p_1(1-p_0) / (p_1(1-p_0) + p_0(1-p_1))."""
     num = p_1 * (1.0 - p_0)
     den = num + p_0 * (1.0 - p_1)
-    if den == 0.0:
+    if den == 0.0 if type(den) is float else not np.all(den):
         raise DegenerateError("no single-click events: k is undefined")
     return num / den
 
@@ -103,7 +104,7 @@ def stationary_click_prob(det: DetectorParams, tau: float,
         prior_ratio = baseline_click_prob(det, tau)
     elif not (0.0 <= prior_ratio <= 1.0):
         raise ParameterError(f"prior_ratio must lie in [0, 1], got {prior_ratio}")
-    p_ap = min(_clamped_worst_afterpulse(det) * prior_ratio, 1.0)
+    p_ap = _clamped_worst_afterpulse(det) * prior_ratio
     return response_prob(tau, det.dark_rate, p_ap)
 
 
@@ -122,8 +123,6 @@ class ArmState:
     p0_a: float
     p1_b: float
     p0_b: float
-    label_a: str = "0"
-    label_b: str = "1"
 
     @classmethod
     def from_detectors(cls, det_a: DetectorParams, tau_a: float,
@@ -137,8 +136,6 @@ class ArmState:
             p0_a=baseline_click_prob(det_a, tau_a),
             p1_b=worst_case_click_prob(det_b, tau_b),
             p0_b=baseline_click_prob(det_b, tau_b),
-            label_a=det_a.label,
-            label_b=det_b.label,
         )
 
 
@@ -148,10 +145,13 @@ def _hmin_z_from_pairs(p1_0: float, p0_0: float, p1_1: float, p0_1: float) -> fl
         x = pm * (1.0 - pn)
         y = pn * (1.0 - pm)
         q = x + y
-        if q == 0.0:
+        cells = type(q) is not float and isinstance(q, np.ndarray)
+        if (not q.all()) if cells else q == 0.0:
             raise DegenerateError("single-click probability vanishes in the worst case")
-        best = max(best, x / q)
-    return -math.log2(best)
+        best = np.maximum(best, x / q) if cells else max(best, x / q)
+    # np.log2 differs from math.log2 in the last bit on some inputs
+    log2 = np.vectorize(math.log2, otypes=[float]) if cells else math.log2
+    return -log2(best)
 
 
 def hmin_z_worstcase(det_0: DetectorParams, tau_0: float,
@@ -293,7 +293,7 @@ def autocorrelation_stderr(mask, lag: int) -> float:
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """All per-pulse statistics of one operating point."""
+    """All per-pulse statistics of one operating point, or of a broadcast grid."""
 
     hmin_z: float
     hmin_a: float
@@ -305,10 +305,9 @@ class EntropyReport:
 
     def __post_init__(self):
         for name in ("hmin_z", "q_single", "q_double", "eq", "k"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-        if self.q_single + self.q_double > 1.0 + 1e-12:
+            _check_unit(name, getattr(self, name))
+        total = self.q_single + self.q_double
+        if (total if type(total) is float else np.max(total)) > 1.0 + 1e-12:
             raise ParameterError("Q_single + Q_double exceeds 1")
 
     def to_dict(self) -> dict:
@@ -337,10 +336,8 @@ def measurement_taus(source: PhotonDistribution, *, eta_0: float, eta_1: float,
     sees thinning t*eta/2.  Check-basis photons exit the "+" port except for a
     per-photon misalignment probability that routes them to "-".
     """
-    if not (0.0 <= misalignment <= 1.0):
-        raise ParameterError(f"misalignment must lie in [0, 1], got {misalignment}")
-    if not (0.0 <= transmittance <= 1.0):
-        raise ParameterError(f"transmittance must lie in [0, 1], got {transmittance}")
+    _check_unit("misalignment", misalignment)
+    _check_unit("transmittance", transmittance)
     t = transmittance
     return TauSet(
         tau_0=vacuum_probability(source, 0.5 * t * eta_0)[0],

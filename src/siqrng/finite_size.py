@@ -25,6 +25,7 @@ from .entropy_engine import (
     entropy_report_from_taus,
     make_entropy_report,
     measurement_taus,
+    x_basis_error,
 )
 from .errors import BudgetError, InfeasibleError, ParameterError
 from .source_monitor import (
@@ -259,17 +260,13 @@ def _min_bracket_over_taus(det_0: DetectorParams, tau_0_iv: Tuple[float, float],
     """Minimum bracket over the (tau_0, tau_1) box with a fixed check arm.
 
     Endpoints dominate in every regime tested; the grid guards non-monotone
-    corners.
+    corners.  The whole grid is one broadcast call through the entropy chain.
     """
-    best = math.inf
-    grid_0 = np.linspace(tau_0_iv[0], tau_0_iv[1], grid_points)
-    grid_1 = np.linspace(tau_1_iv[0], tau_1_iv[1], grid_points)
-    for t0 in grid_0:
-        for t1 in grid_1:
-            z_arm = ArmState.from_detectors(det_0, float(t0), det_1, float(t1))
-            report = make_entropy_report(z_arm, x_arm)
-            best = min(best, _bracket(report, theta))
-    return best
+    if grid_points < 2:
+        raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
+    z_arm = ArmState.from_detectors(det_0, np.linspace(*tau_0_iv, grid_points)[:, None],
+                                    det_1, np.linspace(*tau_1_iv, grid_points)[None, :])
+    return float(np.min(_bracket(make_entropy_report(z_arm, x_arm), theta)))
 
 
 def hmin_with_tau_uncertainty(det_0: DetectorParams, tau_0: float,
@@ -333,11 +330,9 @@ def final_rate(security: SecurityParams,
                           det_minus, clipped_interval(tau_minus, delta_d))
     point = entropy_report_from_taus(det_0, tau_0, det_1, tau_1,
                                      det_plus, tau_plus, det_minus, tau_minus)
-    worst = make_entropy_report(
-        ArmState.from_detectors(det_0, tau_0, det_1, tau_1), x_arm)
     zeta = composable_epsilon(security.eps_d, security.eps_e, security.t_e)
     try:
-        theta = theta_random_sampling(worst.eq, security.x_fraction,
+        theta = theta_random_sampling(x_basis_error(x_arm.p_a, x_arm.p_b), security.x_fraction,
                                       security.total_pulses, security.eps_e)
     except InfeasibleError:
         return RateReport(method="random_sampling", theta=math.nan, entropy=point,

@@ -101,6 +101,21 @@ class TestFiniteSampling:
         gaps = [r[3] - r[2] for r in rows]
         assert gaps[-1] < gaps[0]
 
+    @pytest.mark.parametrize("grid_points", ["0", "1"])
+    def test_fewer_than_two_grid_points_rejected(self, tmp_path, capsys, grid_points):
+        assert run(["finite-sampling", "--out-dir", str(tmp_path), "--points", "2",
+                    "--grid-points", grid_points]) == 2
+        assert "grid_points must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "finite_sampling.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--length-min=0", "--length-min=-5",
+                                      "--length-max=-1"])
+    def test_nonpositive_length_rejected(self, tmp_path, capsys, flag):
+        assert run(["finite-sampling", "--out-dir", str(tmp_path), "--points", "2",
+                    flag]) == 2
+        assert "length_min and length_max must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "finite_sampling.csv").exists()
+
 
 class TestSimulateCommand:
     def test_outputs_and_reproducibility(self, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from siqrng import (
@@ -83,6 +84,15 @@ class TestResponseProb:
         assert by_tau == sorted(by_tau, reverse=True)
         by_dark = [response_prob(0.8, d, 0.1) for d in (0.0, 1e-6, 1e-3, 0.5)]
         assert by_dark == sorted(by_dark)
+
+    def test_array_checks_every_entry(self):
+        taus = np.array([0.0, 0.3, 0.7, 1.0])
+        assert response_prob(taus, 1e-6, 0.1).tolist() == [
+            response_prob(float(t), 1e-6, 0.1) for t in taus]
+        with pytest.raises(ParameterError, match="tau must lie in"):
+            response_prob(np.array([0.2, 1.2, 0.5]), 1e-6, 0.1)
+        with pytest.raises(ParameterError, match="p_ap must lie in"):
+            response_prob(0.8, 1e-6, np.array([0.1, -0.1]))
 
 
 class TestAfterpulseCoeff:

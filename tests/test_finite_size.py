@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from siqrng import (
     AfterpulseSpec,
     BudgetError,
+    DegenerateError,
     InfeasibleError,
     ParameterError,
     SecurityParams,
@@ -20,16 +22,22 @@ from siqrng import (
     theta_random_sampling,
 )
 from siqrng.entropy_engine import (
+    ArmState,
     EntropyReport,
     binary_entropy,
     entropy_report_from_taus,
+    make_entropy_report,
     measurement_taus,
 )
 from siqrng.finite_size import (
+    _bracket,
+    _min_bracket_over_taus,
+    _worst_eq_arm,
     hmin_with_tau_uncertainty,
     random_sampling_epsilon,
     scenario_from_params,
 )
+from siqrng.source_monitor import clipped_interval
 
 from conftest import make_detectors
 
@@ -238,6 +246,69 @@ class TestHminWithTauUncertainty:
                                             delta=d, grid_points=17)
                   for d in (0.0, 0.005, 0.02, 0.08)]
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("grid_points", [0, 1])
+    def test_fewer_than_two_grid_points_rejected(self, grid_points):
+        # 0 points used to return inf; 1 point saw only the lower corner
+        det0, det1, detp, detm = make_detectors()
+        taus = _taus_at()
+        args = (det0, taus.tau_0, det1, taus.tau_1,
+                detp, taus.tau_plus, detm, taus.tau_minus)
+        with pytest.raises(ParameterError, match="grid_points must be >= 2"):
+            hmin_with_tau_uncertainty(*args, delta=0.01, grid_points=grid_points)
+        with pytest.raises(ParameterError, match="grid_points must be >= 2"):
+            final_rate(SecurityParams(), *args, delta_d=0.01, grid_points=grid_points)
+
+    def test_box_reaching_vacuum_without_noise_is_degenerate(self):
+        # tau = 1 with e_d = 0 and no afterpulse: neither detector can click
+        det0, det1, detp, detm = make_detectors(e_d=0.0)
+        taus = _taus_at(nu=1.0)
+        with pytest.raises(DegenerateError):
+            hmin_with_tau_uncertainty(det0, taus.tau_0, det1, taus.tau_1,
+                                      detp, taus.tau_plus, detm, taus.tau_minus,
+                                      delta=0.1, grid_points=5)
+
+
+def _cell_loop_min_bracket(det_0, tau_0_iv, det_1, tau_1_iv, x_arm, theta,
+                           grid_points):
+    """Reference: the bracket minimum evaluated one float cell at a time."""
+    best = math.inf
+    for t0 in np.linspace(tau_0_iv[0], tau_0_iv[1], grid_points):
+        for t1 in np.linspace(tau_1_iv[0], tau_1_iv[1], grid_points):
+            z_arm = ArmState.from_detectors(det_0, float(t0), det_1, float(t1))
+            best = min(best, _bracket(make_entropy_report(z_arm, x_arm), theta))
+    return best
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ParameterError, DegenerateError) as exc:
+        return type(exc)
+
+
+class TestMinBracketOverTaus:
+    # (nu, delta): no clipping; clipped at 1; tau_0 clipped at 0; tau_0 at 0
+    # and 1.  Boxes where tau_0 and tau_1 both reach 0 (eta_1 = eta), or where
+    # tau_0 reaches 0 with the total clamped at 1, are degenerate: both raise.
+    @pytest.mark.parametrize("nu,delta", [(10.0, 0.01), (1.0, 0.2), (50.0, 0.1),
+                                          (12.0, 0.55)])
+    @pytest.mark.parametrize("theta", [0.0, 2e-3])
+    @pytest.mark.parametrize("eta_1", [0.1, 0.06])
+    @pytest.mark.parametrize("p_hat", [0.0, 0.05, 0.6])   # 0.6 clamps the total at 1
+    @pytest.mark.parametrize("grid_points", [2, 3, 17, 64])
+    def test_broadcast_equals_cell_loop(self, grid_points, p_hat, eta_1, theta,
+                                        nu, delta):
+        spec = AfterpulseSpec.exponential_from_rate(p_hat, 0.001)
+        det0, det1, detp, detm = make_detectors(spec=spec, eta_1=eta_1)
+        taus = measurement_taus(poisson_distribution(nu), eta_0=0.1, eta_1=eta_1,
+                                eta_plus=0.1, eta_minus=0.1, misalignment=0.02)
+        x_arm = _worst_eq_arm(detp, clipped_interval(taus.tau_plus, delta),
+                              detm, clipped_interval(taus.tau_minus, delta))
+        args = (det0, clipped_interval(taus.tau_0, delta),
+                det1, clipped_interval(taus.tau_1, delta), x_arm, theta, grid_points)
+        assert _outcome(_min_bracket_over_taus, *args) == \
+            _outcome(_cell_loop_min_bracket, *args)
 
 
 class TestRateScenario:
