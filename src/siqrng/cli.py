@@ -41,7 +41,7 @@ from .entropy_engine import (
     measurement_taus,
     prior_autocorrelation,
 )
-from .errors import ParameterError, SiqrngError
+from .errors import DegenerateError, ParameterError, SiqrngError
 from .finite_size import (
     DEFAULT_EPS_TERM,
     DEFAULT_ETA_BS,
@@ -321,8 +321,13 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
         delta = hoeffding_delta(n_s, eps_d)
         row = [float(n_s), delta]
         for arms, h_il in variants:
-            row += [hmin_with_tau_uncertainty(*arms, delta, grid_points=grid_points),
-                    h_il]
+            try:
+                h_fs = hmin_with_tau_uncertainty(*arms, delta, grid_points=grid_points)
+            except DegenerateError as exc:
+                raise DegenerateError(
+                    f"row n_samples={n_s:g}, delta_d={delta:.6g}: {exc}; "
+                    "raise --length-min") from exc
+            row += [h_fs, h_il]
         rows.append(row)
     header = "n_samples,delta_d,hmin_fs,hmin_il,hmin_fs_ap,hmin_il_ap"
     mhash = _manifest_hash("finite-sampling", config, None)

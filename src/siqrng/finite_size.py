@@ -322,7 +322,8 @@ def final_rate(security: SecurityParams,
 
     The deviation theta comes from the random-sampling bound at the worst-case
     check-arm corner; the bracket is then minimized over the generation-arm
-    box and t_e subtracted.  An infeasible theta yields zero bits.
+    box and t_e subtracted.  An infeasible theta, or a worst-case EQ outside
+    (0, 1/2), yields zero bits with theta = nan, as in ``RateScenario.rates``.
     """
     if delta_d < 0.0:
         raise ParameterError(f"delta_d must be >= 0, got {delta_d}")
@@ -334,7 +335,7 @@ def final_rate(security: SecurityParams,
     try:
         theta = theta_random_sampling(x_basis_error(x_arm.p_a, x_arm.p_b), security.x_fraction,
                                       security.total_pulses, security.eps_e)
-    except InfeasibleError:
+    except (InfeasibleError, ParameterError):
         return RateReport(method="random_sampling", theta=math.nan, entropy=point,
                           random_bits=0.0, final_bits=0.0, zeta=zeta,
                           n_z=security.n_z, n_x=security.n_x,

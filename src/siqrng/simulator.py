@@ -246,20 +246,29 @@ def _afterpulse_pass(base: np.ndarray, u_ap: np.ndarray, coeffs: np.ndarray,
     previous ``len(coeffs)`` windows.  Fires only ever propagate forward, so
     iterating the hazard to its (unique) fixed point reproduces the sequential
     evaluation exactly.
+
+    Each iteration scatters ``1 - c_j`` from the fired windows only, so it
+    costs O(chunk + depth * fires) instead of O(depth * chunk).  Every window
+    still takes its factors in ascending-lag order, and each factor skipped
+    is an exact 1.0, so ``survive`` is bit-identical to the product over all
+    ``depth`` lags of every window.
     """
     m = coeffs.size
     n = base.size
     if m == 0:
         return base.copy(), np.zeros(n, dtype=bool), carry
+    lags = np.arange(1, m + 1)
+    factors = (1.0 - coeffs).tolist()
     fires = base.copy()
     while True:
-        ext = np.concatenate((carry, fires))
+        # Position p of carry + fires reaches window p + j - m at lag j.
+        fired = np.flatnonzero(np.concatenate((carry, fires)))
+        lo, hi = np.searchsorted(fired, (m - lags, n + m - lags)).tolist()
         survive = np.ones(n)
-        for j in range(1, m + 1):
-            c = coeffs[j - 1]
-            if c != 0.0:
-                fired = ext[m - j:m - j + n]
-                survive *= np.where(fired, 1.0 - c, 1.0)
+        for shift, f, a, b in zip(range(1 - m, 1), factors, lo, hi):
+            if f != 1.0 and a < b:
+                # Windows hit at one lag are distinct, so the fancy *= is exact.
+                survive[fired[a:b] + shift] *= f
         ap = u_ap < (1.0 - survive)
         new = base | ap
         if np.array_equal(new, fires):

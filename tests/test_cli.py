@@ -116,6 +116,17 @@ class TestFiniteSampling:
         assert "length_min and length_max must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "finite_sampling.csv").exists()
 
+    def test_degenerate_row_is_named(self, tmp_path, capsys):
+        args = ["finite-sampling", "--eta", "0.3", "--nu", "20", "--points", "2"]
+        assert run(args + ["--out-dir", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert "row n_samples=100, delta_d=0.420419" in err
+        assert "single-click probability vanishes" in err
+        assert "raise --length-min" in err
+        assert not (tmp_path / "a" / "finite_sampling.csv").exists()
+        assert run(args + ["--length-min", "1e4", "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "finite_sampling.csv").exists()
+
 
 class TestSimulateCommand:
     def test_outputs_and_reproducibility(self, tmp_path):

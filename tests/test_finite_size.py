@@ -346,6 +346,16 @@ class TestRateScenario:
         assert monitored.final_bits < point.final_bits
         assert monitored.final_bits <= monitored.random_bits
 
+    @pytest.mark.parametrize("nu", [1.0, 10.0])
+    @pytest.mark.parametrize("loss_db", [0.0, 1.5, 3.0])
+    def test_monitored_worst_eq_above_half_gives_zero_bits(self, nu, loss_db):
+        # 100 monitor samples widen the check-arm box until its worst-case EQ
+        # passes 1/2, where no theta exists.
+        report = scenario_from_params({"p_hat": 0.3, "nu": nu}).rate_report(
+            loss_db, monitor_samples=100)
+        assert math.isnan(report.theta)
+        assert report.random_bits == 0.0 and report.final_bits == 0.0
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError):
             scenario_from_params({"bogus": 1.0})

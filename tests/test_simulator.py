@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siqrng import (
     AfterpulseSpec,
@@ -23,6 +25,7 @@ from siqrng.entropy_engine import (
     stationary_click_prob,
     x_basis_error,
 )
+from siqrng import simulator
 from siqrng.simulator import BitStream, ClickRecords, empirical_click_stats
 
 from conftest import make_detectors
@@ -89,6 +92,75 @@ class TestDeterminism:
         cfg_b = make_config(seed=2, pulses=20_000)
         assert not np.array_equal(simulate(cfg_a).clicks.d0,
                                   simulate(cfg_b).clicks.d0)
+
+
+def dense_afterpulse_pass(base, u_ap, coeffs, carry):
+    """Reference: the pass as one dense product over every lag of every window."""
+    m = coeffs.size
+    n = base.size
+    if m == 0:
+        return base.copy(), np.zeros(n, dtype=bool), carry
+    fires = base.copy()
+    while True:
+        ext = np.concatenate((carry, fires))
+        survive = np.ones(n)
+        for j in range(1, m + 1):
+            c = coeffs[j - 1]
+            if c != 0.0:
+                fired = ext[m - j:m - j + n]
+                survive *= np.where(fired, 1.0 - c, 1.0)
+        ap = u_ap < (1.0 - survive)
+        new = base | ap
+        if np.array_equal(new, fires):
+            break
+        fires = new
+    new_carry = np.concatenate((carry, fires))[-m:]
+    return fires, ap, new_carry
+
+
+@st.composite
+def afterpulse_pass_cases(draw):
+    """Coefficient tables with zeros inside and a nonzero last entry, depths
+    1..300, chunks 1..500 (often shorter than the depth), any fire density."""
+    depth = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 500))
+    base_density = draw(st.floats(0.0, 1.0))
+    carry_density = draw(st.floats(0.0, 1.0))
+    zero_share = draw(st.floats(0.0, 0.9))
+    scale = draw(st.floats(1e-4, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = scale * rng.random(depth)
+    coeffs[rng.random(depth) < zero_share] = 0.0
+    coeffs[-1] = scale
+    base = rng.random(n) < base_density
+    carry = rng.random(depth) < carry_density
+    return base, rng.random(n), coeffs, carry
+
+
+class TestAfterpulsePass:
+    @settings(max_examples=300, deadline=None)
+    @given(afterpulse_pass_cases())
+    def test_matches_dense_product(self, case):
+        got = simulator._afterpulse_pass(*case)
+        want = dense_afterpulse_pass(*case)
+        for g, w in zip(got, want):          # fires, ap flags, carry
+            assert np.array_equal(g, w)
+
+    def test_simulate_with_chunks_shorter_than_depth(self, monkeypatch):
+        spec = AfterpulseSpec.exponential_from_rate(0.3, 0.01, 200)
+        cfg = make_config(pulses=2000, nu=5.0, spec=spec, x_fraction=0.2,
+                          misalignment=0.02, chunk_size=64)
+        got = simulate(cfg)
+        monkeypatch.setattr(simulator, "_afterpulse_pass", dense_afterpulse_pass)
+        want = simulate(cfg)
+        assert got.clicks.ap0.any() and got.clicks.ap1.any()
+        for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
+            assert np.array_equal(getattr(got.clicks, col), getattr(want.clicks, col))
+        for col in ("bits", "fill_mask", "window_index"):
+            assert np.array_equal(getattr(got.bits, col), getattr(want.bits, col))
+        for col in ("z_windows", "x_windows", "n_single", "n_double"):
+            assert getattr(got.bits, col) == getattr(want.bits, col)
+        assert got.eq_empirical == want.eq_empirical
 
 
 class TestStatisticalAgreement:
