@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .detector_model import AfterpulseSpec, detector_set
 from .entropy_engine import (
+    TauSet,
     autocorrelation_stderr,
     empirical_autocorrelation,
     entropy_report_from_taus,
@@ -161,12 +162,16 @@ def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _arms(source, dets: Sequence, e_q: float) -> list:
-    """Each of the four detectors followed by its vacuum probability behind
-    ``source``: the argument list of :func:`entropy_report_from_taus`."""
-    taus = measurement_taus(source, eta_0=dets[0].efficiency, eta_1=dets[1].efficiency,
-                            eta_plus=dets[2].efficiency, eta_minus=dets[3].efficiency,
-                            misalignment=e_q)
+def _taus(source, eta: float, e_q: float, eta_1: Optional[float] = None) -> TauSet:
+    """Vacuum probabilities behind ``source`` of the detectors that
+    :func:`detector_set` builds from ``eta`` and ``eta_1``."""
+    return measurement_taus(source, eta_0=eta, eta_1=eta if eta_1 is None else eta_1,
+                            eta_plus=eta, eta_minus=eta, misalignment=e_q)
+
+
+def _arms(dets: Sequence, taus: TauSet) -> list:
+    """Each of the four detectors followed by its vacuum probability: the
+    argument list of :func:`entropy_report_from_taus`."""
     return [value for pair in zip(dets, taus) for value in pair]
 
 
@@ -193,8 +198,9 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
             for p_hat_i in grid]
+    taus = _taus(source, eta, 0.0)
     # _arms(...)[:4] is (det_0, tau_0, det_1, tau_1)
-    rows: List[List] = [[p_hat_i, prior_autocorrelation(*_arms(source, d, 0.0)[:4], lag)]
+    rows: List[List] = [[p_hat_i, prior_autocorrelation(*_arms(d, taus)[:4], lag)]
                         for p_hat_i, d in zip(grid, dets)]
     header = "p_hat_i,a_prior"
 
@@ -235,24 +241,29 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     source = poisson_distribution(nu)
     sweep = config["sweep"]
 
-    def hmin_a(spec: AfterpulseSpec, eta_1: Optional[float] = None) -> float:
+    def hmin_a(spec: AfterpulseSpec, taus: TauSet, eta_1: Optional[float] = None) -> float:
         dets = detector_set(eta, e_d, spec, eta_1)
-        return entropy_report_from_taus(*_arms(source, dets, e_q)).hmin_a
+        return entropy_report_from_taus(*_arms(dets, taus)).hmin_a
 
     if sweep == "afterpulse":
         fp_windows = int(config["fp_windows"])
-        rows = [[p_hat, hmin_a(AfterpulseSpec.none()),
-                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega)),
-                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega, fp_windows))]
+        taus = _taus(source, eta, e_q)
+        rows = [[p_hat, hmin_a(AfterpulseSpec.none(), taus),
+                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega), taus),
+                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega, fp_windows),
+                        taus)]
                 for p_hat in map(float, np.linspace(0.0, config["p_hat_max"], points))]
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
         spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], omega)
-        rows = [[ratio, hmin_a(AfterpulseSpec.none(), ratio * eta),
-                 hmin_a(spec_ap, ratio * eta)]
-                for ratio in map(float, np.linspace(config["ratio_min"],
-                                                    config["ratio_max"], points))]
+        rows = []
+        for ratio in map(float, np.linspace(config["ratio_min"], config["ratio_max"],
+                                            points)):
+            eta_1 = ratio * eta
+            taus = _taus(source, eta, e_q, eta_1)
+            rows.append([ratio, hmin_a(AfterpulseSpec.none(), taus, eta_1),
+                         hmin_a(spec_ap, taus, eta_1)])
         header = "eta_ratio,hmin_a_no_ap,hmin_a_ap"
         path = out_dir / "hmin_efficiency.csv"
     else:
@@ -280,7 +291,8 @@ def cmd_rates(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     n = plain.security.total_pulses
     rows = []
     for loss in map(float, losses):
-        a, b = plain.rates(loss), withap.rates(loss)
+        taus = plain.taus(loss)    # the scenarios differ only in afterpulsing
+        a, b = plain.rates(taus), withap.rates(taus)
         bits = [a["random_sampling"], a["entropy_inequality"], a["infinite_length"],
                 b["random_sampling"], b["entropy_inequality"], b["infinite_length"]]
         rows.append([loss] + bits + [v / n for v in bits])
@@ -311,8 +323,9 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
     source = poisson_distribution(nu)
     variants = []    # (arms, infinite-length hmin_a) without and with afterpulsing
     spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], config["omega"])
+    taus = _taus(source, eta, e_q)
     for spec in (AfterpulseSpec.none(), spec_ap):
-        arms = _arms(source, detector_set(eta, e_d, spec), e_q)
+        arms = _arms(detector_set(eta, e_d, spec), taus)
         variants.append((arms, entropy_report_from_taus(*arms).hmin_a))
 
     rows = []

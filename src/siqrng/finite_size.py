@@ -19,8 +19,10 @@ import numpy as np
 
 from .detector_model import AfterpulseSpec, DetectorParams, detector_set
 from .entropy_engine import (
+    _LN2,
     ArmState,
     EntropyReport,
+    TauSet,
     binary_entropy,
     entropy_report_from_taus,
     make_entropy_report,
@@ -51,6 +53,7 @@ DEFAULT_ETA_DET = 0.65
 DEFAULT_LOSS_MAX_DB = 2.5
 
 _THETA_FLOOR = 1e-15
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -141,11 +144,91 @@ def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float)
     return 2.0**log2_eps
 
 
+def _zeta_slope(eq: float, q_x: float, theta: float) -> float:
+    """d zeta / d theta = (1-q_x)/ln 2 * ln(1 + q_x theta / (m (1-EQ-theta))),
+    m = EQ + (1-q_x) theta; see :func:`theta_random_sampling`."""
+    mixed = eq + (1.0 - q_x) * theta
+    return (1.0 - q_x) * math.log1p(q_x * theta / (mixed * (1.0 - eq - theta))) / _LN2
+
+
+def _excess_error_bound(eq: float, q_x: float, n_x: float, offset: float,
+                        theta: float, value: float) -> float:
+    """The bound g(theta) of :func:`theta_random_sampling` on the float error
+    of excess(theta) = ``value``; ``offset`` is |log2_pref| + |log2_target|.
+
+    Z is replaced by its bound |log2_pref| + |log2_target| + |excess|.
+    """
+    tested = eq + theta
+    mixed = eq + (1.0 - q_x) * theta
+    return 2.0**-48 * (1.0 + 2.0 * offset + abs(value)
+                       + n_x * (8.0 * q_x * theta + tested * _zeta_slope(eq, q_x, theta)
+                                + 2.0**-44 * tested * tested / mixed))
+
+
 def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -> float:
     """Smallest deviation theta whose random-sampling bound is at most eps_e.
 
-    Bisection over (0, 0.5 - EQ]; raises :class:`InfeasibleError` when even
-    the largest admissible theta cannot reach the target (the rate is then 0).
+    Bisection of excess(theta) = log2_pref - n_x zeta(theta) - log2(eps_e)
+    over [_THETA_FLOOR, 0.5 - EQ - _THETA_FLOOR]; raises
+    :class:`InfeasibleError` when even the largest admissible theta cannot
+    reach the target (the rate is then 0).  The result is the float that a
+    plain bisection returns: same bracket, midpoints, stopping rule and end
+    checks.  Only midpoints whose sign is not certified in advance evaluate
+    ``excess``.
+
+    Monotonicity.  With t = EQ + theta, m = EQ + (1-q_x) theta and
+    h'(x) = log2((1-x)/x),
+
+        zeta'  = (1-q_x) (h'(m) - h'(t)) = (1-q_x)/ln2 ln(1 + q_x theta/(m(1-t))),
+        zeta'' = (1-q_x)/ln2 (1/(t(1-t)) - (1-q_x)/(m(1-m))).
+
+    zeta' > 0 for theta > 0, since m < t and h' is strictly decreasing.
+    zeta'' > 0, since x(1-x) is concave: m(1-m) >= q_x EQ(1-EQ)
+    + (1-q_x) t(1-t) > (1-q_x) t(1-t).  So zeta is increasing and convex,
+    the exact excess E(theta) is strictly decreasing, and
+    t zeta'' <= 2/ln2 < 3 because t <= 1/2 on the bracket.
+
+    Error bound.  E is the exact value for the float inputs: P = log2_pref,
+    T = log2(eps_e), n_x = q_x N and Z = n_x zeta(theta) are all unrounded.
+    Let u = 2^-53 and assume log1p, log and log2 are faithful (1 ulp).  To
+    first order in u, the float ``excess`` obeys |excess - E| <= B, where
+
+        B = u [5 + 3|P| + 2|T| + 4 Z + n_x (80 q_x theta + 2 t zeta')].
+
+    The terms come from these sources:
+      * zeta is a mixture of relative entropies
+        D(x||y) = x ln(x/y) + (1-x) ln((1-x)/(1-y)), and each one is a sum of
+        two terms of opposite sign.  The float error of a term is at most
+        u (3|term| + 3|x-y|).  The four term magnitudes, weighted by q_x and
+        1-q_x, add up to at most 5 q_x theta nats, and
+        q_x |EQ-m| + (1-q_x) |t-m| = 2 q_x (1-q_x) theta.
+      * Rounding t = EQ + theta moves theta by at most u t, which costs
+        at most u t Z'.
+      * Rounding m off the exact mixture point adds D(mix||m), at most
+        35 u^2 t^2/m bits.
+      * The products, the sums, P and T add the remaining terms.
+    The stated bound is
+
+        g(theta) = 2^-48 [1 + |P| + |T| + Z + n_x (8 q_x theta + t zeta'
+                          + 2^-44 t^2/m)]  >=  3 B.
+
+    The slack covers the O(u^2) terms and the rounding of g itself
+    (:func:`_excess_error_bound`).  Every theta-dependent term of B grows
+    with theta, so E - B is decreasing.  The derivative of those terms of g
+    is at most 2^-48 n_x (2 zeta' + 8 q_x + 3 + 2^-43/(1-q_x)).  Since
+    zeta' increases, E + B is decreasing on [b, 1/2 - EQ] whenever
+    zeta'(b) >= 2^-47 (8 q_x + 3 + 2^-43/(1-q_x)).
+
+    Certified window.  Newton's method runs on the analytic zeta', starting
+    at the Gaussian estimate theta_0 = sqrt(2 ln2 L EQ(1-EQ) / (n_x q_x (1-q_x))),
+    where L = P - T.  It gives a root estimate with a window a < b around it.
+    The window needs excess(a) > 2 g(a), excess(b) < -2 g(b) and the slope
+    condition at b.  For any theta <= a:
+    excess(theta) >= E(theta) - B(theta) >= E(a) - B(a) >= excess(a) - 2 B(a) > 0.
+    Symmetrically, excess(theta) < 0 for any theta >= b.  So the bisection
+    sets lo at a midpoint <= a, and hi at a midpoint >= b, without
+    evaluating it.  A side that fails its check falls back to its bracket
+    end, and the same loop then evaluates every midpoint on that side.
     """
     if not (0.0 < eq < 0.5):
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
@@ -158,9 +241,13 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     n_x = q_x * n_total
     log2_pref = -0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
     log2_target = math.log2(eps_e)
+    offset = abs(log2_pref) + abs(log2_target)
 
     def excess(theta: float) -> float:
         return log2_pref - n_x * _zeta_exponent(eq, q_x, theta) - log2_target
+
+    def bound(theta: float, value: float) -> float:
+        return _excess_error_bound(eq, q_x, n_x, offset, theta, value)
 
     hi = 0.5 - eq - _THETA_FLOOR
     if hi <= _THETA_FLOOR:
@@ -173,11 +260,39 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     lo = _THETA_FLOOR
     if excess(lo) <= 0.0:
         return lo
+
+    theta = min(math.sqrt(2.0 * _LN2 * (log2_pref - log2_target) * eq * (1.0 - eq)
+                          / (n_x * q_x * (1.0 - q_x))), hi)
+    # Newton's error after a step s is about s^2 / theta, so a step below
+    # 2^-26 theta leaves the estimate within a few ulps of the root.
+    for _ in range(_NEWTON_STEPS):
+        step = excess(theta) / (n_x * _zeta_slope(eq, q_x, theta))
+        theta = min(max(theta + step, lo), hi)
+        if abs(step) <= 2.0**-26 * theta:
+            break
+    # A half-width of 4 g / slope puts |excess| near 4 g at the window ends,
+    # twice the margin the checks need.
+    width = (4.0 * bound(theta, 0.0) / (n_x * _zeta_slope(eq, q_x, theta))
+             + 4.0 * step * step / theta)
+    a, b = theta - width, theta + width
+    if not (lo < a and (value := excess(a)) > 2.0 * bound(a, value)):
+        a = lo
+    # Past b, the slope condition of the docstring keeps E + B decreasing.
+    if not (b < hi
+            and _zeta_slope(eq, q_x, b) >= 2.0**-47 * (8.0 * q_x + 3.0
+                                                        + 2.0**-43 / (1.0 - q_x))
+            and (value := excess(b)) < -2.0 * bound(b, value)):
+        b = hi
+
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if excess(mid) <= 0.0:
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        elif excess(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -387,7 +502,8 @@ class RateScenario:
         t0 = monitor_attenuation(self.eta_bs, self.eta_det)
         return self.eta_bs * t0 * 10.0 ** (-loss_db / 10.0)
 
-    def taus(self, loss_db: float):
+    def taus(self, loss_db: float) -> TauSet:
+        """Vacuum probability at each detector behind ``loss_db`` of attenuation."""
         return measurement_taus(
             self.source,
             eta_0=self.det_0.efficiency,
@@ -398,11 +514,11 @@ class RateScenario:
             transmittance=self.transmittance(loss_db),
         )
 
-    def entropy(self, loss_db: float) -> EntropyReport:
-        t = self.taus(loss_db)
-        return entropy_report_from_taus(self.det_0, t.tau_0, self.det_1, t.tau_1,
-                                        self.det_plus, t.tau_plus,
-                                        self.det_minus, t.tau_minus)
+    def entropy(self, taus: TauSet) -> EntropyReport:
+        """Report of the detectors at the vacuum probabilities ``taus``."""
+        return entropy_report_from_taus(self.det_0, taus.tau_0, self.det_1, taus.tau_1,
+                                        self.det_plus, taus.tau_plus,
+                                        self.det_minus, taus.tau_minus)
 
     def _random_sampling(self, report: EntropyReport) -> Tuple[float, float]:
         """(theta, bits) of the random-sampling bound; (nan, 0) when no theta
@@ -415,10 +531,11 @@ class RateScenario:
         except (InfeasibleError, ParameterError):
             return math.nan, 0.0
 
-    def rates(self, loss_db: float) -> Dict[str, float]:
-        """Bit counts of all three bounding methods at one attenuation."""
+    def rates(self, taus: TauSet) -> Dict[str, float]:
+        """Bit counts of all three bounding methods at the vacuum probabilities
+        ``taus``, as :meth:`taus` gives them for one attenuation."""
         sec = self.security
-        report = self.entropy(loss_db)
+        report = self.entropy(taus)
         _, r_rs = self._random_sampling(report)
         th_ei = theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all)
         r_ei = rate_entropy_inequality(sec.n_z, report, th_ei, sec.eps_all)
@@ -430,15 +547,14 @@ class RateScenario:
                     monitor_samples: Optional[int] = None) -> RateReport:
         """Full report at one attenuation; a sample count adds the Hoeffding box."""
         sec = self.security
-        report = self.entropy(loss_db)
+        t = self.taus(loss_db)
+        if method == "random_sampling" and monitor_samples is not None:
+            return final_rate(sec, self.det_0, t.tau_0, self.det_1, t.tau_1,
+                              self.det_plus, t.tau_plus, self.det_minus, t.tau_minus,
+                              hoeffding_delta(monitor_samples, sec.eps_d))
+        report = self.entropy(t)
         zeta = composable_epsilon(sec.eps_d, sec.eps_e, sec.t_e)
         if method == "random_sampling":
-            if monitor_samples is not None:
-                delta = hoeffding_delta(monitor_samples, sec.eps_d)
-                t = self.taus(loss_db)
-                return final_rate(sec, self.det_0, t.tau_0, self.det_1, t.tau_1,
-                                  self.det_plus, t.tau_plus,
-                                  self.det_minus, t.tau_minus, delta)
             theta, bits = self._random_sampling(report)
         elif method == "entropy_inequality":
             theta = theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all)

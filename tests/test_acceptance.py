@@ -176,7 +176,7 @@ def _six_rate_curves(losses):
               ("rs", 0.05): [], ("ei", 0.05): [], ("il", 0.05): []}
     for loss in losses:
         for p_hat, scenario in ((0.0, plain), (0.05, withap)):
-            rates = scenario.rates(float(loss))
+            rates = scenario.rates(scenario.taus(float(loss)))
             curves[("rs", p_hat)].append(rates["random_sampling"])
             curves[("ei", p_hat)].append(rates["entropy_inequality"])
             curves[("il", p_hat)].append(rates["infinite_length"])
@@ -209,8 +209,8 @@ def test_c08_afterpulse_vs_fluctuation_crossover():
     sec = plain.security
     found = None
     for loss in np.linspace(0.25, 5.0, 20):
-        rep_plain = plain.entropy(float(loss))
-        rep_ap = withap.entropy(float(loss))
+        rep_plain = plain.entropy(plain.taus(float(loss)))
+        rep_ap = withap.entropy(withap.taus(float(loss)))
         theta = theta_random_sampling(rep_ap.eq, sec.x_fraction,
                                       sec.total_pulses, sec.eps_e)
         ap_penalty = sec.n_z * (_bracket(rep_plain, theta) - _bracket(rep_ap, theta))

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from siqrng import cli
 from siqrng.cli import main
+from siqrng.entropy_engine import measurement_taus
+from siqrng.finite_size import RateScenario
 
 
 def run(argv):
@@ -126,6 +129,61 @@ class TestFiniteSampling:
         assert not (tmp_path / "a" / "finite_sampling.csv").exists()
         assert run(args + ["--length-min", "1e4", "--out-dir", str(tmp_path / "b")]) == 0
         assert (tmp_path / "b" / "finite_sampling.csv").exists()
+
+
+def per_row_taus(monkeypatch):
+    """Reference: every detector set and every scenario computes its own
+    vacuum probabilities, ignoring the TauSet it is handed."""
+    seen = {}
+    real_taus, real_scenario_taus = cli._taus, RateScenario.taus
+    real_rates = RateScenario.rates
+
+    def recording_taus(source, eta, e_q, eta_1=None):
+        seen["source"], seen["e_q"] = source, e_q
+        return real_taus(source, eta, e_q, eta_1)
+
+    def per_row_arms(dets, taus):
+        own = measurement_taus(seen["source"], eta_0=dets[0].efficiency,
+                               eta_1=dets[1].efficiency, eta_plus=dets[2].efficiency,
+                               eta_minus=dets[3].efficiency, misalignment=seen["e_q"])
+        return [value for pair in zip(dets, own) for value in pair]
+
+    def recording_scenario_taus(self, loss_db):
+        seen["loss_db"] = loss_db
+        return real_scenario_taus(self, loss_db)
+
+    def per_row_rates(self, taus):
+        return real_rates(self, real_scenario_taus(self, seen["loss_db"]))
+
+    monkeypatch.setattr(cli, "_taus", recording_taus)
+    monkeypatch.setattr(cli, "_arms", per_row_arms)
+    monkeypatch.setattr(RateScenario, "taus", recording_scenario_taus)
+    monkeypatch.setattr(RateScenario, "rates", per_row_rates)
+
+
+class TestSharedTaus:
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--points", "25"],
+        ["rates", "--points", "5", "--p-hat-ap", "0.6"],
+        ["hmin", "--sweep", "afterpulse", "--points", "41"],
+        ["hmin", "--sweep", "efficiency", "--points", "41"],
+        ["autocorr", "--points", "6"],
+        ["finite-sampling", "--points", "4"],
+    ], ids=lambda argv: "_".join(argv).replace("-", ""))
+    def test_bytes_match_per_row_taus(self, tmp_path, monkeypatch, argv):
+        shared, own = tmp_path / "shared", tmp_path / "own"
+        assert run(argv + ["--out-dir", str(shared)]) == 0
+        per_row_taus(monkeypatch)
+        assert run(argv + ["--out-dir", str(own)]) == 0
+        names = sorted(p.name for p in shared.iterdir())
+        assert names == sorted(p.name for p in own.iterdir())
+        for name in names:
+            if name == "manifest.json":
+                a, b = (json.loads((d / name).read_text()) for d in (shared, own))
+                a.pop("duration_s"), b.pop("duration_s")
+                assert a == b
+            else:
+                assert (shared / name).read_bytes() == (own / name).read_bytes(), name
 
 
 class TestSimulateCommand:

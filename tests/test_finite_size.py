@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siqrng import (
     AfterpulseSpec,
@@ -29,11 +31,17 @@ from siqrng.entropy_engine import (
     make_entropy_report,
     measurement_taus,
 )
+from siqrng import finite_size
 from siqrng.finite_size import (
+    DEFAULT_LOSS_MAX_DB,
+    _THETA_FLOOR,
     _bracket,
+    _excess_error_bound,
     _min_bracket_over_taus,
     _worst_eq_arm,
+    _zeta_exponent,
     hmin_with_tau_uncertainty,
+    loss_grid,
     random_sampling_epsilon,
     scenario_from_params,
 )
@@ -104,6 +112,116 @@ class TestThetaRandomSampling:
             theta_random_sampling(0.0, 0.02, 1e10, 1e-9)
         with pytest.raises(ParameterError):
             theta_random_sampling(0.6, 0.02, 1e10, 1e-9)
+
+
+def plain_bisection_theta(eq, q_x, n_total, eps_e):
+    """Reference: the bisection that evaluates excess at every midpoint."""
+    if not (0.0 < eq < 0.5):
+        raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
+    if not (0.0 < q_x < 1.0):
+        raise ParameterError(f"q_x must lie in (0, 1), got {q_x}")
+    if n_total < 1:
+        raise ParameterError(f"N must be >= 1, got {n_total}")
+    if not (0.0 < eps_e < 1.0):
+        raise ParameterError(f"eps_e must lie in (0, 1), got {eps_e}")
+    n_x = q_x * n_total
+    log2_pref = -0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
+    log2_target = math.log2(eps_e)
+
+    def excess(theta):
+        return log2_pref - n_x * _zeta_exponent(eq, q_x, theta) - log2_target
+
+    hi = 0.5 - eq - _THETA_FLOOR
+    if hi <= _THETA_FLOOR:
+        raise InfeasibleError(f"no admissible theta below 0.5 - EQ for EQ = {eq}")
+    if excess(hi) > 0.0:
+        raise InfeasibleError("no admissible theta reaches eps_e")
+    lo = _THETA_FLOOR
+    if excess(lo) <= 0.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if excess(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _theta_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InfeasibleError, ParameterError) as exc:
+        return type(exc)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# (EQ, q_x, N, eps_e) over the domain the rate sweeps can reach and beyond
+theta_inputs = st.tuples(_log_uniform(1e-6, 0.499), _log_uniform(1e-3, 0.999),
+                         _log_uniform(1e2, 1e16),
+                         st.floats(-120.0, -1.0).map(lambda e: 2.0**e))
+
+
+class TestCertifiedBisection:
+    @settings(max_examples=1000, deadline=None)
+    @given(theta_inputs)
+    @example((1e-6, 0.999, 1e16, 2.0**-120))
+    @example((1e-6, 1e-3, 1e16, 2.0**-120))
+    @example((0.499, 0.5, 1e16, 0.5))
+    @example((0.015, 0.02, 1e10, 2.0**-50))
+    def test_matches_plain_bisection(self, args):
+        assert _theta_outcome(theta_random_sampling, *args) == \
+            _theta_outcome(plain_bisection_theta, *args)
+
+    def test_rates_default_sweep_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _zeta_exponent(*args)
+
+        sec = SecurityParams()
+        eqs = [scenario.entropy(scenario.taus(float(loss))).eq
+               for scenario in (scenario_from_params({}),
+                                scenario_from_params({"p_hat": 0.05}))
+               for loss in loss_grid(0.0, DEFAULT_LOSS_MAX_DB, 200)]
+        monkeypatch.setattr(finite_size, "_zeta_exponent", counted)
+        for eq in eqs:
+            calls.clear()
+            theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
+            assert len(calls) <= 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta_inputs, st.floats(-1e-6, 1e-6))
+    def test_error_bound_near_the_root(self, args, offset):
+        mpmath = pytest.importorskip("mpmath")
+        eq, q_x, n_total, eps_e = args
+        root = _theta_outcome(theta_random_sampling, *args)
+        if not isinstance(root, float) or root == _THETA_FLOOR:
+            return
+        theta = min(root * (1.0 + offset), 0.5 - eq - _THETA_FLOOR)
+        n_x = q_x * n_total
+        log2_pref = -0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
+        log2_target = math.log2(eps_e)
+        value = log2_pref - n_x * _zeta_exponent(eq, q_x, theta) - log2_target
+        with mpmath.workprec(200):
+            e, q, n, th = (mpmath.mpf(v) for v in (eq, q_x, n_total, theta))
+
+            def h(x):
+                return -(x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / mpmath.log(2)
+
+            zeta = h(e + (1 - q) * th) - q * h(e) - (1 - q) * h(e + th)
+            exact = (-mpmath.log(q * (1 - q) * e * (1 - e) * n, 2) / 2
+                     - q * n * zeta - mpmath.log(mpmath.mpf(eps_e), 2))
+            error = abs(mpmath.mpf(value) - exact)
+        g = _excess_error_bound(eq, q_x, n_x, abs(log2_pref) + abs(log2_target),
+                                theta, value)
+        assert error <= g / 8
 
 
 class TestRates:
@@ -320,7 +438,7 @@ class TestRateScenario:
 
     def test_rates_ordering_at_low_loss(self):
         scenario = scenario_from_params({})
-        rates = scenario.rates(1.5)
+        rates = scenario.rates(scenario.taus(1.5))
         assert rates["infinite_length"] >= rates["entropy_inequality"]
         assert rates["entropy_inequality"] >= rates["random_sampling"]
         assert rates["random_sampling"] > 0.0
@@ -328,8 +446,8 @@ class TestRateScenario:
     def test_afterpulse_lowers_rates(self):
         plain = scenario_from_params({})
         withap = scenario_from_params({"p_hat": 0.05})
-        for method, value in plain.rates(1.5).items():
-            assert withap.rates(1.5)[method] < value
+        for method, value in plain.rates(plain.taus(1.5)).items():
+            assert withap.rates(withap.taus(1.5))[method] < value
 
     def test_rate_report_methods(self):
         scenario = scenario_from_params({})
@@ -370,7 +488,8 @@ class TestRatePeakLocation:
         # over a wide 0..10 dB scan the certified rate still peaks early
         scenario = scenario_from_params({})
         losses = [i * 0.1 for i in range(101)]
-        values = [scenario.rates(loss)["random_sampling"] for loss in losses]
+        values = [scenario.rates(scenario.taus(loss))["random_sampling"]
+                  for loss in losses]
         peak = losses[values.index(max(values))]
         assert 1.0 <= peak <= 2.0
 
