@@ -35,12 +35,15 @@ import numpy as np
 from . import __version__
 from .detector_model import AfterpulseSpec, detector_set
 from .entropy_engine import (
+    ArmState,
     TauSet,
     autocorrelation_stderr,
     empirical_autocorrelation,
     entropy_report_from_taus,
+    make_entropy_report,
     measurement_taus,
     prior_autocorrelation,
+    worst_afterpulse,
 )
 from .errors import DegenerateError, ParameterError, SiqrngError
 from .finite_size import (
@@ -164,7 +167,8 @@ def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
 
 def _taus(source, eta: float, e_q: float, eta_1: Optional[float] = None) -> TauSet:
     """Vacuum probabilities behind ``source`` of the detectors that
-    :func:`detector_set` builds from ``eta`` and ``eta_1``."""
+    :func:`detector_set` builds from ``eta`` and ``eta_1``; an array of
+    ``eta_1`` gives an array of ``tau_1``."""
     return measurement_taus(source, eta_0=eta, eta_1=eta if eta_1 is None else eta_1,
                             eta_plus=eta, eta_minus=eta, misalignment=e_q)
 
@@ -232,6 +236,19 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 # hmin
 
 
+def _hmin_a(eta: float, e_d: float, specs: Sequence[AfterpulseSpec], taus: TauSet,
+            eta_1: Optional[np.ndarray] = None) -> np.ndarray:
+    """hmin_a of the detectors :func:`detector_set` builds from ``eta``,
+    ``e_d`` and each spec of ``specs`` (and ``eta_1``), at the vacuum
+    probabilities ``taus``: one broadcast report along ``specs`` and
+    ``eta_1``."""
+    detector_set(eta, e_d, AfterpulseSpec.none(), eta_1)    # checks eta, e_d and eta_1
+    worst = np.array([worst_afterpulse(spec) for spec in specs])
+    z_arm = ArmState.from_totals(taus.tau_0, e_d, worst, taus.tau_1, e_d, worst)
+    x_arm = ArmState.from_totals(taus.tau_plus, e_d, worst, taus.tau_minus, e_d, worst)
+    return make_entropy_report(z_arm, x_arm).hmin_a
+
+
 def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     nu, eta, e_d, e_q = config["nu"], config["eta"], config["e_d"], config["e_q"]
     omega = config["omega"]
@@ -241,29 +258,33 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     source = poisson_distribution(nu)
     sweep = config["sweep"]
 
-    def hmin_a(spec: AfterpulseSpec, taus: TauSet, eta_1: Optional[float] = None) -> float:
-        dets = detector_set(eta, e_d, spec, eta_1)
-        return entropy_report_from_taus(*_arms(dets, taus)).hmin_a
-
     if sweep == "afterpulse":
         fp_windows = int(config["fp_windows"])
         taus = _taus(source, eta, e_q)
-        rows = [[p_hat, hmin_a(AfterpulseSpec.none(), taus),
-                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega), taus),
-                 hmin_a(AfterpulseSpec.exponential_from_rate(p_hat, omega, fp_windows),
-                        taus)]
-                for p_hat in map(float, np.linspace(0.0, config["p_hat_max"], points))]
+        p_hats = np.linspace(0.0, config["p_hat_max"], points).tolist()
+        no_ap = _hmin_a(eta, e_d, [AfterpulseSpec.none()] * points, taus)
+        specs = [(AfterpulseSpec.exponential_from_rate(p_hat, omega),
+                  AfterpulseSpec.exponential_from_rate(p_hat, omega, fp_windows))
+                 for p_hat in p_hats]
+        columns = [_hmin_a(eta, e_d, column, taus) for column in zip(*specs)]
+        rows = [list(row) for row in zip(p_hats, no_ap.tolist(),
+                                         *(c.tolist() for c in columns))]
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
         spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], omega)
-        rows = []
-        for ratio in map(float, np.linspace(config["ratio_min"], config["ratio_max"],
-                                            points)):
-            eta_1 = ratio * eta
-            taus = _taus(source, eta, e_q, eta_1)
-            rows.append([ratio, hmin_a(AfterpulseSpec.none(), taus, eta_1),
-                         hmin_a(spec_ap, taus, eta_1)])
+        ratios = np.linspace(config["ratio_min"], config["ratio_max"], points)
+        eta_1 = ratios * eta
+        # The rows run in order, so the first eta_1 outside [0, 1] fails:
+        # on its tau if its xi = eta_1/2 is out of range too, else on its
+        # detector.  Rows after it never run.
+        outside = np.flatnonzero(~((eta_1 >= 0.0) & (eta_1 <= 1.0)))
+        if outside.size:
+            eta_1 = eta_1[:outside[0] + 1]
+        taus = _taus(source, eta, e_q, eta_1)
+        columns = [_hmin_a(eta, e_d, [spec], taus, eta_1)
+                   for spec in (AfterpulseSpec.none(), spec_ap)]
+        rows = [list(row) for row in zip(ratios.tolist(), *(c.tolist() for c in columns))]
         header = "eta_ratio,hmin_a_no_ap,hmin_a_ap"
         path = out_dir / "hmin_efficiency.csv"
     else:
@@ -289,10 +310,11 @@ def cmd_rates(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     plain = scenario_from_params(base_params)
     withap = scenario_from_params({**base_params, "p_hat": config["p_hat_ap"]})
     n = plain.security.total_pulses
+    taus = plain.taus(losses)    # the scenarios differ only in afterpulsing
+    cells = [scenario.entropy(taus).cells() for scenario in (plain, withap)]
     rows = []
-    for loss in map(float, losses):
-        taus = plain.taus(loss)    # the scenarios differ only in afterpulsing
-        a, b = plain.rates(taus), withap.rates(taus)
+    for loss, plain_cell, withap_cell in zip(losses.tolist(), *cells):
+        a, b = plain.rates(plain_cell), withap.rates(withap_cell)
         bits = [a["random_sampling"], a["entropy_inequality"], a["infinite_length"],
                 b["random_sampling"], b["entropy_inequality"], b["infinite_length"]]
         rows.append([loss] + bits + [v / n for v in bits])

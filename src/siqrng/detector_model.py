@@ -36,14 +36,17 @@ _DEPTH_FROM_LIST = object()
 
 
 def _check_unit(name: str, value, *, high_open: bool = False) -> None:
-    """Raise unless ``value``, or every array entry, lies in [0, 1] ([0, 1) if high_open)."""
-    low = high = value
+    """Raise unless ``value``, or every array entry, lies in [0, 1] ([0, 1) if
+    high_open); for an array the message names the first entry that does not."""
     if type(value) is not float and isinstance(value, np.ndarray):  # fast float path
-        low, high = value.min(), value.max()
-    hi_ok = high < 1.0 if high_open else high <= 1.0
-    if not (0.0 <= low and hi_ok):
-        hi = "1)" if high_open else "1]"
-        raise ParameterError(f"{name} must lie in [0, {hi}, got {value!r}")
+        inside = (value >= 0.0) & ((value < 1.0) if high_open else (value <= 1.0))
+        if inside.all():
+            return
+        value = float(value[~inside].flat[0])
+    elif 0.0 <= value and (value < 1.0 if high_open else value <= 1.0):
+        return
+    hi = "1)" if high_open else "1]"
+    raise ParameterError(f"{name} must lie in [0, {hi}, got {value!r}")
 
 
 def response_prob_no_afterpulse(tau: float, e_d: float) -> float:

@@ -9,8 +9,10 @@ so each detector is evaluated both with its full worst-case afterpulse and
 with none at all, and the most predictable single-click outcome decides
 H_min(Z|E).
 
-``ArmState.from_detectors`` and ``make_entropy_report`` broadcast arrays of tau,
-each cell equal to the float result; EQ and ``binary_entropy`` stay scalar.
+The whole chain broadcasts: arrays of tau and of the clamped worst-case
+afterpulse total give arrays of every report field, each cell equal to the
+float result.  Logarithms of arrays go through ``math`` cell by cell, since
+NumPy's ``log2`` and ``log1p`` differ from it in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -19,24 +21,35 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .detector_model import (DetectorParams, _check_unit, response_prob,
-                             response_prob_no_afterpulse)
+from .detector_model import (AfterpulseSpec, DetectorParams, _check_unit,
+                             response_prob, response_prob_no_afterpulse)
 from .errors import DegenerateError, ParameterError
 from .source_monitor import PhotonDistribution, vacuum_probability
 
 _LN2 = math.log(2.0)
 
 
-def binary_entropy(x: float) -> float:
-    """Binary Shannon entropy -x log2 x - (1-x) log2(1-x), h(0) = h(1) = 0."""
-    _check_unit("binary entropy argument", x)
+def _cellwise(fn, x):
+    """``fn`` of every cell of ``x`` as a Python float, if ``x`` is an array."""
+    if type(x) is not float and isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return fn(x)
+
+
+def _binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)
+
+
+def binary_entropy(x: float) -> float:
+    """Binary Shannon entropy -x log2 x - (1-x) log2(1-x), h(0) = h(1) = 0."""
+    _check_unit("binary entropy argument", x)
+    return _cellwise(_binary_entropy, x)
 
 
 def click_probabilities(p_0: float, p_1: float) -> Tuple[float, float]:
@@ -53,18 +66,6 @@ def x_basis_error(p_plus: float, p_minus: float) -> float:
     return p_minus * (1.0 - p_plus) + 0.5 * p_minus * p_plus
 
 
-def x_basis_error_ratio(p_plus: float, p_minus: float) -> float:
-    """Diagnostic per-detected-event error ratio EQ / (p_+ + p_- - p_+ p_-).
-
-    Not used by any rate formula; returns NaN when the arm never clicks.
-    """
-    eq = x_basis_error(p_plus, p_minus)
-    detected = p_plus + p_minus - p_plus * p_minus
-    if detected == 0.0:
-        return math.nan
-    return eq / detected
-
-
 def expectation_k(p_0: float, p_1: float) -> float:
     """Expected raw-bit value k = p_1(1-p_0) / (p_1(1-p_0) + p_0(1-p_1))."""
     num = p_1 * (1.0 - p_0)
@@ -74,23 +75,27 @@ def expectation_k(p_0: float, p_1: float) -> float:
     return num / den
 
 
-def _clamped_worst_afterpulse(det: DetectorParams) -> float:
+def worst_afterpulse(spec: AfterpulseSpec) -> float:
     """Worst-case afterpulse probability, clamped into [0, 1].
 
     The geometric worst case p_hat/(1-p_hat) exceeds 1 once p_hat > 1/2;
     response probabilities stay physical by capping it there.
     """
-    return min(det.afterpulse.worst_case_total(), 1.0)
+    return min(spec.worst_case_total(), 1.0)
+
+
+def _stationary(tau: float, e_d: float, worst: float,
+                prior_ratio: Optional[float]) -> float:
+    if prior_ratio is None:
+        prior_ratio = response_prob_no_afterpulse(tau, e_d)
+    else:
+        _check_unit("prior_ratio", prior_ratio)
+    return response_prob(tau, e_d, worst * prior_ratio)
 
 
 def baseline_click_prob(det: DetectorParams, tau: float) -> float:
     """Response probability with no afterpulse contribution."""
     return response_prob_no_afterpulse(tau, det.dark_rate)
-
-
-def worst_case_click_prob(det: DetectorParams, tau: float) -> float:
-    """Response probability when every history window fired."""
-    return response_prob(tau, det.dark_rate, _clamped_worst_afterpulse(det))
 
 
 def stationary_click_prob(det: DetectorParams, tau: float,
@@ -100,17 +105,13 @@ def stationary_click_prob(det: DetectorParams, tau: float,
     ``prior_ratio`` is the detector's prior response ratio; by default the
     afterpulse-free value of this detector, the worst case injects 1.
     """
-    if prior_ratio is None:
-        prior_ratio = baseline_click_prob(det, tau)
-    elif not (0.0 <= prior_ratio <= 1.0):
-        raise ParameterError(f"prior_ratio must lie in [0, 1], got {prior_ratio}")
-    p_ap = _clamped_worst_afterpulse(det) * prior_ratio
-    return response_prob(tau, det.dark_rate, p_ap)
+    return _stationary(tau, det.dark_rate, worst_afterpulse(det.afterpulse), prior_ratio)
 
 
 @dataclass(frozen=True)
 class ArmState:
-    """Response probabilities of a two-detector arm at one operating point.
+    """Response probabilities of a two-detector arm at one operating point,
+    or at every cell of a broadcast grid.
 
     ``p_a``/``p_b`` are the stationary probabilities; ``p1_*``/``p0_*`` the
     worst-case pair used by the min-entropy bound (all previous windows fired
@@ -129,13 +130,26 @@ class ArmState:
                        det_b: DetectorParams, tau_b: float,
                        prior_a: Optional[float] = None,
                        prior_b: Optional[float] = None) -> "ArmState":
+        return cls.from_totals(
+            tau_a, det_a.dark_rate, worst_afterpulse(det_a.afterpulse),
+            tau_b, det_b.dark_rate, worst_afterpulse(det_b.afterpulse),
+            prior_a, prior_b)
+
+    @classmethod
+    def from_totals(cls, tau_a: float, e_a: float, worst_a: float,
+                    tau_b: float, e_b: float, worst_b: float,
+                    prior_a: Optional[float] = None,
+                    prior_b: Optional[float] = None) -> "ArmState":
+        """Arm of detectors with vacuum probabilities ``tau_*``, dark-count
+        probabilities ``e_*`` and clamped worst-case afterpulse totals
+        ``worst_*`` (see :func:`worst_afterpulse`).  Arrays broadcast."""
         return cls(
-            p_a=stationary_click_prob(det_a, tau_a, prior_a),
-            p_b=stationary_click_prob(det_b, tau_b, prior_b),
-            p1_a=worst_case_click_prob(det_a, tau_a),
-            p0_a=baseline_click_prob(det_a, tau_a),
-            p1_b=worst_case_click_prob(det_b, tau_b),
-            p0_b=baseline_click_prob(det_b, tau_b),
+            p_a=_stationary(tau_a, e_a, worst_a, prior_a),
+            p_b=_stationary(tau_b, e_b, worst_b, prior_b),
+            p1_a=response_prob(tau_a, e_a, worst_a),
+            p0_a=response_prob_no_afterpulse(tau_a, e_a),
+            p1_b=response_prob(tau_b, e_b, worst_b),
+            p0_b=response_prob_no_afterpulse(tau_b, e_b),
         )
 
 
@@ -149,9 +163,7 @@ def _hmin_z_from_pairs(p1_0: float, p0_0: float, p1_1: float, p0_1: float) -> fl
         if (not q.all()) if cells else q == 0.0:
             raise DegenerateError("single-click probability vanishes in the worst case")
         best = np.maximum(best, x / q) if cells else max(best, x / q)
-    # np.log2 differs from math.log2 in the last bit on some inputs
-    log2 = np.vectorize(math.log2, otypes=[float]) if cells else math.log2
-    return -log2(best)
+    return -_cellwise(math.log2, best)
 
 
 def hmin_z_worstcase(det_0: DetectorParams, tau_0: float,
@@ -301,7 +313,6 @@ class EntropyReport:
     q_double: float
     eq: float
     k: float
-    e_bx_ratio: float = math.nan
 
     def __post_init__(self):
         for name in ("hmin_z", "q_single", "q_double", "eq", "k"):
@@ -317,9 +328,18 @@ class EntropyReport:
     def from_dict(cls, data: dict) -> "EntropyReport":
         return cls(**data)
 
+    def cells(self) -> Iterator["EntropyReport"]:
+        """The scalar report of each cell of a one-dimensional broadcast
+        report, in order, one at a time."""
+        columns = np.broadcast_arrays(*(getattr(self, f.name)
+                                        for f in dataclasses.fields(self)))
+        for row in zip(*columns):
+            yield EntropyReport(*map(float, row))
+
 
 class TauSet(NamedTuple):
-    """Vacuum probabilities per detector of a full measurement."""
+    """Vacuum probabilities per detector of a full measurement, or arrays of
+    them along a sweep."""
 
     tau_0: float
     tau_1: float
@@ -359,7 +379,6 @@ def make_entropy_report(z_arm: ArmState, x_arm: ArmState) -> EntropyReport:
         q_double=q_double,
         eq=eq,
         k=expectation_k(z_arm.p_a, z_arm.p_b),
-        e_bx_ratio=x_basis_error_ratio(p_plus=x_arm.p_a, p_minus=x_arm.p_b),
     )
 
 

@@ -118,10 +118,10 @@ def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
 
     Evaluated as the cancellation-free mixture of relative entropies
     q_x D(EQ || m) + (1-q_x) D(EQ+theta || m) around m = EQ + (1-q_x) theta,
-    which is the same quantity exactly.
+    which is the same quantity exactly.  Callers keep EQ + theta <= 1.
     """
-    mixed = min(eq + (1.0 - q_x) * theta, 1.0)
-    tested = min(eq + theta, 1.0)
+    mixed = eq + (1.0 - q_x) * theta
+    tested = eq + theta
     return (q_x * _bernoulli_kl_bits(eq, mixed)
             + (1.0 - q_x) * _bernoulli_kl_bits(tested, mixed))
 
@@ -139,6 +139,11 @@ def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float)
         raise ParameterError(f"N must be >= 1, got {n_total}")
     if theta < 0.0:
         raise ParameterError(f"theta must be >= 0, got {theta}")
+    # With EQ + theta <= 1 and theta > 0, the mixture point EQ + (1-q_x) theta
+    # of the relative entropies stays below 1.
+    if eq + theta > 1.0:
+        raise ParameterError(f"theta must keep EQ + theta <= 1, got theta={theta} "
+                             f"with EQ={eq}")
     log2_eps = (-0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
                 - q_x * n_total * _zeta_exponent(eq, q_x, theta))
     return 2.0**log2_eps
@@ -496,14 +501,22 @@ class RateScenario:
             object.__setattr__(self, "source", poisson_distribution(self.nu))
 
     def transmittance(self, loss_db: float) -> float:
-        """Fixed monitor chain times the variable attenuator 10^(-dB/10)."""
+        """Fixed monitor chain times the variable attenuator 10^(-dB/10).
+
+        A one-dimensional array of losses gives an array.  Each power is
+        still Python's float power: NumPy's ``10.0 ** array`` differs from
+        it in the last bit.
+        """
+        if np.ndim(loss_db):
+            return np.array([self.transmittance(loss) for loss in np.ravel(loss_db).tolist()])
         if loss_db < 0.0:
             raise ParameterError(f"loss must be >= 0 dB, got {loss_db}")
         t0 = monitor_attenuation(self.eta_bs, self.eta_det)
         return self.eta_bs * t0 * 10.0 ** (-loss_db / 10.0)
 
     def taus(self, loss_db: float) -> TauSet:
-        """Vacuum probability at each detector behind ``loss_db`` of attenuation."""
+        """Vacuum probability at each detector behind ``loss_db`` of attenuation;
+        a one-dimensional array of losses gives a :class:`TauSet` of arrays."""
         return measurement_taus(
             self.source,
             eta_0=self.det_0.efficiency,
@@ -515,7 +528,8 @@ class RateScenario:
         )
 
     def entropy(self, taus: TauSet) -> EntropyReport:
-        """Report of the detectors at the vacuum probabilities ``taus``."""
+        """Report of the detectors at the vacuum probabilities ``taus``; a
+        :class:`TauSet` of arrays gives one broadcast report."""
         return entropy_report_from_taus(self.det_0, taus.tau_0, self.det_1, taus.tau_1,
                                         self.det_plus, taus.tau_plus,
                                         self.det_minus, taus.tau_minus)
@@ -531,11 +545,11 @@ class RateScenario:
         except (InfeasibleError, ParameterError):
             return math.nan, 0.0
 
-    def rates(self, taus: TauSet) -> Dict[str, float]:
-        """Bit counts of all three bounding methods at the vacuum probabilities
-        ``taus``, as :meth:`taus` gives them for one attenuation."""
+    def rates(self, report: EntropyReport) -> Dict[str, float]:
+        """Bit counts of all three bounding methods for the scalar report of
+        one attenuation, as :meth:`entropy` gives it (or a cell of its
+        broadcast report)."""
         sec = self.security
-        report = self.entropy(taus)
         _, r_rs = self._random_sampling(report)
         th_ei = theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all)
         r_ei = rate_entropy_inequality(sec.n_z, report, th_ei, sec.eps_all)

@@ -21,6 +21,9 @@ from .errors import ParameterError
 # Truncation tail above which construction warns.
 TAIL_WARN_THRESHOLD = 1e-10
 _SUM_TOL = 1e-12
+# Rows of the power matrix per block in vacuum_probability: 256 rows of
+# 551 photon numbers (nu = 50) are about 1.1 MB.
+_POWER_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -110,18 +113,31 @@ def bernoulli_transform(dist: PhotonDistribution, xi: float) -> PhotonDistributi
     return PhotonDistribution(probs=out, tail_mass=tail)
 
 
-def vacuum_probability(dist: PhotonDistribution, xi: float) -> Tuple[float, float]:
+def vacuum_probability(dist: PhotonDistribution, xi) -> Tuple[float, float]:
     """Bounds (lo, hi) on the vacuum probability after thinning by ``xi``.
 
     tau = sum_n P(n) (1-xi)^n; the truncation tail contributes 0 (lower bound)
-    or survives entirely as vacuum (upper bound).
+    or survives entirely as vacuum (upper bound).  ``xi`` may be an array;
+    the bounds are then arrays of its shape, each cell equal to the float
+    result.  Each cell is its own ``np.dot`` with the power row, since a
+    matrix product sums in another order, and the power matrix is built
+    ``_POWER_ROWS`` rows at a time.
     """
-    if not (0.0 <= xi <= 1.0):
-        raise ParameterError(f"xi must lie in [0, 1], got {xi}")
+    xis = np.asarray(xi, dtype=float)
+    outside = ~((xis >= 0.0) & (xis <= 1.0))
+    if outside.any():
+        got = xi if xis.ndim == 0 else float(xis[outside][0])
+        raise ParameterError(f"xi must lie in [0, 1], got {got}")
     n = np.arange(dist.n_max + 1)
-    lo = float(np.dot(dist.probs, np.power(1.0 - xi, n)))
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(lo + dist.tail_mass, 1.0)
+    flat = xis.ravel()
+    lo = np.empty(flat.size)
+    for start in range(0, flat.size, _POWER_ROWS):
+        powers = np.power((1.0 - flat[start:start + _POWER_ROWS])[:, None], n)
+        lo[start:start + _POWER_ROWS] = [np.dot(dist.probs, row) for row in powers]
+    lo = np.clip(lo, 0.0, 1.0).reshape(xis.shape)
+    hi = np.minimum(lo + dist.tail_mass, 1.0)
+    if xis.ndim == 0:
+        return float(lo), float(hi)
     return lo, hi
 
 

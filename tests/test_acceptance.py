@@ -176,7 +176,7 @@ def _six_rate_curves(losses):
               ("rs", 0.05): [], ("ei", 0.05): [], ("il", 0.05): []}
     for loss in losses:
         for p_hat, scenario in ((0.0, plain), (0.05, withap)):
-            rates = scenario.rates(scenario.taus(float(loss)))
+            rates = scenario.rates(scenario.entropy(scenario.taus(float(loss))))
             curves[("rs", p_hat)].append(rates["random_sampling"])
             curves[("ei", p_hat)].append(rates["entropy_inequality"])
             curves[("il", p_hat)].append(rates["infinite_length"])

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from siqrng import cli
 from siqrng.cli import main
-from siqrng.entropy_engine import measurement_taus
+from siqrng.detector_model import detector_set
+from siqrng.entropy_engine import entropy_report_from_taus, measurement_taus
 from siqrng.finite_size import RateScenario
 
 
@@ -60,6 +62,23 @@ class TestHmin:
         assert peak[0] == pytest.approx(1.0, abs=0.06)
         for _, h0, h1 in rows:
             assert h1 < h0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p-hat-max", "1.2"], "first_order_rate must lie in [0, 1), got 1.02"),
+        (["--eta", "1.02"], "efficiency must lie in [0, 1], got 1.02"),
+        (["--eta", "1.5"], "xi must lie in [0, 1], got 1.47"),
+        (["--e-d", "1"], "dark_rate must lie in [0, 1), got 1.0"),
+        # the first row whose eta_1 = ratio * eta leaves [0, 1] names the fault
+        (["--sweep", "efficiency", "--ratio-max", "15"],
+         "efficiency must lie in [0, 1], got 1.02875"),
+        (["--sweep", "efficiency", "--ratio-max", "25"],
+         "efficiency must lie in [0, 1], got 1.03"),
+        (["--sweep", "efficiency", "--ratio-min", "-1"], "xi must lie in [0, 1], got -0.05"),
+    ], ids=lambda v: "_".join(v).replace("-", "") if isinstance(v, list) else "")
+    def test_first_faulty_row_is_named(self, tmp_path, capsys, argv, message):
+        assert run(["hmin", "--out-dir", str(tmp_path)] + argv) == 2
+        assert capsys.readouterr().err == f"siqrng: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRates:
@@ -132,8 +151,10 @@ class TestFiniteSampling:
 
 
 def per_row_taus(monkeypatch):
-    """Reference: every detector set and every scenario computes its own
-    vacuum probabilities, ignoring the TauSet it is handed."""
+    """Reference: every row goes through the scalar chain on its own.  Every
+    detector set and every scenario computes its own vacuum probabilities,
+    ignoring the TauSet it is handed, and ``rates`` ignores the report cell
+    it is handed."""
     seen = {}
     real_taus, real_scenario_taus = cli._taus, RateScenario.taus
     real_rates = RateScenario.rates
@@ -148,15 +169,27 @@ def per_row_taus(monkeypatch):
                                eta_minus=dets[3].efficiency, misalignment=seen["e_q"])
         return [value for pair in zip(dets, own) for value in pair]
 
+    def per_row_hmin_a(eta, e_d, specs, taus, eta_1=None):
+        # one row per spec, or one per eta_1 with a single spec
+        rows = ([(spec, None) for spec in specs] if eta_1 is None
+                else [(specs[0], e) for e in eta_1.tolist()])
+        return np.array([
+            entropy_report_from_taus(*per_row_arms(detector_set(eta, e_d, spec, e),
+                                                   taus)).hmin_a
+            for spec, e in rows])
+
     def recording_scenario_taus(self, loss_db):
-        seen["loss_db"] = loss_db
+        seen["losses"] = np.ravel(loss_db).tolist()
         return real_scenario_taus(self, loss_db)
 
-    def per_row_rates(self, taus):
-        return real_rates(self, real_scenario_taus(self, seen["loss_db"]))
+    def per_row_rates(self, report):
+        # each scenario asks for its rows in loss order
+        losses = seen.setdefault(id(self), iter(seen["losses"]))
+        return real_rates(self, self.entropy(real_scenario_taus(self, next(losses))))
 
     monkeypatch.setattr(cli, "_taus", recording_taus)
     monkeypatch.setattr(cli, "_arms", per_row_arms)
+    monkeypatch.setattr(cli, "_hmin_a", per_row_hmin_a)
     monkeypatch.setattr(RateScenario, "taus", recording_scenario_taus)
     monkeypatch.setattr(RateScenario, "rates", per_row_rates)
 
@@ -165,7 +198,9 @@ class TestSharedTaus:
     @pytest.mark.parametrize("argv", [
         ["rates", "--points", "25"],
         ["rates", "--points", "5", "--p-hat-ap", "0.6"],
+        ["rates", "--nu", "0"],
         ["hmin", "--sweep", "afterpulse", "--points", "41"],
+        ["hmin", "--sweep", "afterpulse", "--p-hat-max", "0.9"],
         ["hmin", "--sweep", "efficiency", "--points", "41"],
         ["autocorr", "--points", "6"],
         ["finite-sampling", "--points", "4"],

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from siqrng import (
     AfterpulseSpec,
     DegenerateError,
     DetectorParams,
     ParameterError,
+    SiqrngError,
     binary_entropy,
     click_probabilities,
     empirical_autocorrelation,
@@ -22,11 +25,13 @@ from siqrng import (
 from siqrng.entropy_engine import (
     ArmState,
     EntropyReport,
+    TauSet,
     autocorrelation_stderr,
     entropy_report_from_taus,
+    make_entropy_report,
     measurement_taus,
     stationary_click_prob,
-    x_basis_error_ratio,
+    worst_afterpulse,
 )
 
 from conftest import make_detectors
@@ -54,12 +59,6 @@ class TestXBasisError:
 
     def test_hand_value(self):
         assert x_basis_error(p_plus=0.2, p_minus=0.01) == pytest.approx(0.009, rel=1e-12)
-
-    def test_ratio_diagnostic(self):
-        eq = x_basis_error(p_plus=0.2, p_minus=0.01)
-        detected = 0.2 + 0.01 - 0.2 * 0.01
-        assert x_basis_error_ratio(0.2, 0.01) == pytest.approx(eq / detected, rel=1e-12)
-        assert math.isnan(x_basis_error_ratio(0.0, 0.0))
 
 
 class TestBinaryEntropy:
@@ -292,8 +291,7 @@ class TestReportAssembly:
         report = entropy_report_from_taus(det0, taus.tau_0, det1, taus.tau_1,
                                           detp, taus.tau_plus, detm, taus.tau_minus)
         data = report.to_dict()
-        assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq",
-                             "k", "e_bx_ratio"}
+        assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq", "k"}
         assert 0.0 <= report.hmin_z <= 1.0
         assert report.q_single + report.q_double <= 1.0
         assert EntropyReport.from_dict(data) == report
@@ -317,3 +315,83 @@ class TestReportAssembly:
                 detp, taus.tau_plus, detm, taus.tau_minus))
         assert reports[1].eq > reports[0].eq
         assert reports[1].hmin_a < reports[0].hmin_a
+
+
+_unit = st.floats(0.0, 1.0)    # hypothesis draws 0 and 1 among its first cases
+_row = st.tuples(_unit, _unit, _unit, _unit,                  # tau_0, tau_1, tau_+, tau_-
+                 st.one_of(st.sampled_from([0.0, 0.5, 0.75]),  # p_hat; > 1/2 clamps
+                           st.floats(0.0, 0.9, exclude_max=True)),
+                 st.sampled_from([1e-3, 0.05, 1.0]),            # omega
+                 st.one_of(st.none(), st.just(0), st.integers(1, 2000)))
+
+
+def _scalar_or_error(fn):
+    try:
+        return fn()
+    except SiqrngError as exc:
+        return type(exc)
+
+
+class TestBroadcastChain:
+    """Every cell of a broadcast report equals the scalar chain for its row."""
+
+    @staticmethod
+    def check_cells(broadcast, scalars):
+        errors = {r for r in scalars if isinstance(r, type)}
+        event("some row raises" if errors else "no row raises")
+        if errors:
+            with pytest.raises(tuple(errors)):
+                broadcast()
+            return
+        cells = broadcast().cells()
+        assert [c.to_dict() for c in cells] == [r.to_dict() for r in scalars]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_row, min_size=1, max_size=12), e_d=st.floats(0.0, 0.1))
+    def test_afterpulse_axis_and_tau_axis(self, rows, e_d):
+        specs = [AfterpulseSpec.exponential_from_rate(p_hat, omega, depth)
+                 for *_, p_hat, omega, depth in rows]
+        taus = TauSet(*(np.array(column) for column in list(zip(*rows))[:4]))
+
+        def scalar(row, spec):
+            dets = make_detectors(e_d=e_d, spec=spec)
+            return _scalar_or_error(lambda: entropy_report_from_taus(
+                *(v for pair in zip(dets, row[:4]) for v in pair)))
+
+        def along_specs():
+            worst = np.array([worst_afterpulse(spec) for spec in specs])
+            return make_entropy_report(
+                ArmState.from_totals(taus.tau_0, e_d, worst, taus.tau_1, e_d, worst),
+                ArmState.from_totals(taus.tau_plus, e_d, worst, taus.tau_minus, e_d, worst))
+
+        self.check_cells(along_specs, [scalar(row, spec) for row, spec in zip(rows, specs)])
+
+        # one detector set along tau only, as RateScenario.entropy broadcasts it
+        dets = make_detectors(e_d=e_d, spec=specs[0])
+        self.check_cells(
+            lambda: entropy_report_from_taus(
+                *(v for pair in zip(dets, taus) for v in pair)),
+            [scalar(row, specs[0]) for row in rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratios=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+           eta=st.floats(0.01, 0.1), e_q=st.floats(0.0, 0.5))
+    def test_efficiency_mismatch_taus(self, ratios, eta, e_q):
+        source = poisson_distribution(10.0)
+        eta_1 = np.array(ratios) * eta
+        taus = measurement_taus(source, eta_0=eta, eta_1=eta_1, eta_plus=eta,
+                                eta_minus=eta, misalignment=e_q)
+        for i, ratio in enumerate(ratios):
+            own = measurement_taus(source, eta_0=eta, eta_1=ratio * eta, eta_plus=eta,
+                                   eta_minus=eta, misalignment=e_q)
+            assert taus.tau_1[i] == own.tau_1
+            assert (taus.tau_0, taus.tau_plus, taus.tau_minus) == (
+                own.tau_0, own.tau_plus, own.tau_minus)
+
+    def test_cells_of_an_array_are_python_floats(self):
+        report = EntropyReport(hmin_z=np.array([0.5, 0.25]), hmin_a=0.1,
+                               q_single=np.array([0.2, 0.3]), q_double=0.01, eq=0.02,
+                               k=0.5)
+        cells = list(report.cells())
+        assert [type(v) for c in cells for v in c.to_dict().values()] == [float] * 12
+        assert cells[1] == EntropyReport(0.25, 0.1, 0.3, 0.01, 0.02, 0.5)

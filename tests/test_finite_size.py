@@ -113,6 +113,17 @@ class TestThetaRandomSampling:
         with pytest.raises(ParameterError):
             theta_random_sampling(0.6, 0.02, 1e10, 1e-9)
 
+    @pytest.mark.parametrize("eq, theta", [(0.1, 0.95), (0.1, 0.9 + 2**-52), (0.4, 5.0),
+                                           (0.3, math.inf)])
+    def test_epsilon_rejects_theta_past_one_minus_eq(self, eq, theta):
+        with pytest.raises(ParameterError, match=r"theta must keep EQ \+ theta <= 1"):
+            random_sampling_epsilon(eq, 0.02, 1e10, theta)
+
+    def test_epsilon_at_the_largest_deviations(self):
+        assert random_sampling_epsilon(0.1, 0.02, 1e10, 0.5) == 0.0
+        assert random_sampling_epsilon(0.1, 0.02, 1e10, 0.9) == 0.0
+        assert random_sampling_epsilon(0.1, 0.02, 1.0, 0.9) > 0.0
+
 
 def plain_bisection_theta(eq, q_x, n_total, eps_e):
     """Reference: the bisection that evaluates excess at every midpoint."""
@@ -436,9 +447,20 @@ class TestRateScenario:
         assert scenario.transmittance(0.0) == pytest.approx(0.4, rel=1e-12)
         assert scenario.transmittance(10.0) == pytest.approx(0.04, rel=1e-12)
 
+    def test_taus_of_an_array_equal_each_loss(self):
+        scenario = scenario_from_params({"nu": 7.0, "e_q": 0.1})
+        losses = np.linspace(0.0, 30.0, 301)
+        taus = scenario.taus(losses)
+        assert scenario.transmittance(losses).tolist() == [
+            scenario.transmittance(loss) for loss in losses.tolist()]
+        for i, loss in enumerate(losses.tolist()):
+            assert tuple(column[i] for column in taus) == scenario.taus(loss)
+        with pytest.raises(ParameterError, match=r"loss must be >= 0 dB, got -0.5$"):
+            scenario.taus(np.array([0.0, -0.5, -1.0]))
+
     def test_rates_ordering_at_low_loss(self):
         scenario = scenario_from_params({})
-        rates = scenario.rates(scenario.taus(1.5))
+        rates = scenario.rates(scenario.entropy(scenario.taus(1.5)))
         assert rates["infinite_length"] >= rates["entropy_inequality"]
         assert rates["entropy_inequality"] >= rates["random_sampling"]
         assert rates["random_sampling"] > 0.0
@@ -446,8 +468,8 @@ class TestRateScenario:
     def test_afterpulse_lowers_rates(self):
         plain = scenario_from_params({})
         withap = scenario_from_params({"p_hat": 0.05})
-        for method, value in plain.rates(plain.taus(1.5)).items():
-            assert withap.rates(withap.taus(1.5))[method] < value
+        for method, value in plain.rates(plain.entropy(plain.taus(1.5))).items():
+            assert withap.rates(withap.entropy(withap.taus(1.5)))[method] < value
 
     def test_rate_report_methods(self):
         scenario = scenario_from_params({})
@@ -488,7 +510,7 @@ class TestRatePeakLocation:
         # over a wide 0..10 dB scan the certified rate still peaks early
         scenario = scenario_from_params({})
         losses = [i * 0.1 for i in range(101)]
-        values = [scenario.rates(scenario.taus(loss))["random_sampling"]
+        values = [scenario.rates(scenario.entropy(scenario.taus(loss)))["random_sampling"]
                   for loss in losses]
         peak = losses[values.index(max(values))]
         assert 1.0 <= peak <= 2.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siqrng import (
     ParameterError,
@@ -132,6 +134,35 @@ class TestVacuumProbability:
         d = PhotonDistribution(probs=np.array([0.6, 0.3]), tail_mass=0.1)
         lo, hi = vacuum_probability(d, 0.5)
         assert hi == pytest.approx(lo + 0.1, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nu=st.sampled_from([0.0, 0.3, 1.0, 10.0, 50.0]),
+           xis=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53]),
+                                  st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    def test_array_cells_equal_scalar_calls(self, nu, xis):
+        d = poisson_distribution(nu)
+        lo, hi = vacuum_probability(d, np.array(xis))
+        assert lo.shape == hi.shape == (len(xis),)
+        assert [(a, b) for a, b in zip(lo.tolist(), hi.tolist())] == [
+            vacuum_probability(d, xi) for xi in xis]
+
+    def test_array_spanning_several_power_blocks(self):
+        d = poisson_distribution(50.0)
+        xis = np.linspace(0.0, 1.0, 600).reshape(3, 200)    # blocks cross rows
+        lo, hi = vacuum_probability(d, xis)
+        assert lo.shape == xis.shape
+        assert lo.tolist() == [[vacuum_probability(d, xi)[0] for xi in row]
+                               for row in xis.tolist()]
+        assert hi.tolist() == [[vacuum_probability(d, xi)[1] for xi in row]
+                               for row in xis.tolist()]
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, math.nan, -math.inf])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_array_outside_unit_interval_rejected(self, bad, where):
+        xis = np.linspace(0.0, 1.0, 8)
+        xis[where], xis[7] = bad, 2.0    # the message names the first one
+        with pytest.raises(ParameterError, match=rf"xi must lie in \[0, 1\], got {bad}$"):
+            vacuum_probability(poisson_distribution(1.0), xis)
 
 
 class TestMonitorAttenuation:
