@@ -23,7 +23,6 @@ from .entropy_engine import (
     empirical_autocorrelation,
     expectation_k,
     hmin_a,
-    hmin_z_worstcase,
     lagged_response_probs,
     prior_autocorrelation,
     x_basis_error,
@@ -45,7 +44,6 @@ from .finite_size import (
     rate_entropy_inequality,
     rate_infinite_length,
     rate_random_sampling,
-    run_sweep,
     theta_entropy_inequality,
     theta_random_sampling,
 )
@@ -54,15 +52,12 @@ from .simulator import (
     ClickRecords,
     PulseTrainConfig,
     SimulationResult,
-    empirical_k,
     extract,
     simulate,
 )
 from .source_monitor import (
-    MonitorConfig,
     PhotonDistribution,
     bernoulli_transform,
-    estimate_distribution,
     hoeffding_delta,
     monitor_attenuation,
     poisson_distribution,

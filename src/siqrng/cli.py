@@ -391,6 +391,11 @@ def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
         seed=seed,
     )
     result = simulate(sim_cfg, threads=threads)
+    extract_bits = config.get("extract_bits")
+    if extract_bits is None:
+        extract_bits = len(result.bits) // 2   # demonstration default, not an entropy claim
+    # Extract before writing, so a rejected length leaves no output files.
+    extracted = extract(result.bits, int(extract_bits), seed)
     mhash = _manifest_hash("simulate", config, seed)
 
     clicks_path = out_dir / "clicks.csv"
@@ -408,12 +413,6 @@ def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
         json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8")
 
-    n_raw = len(result.bits)
-    extract_bits = config.get("extract_bits")
-    if extract_bits is None:
-        extract_bits = n_raw // 2   # demonstration default, not an entropy claim
-    extract_bits = int(extract_bits)
-    extracted = extract(result.bits, extract_bits, seed)
     extracted_path = out_dir / "extracted.bin"
     extracted_path.write_bytes(np.packbits(extracted).tobytes())
     return [clicks_path, bits_path, sidecar_path, extracted_path]

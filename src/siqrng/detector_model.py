@@ -251,10 +251,15 @@ class AfterpulseSpec:
     def exponential_from_rate(cls, first_order_rate: float, decay: float,
                               window_depth: Optional[int] = None) -> "AfterpulseSpec":
         """Exponential profile whose unlimited-history first-order sum equals
-        ``first_order_rate``: amplitude = rate * (e^omega - 1)."""
+        ``first_order_rate``: amplitude = rate * (e^omega - 1).  A zero rate
+        gives :meth:`none`, whatever the decay."""
         _check_unit("first_order_rate", first_order_rate, high_open=True)
+        if window_depth is not None and window_depth < 0:
+            raise ParameterError(f"window_depth must be >= 0, got {window_depth}")
         if first_order_rate == 0.0:
             return cls.none()
+        if not decay > 0.0:
+            raise ParameterError(f"decay must be > 0, got {decay}")
         amplitude = first_order_rate * math.expm1(decay)
         return cls.exponential(amplitude, decay, window_depth)
 
@@ -310,22 +315,6 @@ class AfterpulseSpec:
             "window_depth": self.window_depth,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AfterpulseSpec":
-        depth = data.get("window_depth")
-        if isinstance(depth, str):
-            if depth.lower() in ("inf", "infinity"):
-                depth = None
-            else:
-                depth = int(depth)
-        return cls(
-            mode=data["mode"],
-            coefficients=tuple(data.get("coefficients") or ()),
-            amplitude=float(data.get("A") or 0.0),
-            decay=float(data.get("omega") or 0.0),
-            window_depth=depth,
-        )
-
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -351,15 +340,6 @@ class DetectorParams:
             "afterpulse": self.afterpulse.to_dict(),
             "label": self.label,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectorParams":
-        return cls(
-            efficiency=float(data["efficiency"]),
-            dark_rate=float(data["dark_rate"]),
-            afterpulse=AfterpulseSpec.from_dict(data["afterpulse"]),
-            label=data.get("label", "0"),
-        )
 
 
 def detector_set(eta: float, e_d: float, spec: AfterpulseSpec,

@@ -166,18 +166,6 @@ def _hmin_z_from_pairs(p1_0: float, p0_0: float, p1_1: float, p0_1: float) -> fl
     return -_cellwise(math.log2, best)
 
 
-def hmin_z_worstcase(det_0: DetectorParams, tau_0: float,
-                     det_1: DetectorParams, tau_1: float) -> float:
-    """Worst-case conditional min-entropy per single-click bit.
-
-    Evaluates each detector with its full worst-case afterpulse (p^(1)) and
-    with none (p^(0)), and maximizes the conditional single-click probability
-    over the four detector/history assignments.  Returns a value in [0, 1].
-    """
-    arm = ArmState.from_detectors(det_0, tau_0, det_1, tau_1)
-    return _hmin_z_from_pairs(arm.p1_a, arm.p0_a, arm.p1_b, arm.p0_b)
-
-
 def hmin_a(hmin_z: float, q_single: float, q_double: float, eq: float) -> float:
     """Min-entropy per generation-basis pulse.
 
@@ -323,10 +311,6 @@ class EntropyReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EntropyReport":
-        return cls(**data)
 
     def cells(self) -> Iterator["EntropyReport"]:
         """The scalar report of each cell of a one-dimensional broadcast

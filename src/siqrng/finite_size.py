@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -86,15 +86,6 @@ class SecurityParams:
             raise ParameterError(f"misalignment must lie in [0, 1], got {self.misalignment}")
         object.__setattr__(self, "n_x", self.x_fraction * self.total_pulses)
         object.__setattr__(self, "n_z", self.total_pulses - self.n_x)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SecurityParams":
-        data = {k: v for k, v in data.items() if k not in ("n_z", "n_x")}
-        return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +395,8 @@ def hmin_with_tau_uncertainty(det_0: DetectorParams, tau_0: float,
 
 @dataclass(frozen=True)
 class RateReport:
-    """Certified output of one parameter point."""
+    """Certified random-sampling output of one parameter point."""
 
-    method: str
     theta: float
     entropy: EntropyReport
     random_bits: float
@@ -456,7 +446,7 @@ def final_rate(security: SecurityParams,
         theta = theta_random_sampling(x_basis_error(x_arm.p_a, x_arm.p_b), security.x_fraction,
                                       security.total_pulses, security.eps_e)
     except (InfeasibleError, ParameterError):
-        return RateReport(method="random_sampling", theta=math.nan, entropy=point,
+        return RateReport(theta=math.nan, entropy=point,
                           random_bits=0.0, final_bits=0.0, zeta=zeta,
                           n_z=security.n_z, n_x=security.n_x,
                           total_pulses=security.total_pulses)
@@ -465,7 +455,7 @@ def final_rate(security: SecurityParams,
                                          det_1, clipped_interval(tau_1, delta_d),
                                          x_arm, theta, grid_points)
     final_bits = max(0.0, security.n_z * min_bracket - security.t_e)
-    return RateReport(method="random_sampling", theta=theta, entropy=point,
+    return RateReport(theta=theta, entropy=point,
                       random_bits=random_bits, final_bits=final_bits, zeta=zeta,
                       n_z=security.n_z, n_x=security.n_x,
                       total_pulses=security.total_pulses)
@@ -557,36 +547,27 @@ class RateScenario:
         return {"random_sampling": r_rs, "entropy_inequality": r_ei,
                 "infinite_length": r_il}
 
-    def rate_report(self, loss_db: float, method: str = "random_sampling",
+    def rate_report(self, loss_db: float,
                     monitor_samples: Optional[int] = None) -> RateReport:
-        """Full report at one attenuation; a sample count adds the Hoeffding box."""
+        """Random-sampling report at one attenuation; a sample count adds the
+        Hoeffding box."""
         sec = self.security
         t = self.taus(loss_db)
-        if method == "random_sampling" and monitor_samples is not None:
+        if monitor_samples is not None:
             return final_rate(sec, self.det_0, t.tau_0, self.det_1, t.tau_1,
                               self.det_plus, t.tau_plus, self.det_minus, t.tau_minus,
                               hoeffding_delta(monitor_samples, sec.eps_d))
         report = self.entropy(t)
-        zeta = composable_epsilon(sec.eps_d, sec.eps_e, sec.t_e)
-        if method == "random_sampling":
-            theta, bits = self._random_sampling(report)
-        elif method == "entropy_inequality":
-            theta = theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all)
-            bits = rate_entropy_inequality(sec.n_z, report, theta, sec.eps_all)
-        elif method == "infinite_length":
-            theta = 0.0
-            bits = rate_infinite_length(sec.n_z, report)
-        else:
-            raise ParameterError(f"unknown method {method!r}")
-        return RateReport(method=method, theta=theta, entropy=report,
-                          random_bits=bits, final_bits=bits, zeta=zeta,
+        theta, bits = self._random_sampling(report)
+        return RateReport(theta=theta, entropy=report, random_bits=bits, final_bits=bits,
+                          zeta=composable_epsilon(sec.eps_d, sec.eps_e, sec.t_e),
                           n_z=sec.n_z, n_x=sec.n_x, total_pulses=sec.total_pulses)
 
 
 def scenario_from_params(params: dict) -> RateScenario:
     """Build a :class:`RateScenario` from flat sweep-specification keys."""
     known = {"N", "q_x", "eps_all", "eps_d", "eps_e", "t_e", "e_q", "v", "e_d",
-             "eta", "eta_bs", "eta_det", "nu", "p_hat", "omega", "window_depth"}
+             "eta", "eta_bs", "eta_det", "nu", "p_hat", "omega"}
     unknown = set(params) - known
     if unknown:
         raise ParameterError(f"unknown sweep parameters: {sorted(unknown)}")
@@ -600,10 +581,8 @@ def scenario_from_params(params: dict) -> RateScenario:
         misalignment=float(params.get("e_q", DEFAULT_MISALIGNMENT)),
         z_rate=float(params.get("v", DEFAULT_Z_RATE)),
     )
-    depth = params.get("window_depth")
-    spec = AfterpulseSpec.exponential_from_rate(
-        float(params.get("p_hat", 0.0)), float(params.get("omega", 0.001)),
-        None if depth is None else int(depth))
+    spec = AfterpulseSpec.exponential_from_rate(float(params.get("p_hat", 0.0)),
+                                                float(params.get("omega", 0.001)))
     dets = detector_set(float(params.get("eta", 0.1)), float(params.get("e_d", 6e-7)),
                         spec)
     return RateScenario(
@@ -616,6 +595,9 @@ def scenario_from_params(params: dict) -> RateScenario:
 
 def split_sweep_spec(spec: dict) -> Tuple[dict, dict]:
     """Split a sweep specification into (scenario params, from/to/points keys)."""
+    unknown = set(spec) - {"sweep_var", "from", "to", "points", "params"}
+    if unknown:
+        raise ParameterError(f"unknown sweep specification keys: {sorted(unknown)}")
     var = spec.get("sweep_var", "voa_loss_db")
     if var != "voa_loss_db":
         raise ParameterError(f"unsupported sweep variable {var!r}")
@@ -630,20 +612,3 @@ def loss_grid(lo: float, hi: float, points: int) -> np.ndarray:
         raise ParameterError(f"sweep range is empty: from {lo} to {hi}")
     return np.linspace(lo, hi, points)
 
-
-def run_sweep(spec: dict) -> List[RateReport]:
-    """Evaluate a sweep specification into one report per point.
-
-    The specification carries {"sweep_var": "voa_loss_db", "from": a, "to": b,
-    "points": n, "params": {...}, "method": ...}; points are evaluated in
-    order and independently.
-    """
-    params, span = split_sweep_spec(spec)
-    points = int(span.get("points", 200))
-    if points < 1:
-        raise ParameterError(f"points must be >= 1, got {points}")
-    losses = loss_grid(span.get("from", 0.0), span.get("to", DEFAULT_LOSS_MAX_DB),
-                       points)
-    method = spec.get("method", "random_sampling")
-    scenario = scenario_from_params(params)
-    return [scenario.rate_report(float(loss), method=method) for loss in losses]

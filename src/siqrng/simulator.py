@@ -204,9 +204,6 @@ class BitStream:
     def __len__(self) -> int:
         return self.bits.size
 
-    def single_click_bits(self) -> np.ndarray:
-        return self.bits[~self.fill_mask]
-
     def packed(self) -> bytes:
         return np.packbits(self.bits).tobytes()
 
@@ -445,14 +442,6 @@ def z_window_bits(clicks: ClickRecords) -> Tuple[np.ndarray, np.ndarray]:
     d0 = clicks.d0[z]
     d1 = clicks.d1[z]
     return d1.astype(float), d0 ^ d1
-
-
-def empirical_k(stream: BitStream) -> float:
-    """Mean of the single-click bits (fills excluded)."""
-    single = stream.single_click_bits()
-    if single.size == 0:
-        raise DegenerateError("bit stream has no single-click bits")
-    return float(single.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import stats
@@ -53,17 +52,8 @@ class PhotonDistribution:
     def n_max(self) -> int:
         return self.probs.size - 1
 
-    def mean(self) -> float:
-        """Mean photon number of the truncated part."""
-        return float(np.dot(np.arange(self.probs.size), self.probs))
-
     def to_dict(self) -> dict:
         return {"probs": self.probs.tolist(), "tail_mass": self.tail_mass}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhotonDistribution":
-        return cls(probs=np.asarray(data["probs"], dtype=float),
-                   tail_mass=float(data.get("tail_mass", 0.0)))
 
 
 def default_poisson_truncation(nu: float) -> int:
@@ -172,89 +162,3 @@ def clipped_interval(center: float, delta: float) -> Tuple[float, float]:
         raise ParameterError(f"delta must be >= 0, got {delta}")
     return max(0.0, center - delta), min(1.0, center + delta)
 
-
-class DistributionEstimate(NamedTuple):
-    """Empirical distribution plus the sample count behind it."""
-
-    distribution: PhotonDistribution
-    n_samples: int
-
-
-def estimate_distribution(
-    sample_counts: Union[Mapping[int, int], Iterable[int]],
-) -> DistributionEstimate:
-    """Normalized empirical distribution from a photon-count histogram.
-
-    Accepts a mapping {photon number: count} or a dense count sequence indexed
-    by photon number.
-    """
-    if isinstance(sample_counts, Mapping):
-        items = dict(sample_counts)
-    else:
-        items = {n: c for n, c in enumerate(sample_counts)}
-    items = {int(n): int(c) for n, c in items.items() if c}
-    if not items:
-        raise ParameterError("histogram is empty")
-    if any(n < 0 for n in items):
-        raise ParameterError("photon numbers must be >= 0")
-    if any(c < 0 for c in items.values()):
-        raise ParameterError("counts must be >= 0")
-    n_max = max(items)
-    counts = np.zeros(n_max + 1)
-    for n, c in items.items():
-        counts[n] = c
-    total = counts.sum()
-    return DistributionEstimate(
-        distribution=PhotonDistribution(probs=counts / total),
-        n_samples=int(total),
-    )
-
-
-def read_histogram_csv(path) -> Counter:
-    """Read ``n,count`` lines into a histogram; '#' lines and blanks skipped."""
-    hist: Counter = Counter()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParameterError(f"{path}:{line_no}: expected 'n,count', got {line!r}")
-            hist[int(parts[0])] += int(parts[1])
-    if not hist:
-        raise ParameterError(f"{path}: no histogram rows")
-    return hist
-
-
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Photon-distribution monitor: splitter, photodiode and sampling budget."""
-
-    eta_bs: float
-    eta_det: float
-    transmittances: Mapping[str, float] = field(default_factory=dict)
-    sample_count: int = 1
-    eps_d: float = 2.0**-50
-
-    def __post_init__(self):
-        if not (0.0 < self.eta_bs < 1.0):
-            raise ParameterError(f"eta_bs must lie in (0, 1), got {self.eta_bs}")
-        if not (0.0 < self.eta_det <= 1.0):
-            raise ParameterError(f"eta_det must lie in (0, 1], got {self.eta_det}")
-        for label, t in self.transmittances.items():
-            if not (0.0 < t <= 1.0):
-                raise ParameterError(f"transmittance for arm {label!r} must lie in (0, 1], got {t}")
-        if self.sample_count < 1:
-            raise ParameterError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not (0.0 < self.eps_d < 1.0):
-            raise ParameterError(f"eps_d must lie in (0, 1), got {self.eps_d}")
-        object.__setattr__(self, "transmittances", dict(self.transmittances))
-
-    @property
-    def attenuation(self) -> float:
-        return monitor_attenuation(self.eta_bs, self.eta_det)
-
-    @property
-    def delta(self) -> float:
-        return hoeffding_delta(self.sample_count, self.eps_d)

@@ -74,6 +74,10 @@ class TestHmin:
         (["--sweep", "efficiency", "--ratio-max", "25"],
          "efficiency must lie in [0, 1], got 1.03"),
         (["--sweep", "efficiency", "--ratio-min", "-1"], "xi must lie in [0, 1], got -0.05"),
+        # a nonzero afterpulse rate needs a decay to shape its profile
+        (["--omega", "0", "--points", "3"], "decay must be > 0, got 0.0"),
+        (["--omega", "-0.5"], "decay must be > 0, got -0.5"),
+        (["--sweep", "efficiency", "--omega", "0"], "decay must be > 0, got 0.0"),
     ], ids=lambda v: "_".join(v).replace("-", "") if isinstance(v, list) else "")
     def test_first_faulty_row_is_named(self, tmp_path, capsys, argv, message):
         assert run(["hmin", "--out-dir", str(tmp_path)] + argv) == 2
@@ -108,6 +112,22 @@ class TestRates:
                     "--p-hat-ap", "-0.1"]) == 2
         assert "first_order_rate must lie in [0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "rates.csv").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"sweep_var": "nu"}, "unsupported sweep variable 'nu'"),
+        ({"sweep_var": "voa_loss_db", "from": 2.0, "to": 1.0},
+         "sweep range is empty: from 2.0 to 1.0"),
+        ({"sweep_var": "voa_loss_db", "from": 0, "to": 2, "pionts": 3,
+          "method": "entropy_inequality", "params": {"nu": 10}},
+         "unknown sweep specification keys: ['method', 'pionts']"),
+    ], ids=["bad_sweep_var", "empty_range", "unknown_key"])
+    def test_bad_sweep_spec_rejected(self, tmp_path, capsys, spec, message):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run(["rates", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"siqrng: error: {message}\n"
+        assert list(out.glob("*")) == []
 
 
 class TestFiniteSampling:
@@ -277,6 +297,18 @@ class TestSimulateCommand:
         for name in ("bits.bin", "extracted.bin"):
             assert ((tmp_path / "d0" / name).read_bytes()
                     == (tmp_path / "ref" / name).read_bytes())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p-hat", "0", "--window-depth", "-1"], "window_depth must be >= 0, got -1"),
+        (["--p-hat", "0.05", "--omega", "0"], "decay must be > 0, got 0.0"),
+        # the extraction is checked before any file is written
+        (["--pulses", "1000", "--extract-bits", "100000"],
+         "output_len 100000 exceeds input length 79"),
+    ], ids=["negative_depth", "zero_decay", "extract_too_long"])
+    def test_rejected_run_writes_nothing(self, tmp_path, capsys, argv, message):
+        assert run(["simulate", *argv, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"siqrng: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--pulses", "1000", "--q-x", "0"],
                                        ["--pulses", "1"]])

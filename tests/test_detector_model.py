@@ -204,6 +204,18 @@ class TestAfterpulseSpec:
         assert spec.first_order_rate == pytest.approx(0.05, rel=1e-12)
         assert spec.worst_case_total() == pytest.approx(0.05 / 0.95, rel=1e-10)
 
+    def test_exponential_from_rate_rejects_negative_depth(self):
+        # even at a zero rate, whose profile ignores the depth
+        with pytest.raises(ParameterError, match=r"^window_depth must be >= 0, got -1$"):
+            AfterpulseSpec.exponential_from_rate(0.0, 0.001, -1)
+
+    @pytest.mark.parametrize("decay", [0.0, -0.5, math.nan])
+    def test_exponential_from_rate_rejects_nonpositive_decay(self, decay):
+        with pytest.raises(ParameterError, match=r"^decay must be > 0, got "):
+            AfterpulseSpec.exponential_from_rate(0.05, decay)
+        # a zero rate has no profile for the decay to shape
+        assert AfterpulseSpec.exponential_from_rate(0.0, decay) == AfterpulseSpec.none()
+
     def test_finite_depth_truncates_coefficients(self):
         spec = AfterpulseSpec.exponential(0.01, 0.001, window_depth=5)
         assert spec.coefficient(5) > 0.0
@@ -228,12 +240,20 @@ class TestAfterpulseSpec:
         AfterpulseSpec.exponential(0.2, 0.1, window_depth=3)
 
     def test_dict_round_trip(self):
-        for spec in (AfterpulseSpec.none(),
-                     AfterpulseSpec.explicit([0.01, 0.005], window_depth=10),
-                     AfterpulseSpec.exponential(1e-4, 0.001),
-                     AfterpulseSpec.exponential(1e-4, 0.001, window_depth=1000)):
-            again = AfterpulseSpec.from_dict(spec.to_dict())
-            assert again == spec
+        # the documented format; window_depth null means unlimited history
+        def documented(mode, a, omega, coefficients, depth):
+            return {"mode": mode, "A": a, "omega": omega, "coefficients": coefficients,
+                    "window_depth": depth}
+
+        for spec, expected in (
+                (AfterpulseSpec.none(), documented("explicit", 0.0, 0.0, [], 0)),
+                (AfterpulseSpec.explicit([0.01, 0.005], window_depth=10),
+                 documented("explicit", 0.0, 0.0, [0.01, 0.005], 10)),
+                (AfterpulseSpec.exponential(1e-4, 0.001),
+                 documented("exponential", 1e-4, 0.001, [], None)),
+                (AfterpulseSpec.exponential(1e-4, 0.001, window_depth=1000),
+                 documented("exponential", 1e-4, 0.001, [], 1000))):
+            assert json.loads(json.dumps(spec.to_dict())) == expected
 
 
 class TestDetectorParams:
@@ -249,9 +269,8 @@ class TestDetectorParams:
         det = DetectorParams(efficiency=0.1, dark_rate=6e-7,
                              afterpulse=AfterpulseSpec.exponential(1e-4, 0.001),
                              label="+")
-        payload = json.dumps(det.to_dict())
-        data = json.loads(payload)
-        assert set(data) == {"efficiency", "dark_rate", "afterpulse", "label"}
-        assert set(data["afterpulse"]) == {"mode", "A", "omega", "coefficients",
-                                           "window_depth"}
-        assert DetectorParams.from_dict(data) == det
+        assert json.loads(json.dumps(det.to_dict())) == {
+            "efficiency": 0.1, "dark_rate": 6e-7,
+            "afterpulse": {"mode": "exponential", "A": 1e-4, "omega": 0.001,
+                           "coefficients": [], "window_depth": None},
+            "label": "+"}

@@ -16,7 +16,6 @@ from siqrng import (
     empirical_autocorrelation,
     expectation_k,
     hmin_a,
-    hmin_z_worstcase,
     lagged_response_probs,
     poisson_distribution,
     prior_autocorrelation,
@@ -26,6 +25,7 @@ from siqrng.entropy_engine import (
     ArmState,
     EntropyReport,
     TauSet,
+    _hmin_z_from_pairs,
     autocorrelation_stderr,
     entropy_report_from_taus,
     make_entropy_report,
@@ -35,6 +35,13 @@ from siqrng.entropy_engine import (
 )
 
 from conftest import make_detectors
+
+
+def hmin_z(det_0, tau_0, det_1, tau_1):
+    """The generation-arm hmin_z of every entropy report, as
+    :func:`make_entropy_report` computes it."""
+    arm = ArmState.from_detectors(det_0, tau_0, det_1, tau_1)
+    return _hmin_z_from_pairs(arm.p1_a, arm.p0_a, arm.p1_b, arm.p0_b)
 
 
 class TestClickProbabilities:
@@ -102,14 +109,14 @@ class TestHminZWorstcase:
     def test_identical_afterpulse_free_is_one_bit(self):
         det0, det1, _, _ = make_detectors()
         tau = math.exp(-0.5)
-        assert hmin_z_worstcase(det0, tau, det1, tau) == pytest.approx(1.0, abs=1e-15)
+        assert hmin_z(det0, tau, det1, tau) == pytest.approx(1.0, abs=1e-15)
 
     def test_label_swap_invariance(self):
         spec = AfterpulseSpec.exponential_from_rate(0.05, 0.001)
         det0, det1, _, _ = make_detectors(spec=spec, eta_1=0.08)
         tau0, tau1 = math.exp(-0.5), math.exp(-0.4)
-        assert hmin_z_worstcase(det0, tau0, det1, tau1) == pytest.approx(
-            hmin_z_worstcase(det1, tau1, det0, tau0), rel=1e-14)
+        assert hmin_z(det0, tau0, det1, tau1) == pytest.approx(
+            hmin_z(det1, tau1, det0, tau0), rel=1e-14)
 
     def test_non_increasing_in_afterpulse(self):
         tau = math.exp(-0.5)
@@ -118,7 +125,7 @@ class TestHminZWorstcase:
             spec = (AfterpulseSpec.none() if p_hat == 0.0
                     else AfterpulseSpec.exponential_from_rate(p_hat, 0.001))
             det0, det1, _, _ = make_detectors(spec=spec)
-            values.append(hmin_z_worstcase(det0, tau, det1, tau))
+            values.append(hmin_z(det0, tau, det1, tau))
         assert values == sorted(values, reverse=True)
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -130,18 +137,18 @@ class TestHminZWorstcase:
         p0 = 1.0 - tau * (1.0 - 6e-7)
         x, y = p1 * (1.0 - p0), p0 * (1.0 - p1)
         expected = -math.log2(max(x, y) / (x + y))
-        assert hmin_z_worstcase(det0, tau, det1, tau) == pytest.approx(expected, rel=1e-12)
+        assert hmin_z(det0, tau, det1, tau) == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_error(self):
         det0, det1, _, _ = make_detectors(e_d=0.0)
         with pytest.raises(DegenerateError):
-            hmin_z_worstcase(det0, 1.0, det1, 1.0)
+            hmin_z(det0, 1.0, det1, 1.0)
 
     def test_extreme_rate_clamps(self):
         # p_hat > 1/2 drives the geometric worst case above 1; it is capped
         spec = AfterpulseSpec.explicit([0.3, 0.3], window_depth=None)
         det0, det1, _, _ = make_detectors(spec=spec)
-        h = hmin_z_worstcase(det0, math.exp(-0.5), det1, math.exp(-0.5))
+        h = hmin_z(det0, math.exp(-0.5), det1, math.exp(-0.5))
         assert 0.0 <= h <= 1.0
 
 
@@ -294,7 +301,6 @@ class TestReportAssembly:
         assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq", "k"}
         assert 0.0 <= report.hmin_z <= 1.0
         assert report.q_single + report.q_double <= 1.0
-        assert EntropyReport.from_dict(data) == report
 
     def test_arm_state_consistency(self):
         det0, det1, _, _ = make_detectors()

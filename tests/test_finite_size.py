@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from siqrng import (
     rate_entropy_inequality,
     rate_infinite_length,
     rate_random_sampling,
-    run_sweep,
     theta_entropy_inequality,
     theta_random_sampling,
 )
@@ -302,11 +300,6 @@ class TestSecurityParams:
         with pytest.raises(ParameterError):
             SecurityParams(t_e=0)
 
-    def test_json_round_trip(self):
-        sec = SecurityParams(total_pulses=1e9, x_fraction=0.05)
-        again = SecurityParams.from_dict(json.loads(json.dumps(sec.to_dict())))
-        assert again == sec
-
 
 def _taus_at(nu=10.0, e_q=0.02):
     source = poisson_distribution(nu)
@@ -352,7 +345,6 @@ class TestFinalRate:
         sec = SecurityParams()
         out = final_rate(sec, *self._args(), delta_d=0.01, grid_points=5)
         data = out.to_dict()
-        assert data["method"] == "random_sampling"
         assert data["per_pulse"] == pytest.approx(out.random_bits / 1e10)
 
 
@@ -471,14 +463,6 @@ class TestRateScenario:
         for method, value in plain.rates(plain.entropy(plain.taus(1.5))).items():
             assert withap.rates(withap.entropy(withap.taus(1.5)))[method] < value
 
-    def test_rate_report_methods(self):
-        scenario = scenario_from_params({})
-        for method in ("random_sampling", "entropy_inequality", "infinite_length"):
-            report = scenario.rate_report(1.5, method=method)
-            assert report.method == method
-            assert report.random_bits > 0.0
-            assert report.final_bits == report.random_bits
-
     def test_monitor_sampling_penalizes(self):
         scenario = scenario_from_params({})
         point = scenario.rate_report(1.5)
@@ -515,21 +499,3 @@ class TestRatePeakLocation:
         peak = losses[values.index(max(values))]
         assert 1.0 <= peak <= 2.0
 
-
-class TestRunSweep:
-    def test_sweep_shape_and_determinism(self):
-        spec = {"sweep_var": "voa_loss_db", "from": 0.0, "to": 2.0, "points": 5,
-                "params": {"N": 1e9}, "method": "entropy_inequality"}
-        reports = run_sweep(spec)
-        assert len(reports) == 5
-        assert all(r.method == "entropy_inequality" for r in reports)
-        again = run_sweep(spec)
-        assert [r.random_bits for r in reports] == [r.random_bits for r in again]
-
-    def test_bad_sweep_var(self):
-        with pytest.raises(ParameterError):
-            run_sweep({"sweep_var": "nu"})
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ParameterError):
-            run_sweep({"from": 2.0, "to": 1.0})

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from siqrng import (
     AfterpulseSpec,
-    DegenerateError,
     DetectorParams,
     ParameterError,
     PhotonDistribution,
     PulseTrainConfig,
-    empirical_k,
     extract,
     poisson_distribution,
     simulate,
@@ -26,7 +24,7 @@ from siqrng.entropy_engine import (
     x_basis_error,
 )
 from siqrng import simulator
-from siqrng.simulator import BitStream, ClickRecords, empirical_click_stats
+from siqrng.simulator import ClickRecords, empirical_click_stats
 
 from conftest import make_detectors
 
@@ -233,24 +231,11 @@ class TestStatisticalAgreement:
 
 
 class TestEmpiricalK:
-    def test_all_zero_stream(self):
-        stream = BitStream(bits=np.zeros(4, dtype=np.uint8),
-                           fill_mask=np.zeros(4, dtype=bool),
-                           window_index=np.arange(4), z_windows=10, x_windows=0,
-                           n_single=4, n_double=0)
-        assert empirical_k(stream) == 0.0
-
-    def test_empty_stream_degenerate(self):
-        stream = BitStream(bits=np.zeros(0, dtype=np.uint8),
-                           fill_mask=np.zeros(0, dtype=bool),
-                           window_index=np.zeros(0, dtype=np.int64),
-                           z_windows=0, x_windows=0, n_single=0, n_double=0)
-        with pytest.raises(DegenerateError):
-            empirical_k(stream)
+    """Mean of the single-click bits (fills excluded) against its expectation."""
 
     def test_symmetric_detectors_give_half(self):
         result = simulate(make_config(pulses=10**6, seed=13))
-        k_hat = empirical_k(result.bits)
+        k_hat = result.bits.bits[~result.bits.fill_mask].mean()
         n = result.bits.n_single
         assert abs(k_hat - 0.5) <= 4.0 * math.sqrt(0.25 / n)
 
@@ -261,7 +246,7 @@ class TestEmpiricalK:
         cfg = PulseTrainConfig(pulses=10**6, source=VACUUM, det_0=det0,
                                det_1=det1, x_fraction=0.0, seed=17)
         result = simulate(cfg)
-        k_hat = empirical_k(result.bits)
+        k_hat = result.bits.bits[~result.bits.fill_mask].mean()
         expected = 0.2 * 0.9 / (0.2 * 0.9 + 0.1 * 0.8)
         n = result.bits.n_single
         assert abs(k_hat - expected) <= 3.0 * math.sqrt(expected * (1 - expected) / n)
