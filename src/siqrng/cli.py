@@ -437,8 +437,27 @@ _FLAG_TYPES = {
     "eps_d": float, "eps_e": float, "t_e": int, "v": float, "eta_bs": float,
     "eta_det": float, "length_min": float, "length_max": float,
     "grid_points": int, "window_depth": int, "t_z": float, "t_x": float,
-    "extract_bits": int, "sweep": str,
+    "extract_bits": int, "sweep": str, "points": int, "seed": int, "mc": bool,
 }
+
+
+def _check_config_types(file_cfg: dict, defaults: dict) -> None:
+    """Reject a config file value whose JSON type does not fit the key's flag
+    type.  Float keys take any number and int keys an integral one (``1e6``
+    included); values are kept as parsed.  ``null`` fits only a key whose
+    default is ``None``."""
+    for key, value in file_cfg.items():
+        kind = _FLAG_TYPES[key]
+        if value is None and defaults[key] is None:
+            continue
+        if kind in (float, int):
+            fits = isinstance(value, (int, float)) and not isinstance(value, bool) and (
+                kind is float or float(value).is_integer())
+        else:
+            fits = isinstance(value, kind)
+        if not fits:
+            raise ParameterError(f"config key {key!r} must be {kind.__name__}, "
+                                 f"got {json.dumps(value)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
             if key in ("points", "seed", "mc"):
                 continue
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=_FLAG_TYPES.get(key, float), default=None)
+                           type=_FLAG_TYPES[key], default=None)
     return parser
 
 
@@ -482,6 +501,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(config)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_types(file_cfg, config)
         config.update(file_cfg)
     for key in config:
         value = getattr(args, key, None)

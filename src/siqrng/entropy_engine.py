@@ -339,16 +339,20 @@ def measurement_taus(source: PhotonDistribution, *, eta_0: float, eta_1: float,
     Generation-basis photons split evenly between the two detectors, so each
     sees thinning t*eta/2.  Check-basis photons exit the "+" port except for a
     per-photon misalignment probability that routes them to "-".
+
+    The four thinnings go to one :func:`vacuum_probability` call, which
+    evaluates a thinning shared by two detectors (eta_0 = eta_1) once.
     """
     _check_unit("misalignment", misalignment)
     _check_unit("transmittance", transmittance)
     t = transmittance
-    return TauSet(
-        tau_0=vacuum_probability(source, 0.5 * t * eta_0)[0],
-        tau_1=vacuum_probability(source, 0.5 * t * eta_1)[0],
-        tau_plus=vacuum_probability(source, t * eta_plus * (1.0 - misalignment))[0],
-        tau_minus=vacuum_probability(source, t * eta_minus * misalignment)[0],
-    )
+    xis = [np.asarray(xi, dtype=float) for xi in (
+        0.5 * t * eta_0, 0.5 * t * eta_1,
+        t * eta_plus * (1.0 - misalignment), t * eta_minus * misalignment)]
+    lo = vacuum_probability(source, np.concatenate([xi.ravel() for xi in xis]))[0]
+    cells = np.split(lo, np.cumsum([xi.size for xi in xis])[:-1])
+    taus = [cell.reshape(xi.shape) for xi, cell in zip(xis, cells)]
+    return TauSet(*(float(tau) if tau.ndim == 0 else tau for tau in taus))
 
 
 def make_entropy_report(z_arm: ArmState, x_arm: ArmState) -> EntropyReport:

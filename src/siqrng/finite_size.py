@@ -601,8 +601,12 @@ def split_sweep_spec(spec: dict) -> Tuple[dict, dict]:
     var = spec.get("sweep_var", "voa_loss_db")
     if var != "voa_loss_db":
         raise ParameterError(f"unsupported sweep variable {var!r}")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ParameterError(f"sweep specification key 'params' must be an object, "
+                             f"got {params!r}")
     span = {key: spec[key] for key in ("from", "to", "points") if key in spec}
-    return dict(spec.get("params", {})), span
+    return dict(params), span
 
 
 def loss_grid(lo: float, hi: float, points: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy import signal as _signal
+from scipy import fft as _fft
 
 from .detector_model import AfterpulseSpec, DetectorParams
 from .errors import DegenerateError, ParameterError
@@ -478,7 +478,12 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
     if n * output_len <= _DIRECT_CONV_LIMIT:
         conv = np.convolve(x.astype(np.int64), r.astype(np.int64))
     else:
-        conv_f = _signal.fftconvolve(x.astype(float), r.astype(float))
+        # The real FFTs that scipy.signal.fftconvolve makes, at the same
+        # padded length, without importing scipy.signal.
+        size = n + r.size - 1
+        fast = _fft.next_fast_len(size, True)
+        conv_f = _fft.irfft(_fft.rfft(x.astype(float), fast) * _fft.rfft(r.astype(float), fast),
+                            fast)[:size]
         conv = np.rint(conv_f).astype(np.int64)
         if float(np.max(np.abs(conv_f - conv))) > 0.1:
             raise ArithmeticError("FFT convolution lost integer precision")

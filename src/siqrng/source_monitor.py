@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ParameterError
 
@@ -70,8 +70,10 @@ def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistri
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     n = np.arange(n_max + 1)
-    probs = stats.poisson.pmf(n, nu)
-    tail = float(stats.poisson.sf(n_max, nu))
+    # The ufuncs behind scipy.stats.poisson.pmf and .sf, without importing
+    # scipy.stats: the bytes of probs enter config_hash.
+    probs = np.exp(special.xlogy(n, nu) - special.gammaln(n + 1) - nu)
+    tail = float(special.pdtrc(n_max, nu))
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(
             f"Poisson truncation at n_max={n_max} leaves tail mass {tail:.3e}",
@@ -95,6 +97,10 @@ def bernoulli_transform(dist: PhotonDistribution, xi: float) -> PhotonDistributi
         raise ParameterError(f"xi must lie in [0, 1], got {xi}")
     n_max = dist.n_max
     n = np.arange(n_max + 1)
+    # Only t_z or t_x < 1 reaches this, so scipy.stats is imported here and
+    # not at start-up, where it would cost every command about 1 s.
+    from scipy import stats
+
     # kernel[i, j] = P(j survivors | i photons)
     kernel = stats.binom.pmf(n[None, :], n[:, None], xi)
     out = dist.probs @ kernel
@@ -109,9 +115,9 @@ def vacuum_probability(dist: PhotonDistribution, xi) -> Tuple[float, float]:
     tau = sum_n P(n) (1-xi)^n; the truncation tail contributes 0 (lower bound)
     or survives entirely as vacuum (upper bound).  ``xi`` may be an array;
     the bounds are then arrays of its shape, each cell equal to the float
-    result.  Each cell is its own ``np.dot`` with the power row, since a
-    matrix product sums in another order, and the power matrix is built
-    ``_POWER_ROWS`` rows at a time.
+    result.  Each distinct ``xi`` is its own ``np.dot`` with the power row,
+    since a matrix product sums in another order, and the power matrix is
+    built ``_POWER_ROWS`` rows at a time.
     """
     xis = np.asarray(xi, dtype=float)
     outside = ~((xis >= 0.0) & (xis <= 1.0))
@@ -119,12 +125,12 @@ def vacuum_probability(dist: PhotonDistribution, xi) -> Tuple[float, float]:
         got = xi if xis.ndim == 0 else float(xis[outside][0])
         raise ParameterError(f"xi must lie in [0, 1], got {got}")
     n = np.arange(dist.n_max + 1)
-    flat = xis.ravel()
-    lo = np.empty(flat.size)
-    for start in range(0, flat.size, _POWER_ROWS):
-        powers = np.power((1.0 - flat[start:start + _POWER_ROWS])[:, None], n)
+    distinct, inverse = np.unique(xis.ravel(), return_inverse=True)
+    lo = np.empty(distinct.size)
+    for start in range(0, distinct.size, _POWER_ROWS):
+        powers = np.power((1.0 - distinct[start:start + _POWER_ROWS])[:, None], n)
         lo[start:start + _POWER_ROWS] = [np.dot(dist.probs, row) for row in powers]
-    lo = np.clip(lo, 0.0, 1.0).reshape(xis.shape)
+    lo = np.clip(lo[inverse], 0.0, 1.0).reshape(xis.shape)
     hi = np.minimum(lo + dist.tail_mass, 1.0)
     if xis.ndim == 0:
         return float(lo), float(hi)

@@ -120,7 +120,9 @@ class TestRates:
         ({"sweep_var": "voa_loss_db", "from": 0, "to": 2, "pionts": 3,
           "method": "entropy_inequality", "params": {"nu": 10}},
          "unknown sweep specification keys: ['method', 'pionts']"),
-    ], ids=["bad_sweep_var", "empty_range", "unknown_key"])
+        ({"sweep_var": "voa_loss_db", "params": 5},
+         "sweep specification key 'params' must be an object, got 5"),
+    ], ids=["bad_sweep_var", "empty_range", "unknown_key", "params_not_object"])
     def test_bad_sweep_spec_rejected(self, tmp_path, capsys, spec, message):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(spec))
@@ -348,6 +350,39 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run(["autocorr", "--config", str(cfg), "--out-dir",
                     str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("hmin", {"nu": "abc"}, "config key 'nu' must be float, got \"abc\""),
+        ("simulate", {"pulses": 2.5}, "config key 'pulses' must be int, got 2.5"),
+        ("autocorr", {"mc": 1, "points": 2, "pulses": 1000}, "config key 'mc' must be bool, got 1"),
+        ("hmin", {"points": True}, "config key 'points' must be int, got true"),
+    ], ids=["str_for_float", "fraction_for_int", "int_for_bool", "bool_for_int"])
+    def test_wrong_json_type_rejected(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"siqrng: error: {message}\n"
+        assert list(out.glob("*")) == []
+
+    def test_integral_float_for_int_key_kept_as_parsed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 3.0}))
+        assert run(["hmin", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert repr(manifest["config"]["points"]) == "3.0"
+
+    def test_import_leaves_scipy_stats_and_signal_out(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        code = ("import sys, siqrng.cli; "
+                "print(sorted({'scipy.stats', 'scipy.signal'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, timeout=60, env=env)
+        assert done.stdout == "[]\n"
 
     def test_invalid_parameter_exit_code(self, tmp_path):
         assert run(["autocorr", "--out-dir", str(tmp_path), "--points", "1"]) == 2

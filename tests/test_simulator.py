@@ -356,18 +356,18 @@ class TestExtract:
         hx, hy, hxy = (extract(v, 100, 3) for v in (x, y, x ^ y))
         assert np.array_equal(hx ^ hy, hxy)
 
-    def test_fft_path_matches_direct(self):
-        rng = np.random.default_rng(37)
-        x = rng.integers(0, 2, 3000, dtype=np.uint8)
-        direct = extract(x, 1300, 41)       # 3.9e6 products: direct path
+    def test_fft_path_matches_direct(self, monkeypatch):
         from siqrng import simulator
-        old = simulator._DIRECT_CONV_LIMIT
-        simulator._DIRECT_CONV_LIMIT = 1
-        try:
-            fft = extract(x, 1300, 41)
-        finally:
-            simulator._DIRECT_CONV_LIMIT = old
-        assert np.array_equal(direct, fft)
+        rng = np.random.default_rng(37)
+        # 3.9e6 products take the direct path by default, 5e6 the FFT path
+        assert 3000 * 1300 <= simulator._DIRECT_CONV_LIMIT < 5000 * 1000
+        for n, out_len in [(3000, 1300), (5000, 1000)]:
+            x = rng.integers(0, 2, n, dtype=np.uint8)
+            monkeypatch.setattr(simulator, "_DIRECT_CONV_LIMIT", n * out_len)
+            direct = extract(x, out_len, 41)
+            monkeypatch.setattr(simulator, "_DIRECT_CONV_LIMIT", 1)
+            fft = extract(x, out_len, 41)
+            assert np.array_equal(direct, fft)
 
     def test_extracted_stream_passes_null_tests(self):
         cfg = make_config(pulses=1_500_000, nu=10.0, seed=43)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from siqrng import (
     poisson_distribution,
     vacuum_probability,
 )
-from siqrng.source_monitor import clipped_interval
+from siqrng.source_monitor import clipped_interval, default_poisson_truncation
 
 
 def total_variation(a: PhotonDistribution, b: PhotonDistribution) -> float:
@@ -70,6 +71,28 @@ class TestPoisson:
     def test_rejects_negative_mean(self):
         with pytest.raises(ParameterError):
             poisson_distribution(-1.0)
+
+    @staticmethod
+    def scipy_stats_poisson(nu, n_max):
+        """Reference: the body of poisson_distribution through scipy.stats."""
+        from scipy import stats
+        n = np.arange(n_max + 1)
+        probs = stats.poisson.pmf(n, nu)
+        tail = float(stats.poisson.sf(n_max, nu))
+        drift = 1.0 - math.fsum(probs.tolist()) - tail
+        return probs, max(0.0, tail + drift)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 50.0]), st.floats(0.0, 1e3)),
+           n_max=st.one_of(st.none(), st.integers(0, 40)))
+    def test_matches_scipy_stats_poisson(self, nu, n_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)    # short truncations
+            d = poisson_distribution(nu, n_max)
+        probs, tail = self.scipy_stats_poisson(
+            nu, default_poisson_truncation(nu) if n_max is None else n_max)
+        assert np.array_equal(d.probs, probs)
+        assert d.tail_mass == tail
 
 
 class TestBernoulliTransform:
