@@ -477,12 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None,
                        help="Monte Carlo worker threads (default: "
                             "SIQRNG_THREADS or 1)")
-        p.add_argument("--points", type=int, default=None)
         if name == "autocorr":
             p.add_argument("--mc", action="store_true", default=None,
                            help="add Monte Carlo columns")
         for key in defaults:
-            if key in ("points", "seed", "mc"):
+            if key in ("seed", "mc"):
                 continue
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            type=_FLAG_TYPES[key], default=None)
@@ -507,8 +506,6 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if getattr(args, "points", None) is not None:
-        config["points"] = args.points
     if getattr(args, "seed", None) is not None and "seed" in config:
         config["seed"] = args.seed
     return config

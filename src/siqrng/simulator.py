@@ -235,42 +235,97 @@ def _coefficient_array(spec: AfterpulseSpec) -> np.ndarray:
     return coeffs
 
 
+def _survival_floor(coeffs: np.ndarray) -> float:
+    """P_all: every ``1 - c_j`` multiplied in one after another in
+    ascending-lag order, the order :func:`_afterpulse_pass` uses."""
+    return math.prod((1.0 - coeffs).tolist())
+
+
 def _afterpulse_pass(base: np.ndarray, u_ap: np.ndarray, coeffs: np.ndarray,
-                     carry: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     carry: np.ndarray,
+                     p_all: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve afterpulse-induced fires within one chunk.
 
     ``base`` holds signal/dark fires, ``carry`` the final fires of the
-    previous ``len(coeffs)`` windows.  Fires only ever propagate forward, so
+    previous ``len(coeffs)`` windows and ``p_all`` is
+    ``_survival_floor(coeffs)``.  Fires only ever propagate forward, so
     iterating the hazard to its (unique) fixed point reproduces the sequential
-    evaluation exactly.
+    evaluation exactly.  A window afterpulses where ``u_ap < 1 - survive``,
+    ``survive`` being the product of ``1 - c_j`` over the lags j at which it
+    sees a fire, taken in ascending-lag order.
 
-    Each iteration scatters ``1 - c_j`` from the fired windows only, so it
-    costs O(chunk + depth * fires) instead of O(depth * chunk).  Every window
-    still takes its factors in ascending-lag order, and each factor skipped
-    is an exact 1.0, so ``survive`` is bit-identical to the product over all
-    ``depth`` lags of every window.
+    Candidates.  Only windows with ``u_ap < 1 - p_all`` can afterpulse.  Every
+    factor ``f_j = fl(1 - c_j)`` lies in [0, 1], rounded multiplication is
+    monotone in each operand, and ``fl(x * f) <= x`` for x >= 0, f <= 1.  So,
+    by induction over the lags, a window's running product over its fired lags
+    never falls below the running product over all lags: ``survive >= p_all``.
+    ``fl(1 - s)`` is non-increasing in s, so ``u_ap < 1 - survive`` implies
+    ``u_ap < 1 - p_all``.  Every other window keeps ``ap`` False whatever
+    fires.
+
+    Rounds.  Window w sees the positions w .. w + m - 1 of ``carry + fires``,
+    position p at lag w + m - p.  The fired positions' ranks bound each
+    candidate's fires in reach (two ``searchsorted`` calls), and round k
+    multiplies in the factor of each candidate's k-th smallest fired lag.  The
+    factors meet in ascending-lag order and the lags without a fire contribute
+    an exact 1.0, so ``survive``, and with it fires, ``ap`` and carry, are
+    bit-identical to the product over every lag of every window.
+
+    Iterations.  Fires only grow from one iteration to the next, and by the
+    argument above a product over more fired lags is no larger, so a
+    candidate that afterpulses keeps doing so.  Later iterations therefore
+    recompute only the candidates that have not afterpulsed yet, and shift
+    their ranks by the number of new fires below them.
+
+    Cost and memory.  An iteration costs O(chunk + candidates * (log chunk +
+    fires in reach)); the candidates' fires in reach never outnumber the
+    depth * fires factors that scattering every fire into every window it
+    reaches would multiply.  Memory is O(chunk + depth): a few arrays of at
+    most one entry per window, no (candidate x fire) matrix.
     """
     m = coeffs.size
     n = base.size
     if m == 0:
         return base.copy(), np.zeros(n, dtype=bool), carry
-    lags = np.arange(1, m + 1)
-    factors = (1.0 - coeffs).tolist()
+    factors = 1.0 - coeffs
+    cand = np.flatnonzero(u_ap < 1.0 - p_all)
+    # Candidate w sees positions w .. w + m - 1 of carry + fires; its factor
+    # for position p is factors[w + m - 1 - p].
+    reach = cand + (m - 1)
     fires = base.copy()
-    while True:
-        # Position p of carry + fires reaches window p + j - m at lag j.
-        fired = np.flatnonzero(np.concatenate((carry, fires)))
-        lo, hi = np.searchsorted(fired, (m - lags, n + m - lags)).tolist()
-        survive = np.ones(n)
-        for shift, f, a, b in zip(range(1 - m, 1), factors, lo, hi):
-            if f != 1.0 and a < b:
-                # Windows hit at one lag are distinct, so the fancy *= is exact.
-                survive[fired[a:b] + shift] *= f
-        ap = u_ap < (1.0 - survive)
-        new = base | ap
-        if np.array_equal(new, fires):
+    ap = np.zeros(n, dtype=bool)
+    fired = np.flatnonzero(np.concatenate((carry, fires)))
+    first = np.searchsorted(fired, cand)
+    top = np.searchsorted(fired, reach, side="right")
+    while cand.size:
+        # Order the candidates by fires in reach, most first, so that each
+        # round's candidates are a prefix; round k takes fired[top - 1 - k],
+        # the k-th smallest lag.
+        count = top - first
+        order = np.argsort(-count)
+        prefix = np.searchsorted(-count[order], -np.arange(count.max()))
+        pos = top[order] - 1
+        at = reach[order]
+        survive = np.ones(cand.size)
+        index = np.empty(cand.size, dtype=np.intp)
+        f = np.empty(cand.size)
+        for k in prefix.tolist():
+            np.subtract(at[:k], fired[pos[:k]], out=index[:k])
+            np.take(factors, index[:k], out=f[:k])
+            survive[:k] *= f[:k]
+            pos[:k] -= 1
+        hit = np.empty(cand.size, dtype=bool)
+        hit[order] = u_ap[cand[order]] < (1.0 - survive)
+        ap[cand[hit]] = True
+        added = cand[hit & ~fires[cand]]
+        if added.size == 0:
             break
-        fires = new
+        fires[added] = True
+        cand, reach, first, top = cand[~hit], reach[~hit], first[~hit], top[~hit]
+        added += m
+        fired = np.flatnonzero(np.concatenate((carry, fires)))
+        first += np.searchsorted(added, cand)
+        top += np.searchsorted(added, reach, side="right")
     new_carry = np.concatenate((carry, fires))[-m:]
     return fires, ap, new_carry
 
@@ -283,8 +338,9 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     u_photon = _stream(seed, STREAM_PHOTON, chunk).random(count)
     d["n_z"] = np.minimum(np.searchsorted(cdf_z, u_photon, side="right"),
                           cdf_z.size - 1)
-    d["n_x"] = np.minimum(np.searchsorted(cdf_x, u_photon, side="right"),
-                          cdf_x.size - 1)
+    d["n_x"] = (d["n_z"] if cdf_x is cdf_z
+                else np.minimum(np.searchsorted(cdf_x, u_photon, side="right"),
+                                cdf_x.size - 1))
     d["n_split"] = _stream(seed, STREAM_SPLIT, chunk).binomial(d["n_z"], 0.5)
     d["n_flip"] = _stream(seed, STREAM_FLIP, chunk).binomial(
         d["n_x"], config.misalignment)
@@ -294,6 +350,12 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     d["fill"] = _stream(seed, STREAM_FILL, chunk).integers(
         0, 2, size=count, dtype=np.uint8)
     return d
+
+
+def _photon_cdf(source: PhotonDistribution, transmittance: float) -> np.ndarray:
+    dist = (source if transmittance == 1.0
+            else bernoulli_transform(source, transmittance))
+    return np.cumsum(dist.probs)
 
 
 def _click_prob(eta: float, photons: np.ndarray) -> np.ndarray:
@@ -313,15 +375,13 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
     if seed is None:
         seed = config.seed
     dets = (config.det_0, config.det_1, config.det_plus, config.det_minus)
-    coeffs = [_coefficient_array(det.afterpulse) for det in dets]
-    carries = [np.zeros(c.size, dtype=bool) for c in coeffs]
+    coeffs = {spec: _coefficient_array(spec) for spec in {det.afterpulse for det in dets}}
+    p_all = {spec: _survival_floor(c) for spec, c in coeffs.items()}
+    carries = [np.zeros(coeffs[det.afterpulse].size, dtype=bool) for det in dets]
 
-    dist_z = (config.source if config.t_z == 1.0
-              else bernoulli_transform(config.source, config.t_z))
-    dist_x = (config.source if config.t_x == 1.0
-              else bernoulli_transform(config.source, config.t_x))
-    cdf_z = np.cumsum(dist_z.probs)
-    cdf_x = np.cumsum(dist_x.probs)
+    cdf_z = _photon_cdf(config.source, config.t_z)
+    cdf_x = (cdf_z if config.t_x == config.t_z
+             else _photon_cdf(config.source, config.t_x))
 
     n_pulses = config.pulses
     chunk_size = config.chunk_size
@@ -371,8 +431,9 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
             for k, det in enumerate(dets):
                 signal = d["u_signal"][k] < _click_prob(det.efficiency, photons[k])
                 base = signal | (d["u_dark"][k] < det.dark_rate)
+                spec = det.afterpulse
                 fired, ap, carries[k] = _afterpulse_pass(
-                    base, d["u_ap"][k], coeffs[k], carries[k])
+                    base, d["u_ap"][k], coeffs[spec], carries[k], p_all[spec])
                 fires.append(fired)
                 aps.append(ap)
 

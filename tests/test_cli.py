@@ -345,6 +345,15 @@ class TestConfigHandling:
         assert manifest["config"]["nu"] == 2.0
         assert manifest["config"]["points"] == 3    # flag wins
 
+    def test_points_flag_only_where_the_command_has_points(self, tmp_path, capsys):
+        # simulate has no points setting; the flag used to change its hash
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--pulses", "2000", "--points", "5", "--out-dir",
+                 str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --points 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

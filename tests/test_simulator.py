@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,11 +86,47 @@ class TestDeterminism:
             assert np.array_equal(runs[0].bits.window_index, other.bits.window_index)
             assert runs[0].eq_empirical == other.eq_empirical
 
+    def test_shared_photon_search_matches_separate_searches(self, monkeypatch):
+        cfg = make_config(pulses=5000, nu=5.0, x_fraction=0.3, misalignment=0.05)
+        got = simulate(cfg)
+        draws = simulator._chunk_draws
+        monkeypatch.setattr(simulator, "_chunk_draws",
+                            lambda config, seed, chunk, count, cdf_z, cdf_x:
+                            draws(config, seed, chunk, count, cdf_z, cdf_x.copy()))
+        want = simulate(cfg)
+        for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
+            assert np.array_equal(getattr(got.clicks, col), getattr(want.clicks, col))
+        assert got.eq_empirical == want.eq_empirical
+
+    def test_coefficients_built_once_per_distinct_spec(self, monkeypatch):
+        calls = []
+        coefficient = AfterpulseSpec.coefficient
+        monkeypatch.setattr(AfterpulseSpec, "coefficient",
+                            lambda spec, lag: calls.append(lag) or coefficient(spec, lag))
+        spec = AfterpulseSpec.exponential_from_rate(0.05, 0.01, 30)
+        simulate(make_config(pulses=100, spec=spec))
+        assert len(calls) == 30                  # four detectors, one spec
+
     def test_seed_changes_output(self):
         cfg_a = make_config(seed=1, pulses=20_000)
         cfg_b = make_config(seed=2, pulses=20_000)
         assert not np.array_equal(simulate(cfg_a).clicks.d0,
                                   simulate(cfg_b).clicks.d0)
+
+
+def dense_survive(fires, coeffs, carry):
+    """Reference: each window's product of 1 - c_j over its fired lags, every
+    lag of every window in ascending-lag order."""
+    m = coeffs.size
+    n = fires.size
+    ext = np.concatenate((carry, fires))
+    survive = np.ones(n)
+    for j in range(1, m + 1):
+        c = coeffs[j - 1]
+        if c != 0.0:
+            fired = ext[m - j:m - j + n]
+            survive *= np.where(fired, 1.0 - c, 1.0)
+    return survive
 
 
 def dense_afterpulse_pass(base, u_ap, coeffs, carry):
@@ -100,13 +137,34 @@ def dense_afterpulse_pass(base, u_ap, coeffs, carry):
         return base.copy(), np.zeros(n, dtype=bool), carry
     fires = base.copy()
     while True:
-        ext = np.concatenate((carry, fires))
+        ap = u_ap < (1.0 - dense_survive(fires, coeffs, carry))
+        new = base | ap
+        if np.array_equal(new, fires):
+            break
+        fires = new
+    new_carry = np.concatenate((carry, fires))[-m:]
+    return fires, ap, new_carry
+
+
+def scatter_afterpulse_pass(base, u_ap, coeffs, carry):
+    """Reference: the pass scattering each lag's factor from every fire into
+    the windows it reaches, at O(chunk + depth * fires) per iteration."""
+    m = coeffs.size
+    n = base.size
+    if m == 0:
+        return base.copy(), np.zeros(n, dtype=bool), carry
+    lags = np.arange(1, m + 1)
+    factors = (1.0 - coeffs).tolist()
+    fires = base.copy()
+    while True:
+        # Position p of carry + fires reaches window p + j - m at lag j.
+        fired = np.flatnonzero(np.concatenate((carry, fires)))
+        lo, hi = np.searchsorted(fired, (m - lags, n + m - lags)).tolist()
         survive = np.ones(n)
-        for j in range(1, m + 1):
-            c = coeffs[j - 1]
-            if c != 0.0:
-                fired = ext[m - j:m - j + n]
-                survive *= np.where(fired, 1.0 - c, 1.0)
+        for shift, f, a, b in zip(range(1 - m, 1), factors, lo, hi):
+            if f != 1.0 and a < b:
+                # Windows hit at one lag are distinct, so the fancy *= is exact.
+                survive[fired[a:b] + shift] *= f
         ap = u_ap < (1.0 - survive)
         new = base | ap
         if np.array_equal(new, fires):
@@ -116,40 +174,91 @@ def dense_afterpulse_pass(base, u_ap, coeffs, carry):
     return fires, ap, new_carry
 
 
+def new_afterpulse_pass(base, u_ap, coeffs, carry):
+    return simulator._afterpulse_pass(base, u_ap, coeffs, carry,
+                                      simulator._survival_floor(coeffs))
+
+
+_TINY = 2.0**-53
+
+
 @st.composite
 def afterpulse_pass_cases(draw):
     """Coefficient tables with zeros inside and a nonzero last entry, depths
-    1..300, chunks 1..500 (often shorter than the depth), any fire density."""
+    1..300, chunks 1..500 (often shorter than the depth), any fire density.
+    Coefficients reach just below 1 and below 2**-53, where 1 - c rounds to
+    1.0 or to 1 - 2**-53; densities reach 1; some draws sit at 1 - P_all and
+    one ulp either side of it."""
     depth = draw(st.integers(1, 300))
     n = draw(st.integers(1, 500))
-    base_density = draw(st.floats(0.0, 1.0))
-    carry_density = draw(st.floats(0.0, 1.0))
+    base_density = draw(st.floats(0.0, 1.0) | st.floats(0.95, 1.0))
+    carry_density = draw(st.floats(0.0, 1.0) | st.floats(0.95, 1.0))
     zero_share = draw(st.floats(0.0, 0.9))
-    scale = draw(st.floats(1e-4, 0.5))
+    tiny_share = draw(st.floats(0.0, 0.9))
+    scale = draw(st.floats(1e-4, 0.5) | st.floats(0.5, 1.0, exclude_max=True))
+    edge_share = draw(st.floats(0.0, 0.5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = scale * rng.random(depth)
+    coeffs[rng.random(depth) < tiny_share] = _TINY * rng.random()
     coeffs[rng.random(depth) < zero_share] = 0.0
-    coeffs[-1] = scale
+    coeffs[-1] = draw(st.sampled_from([scale, _TINY, _TINY / 2, _TINY / 4]))
     base = rng.random(n) < base_density
     carry = rng.random(depth) < carry_density
-    return base, rng.random(n), coeffs, carry
+    u_ap = rng.random(n)
+    edge = 1.0 - simulator._survival_floor(coeffs)
+    near = [v for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)) if v < 1.0]
+    at_edge = rng.random(n) < edge_share
+    u_ap[at_edge] = rng.choice(near, size=int(at_edge.sum()))
+    return base, u_ap, coeffs, carry
 
 
 class TestAfterpulsePass:
     @settings(max_examples=300, deadline=None)
     @given(afterpulse_pass_cases())
     def test_matches_dense_product(self, case):
-        got = simulator._afterpulse_pass(*case)
+        """Fires, ap flags and carry equal both references; then again with
+        every draw tied to the reference's 1 - survive (one ulp below it
+        where a window afterpulses), which keeps the reference's fixed point
+        and flips on any survive that differs from it in the last bit."""
+        base, u_ap, coeffs, carry = case
         want = dense_afterpulse_pass(*case)
-        for g, w in zip(got, want):          # fires, ap flags, carry
+        for got in (new_afterpulse_pass(*case), scatter_afterpulse_pass(*case)):
+            for g, w in zip(got, want):          # fires, ap flags, carry
+                assert np.array_equal(g, w)
+        tie = 1.0 - dense_survive(want[0], coeffs, carry)
+        tied = np.where(want[1], np.nextafter(tie, 0.0), tie)
+        tied_case = (base, tied, coeffs, carry)
+        for g, w in zip(new_afterpulse_pass(*tied_case), want):
             assert np.array_equal(g, w)
+
+    def test_peak_memory_is_linear_in_the_chunk(self):
+        """Depth 1000, fire density 0.9, about 30% candidates: a (candidate x
+        fire) matrix would hold about 270 doubles per window."""
+        n, depth = 1 << 16, 1000
+        rng = np.random.default_rng(5)
+        coeffs = np.full(depth, 0.357 / depth)
+        base = rng.random(n) < 0.9
+        u_ap = rng.random(n)
+        carry = rng.random(depth) < 0.9
+        p_all = simulator._survival_floor(coeffs)
+        assert 0.25 < np.mean(u_ap < 1.0 - p_all) < 0.35
+        tracemalloc.start()
+        try:
+            got = simulator._afterpulse_pass(base, u_ap, coeffs, carry, p_all)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[1].any()
+        assert peak < 8 * u_ap.nbytes
 
     def test_simulate_with_chunks_shorter_than_depth(self, monkeypatch):
         spec = AfterpulseSpec.exponential_from_rate(0.3, 0.01, 200)
         cfg = make_config(pulses=2000, nu=5.0, spec=spec, x_fraction=0.2,
                           misalignment=0.02, chunk_size=64)
         got = simulate(cfg)
-        monkeypatch.setattr(simulator, "_afterpulse_pass", dense_afterpulse_pass)
+        monkeypatch.setattr(simulator, "_afterpulse_pass",
+                            lambda base, u_ap, coeffs, carry, p_all:
+                            dense_afterpulse_pass(base, u_ap, coeffs, carry))
         want = simulate(cfg)
         assert got.clicks.ap0.any() and got.clicks.ap1.any()
         for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
