@@ -472,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} command")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with configuration values")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", type=str, default=".")
         p.add_argument("--threads", type=int, default=None,
                        help="Monte Carlo worker threads (default: "
@@ -481,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mc", action="store_true", default=None,
                            help="add Monte Carlo columns")
         for key in defaults:
-            if key in ("seed", "mc"):
+            if key == "mc":
                 continue
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            type=_FLAG_TYPES[key], default=None)
@@ -506,8 +505,6 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if getattr(args, "seed", None) is not None and "seed" in config:
-        config["seed"] = args.seed
     return config
 
 

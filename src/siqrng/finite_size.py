@@ -92,15 +92,16 @@ class SecurityParams:
 # Deviation bounds
 
 
-def _bernoulli_kl_bits(x: float, y: float) -> float:
-    """Relative entropy D(x||y) of Bernoulli parameters, in bits."""
+def _bernoulli_kl_bits(x: float, y: float, y_comp: float) -> float:
+    """Relative entropy D(x||y) of Bernoulli parameters, in bits; ``y_comp``
+    is 1 - y."""
     if x == y:
         return 0.0
     acc = 0.0
     if x > 0.0:
         acc += x * math.log1p((x - y) / y)
     if x < 1.0:
-        acc += (1.0 - x) * math.log1p((y - x) / (1.0 - y))
+        acc += (1.0 - x) * math.log1p((y - x) / y_comp)
     return acc / math.log(2.0)
 
 
@@ -113,8 +114,12 @@ def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
     """
     mixed = eq + (1.0 - q_x) * theta
     tested = eq + theta
-    return (q_x * _bernoulli_kl_bits(eq, mixed)
-            + (1.0 - q_x) * _bernoulli_kl_bits(tested, mixed))
+    mixed_comp = 1.0 - mixed
+    if mixed_comp == 0.0:
+        # m rounded to 1; (1 - EQ - theta) + q_x theta does not round m first
+        mixed_comp = (1.0 - eq - theta) + q_x * theta
+    return (q_x * _bernoulli_kl_bits(eq, mixed, mixed_comp)
+            + (1.0 - q_x) * _bernoulli_kl_bits(tested, mixed, mixed_comp))
 
 
 def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float) -> float:

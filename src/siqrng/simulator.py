@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy import fft as _fft
 
 from .detector_model import AfterpulseSpec, DetectorParams
 from .errors import DegenerateError, ParameterError
@@ -511,6 +510,20 @@ def z_window_bits(clicks: ClickRecords) -> Tuple[np.ndarray, np.ndarray]:
 _DIRECT_CONV_LIMIT = 1 << 22  # n*output_len above this switches to FFT
 
 
+def _next_5_smooth(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the padded length scipy.fft.next_fast_len
+    gives real transforms."""
+    best = 1 << (max(n, 1) - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
     """Two-universal Toeplitz hash of a bit sequence.
 
@@ -539,12 +552,13 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
     if n * output_len <= _DIRECT_CONV_LIMIT:
         conv = np.convolve(x.astype(np.int64), r.astype(np.int64))
     else:
-        # The real FFTs that scipy.signal.fftconvolve makes, at the same
-        # padded length, without importing scipy.signal.
+        # Real FFTs at the padded length scipy.signal.fftconvolve uses.  The
+        # exact convolution is integer, so rint recovers it whenever the
+        # float error stays below 1/2; the check below keeps it under 0.1.
         size = n + r.size - 1
-        fast = _fft.next_fast_len(size, True)
-        conv_f = _fft.irfft(_fft.rfft(x.astype(float), fast) * _fft.rfft(r.astype(float), fast),
-                            fast)[:size]
+        fast = _next_5_smooth(size)
+        conv_f = np.fft.irfft(np.fft.rfft(x.astype(float), fast)
+                              * np.fft.rfft(r.astype(float), fast), fast)[:size]
         conv = np.rint(conv_f).astype(np.int64)
         if float(np.max(np.abs(conv_f - conv))) > 0.1:
             raise ArithmeticError("FFT convolution lost integer precision")

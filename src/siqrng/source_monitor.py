@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError
 
@@ -23,6 +22,14 @@ _SUM_TOL = 1e-12
 # Rows of the power matrix per block in vacuum_probability: 256 rows of
 # 551 photon numbers (nu = 50) are about 1.1 MB.
 _POWER_ROWS = 256
+# Cephes lgam, the code behind scipy.special.gammaln: its coefficients for
+# 13 <= x < 1000 (highest power first) and log(sqrt(2 pi)).
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LS2PI = 0.91893853320467274178
+# log 2^-110 less a margin of 1 for the rounding of the log-space bound.
+_LOG_TAIL_ABSORBED = -110.0 * math.log(2.0) - 1.0
 
 
 @dataclass(frozen=True)
@@ -61,8 +68,78 @@ def default_poisson_truncation(nu: float) -> int:
     return int(math.ceil(10.0 * nu + 50.0))
 
 
+def _lgamma_int(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) for a float array of positive integers, bit for bit as
+    ``scipy.special.gammaln``.
+
+    A port of Cephes ``lgam`` restricted to integers: below 13 the log of
+    the exact product (x-1)!; from 13 on Stirling's series
+    (x - 1/2) log x - x + log sqrt(2 pi), corrected by ``polevl(1/x^2, A, 4)/x``
+    below 1000, by the three-term series up to 1e8 and not at all above.
+    Every ``log`` is ``math.log`` (the C library's, as in Cephes), one call
+    per element, since ``np.log`` differs from it in the last bit on some
+    inputs; the rest is the same float operations in the same order.
+    """
+    out = np.empty(x.shape)
+    small = x < 13.0
+    out[small] = [math.log(math.factorial(int(v) - 1)) for v in x[small].tolist()]
+    big = x[~small]
+    log_big = np.fromiter(map(math.log, big.tolist()), float, count=big.size)
+    q = (big - 0.5) * log_big - big + _LS2PI
+    p = 1.0 / (big * big)
+    corr = np.zeros(big.shape)
+    mid = big < 1000.0
+    p_mid = p[mid]
+    poly = np.full(p_mid.shape, _LGAM_A[0])
+    for coef in _LGAM_A[1:]:
+        poly = poly * p_mid + coef
+    corr[mid] = poly / big[mid]
+    series = (big >= 1000.0) & (big <= 1e8)
+    ps = p[series]
+    corr[series] = ((7.9365079365079365079365e-4 * ps - 2.7777777777777777777778e-3) * ps
+                    + 0.0833333333333333333333) / big[series]
+    out[~small] = q + corr
+    return out
+
+
+def _tail_absorbed(nu: float, m: int) -> bool:
+    """Whether P(N >= m) of a Poisson(nu) count is certainly below 2^-110.
+
+    Chernoff: P(N >= m) <= e^-nu (e nu / m)^m for m > nu, compared in log
+    space with a margin of 1 (e-fold) for the rounding of the log-space
+    expression, whose terms stay far below 2^50 for any array that fits in
+    memory.  At ``default_poisson_truncation`` (m >= 10 nu + 51) the bound is
+    below 2^-260 for every nu, so only an explicit short ``n_max`` fails it.
+    """
+    if nu == 0.0:
+        return True
+    if m <= nu:
+        return False
+    return -nu + m * (1.0 + math.log(nu) - math.log(m)) < _LOG_TAIL_ABSORBED
+
+
 def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistribution:
-    """Truncated Poisson distribution of mean ``nu`` with exact tail tracking."""
+    """Truncated Poisson distribution of mean ``nu`` with exact tail tracking.
+
+    ``probs`` is exp(n log nu - lgamma(n+1) - nu), the expression
+    ``scipy.stats.poisson.pmf`` evaluates (``xlogy`` and ``gammaln``), bit for
+    bit and without SciPy: the bytes of ``probs`` enter ``config_hash``.
+
+    The tail mass is the Poisson tail P(N > n_max) plus the pmf's rounding
+    drift, max(0, t + ((1 - s) - t)) with s = fsum(probs) and t the tail.
+    Where the tail is certainly below 2^-110 (:func:`_tail_absorbed`), that
+    expression equals max(0, 1 - s) for any t in [0, 2^-107), so t is never
+    computed.  Proof: s lies within far less than 1/2 of 1, so by Sterbenz's
+    lemma d = 1 - s is exact, and since s >= 1/2 is a multiple of 2^-53, so
+    is d: either d = 0 or |d| >= 2^-53.  If d = 0, (0 - t) + t = 0 exactly.
+    Otherwise the floats next to d on either side are at least |d| 2^-53 >=
+    2^-106 away, more than twice t, so d - t rounds to d and t + d rounds to
+    d.  A computed tail below 2^-107 only needs SciPy's ``pdtrc`` to be
+    within a factor 8 e of the bound, and it is accurate to a few ulps.
+    Elsewhere (an explicit short ``n_max``) ``scipy.special.pdtrc`` gives t;
+    it is imported only there, as ``bernoulli_transform`` imports
+    ``scipy.stats``, to keep SciPy out of start-up.
+    """
     if nu < 0.0:
         raise ParameterError(f"mean photon number must be >= 0, got {nu}")
     if n_max is None:
@@ -70,9 +147,17 @@ def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistri
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0, got {n_max}")
     n = np.arange(n_max + 1)
-    # The ufuncs behind scipy.stats.poisson.pmf and .sf, without importing
-    # scipy.stats: the bytes of probs enter config_hash.
-    probs = np.exp(special.xlogy(n, nu) - special.gammaln(n + 1) - nu)
+    if nu == 0.0:
+        xlogy = np.full(n.size, -np.inf)
+    else:
+        xlogy = n * math.log(nu)
+    xlogy[0] = 0.0
+    probs = np.exp(xlogy - _lgamma_int(n + 1.0) - nu)
+    total = math.fsum(probs.tolist())
+    if _tail_absorbed(nu, n_max + 1):
+        return PhotonDistribution(probs=probs, tail_mass=max(0.0, 1.0 - total))
+    from scipy import special
+
     tail = float(special.pdtrc(n_max, nu))
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(
@@ -81,9 +166,8 @@ def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistri
             stacklevel=2,
         )
     # absorb the rounding drift of the pmf into the tail
-    drift = 1.0 - math.fsum(probs.tolist()) - tail
-    tail = max(0.0, tail + drift)
-    return PhotonDistribution(probs=probs, tail_mass=tail)
+    drift = 1.0 - total - tail
+    return PhotonDistribution(probs=probs, tail_mass=max(0.0, tail + drift))
 
 
 def bernoulli_transform(dist: PhotonDistribution, xi: float) -> PhotonDistribution:

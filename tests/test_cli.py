@@ -354,6 +354,17 @@ class TestConfigHandling:
         assert "unrecognized arguments: --points 5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["hmin", "rates", "finite-sampling"])
+    def test_seed_flag_only_where_the_command_has_a_seed(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--points", "3", "--seed", "5", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # every command keeps --threads
+        assert run([command, "--points", "3", "--threads", "1", "--out-dir",
+                    str(tmp_path)]) == 0
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -392,6 +403,23 @@ class TestConfigHandling:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True, timeout=60, env=env)
         assert done.stdout == "[]\n"
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        code = ("import sys, siqrng.cli\n"
+                "for argv in sys.argv[2:]:\n"
+                "    assert siqrng.cli.main([*argv.split(), '--out-dir', sys.argv[1]]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # about 9,300 raw bits at 100,000 pulses: extraction takes the FFT path
+        argvs = ["rates", "hmin", "finite-sampling", "simulate --pulses 100000"]
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *argvs],
+                              capture_output=True, text=True, check=True, timeout=120,
+                              env=env)
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_invalid_parameter_exit_code(self, tmp_path):
         assert run(["autocorr", "--out-dir", str(tmp_path), "--points", "1"]) == 2

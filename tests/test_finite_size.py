@@ -122,6 +122,14 @@ class TestThetaRandomSampling:
         assert random_sampling_epsilon(0.1, 0.02, 1e10, 0.9) == 0.0
         assert random_sampling_epsilon(0.1, 0.02, 1.0, 0.9) > 0.0
 
+    def test_epsilon_where_the_mixture_point_rounds_to_one(self):
+        # EQ + theta = 1 and q_x theta is below half an ulp of 1, so
+        # m = EQ + (1 - q_x) theta rounds to 1.  n_x zeta is about 5e-17, so
+        # eps is the prefactor (q_x (1 - q_x) EQ (1 - EQ) N)^(-1/2)
+        eps = random_sampling_epsilon(0.25, 1e-20, 1e22, 0.75)
+        assert math.isfinite(eps)
+        assert eps == pytest.approx(18.75**-0.5, rel=1e-15)
+
 
 def plain_bisection_theta(eq, q_x, n_total, eps_e):
     """Reference: the bisection that evaluates excess at every midpoint."""

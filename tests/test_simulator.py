@@ -478,6 +478,33 @@ class TestExtract:
             fft = extract(x, out_len, 41)
             assert np.array_equal(direct, fft)
 
+    @staticmethod
+    def scipy_fft_extract(x, out_len, seed):
+        """Reference: the FFT path through scipy.fft, as scipy.signal.fftconvolve
+        pads it."""
+        from scipy import fft
+        from siqrng.simulator import STREAM_EXTRACTOR, _stream
+        n = x.size
+        r = _stream(seed, STREAM_EXTRACTOR, 0).integers(0, 2, n + out_len - 1,
+                                                        dtype=np.uint8)
+        size = n + r.size - 1
+        fast = fft.next_fast_len(size, True)
+        conv = fft.irfft(fft.rfft(x.astype(float), fast) * fft.rfft(r.astype(float), fast),
+                         fast)[:size]
+        return (np.rint(conv).astype(np.int64)[n - 1:n - 1 + out_len] & 1).astype(np.uint8)
+
+    @pytest.mark.parametrize("n, out_len", [(2048, 2048), (2049, 2048), (4097, 1024),
+                                            (30_011, 7_001), (400_000, 200_000)])
+    def test_matches_scipy_fft_reference(self, n, out_len):
+        x = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        assert np.array_equal(extract(x, out_len, 53), self.scipy_fft_extract(x, out_len, 53))
+
+    def test_padded_length_is_scipy_next_fast_len(self):
+        from scipy import fft
+        rng = np.random.default_rng(59)
+        for n in [*range(1, 20_000), *rng.integers(1, 10**9, 2000).tolist()]:
+            assert simulator._next_5_smooth(n) == fft.next_fast_len(n, True), n
+
     def test_extracted_stream_passes_null_tests(self):
         cfg = make_config(pulses=1_500_000, nu=10.0, seed=43)
         result = simulate(cfg)

@@ -16,7 +16,7 @@ from siqrng import (
     poisson_distribution,
     vacuum_probability,
 )
-from siqrng.source_monitor import clipped_interval, default_poisson_truncation
+from siqrng.source_monitor import _lgamma_int, clipped_interval, default_poisson_truncation
 
 
 def total_variation(a: PhotonDistribution, b: PhotonDistribution) -> float:
@@ -93,6 +93,27 @@ class TestPoisson:
             nu, default_poisson_truncation(nu) if n_max is None else n_max)
         assert np.array_equal(d.probs, probs)
         assert d.tail_mass == tail
+
+
+class TestPoissonWithoutScipy:
+    """The start-up path of poisson_distribution, with SciPy as reference."""
+
+    def test_lgamma_int_bit_identical_to_gammaln(self):
+        from scipy import special
+        for x in (np.arange(1.0, 2_000_002.0), np.array([1e8, 1e8 + 1, 3e8, 1e12])):
+            assert np.array_equal(_lgamma_int(x).view(np.int64),
+                                  special.gammaln(x).view(np.int64))
+
+    @pytest.mark.parametrize("nu", [0.0, 5e-324, 1e-300,
+                                    *np.logspace(-12, 3, 61).tolist(), 0.7, 2.5, 49.9])
+    def test_tail_is_the_absorbed_drift_at_default_truncation(self, nu):
+        from scipy import special
+        d = poisson_distribution(nu)
+        total = math.fsum(d.probs.tolist())
+        assert d.tail_mass == max(0.0, 1.0 - total)
+        tail = float(special.pdtrc(d.n_max, nu))
+        assert tail < 2.0**-107
+        assert d.tail_mass == max(0.0, tail + (1.0 - total - tail))
 
 
 class TestBernoulliTransform:
