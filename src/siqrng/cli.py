@@ -158,10 +158,16 @@ class RunManifest:
 
 def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
                rows: Sequence[Sequence]) -> None:
+    """Write the comment line, ``header`` and ``rows``.  A row of floats
+    only is formatted by one %-template, which gives the bytes of
+    :func:`_fmt`; any other row goes cell by cell through :func:`_fmt`."""
     lines = [f"# siqrng csv={CSV_FORMAT_VERSION} command={command} manifest={manifest_hash}",
              header]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        if all(type(v) is float for v in row):
+            lines.append(",".join(["%.17g"] * len(row)) % tuple(row))
+        else:
+            lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -505,6 +511,10 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    # Flags and JSON (NaN, Infinity) both parse non-finite floats.
+    for key, value in config.items():
+        if _FLAG_TYPES[key] is float and not (-math.inf < value < math.inf):
+            raise ParameterError(f"config key {key!r} must be finite, got {value}")
     return config
 
 

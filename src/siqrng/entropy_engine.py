@@ -36,7 +36,7 @@ _LN2 = math.log(2.0)
 def _cellwise(fn, x):
     """``fn`` of every cell of ``x`` as a Python float, if ``x`` is an array."""
     if type(x) is not float and isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)
 
 

@@ -72,7 +72,8 @@ class SecurityParams:
     n_x: float = field(init=False)
 
     def __post_init__(self):
-        if self.total_pulses < 1:
+        # Written as not (x >= ...) so that NaN fails every range check.
+        if not (self.total_pulses >= 1):
             raise ParameterError(f"total_pulses must be >= 1, got {self.total_pulses}")
         if not (0.0 < self.x_fraction < 1.0):
             raise ParameterError(f"x_fraction must lie in (0, 1), got {self.x_fraction}")
@@ -80,29 +81,25 @@ class SecurityParams:
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ParameterError(f"{name} must lie in (0, 1), got {v}")
-        if self.t_e < 1:
+        if not (self.t_e >= 1):
             raise ParameterError(f"t_e must be >= 1, got {self.t_e}")
         if not (0.0 <= self.misalignment <= 1.0):
             raise ParameterError(f"misalignment must lie in [0, 1], got {self.misalignment}")
-        object.__setattr__(self, "n_x", self.x_fraction * self.total_pulses)
-        object.__setattr__(self, "n_z", self.total_pulses - self.n_x)
+        if not (self.z_rate >= 0.0):
+            raise ParameterError(f"z_rate must be >= 0, got {self.z_rate}")
+        n_x = self.x_fraction * self.total_pulses
+        n_z = self.total_pulses - n_x
+        # Both bases need a pulse: the entropy-inequality theta divides by each.
+        if not (n_x >= 1 and n_z >= 1):
+            raise ParameterError(
+                f"N = {self.total_pulses:.6g} and q_x = {self.x_fraction:.6g} leave "
+                f"n_x = {n_x:.6g} and n_z = {n_z:.6g} pulses; both must be >= 1")
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "n_z", n_z)
 
 
 # ---------------------------------------------------------------------------
 # Deviation bounds
-
-
-def _bernoulli_kl_bits(x: float, y: float, y_comp: float) -> float:
-    """Relative entropy D(x||y) of Bernoulli parameters, in bits; ``y_comp``
-    is 1 - y."""
-    if x == y:
-        return 0.0
-    acc = 0.0
-    if x > 0.0:
-        acc += x * math.log1p((x - y) / y)
-    if x < 1.0:
-        acc += (1.0 - x) * math.log1p((y - x) / y_comp)
-    return acc / math.log(2.0)
 
 
 def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
@@ -110,16 +107,26 @@ def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
 
     Evaluated as the cancellation-free mixture of relative entropies
     q_x D(EQ || m) + (1-q_x) D(EQ+theta || m) around m = EQ + (1-q_x) theta,
-    which is the same quantity exactly.  Callers keep EQ + theta <= 1.
+    which is the same quantity exactly, with
+    D(x || m) = x ln(1 + (x-m)/m) + (1-x) ln(1 + (m-x)/(1-m)) nats.  Callers
+    keep 0 < EQ and EQ + theta <= 1, so only D(EQ+theta || m) can meet x = 1.
     """
-    mixed = eq + (1.0 - q_x) * theta
+    p_x = 1.0 - q_x
+    mixed = eq + p_x * theta
     tested = eq + theta
     mixed_comp = 1.0 - mixed
     if mixed_comp == 0.0:
         # m rounded to 1; (1 - EQ - theta) + q_x theta does not round m first
         mixed_comp = (1.0 - eq - theta) + q_x * theta
-    return (q_x * _bernoulli_kl_bits(eq, mixed, mixed_comp)
-            + (1.0 - q_x) * _bernoulli_kl_bits(tested, mixed, mixed_comp))
+    d_eq = d_tested = 0.0
+    if eq != mixed:
+        d_eq = (eq * math.log1p((eq - mixed) / mixed)
+                + (1.0 - eq) * math.log1p((mixed - eq) / mixed_comp))
+    if tested != mixed:
+        d_tested = tested * math.log1p((tested - mixed) / mixed)
+        if tested < 1.0:
+            d_tested += (1.0 - tested) * math.log1p((mixed - tested) / mixed_comp)
+    return q_x * (d_eq / _LN2) + p_x * (d_tested / _LN2)
 
 
 def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float) -> float:
@@ -131,7 +138,7 @@ def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float)
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
     if not (0.0 < q_x < 1.0):
         raise ParameterError(f"q_x must lie in (0, 1), got {q_x}")
-    if n_total < 1:
+    if not (n_total >= 1):
         raise ParameterError(f"N must be >= 1, got {n_total}")
     if theta < 0.0:
         raise ParameterError(f"theta must be >= 0, got {theta}")
@@ -153,16 +160,17 @@ def _zeta_slope(eq: float, q_x: float, theta: float) -> float:
 
 
 def _excess_error_bound(eq: float, q_x: float, n_x: float, offset: float,
-                        theta: float, value: float) -> float:
+                        theta: float, slope: float, value: float) -> float:
     """The bound g(theta) of :func:`theta_random_sampling` on the float error
-    of excess(theta) = ``value``; ``offset`` is |log2_pref| + |log2_target|.
+    of excess(theta) = ``value``; ``offset`` is |log2_pref| + |log2_target|
+    and ``slope`` is :func:`_zeta_slope` at theta.
 
     Z is replaced by its bound |log2_pref| + |log2_target| + |excess|.
     """
     tested = eq + theta
     mixed = eq + (1.0 - q_x) * theta
     return 2.0**-48 * (1.0 + 2.0 * offset + abs(value)
-                       + n_x * (8.0 * q_x * theta + tested * _zeta_slope(eq, q_x, theta)
+                       + n_x * (8.0 * q_x * theta + tested * slope
                                 + 2.0**-44 * tested * tested / mixed))
 
 
@@ -230,12 +238,21 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     sets lo at a midpoint <= a, and hi at a midpoint >= b, without
     evaluating it.  A side that fails its check falls back to its bracket
     end, and the same loop then evaluates every midpoint on that side.
+
+    End checks.  A passed check at a proves excess(_THETA_FLOOR) > 0 by the
+    same chain, so the floor is evaluated, and returned when its excess is
+    <= 0, only where that check fails.  The check at hi runs first, before
+    Newton: an infeasible point raises there, and Newton never meets it.  At
+    such points n_x can be so small that n_x zeta' underflows to 0 (q_x =
+    1e-200 with N = 1), and a Newton step would divide by it.  Where
+    L <= 0 there is no Gaussian estimate, Newton does not run and the plain
+    bisection decides every midpoint.
     """
     if not (0.0 < eq < 0.5):
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
     if not (0.0 < q_x < 1.0):
         raise ParameterError(f"q_x must lie in (0, 1), got {q_x}")
-    if n_total < 1:
+    if not (n_total >= 1):
         raise ParameterError(f"N must be >= 1, got {n_total}")
     if not (0.0 < eps_e < 1.0):
         raise ParameterError(f"eps_e must lie in (0, 1), got {eps_e}")
@@ -247,43 +264,44 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     def excess(theta: float) -> float:
         return log2_pref - n_x * _zeta_exponent(eq, q_x, theta) - log2_target
 
-    def bound(theta: float, value: float) -> float:
-        return _excess_error_bound(eq, q_x, n_x, offset, theta, value)
+    def bound(theta: float, slope: float, value: float) -> float:
+        return _excess_error_bound(eq, q_x, n_x, offset, theta, slope, value)
 
-    hi = 0.5 - eq - _THETA_FLOOR
-    if hi <= _THETA_FLOOR:
+    lo = a = _THETA_FLOOR
+    hi = b = 0.5 - eq - _THETA_FLOOR
+    if hi <= lo:
         raise InfeasibleError(f"no admissible theta below 0.5 - EQ for EQ = {eq}")
     if excess(hi) > 0.0:
         raise InfeasibleError(
             f"no theta <= {hi:.6g} reaches eps_e = {eps_e:.3e} "
             f"(EQ={eq:.3e}, q_x={q_x}, N={n_total:.3e})"
         )
-    lo = _THETA_FLOOR
-    if excess(lo) <= 0.0:
+    if log2_pref - log2_target > 0.0:
+        theta = min(max(math.sqrt(2.0 * _LN2 * (log2_pref - log2_target) * eq * (1.0 - eq)
+                                  / (n_x * q_x * (1.0 - q_x))), lo), hi)
+        # Newton's error after a step s is about s^2 / theta, so a step below
+        # 2^-26 theta leaves the estimate within a few ulps of the root.
+        for _ in range(_NEWTON_STEPS):
+            step = excess(theta) / (n_x * _zeta_slope(eq, q_x, theta))
+            theta = min(max(theta + step, lo), hi)
+            if abs(step) <= 2.0**-26 * theta:
+                break
+        # A half-width of 4 g / slope puts |excess| near 4 g at the window
+        # ends, twice the margin the checks need.
+        slope = _zeta_slope(eq, q_x, theta)
+        width = 4.0 * bound(theta, slope, 0.0) / (n_x * slope) + 4.0 * step * step / theta
+        a, b = theta - width, theta + width
+        if not (lo < a and (value := excess(a)) > 2.0 * bound(a, _zeta_slope(eq, q_x, a),
+                                                                value)):
+            a = lo
+        # Past b, the slope condition of the docstring keeps E + B decreasing.
+        if not (b < hi
+                and (slope := _zeta_slope(eq, q_x, b))
+                >= 2.0**-47 * (8.0 * q_x + 3.0 + 2.0**-43 / (1.0 - q_x))
+                and (value := excess(b)) < -2.0 * bound(b, slope, value)):
+            b = hi
+    if a == lo and excess(lo) <= 0.0:
         return lo
-
-    theta = min(math.sqrt(2.0 * _LN2 * (log2_pref - log2_target) * eq * (1.0 - eq)
-                          / (n_x * q_x * (1.0 - q_x))), hi)
-    # Newton's error after a step s is about s^2 / theta, so a step below
-    # 2^-26 theta leaves the estimate within a few ulps of the root.
-    for _ in range(_NEWTON_STEPS):
-        step = excess(theta) / (n_x * _zeta_slope(eq, q_x, theta))
-        theta = min(max(theta + step, lo), hi)
-        if abs(step) <= 2.0**-26 * theta:
-            break
-    # A half-width of 4 g / slope puts |excess| near 4 g at the window ends,
-    # twice the margin the checks need.
-    width = (4.0 * bound(theta, 0.0) / (n_x * _zeta_slope(eq, q_x, theta))
-             + 4.0 * step * step / theta)
-    a, b = theta - width, theta + width
-    if not (lo < a and (value := excess(a)) > 2.0 * bound(a, value)):
-        a = lo
-    # Past b, the slope condition of the docstring keeps E + B decreasing.
-    if not (b < hi
-            and _zeta_slope(eq, q_x, b) >= 2.0**-47 * (8.0 * q_x + 3.0
-                                                        + 2.0**-43 / (1.0 - q_x))
-            and (value := excess(b)) < -2.0 * bound(b, value)):
-        b = hi
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -293,7 +311,8 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
             lo = mid
         elif mid >= b:
             hi = mid
-        elif excess(mid) <= 0.0:
+        # excess(mid) written out: most evaluations are made here
+        elif log2_pref - n_x * _zeta_exponent(eq, q_x, mid) - log2_target <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -329,18 +348,29 @@ def _bracket(report: EntropyReport, theta: float) -> float:
             * (1.0 - binary_entropy(x)) - report.q_double)
 
 
+def _bits_after(n_z: float, report: EntropyReport, theta: float, cost: float) -> float:
+    """n_z * bracket - ``cost`` bits, clamped at 0."""
+    return max(0.0, n_z * _bracket(report, theta) - cost)
+
+
 def rate_random_sampling(n_z: float, report: EntropyReport, theta: float,
                          t_e: float) -> float:
     """Final random bits n_z * bracket - t_e, clamped at 0."""
-    return max(0.0, n_z * _bracket(report, theta) - t_e)
+    return _bits_after(n_z, report, theta, t_e)
+
+
+def _entropy_inequality_cost(eps_all: float) -> float:
+    """The 2 log2(1/eps_all) bits that :func:`rate_entropy_inequality`
+    subtracts."""
+    if not (0.0 < eps_all <= 1.0):
+        raise ParameterError(f"eps_all must lie in (0, 1], got {eps_all}")
+    return 2.0 * math.log2(1.0 / eps_all)
 
 
 def rate_entropy_inequality(n_z: float, report: EntropyReport, theta: float,
                             eps_all: float) -> float:
     """Final random bits n_z * bracket - 2 log2(1/eps_all), clamped at 0."""
-    if not (0.0 < eps_all <= 1.0):
-        raise ParameterError(f"eps_all must lie in (0, 1], got {eps_all}")
-    return max(0.0, n_z * _bracket(report, theta) - 2.0 * math.log2(1.0 / eps_all))
+    return _bits_after(n_z, report, theta, _entropy_inequality_cost(eps_all))
 
 
 def rate_infinite_length(n_z: float, report: EntropyReport) -> float:
@@ -488,12 +518,19 @@ class RateScenario:
     eta_bs: float = DEFAULT_ETA_BS
     eta_det: float = DEFAULT_ETA_DET
     source: PhotonDistribution = None
+    # (theta, subtracted bits) of the entropy-inequality route: one per scenario
+    _entropy_inequality: Tuple[float, float] = field(init=False, repr=False,
+                                                     compare=False)
 
     def __post_init__(self):
         if self.nu < 0.0:
             raise ParameterError(f"nu must be >= 0, got {self.nu}")
         if self.source is None:
             object.__setattr__(self, "source", poisson_distribution(self.nu))
+        sec = self.security
+        object.__setattr__(self, "_entropy_inequality", (
+            theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all),
+            _entropy_inequality_cost(sec.eps_all)))
 
     def transmittance(self, loss_db: float) -> float:
         """Fixed monitor chain times the variable attenuator 10^(-dB/10).
@@ -544,11 +581,10 @@ class RateScenario:
         """Bit counts of all three bounding methods for the scalar report of
         one attenuation, as :meth:`entropy` gives it (or a cell of its
         broadcast report)."""
-        sec = self.security
+        n_z = self.security.n_z
         _, r_rs = self._random_sampling(report)
-        th_ei = theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all)
-        r_ei = rate_entropy_inequality(sec.n_z, report, th_ei, sec.eps_all)
-        r_il = rate_infinite_length(sec.n_z, report)
+        r_ei = _bits_after(n_z, report, *self._entropy_inequality)
+        r_il = rate_infinite_length(n_z, report)
         return {"random_sampling": r_rs, "entropy_inequality": r_ei,
                 "infinite_length": r_il}
 

@@ -140,8 +140,8 @@ def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistri
     it is imported only there, as ``bernoulli_transform`` imports
     ``scipy.stats``, to keep SciPy out of start-up.
     """
-    if nu < 0.0:
-        raise ParameterError(f"mean photon number must be >= 0, got {nu}")
+    if not (0.0 <= nu < math.inf):
+        raise ParameterError(f"mean photon number must be finite and >= 0, got {nu}")
     if n_max is None:
         n_max = default_poisson_truncation(nu)
     if n_max < 0:

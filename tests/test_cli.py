@@ -1,4 +1,7 @@
+import hashlib
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,3 +455,74 @@ class TestConfigHandling:
         lines = (tmp_path / "hmin_afterpulse.csv").read_text().splitlines()
         value = lines[2].split(",")[1]
         assert float(value) == pytest.approx(0.4116161068536443, rel=1e-15)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["rates", "--nu", "inf"], "nu"),
+        (["rates", "--N", "nan"], "N"),
+        (["rates", "--N", "inf"], "N"),
+        (["rates", "--to", "inf"], "to"),
+        (["finite-sampling", "--length-max", "inf"], "length_max"),
+        (["rates", "--v", "nan"], "v"),
+    ])
+    def test_non_finite_setting_exits_2_and_names_the_key(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert run([*argv, "--points", "3", "--out-dir", str(out)]) == 2
+        value = argv[-1]
+        assert capsys.readouterr().err == (
+            f"siqrng: error: config key {key!r} must be finite, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"nu": NaN}', '{"eta": Infinity}', '{"e_d": -Infinity}'])
+    def test_non_finite_config_file_value_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["hmin", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--q-x", "5e-324"], "N = 1e+10 and q_x = 4.94066e-324 leave n_x = 4.94066e-314"),
+        (["--N", "10"], "N = 10 and q_x = 0.02 leave n_x = 0.2"),
+        (["--v", "-5"], "z_rate must be >= 0, got -5.0"),
+    ])
+    def test_security_parameters_rates_cannot_use_exit_2(self, tmp_path, capsys, argv,
+                                                          message):
+        assert run(["rates", *argv, "--points", "3", "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+EDGE_DIGESTS = json.loads((Path(__file__).parent / "rates_edge_digests.json").read_text())
+
+
+class TestRatesEdgeDigests:
+    """``rates --points 50`` bytes at settings the benchmark never reaches:
+    zero rows, infeasible theta (N = 60, 100) and the theta floor (eps_e = 0.5).
+    The digests were made before the theta search was reworked."""
+
+    @pytest.mark.parametrize("flags", sorted(EDGE_DIGESTS))
+    def test_bytes_unchanged(self, tmp_path, flags):
+        assert run(["rates", "--points", "50", *flags.split(), "--out-dir",
+                    str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "rates.csv").read_bytes()).hexdigest()
+        assert digest == EDGE_DIGESTS[flags]
+
+
+class TestWriteCsv:
+    VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1,
+              -1.0 / 3.0, 2.0**-1074 * 3]
+
+    def _rows(self, tmp_path, rows):
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, "rates", "abc", "h", rows)
+        return path.read_text(encoding="utf-8").splitlines()[2:]
+
+    def test_float_rows_match_cell_formatting(self, tmp_path):
+        rows = [self.VALUES, self.VALUES[::-1], [1.0]]
+        assert self._rows(tmp_path, rows) == [
+            ",".join(cli._fmt(v) for v in row) for row in rows]
+
+    @pytest.mark.parametrize("odd", [10**17 + 1, True, "abc", np.float64(0.1)])
+    def test_other_rows_fall_back_to_cell_formatting(self, tmp_path, odd):
+        # "%.17g" would print 10**17 + 1 as 1.0000000000000000e+17, True as 1
+        # and fail on a str
+        row = [0.5, odd, math.nan]
+        assert self._rows(tmp_path, [row]) == [",".join(cli._fmt(v) for v in row)]

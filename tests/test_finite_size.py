@@ -38,6 +38,7 @@ from siqrng.finite_size import (
     _min_bracket_over_taus,
     _worst_eq_arm,
     _zeta_exponent,
+    _zeta_slope,
     hmin_with_tau_uncertainty,
     loss_grid,
     random_sampling_epsilon,
@@ -131,6 +132,29 @@ class TestThetaRandomSampling:
         assert eps == pytest.approx(18.75**-0.5, rel=1e-15)
 
 
+def _bernoulli_kl_bits_reference(x, y, y_comp):
+    """Reference: D(x||y) in bits, y_comp = 1 - y, as a separate call."""
+    if x == y:
+        return 0.0
+    acc = 0.0
+    if x > 0.0:
+        acc += x * math.log1p((x - y) / y)
+    if x < 1.0:
+        acc += (1.0 - x) * math.log1p((y - x) / y_comp)
+    return acc / math.log(2.0)
+
+
+def zeta_reference(eq, q_x, theta):
+    """Reference: zeta as two relative-entropy calls around the mixture point."""
+    mixed = eq + (1.0 - q_x) * theta
+    tested = eq + theta
+    mixed_comp = 1.0 - mixed
+    if mixed_comp == 0.0:
+        mixed_comp = (1.0 - eq - theta) + q_x * theta
+    return (q_x * _bernoulli_kl_bits_reference(eq, mixed, mixed_comp)
+            + (1.0 - q_x) * _bernoulli_kl_bits_reference(tested, mixed, mixed_comp))
+
+
 def plain_bisection_theta(eq, q_x, n_total, eps_e):
     """Reference: the bisection that evaluates excess at every midpoint."""
     if not (0.0 < eq < 0.5):
@@ -146,7 +170,7 @@ def plain_bisection_theta(eq, q_x, n_total, eps_e):
     log2_target = math.log2(eps_e)
 
     def excess(theta):
-        return log2_pref - n_x * _zeta_exponent(eq, q_x, theta) - log2_target
+        return log2_pref - n_x * zeta_reference(eq, q_x, theta) - log2_target
 
     hi = 0.5 - eq - _THETA_FLOOR
     if hi <= _THETA_FLOOR:
@@ -184,6 +208,31 @@ theta_inputs = st.tuples(_log_uniform(1e-6, 0.499), _log_uniform(1e-3, 0.999),
                          st.floats(-120.0, -1.0).map(lambda e: 2.0**e))
 
 
+def _zeta_inputs():
+    """(EQ, q_x, theta) with 0 < EQ < 1/2 and 0 <= theta <= 1 - EQ."""
+    q_x = st.one_of(_log_uniform(1e-300, 0.5), st.floats(0.5, 1.0, exclude_max=True))
+    return st.tuples(_log_uniform(1e-300, 0.4999), q_x, st.floats(0.0, 1.0)).map(
+        lambda t: (t[0], t[1], t[2] * (1.0 - t[0]))).filter(lambda t: t[0] + t[2] <= 1.0)
+
+
+class TestZetaExponent:
+    @settings(max_examples=2000, deadline=None)
+    @given(_zeta_inputs())
+    @example((0.015, 0.02, 0.0))                # theta = 0: both relative entropies vanish
+    @example((0.25, 1e-20, 0.75))               # the mixture point rounds to 1
+    @example((0.25, 1e-300, 0.75))
+    @example((0.3, 1e-300, 1e-3))               # q_x theta far below an ulp of EQ
+    @example((1e-300, 0.5, 1e-310))
+    @example((0.1, 0.999, 0.9))                 # EQ + theta = 1
+    def test_equals_two_call_reference_bit_for_bit(self, args):
+        def outcome(fn):
+            try:
+                return fn(*args).hex()
+            except ValueError as exc:    # log1p(-1) where EQ << theta = 1 - EQ
+                return repr(exc)
+        assert outcome(_zeta_exponent) == outcome(zeta_reference)
+
+
 class TestCertifiedBisection:
     @settings(max_examples=1000, deadline=None)
     @given(theta_inputs)
@@ -191,9 +240,21 @@ class TestCertifiedBisection:
     @example((1e-6, 1e-3, 1e16, 2.0**-120))
     @example((0.499, 0.5, 1e16, 0.5))
     @example((0.015, 0.02, 1e10, 2.0**-50))
+    # Infeasible: the check at hi must run before Newton, whose step would
+    # divide by an n_x zeta' that underflows to 0.
+    @example((0.25, 1e-300, 1.0, 0.5))
+    @example((0.49, 1e-200, 1.0, 1e-300))
+    # The floor: the prefactor alone is below eps_e
+    @example((0.01, 0.5, 1e12, 0.5))
     def test_matches_plain_bisection(self, args):
         assert _theta_outcome(theta_random_sampling, *args) == \
             _theta_outcome(plain_bisection_theta, *args)
+
+    def test_examples_reach_the_floor_and_infeasibility(self):
+        assert theta_random_sampling(0.01, 0.5, 1e12, 0.5) == _THETA_FLOOR
+        for args in ((0.25, 1e-300, 1.0, 0.5), (0.49, 1e-200, 1.0, 1e-300)):
+            with pytest.raises(InfeasibleError):
+                theta_random_sampling(*args)
 
     def test_rates_default_sweep_evaluations(self, monkeypatch):
         calls = []
@@ -211,7 +272,7 @@ class TestCertifiedBisection:
         for eq in eqs:
             calls.clear()
             theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
-            assert len(calls) <= 40
+            assert len(calls) <= 23
 
     @settings(max_examples=200, deadline=None)
     @given(theta_inputs, st.floats(-1e-6, 1e-6))
@@ -237,7 +298,7 @@ class TestCertifiedBisection:
                      - q * n * zeta - mpmath.log(mpmath.mpf(eps_e), 2))
             error = abs(mpmath.mpf(value) - exact)
         g = _excess_error_bound(eq, q_x, n_x, abs(log2_pref) + abs(log2_target),
-                                theta, value)
+                                theta, _zeta_slope(eq, q_x, theta), value)
         assert error <= g / 8
 
 
@@ -307,6 +368,23 @@ class TestSecurityParams:
             SecurityParams(eps_all=0.0)
         with pytest.raises(ParameterError):
             SecurityParams(t_e=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"total_pulses": math.nan}, "total_pulses must be >= 1, got nan"),
+        ({"t_e": math.nan}, "t_e must be >= 1, got nan"),
+        ({"z_rate": -5.0}, "z_rate must be >= 0, got -5.0"),
+        ({"z_rate": math.nan}, "z_rate must be >= 0, got nan"),
+        ({"total_pulses": 10.0}, r"N = 10 and q_x = 0.02 leave n_x = 0.2 and n_z = 9.8"),
+        ({"x_fraction": 5e-324}, r"N = 1e\+10 and q_x = 4.94066e-324 leave n_x = 4.94066e-314"),
+        ({"total_pulses": 2.0, "x_fraction": 0.9}, r"n_z = 0.2 pulses; both must be >= 1"),
+    ])
+    def test_rejects_nan_negative_rate_and_empty_basis(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            SecurityParams(**kwargs)
+
+    def test_smallest_bases_accepted(self):
+        sec = SecurityParams(total_pulses=2.0, x_fraction=0.5, z_rate=0.0)
+        assert sec.n_x == sec.n_z == 1.0
 
 
 def _taus_at(nu=10.0, e_q=0.02):

@@ -72,6 +72,12 @@ class TestPoisson:
         with pytest.raises(ParameterError):
             poisson_distribution(-1.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_rejects_non_finite_mean(self, nu):
+        # inf used to overflow while sizing the truncation
+        with pytest.raises(ParameterError, match="must be finite and >= 0"):
+            poisson_distribution(nu)
+
     @staticmethod
     def scipy_stats_poisson(nu, n_max):
         """Reference: the body of poisson_distribution through scipy.stats."""
