@@ -120,7 +120,9 @@ def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
         mixed_comp = (1.0 - eq - theta) + q_x * theta
     d_eq = d_tested = 0.0
     if eq != mixed:
-        d_eq = (eq * math.log1p((eq - mixed) / mixed)
+        ratio = (eq - mixed) / mixed
+        # EQ below about an ulp of m rounds the ratio to -1, log1p's pole
+        d_eq = (eq * (math.log(eq / mixed) if ratio == -1.0 else math.log1p(ratio))
                 + (1.0 - eq) * math.log1p((mixed - eq) / mixed_comp))
     if tested != mixed:
         d_tested = tested * math.log1p((tested - mixed) / mixed)
@@ -216,6 +218,9 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
       * Rounding m off the exact mixture point adds D(mix||m), at most
         35 u^2 t^2/m bits.
       * The products, the sums, P and T add the remaining terms.
+      * Where (EQ-m)/m rounds to -1, zeta takes EQ ln(EQ/m) for that term:
+        the quotient, the log and the product cost at most u (3|term| + EQ),
+        and EQ < |EQ-m| there, so the term bound above still holds.
     The stated bound is
 
         g(theta) = 2^-48 [1 + |P| + |T| + Z + n_x (8 q_x theta + t zeta'

@@ -240,18 +240,20 @@ def _survival_floor(coeffs: np.ndarray) -> float:
     return math.prod((1.0 - coeffs).tolist())
 
 
-def _afterpulse_pass(base: np.ndarray, u_ap: np.ndarray, coeffs: np.ndarray,
-                     carry: np.ndarray,
-                     p_all: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
+                     coeffs: np.ndarray,
+                     carry: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve afterpulse-induced fires within one chunk.
 
     ``base`` holds signal/dark fires, ``carry`` the final fires of the
-    previous ``len(coeffs)`` windows and ``p_all`` is
-    ``_survival_floor(coeffs)``.  Fires only ever propagate forward, so
-    iterating the hazard to its (unique) fixed point reproduces the sequential
-    evaluation exactly.  A window afterpulses where ``u_ap < 1 - survive``,
-    ``survive`` being the product of ``1 - c_j`` over the lags j at which it
-    sees a fire, taken in ascending-lag order.
+    previous ``len(coeffs)`` windows, ``cand`` the ascending indices of the
+    windows whose afterpulse draw ``u_ap`` is below ``1 - p_all``, with
+    ``p_all = _survival_floor(coeffs)``, and ``u_cand`` their draws.  Fires
+    only ever propagate forward, so iterating the hazard to its (unique)
+    fixed point reproduces the sequential evaluation exactly.  A window
+    afterpulses where ``u_ap < 1 - survive``, ``survive`` being the product of
+    ``1 - c_j`` over the lags j at which it sees a fire, taken in
+    ascending-lag order.
 
     Candidates.  Only windows with ``u_ap < 1 - p_all`` can afterpulse.  Every
     factor ``f_j = fl(1 - c_j)`` lies in [0, 1], rounded multiplication is
@@ -260,7 +262,7 @@ def _afterpulse_pass(base: np.ndarray, u_ap: np.ndarray, coeffs: np.ndarray,
     never falls below the running product over all lags: ``survive >= p_all``.
     ``fl(1 - s)`` is non-increasing in s, so ``u_ap < 1 - survive`` implies
     ``u_ap < 1 - p_all``.  Every other window keeps ``ap`` False whatever
-    fires.
+    fires, so its draw is never needed.
 
     Rounds.  Window w sees the positions w .. w + m - 1 of ``carry + fires``,
     position p at lag w + m - p.  The fired positions' ranks bound each
@@ -287,7 +289,6 @@ def _afterpulse_pass(base: np.ndarray, u_ap: np.ndarray, coeffs: np.ndarray,
     if m == 0:
         return base.copy(), np.zeros(n, dtype=bool), carry
     factors = 1.0 - coeffs
-    cand = np.flatnonzero(u_ap < 1.0 - p_all)
     # Candidate w sees positions w .. w + m - 1 of carry + fires; its factor
     # for position p is factors[w + m - 1 - p].
     reach = cand + (m - 1)
@@ -314,13 +315,15 @@ def _afterpulse_pass(base: np.ndarray, u_ap: np.ndarray, coeffs: np.ndarray,
             survive[:k] *= f[:k]
             pos[:k] -= 1
         hit = np.empty(cand.size, dtype=bool)
-        hit[order] = u_ap[cand[order]] < (1.0 - survive)
+        hit[order] = u_cand[order] < (1.0 - survive)
         ap[cand[hit]] = True
         added = cand[hit & ~fires[cand]]
         if added.size == 0:
             break
         fires[added] = True
-        cand, reach, first, top = cand[~hit], reach[~hit], first[~hit], top[~hit]
+        keep = ~hit
+        cand, u_cand, reach, first, top = (cand[keep], u_cand[keep], reach[keep],
+                                           first[keep], top[keep])
         added += m
         fired = np.flatnonzero(np.concatenate((carry, fires)))
         first += np.searchsorted(added, cand)
@@ -329,26 +332,101 @@ def _afterpulse_pass(base: np.ndarray, u_ap: np.ndarray, coeffs: np.ndarray,
     return fires, ap, new_carry
 
 
+class _ChunkDraws(NamedTuple):
+    """One chunk's randomness, reduced to what its windows read.
+
+    Per detector (0, 1, +, -): ``base`` flags its signal or dark fires,
+    ``cand`` holds the windows whose afterpulse draw lies below ``1 - P_all``,
+    the only draws :func:`_afterpulse_pass` reads, and ``u_cand`` those draws.
+    """
+
+    is_x: np.ndarray
+    base: Tuple[np.ndarray, ...]
+    cand: Tuple[np.ndarray, ...]
+    u_cand: Tuple[np.ndarray, ...]
+    fill: np.ndarray
+
+
 def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
-                 cdf_z: np.ndarray, cdf_x: np.ndarray) -> dict:
-    """All randomness of one chunk, drawn from its keyed streams."""
-    d = {}
-    d["u_basis"] = _stream(seed, STREAM_BASIS, chunk).random(count)
-    u_photon = _stream(seed, STREAM_PHOTON, chunk).random(count)
-    d["n_z"] = np.minimum(np.searchsorted(cdf_z, u_photon, side="right"),
-                          cdf_z.size - 1)
-    d["n_x"] = (d["n_z"] if cdf_x is cdf_z
-                else np.minimum(np.searchsorted(cdf_x, u_photon, side="right"),
-                                cdf_x.size - 1))
-    d["n_split"] = _stream(seed, STREAM_SPLIT, chunk).binomial(d["n_z"], 0.5)
-    d["n_flip"] = _stream(seed, STREAM_FLIP, chunk).binomial(
-        d["n_x"], config.misalignment)
-    d["u_signal"] = [_stream(seed, s, chunk).random(count) for s in STREAM_SIGNAL]
-    d["u_dark"] = [_stream(seed, s, chunk).random(count) for s in STREAM_DARK]
-    d["u_ap"] = [_stream(seed, s, chunk).random(count) for s in STREAM_AFTERPULSE]
-    d["fill"] = _stream(seed, STREAM_FILL, chunk).integers(
-        0, 2, size=count, dtype=np.uint8)
-    return d
+                 cdf_z: np.ndarray, cdf_x: np.ndarray, click_tables,
+                 ap_limits) -> _ChunkDraws:
+    """All randomness of one chunk, drawn from its keyed streams.
+
+    Every uniform stream is drawn into one reused buffer and reduced before
+    the next draw overwrites it.  ``click_tables[k][j]`` is detector k's
+    click probability with j photons and ``ap_limits[k]`` its ``1 - P_all``;
+    where that is 0 no window can afterpulse, and the stream is not drawn.
+    """
+    u = np.empty(count)
+
+    def draw(stream_id: int) -> np.ndarray:
+        return _stream(seed, stream_id, chunk).random(out=u)
+
+    is_x = draw(STREAM_BASIS) < config.x_fraction
+    is_z = ~is_x
+    draw(STREAM_PHOTON)
+    n_z = np.minimum(np.searchsorted(cdf_z, u, side="right"), cdf_z.size - 1)
+    n_x = (n_z if cdf_x is cdf_z
+           else np.minimum(np.searchsorted(cdf_x, u, side="right"), cdf_x.size - 1))
+    n_0 = _stream(seed, STREAM_SPLIT, chunk).binomial(n_z, 0.5)
+    n_minus = _stream(seed, STREAM_FLIP, chunk).binomial(n_x, config.misalignment)
+    # Photons at detectors 0, 1, +, -; a difference is formed only for its
+    # detector's lookup, so no two of them are alive at once.
+    photons = (lambda: n_0, lambda: n_z - n_0, lambda: n_x - n_minus, lambda: n_minus)
+    arms = (is_z, is_z, is_x, is_x)
+    dets = (config.det_0, config.det_1, config.det_plus, config.det_minus)
+    base, cand, u_cand = [], [], []
+    for k, det in enumerate(dets):
+        # A detector of the other arm holds no photons: click probability 0.
+        fired = draw(STREAM_SIGNAL[k]) < click_tables[k][photons[k]()]
+        fired &= arms[k]
+        fired |= draw(STREAM_DARK[k]) < det.dark_rate
+        base.append(fired)
+        if ap_limits[k] > 0.0:
+            cand.append(np.flatnonzero(draw(STREAM_AFTERPULSE[k]) < ap_limits[k]))
+            u_cand.append(u[cand[-1]])
+        else:
+            cand.append(np.zeros(0, dtype=np.intp))
+            u_cand.append(np.zeros(0))
+    fill = _stream(seed, STREAM_FILL, chunk).integers(0, 2, size=count, dtype=np.uint8)
+    return _ChunkDraws(is_x, tuple(base), tuple(cand), tuple(u_cand), fill)
+
+
+def _resolve_chunk(d: _ChunkDraws, coeffs, carries, records, offset: int):
+    """Afterpulse passes, click columns and raw bits of one chunk.
+
+    ``coeffs[k]`` and ``carries[k]`` are detector k's lag coefficients and
+    fired history; the carries are replaced by the chunk's.  The click
+    columns are written into ``records`` at ``offset``.  Returns the chunk's
+    (bits, fill flags, window indices) and its counts of singles, doubles,
+    Z windows, X windows, X windows where only "-" fires and X doubles.
+    """
+    fires, aps = [], []
+    for k in range(4):
+        fired, ap, carries[k] = _afterpulse_pass(d.base[k], d.cand[k], d.u_cand[k],
+                                                 coeffs[k], carries[k])
+        fires.append(fired)
+        aps.append(ap)
+
+    is_x = d.is_x
+    is_z = ~is_x
+    span = slice(offset, offset + is_x.size)
+    rec_is_x, rec_d0, rec_d1, rec_ap0, rec_ap1 = records
+    rec_is_x[span] = is_x
+    rec_d0[span] = np.where(is_x, fires[2], fires[0])
+    rec_d1[span] = np.where(is_x, fires[3], fires[1])
+    rec_ap0[span] = np.where(is_x, aps[2], aps[0])
+    rec_ap1[span] = np.where(is_x, aps[3], aps[1])
+
+    single = is_z & (fires[0] ^ fires[1])
+    double = is_z & fires[0] & fires[1]
+    detected = single | double
+    part = (np.where(double, d.fill, fires[1].astype(np.uint8))[detected],
+            double[detected], offset + np.flatnonzero(detected))
+    counts = (int(single.sum()), int(double.sum()), int(is_z.sum()), int(is_x.sum()),
+              int((is_x & fires[3] & ~fires[2]).sum()),
+              int((is_x & fires[3] & fires[2]).sum()))
+    return part, counts
 
 
 def _photon_cdf(source: PhotonDistribution, transmittance: float) -> np.ndarray:
@@ -368,40 +446,43 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
     ``threads`` parallelizes the per-chunk randomness generation only; the
     afterpulse recursion is applied chunk after chunk with carried history, so
     the result does not depend on the thread count.
+
+    Memory.  Beyond the result, which grows with the pulse count, one thread
+    holds one chunk at a time: while it is drawn a float buffer and a few
+    integer arrays of one entry per window, then its reduced draws, about
+    6 bytes per window plus 16 per afterpulse candidate, and the arrays of
+    its afterpulse passes.  With ``threads`` > 1 up to ``threads`` chunks are
+    in flight: each holds its reduced draws, and each one being drawn its own
+    buffer and integer arrays.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     if seed is None:
         seed = config.seed
     dets = (config.det_0, config.det_1, config.det_plus, config.det_minus)
-    coeffs = {spec: _coefficient_array(spec) for spec in {det.afterpulse for det in dets}}
-    p_all = {spec: _survival_floor(c) for spec, c in coeffs.items()}
-    carries = [np.zeros(coeffs[det.afterpulse].size, dtype=bool) for det in dets]
+    spec_coeffs = {spec: _coefficient_array(spec) for spec in {det.afterpulse for det in dets}}
+    coeffs = [spec_coeffs[det.afterpulse] for det in dets]
+    ap_limits = [1.0 - _survival_floor(c) for c in coeffs]
+    carries = [np.zeros(c.size, dtype=bool) for c in coeffs]
 
     cdf_z = _photon_cdf(config.source, config.t_z)
     cdf_x = (cdf_z if config.t_x == config.t_z
              else _photon_cdf(config.source, config.t_x))
+    photon_range = np.arange(max(cdf_z.size, cdf_x.size))
+    click_tables = [_click_prob(det.efficiency, photon_range) for det in dets]
 
     n_pulses = config.pulses
     chunk_size = config.chunk_size
     n_chunks = (n_pulses + chunk_size - 1) // chunk_size
     chunk_counts = [min(chunk_size, n_pulses - c * chunk_size) for c in range(n_chunks)]
+    records = tuple(np.zeros(n_pulses, dtype=bool) for _ in range(5))
 
-    rec_d0 = np.zeros(n_pulses, dtype=bool)
-    rec_d1 = np.zeros(n_pulses, dtype=bool)
-    rec_ap0 = np.zeros(n_pulses, dtype=bool)
-    rec_ap1 = np.zeros(n_pulses, dtype=bool)
-    rec_is_x = np.zeros(n_pulses, dtype=bool)
-
-    bit_parts, fill_parts, index_parts = [], [], []
-    n_single = n_double = z_windows = x_windows = 0
-    minus_only = 0
-    half_errors = 0.0
-
-    def draws_for(chunk: int) -> dict:
-        return _chunk_draws(config, seed, chunk, chunk_counts[chunk], cdf_z, cdf_x)
+    def draws_for(chunk: int) -> _ChunkDraws:
+        return _chunk_draws(config, seed, chunk, chunk_counts[chunk], cdf_z, cdf_x,
+                            click_tables, ap_limits)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    parts, totals = [], (0,) * 6
     try:
         pending = {}
         for chunk in range(n_chunks):
@@ -409,68 +490,21 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
                 for ahead in range(chunk, min(chunk + threads, n_chunks)):
                     if ahead not in pending:
                         pending[ahead] = pool.submit(draws_for, ahead)
-                d = pending.pop(chunk).result()
-            else:
-                d = draws_for(chunk)
-            count = chunk_counts[chunk]
-            offset = chunk * chunk_size
-            is_x = d["u_basis"] < config.x_fraction
-            is_z = ~is_x
-
-            n0 = d["n_split"]
-            n1 = d["n_z"] - n0
-            n_minus = d["n_flip"]
-            n_plus = d["n_x"] - n_minus
-            photons = (
-                np.where(is_z, n0, 0), np.where(is_z, n1, 0),
-                np.where(is_x, n_plus, 0), np.where(is_x, n_minus, 0),
-            )
-
-            fires, aps = [], []
-            for k, det in enumerate(dets):
-                signal = d["u_signal"][k] < _click_prob(det.efficiency, photons[k])
-                base = signal | (d["u_dark"][k] < det.dark_rate)
-                spec = det.afterpulse
-                fired, ap, carries[k] = _afterpulse_pass(
-                    base, d["u_ap"][k], coeffs[spec], carries[k], p_all[spec])
-                fires.append(fired)
-                aps.append(ap)
-
-            rec_is_x[offset:offset + count] = is_x
-            rec_d0[offset:offset + count] = np.where(is_x, fires[2], fires[0])
-            rec_d1[offset:offset + count] = np.where(is_x, fires[3], fires[1])
-            rec_ap0[offset:offset + count] = np.where(is_x, aps[2], aps[0])
-            rec_ap1[offset:offset + count] = np.where(is_x, aps[3], aps[1])
-
-            single = is_z & (fires[0] ^ fires[1])
-            double = is_z & fires[0] & fires[1]
-            detected = single | double
-            if detected.any():
-                bit_parts.append(np.where(double, d["fill"],
-                                          fires[1].astype(np.uint8))[detected])
-                fill_parts.append(double[detected])
-                index_parts.append(offset + np.nonzero(detected)[0])
-            n_single += int(single.sum())
-            n_double += int(double.sum())
-            z_windows += int(is_z.sum())
-            x_windows += int(is_x.sum())
-            minus_only += int((is_x & fires[3] & ~fires[2]).sum())
-            half_errors += 0.5 * int((is_x & fires[3] & fires[2]).sum())
+            # The draws live only inside this call, so the chunk's inputs are
+            # gone before the next chunk is drawn.
+            part, counts = _resolve_chunk(
+                pending.pop(chunk).result() if pool is not None else draws_for(chunk),
+                coeffs, carries, records, chunk * chunk_size)
+            parts.append(part)
+            totals = tuple(map(sum, zip(totals, counts)))
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
 
-    if bit_parts:
-        bits = np.concatenate(bit_parts)
-        fill_mask = np.concatenate(fill_parts)
-        window_index = np.concatenate(index_parts)
-    else:
-        bits = np.zeros(0, dtype=np.uint8)
-        fill_mask = np.zeros(0, dtype=bool)
-        window_index = np.zeros(0, dtype=np.int64)
-
-    eq_hat = ((minus_only + half_errors) / x_windows) if x_windows else math.nan
-    clicks = ClickRecords(rec_is_x, rec_d0, rec_d1, rec_ap0, rec_ap1)
+    bits, fill_mask, window_index = (np.concatenate(col) for col in zip(*parts))
+    n_single, n_double, z_windows, x_windows, minus_only, x_doubles = totals
+    eq_hat = ((minus_only + 0.5 * x_doubles) / x_windows) if x_windows else math.nan
+    clicks = ClickRecords(*records)
     stream = BitStream(bits=bits, fill_mask=fill_mask, window_index=window_index,
                        z_windows=z_windows, x_windows=x_windows,
                        n_single=n_single, n_double=n_double)
@@ -551,15 +585,21 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
     r = rng.integers(0, 2, size=n + output_len - 1, dtype=np.uint8)
     if n * output_len <= _DIRECT_CONV_LIMIT:
         conv = np.convolve(x.astype(np.int64), r.astype(np.int64))
-    else:
-        # Real FFTs at the padded length scipy.signal.fftconvolve uses.  The
-        # exact convolution is integer, so rint recovers it whenever the
-        # float error stays below 1/2; the check below keeps it under 0.1.
-        size = n + r.size - 1
-        fast = _next_5_smooth(size)
-        conv_f = np.fft.irfft(np.fft.rfft(x.astype(float), fast)
-                              * np.fft.rfft(r.astype(float), fast), fast)[:size]
-        conv = np.rint(conv_f).astype(np.int64)
-        if float(np.max(np.abs(conv_f - conv))) > 0.1:
-            raise ArithmeticError("FFT convolution lost integer precision")
-    return (conv[n - 1:n - 1 + output_len] & 1).astype(np.uint8)
+        return (conv[n - 1:n - 1 + output_len] & 1).astype(np.uint8)
+    # Circular convolution by real FFTs at a 5-smooth length N >= r.size.
+    # Output i needs the linear convolution at k = n - 1 + i <= r.size - 1;
+    # the circular one adds the linear terms at k + N, k + 2N, ..., and
+    # k + N >= n - 1 + r.size exceeds the last linear index n + r.size - 2,
+    # so those outputs do not alias.  The exact convolution is integer, so
+    # rint recovers it whenever the float error stays below 1/2; the check
+    # below keeps it under 0.1 at every one of the N points.
+    fast = _next_5_smooth(r.size)
+    spectrum = np.fft.rfft(x, fast)      # the 0/1 bytes convert to float exactly
+    spectrum *= np.fft.rfft(r, fast)
+    conv_f = np.fft.irfft(spectrum, fast)
+    del spectrum
+    conv = np.rint(conv_f)
+    np.subtract(conv_f, conv, out=conv_f)
+    if float(np.max(np.abs(conv_f, out=conv_f))) > 0.1:
+        raise ArithmeticError("FFT convolution lost integer precision")
+    return (conv[n - 1:n - 1 + output_len].astype(np.int64) & 1).astype(np.uint8)

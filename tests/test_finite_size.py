@@ -224,13 +224,87 @@ class TestZetaExponent:
     @example((0.3, 1e-300, 1e-3))               # q_x theta far below an ulp of EQ
     @example((1e-300, 0.5, 1e-310))
     @example((0.1, 0.999, 0.9))                 # EQ + theta = 1
+    @example((1e-300, 0.5, 0.5))                 # (EQ - m)/m rounds to -1
     def test_equals_two_call_reference_bit_for_bit(self, args):
         def outcome(fn):
             try:
                 return fn(*args).hex()
             except ValueError as exc:    # log1p(-1) where EQ << theta = 1 - EQ
                 return repr(exc)
-        assert outcome(_zeta_exponent) == outcome(zeta_reference)
+        got, want = outcome(_zeta_exponent), outcome(zeta_reference)
+        if got != want:
+            # Only where EQ is below an ulp of m: the reference meets log1p's
+            # pole, and the EQ ln(EQ/m) branch returns a value.  On the domain
+            # of theta_random_sampling, EQ + theta <= 1/2, that value is
+            # within its error bound.
+            eq, q_x, theta = args
+            mixed = eq + (1.0 - q_x) * theta
+            assert (eq - mixed) / mixed == -1.0 and want == repr(ValueError("math domain error"))
+            assert math.isfinite(float.fromhex(got))
+            if eq + theta <= 0.5:
+                exact = zeta_exact(*args)
+                assert abs(float.fromhex(got) - exact) <= 2.0**-40 * (exact + q_x * theta)
+
+
+def zeta_exact(eq, q_x, theta):
+    """zeta as q_x D(EQ||m) + (1-q_x) D(t||m) in bits at the rounded
+    t = EQ + theta that ``_zeta_exponent`` sees, with m = q_x EQ + (1-q_x) t
+    exact: t's rounding moves zeta by up to 2^-53 t zeta', unbounded as t
+    nears 1.  The precision resolves 1 - EQ, and D(t||m), about
+    q_x^2 theta / 2 nats, from its terms of about q_x theta."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200 + 2 * math.ceil(-math.log2(q_x)) + math.ceil(-math.log2(eq))):
+        e, q, t = (mpmath.mpf(v) for v in (eq, q_x, eq + theta))
+        m = q * e + (1 - q) * t
+
+        def kl(x):
+            acc = x * mpmath.log(x / m)
+            if x < 1:
+                acc += (1 - x) * mpmath.log((1 - x) / (1 - m))
+            return acc
+
+        return float((q * kl(e) + (1 - q) * kl(t)) / mpmath.log(2))
+
+
+class TestThetaBelowAnUlpOfTheMixturePoint:
+    """EQ below about 2^-53 m, where (EQ - m)/m rounds to -1 and log1p has its
+    pole, which raised a bare ValueError before: theta is within 1e-9 relative of the exact root at 50 digits, or
+    the exact excess at the largest admissible theta is positive and the
+    error says no theta reaches eps_e."""
+
+    @pytest.mark.parametrize("args", [
+        (1.5e-126, 0.715, 1.45e5, 8.8e-21),
+        (1e-300, 0.5, 1e10, 2.0**-50),
+        (1e-200, 0.02, 1e10, 2.0**-50),
+        (1e-30, 0.9, 1e16, 2.0**-120),
+        (1e-20, 0.02, 1e3, 2.0**-50),
+        (1e-300, 1e-3, 1e2, 0.5),
+    ])
+    def test_theta_or_infeasible_against_mpmath(self, args):
+        mpmath = pytest.importorskip("mpmath")
+        eq, q_x, n_total, eps_e = args
+
+        def excess(theta):
+            with mpmath.workdps(50):
+                e, q, n, th = (mpmath.mpf(v) for v in (eq, q_x, n_total, theta))
+
+                def h(x):
+                    return -(x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / mpmath.log(2)
+
+                zeta = h(e + (1 - q) * th) - q * h(e) - (1 - q) * h(e + th)
+                return (-mpmath.log(q * (1 - q) * e * (1 - e) * n, 2) / 2
+                        - q * n * zeta - mpmath.log(mpmath.mpf(eps_e), 2))
+
+        # The first excess evaluated, at the largest admissible theta, meets the pole
+        hi = 0.5 - eq - _THETA_FLOOR
+        assert (eq - (eq + (1.0 - q_x) * hi)) / (eq + (1.0 - q_x) * hi) == -1.0
+        try:
+            theta = theta_random_sampling(*args)
+        except InfeasibleError as exc:
+            assert str(exc).startswith("no theta <= ")
+            assert excess(hi) > 0
+            return
+        assert excess(theta * (1.0 + 1e-9)) < 0 < excess(theta * (1.0 - 1e-9))
 
 
 class TestCertifiedBisection:

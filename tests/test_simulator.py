@@ -91,12 +91,10 @@ class TestDeterminism:
         got = simulate(cfg)
         draws = simulator._chunk_draws
         monkeypatch.setattr(simulator, "_chunk_draws",
-                            lambda config, seed, chunk, count, cdf_z, cdf_x:
-                            draws(config, seed, chunk, count, cdf_z, cdf_x.copy()))
+                            lambda config, seed, chunk, count, cdf_z, cdf_x, *tables:
+                            draws(config, seed, chunk, count, cdf_z, cdf_x.copy(), *tables))
         want = simulate(cfg)
-        for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
-            assert np.array_equal(getattr(got.clicks, col), getattr(want.clicks, col))
-        assert got.eq_empirical == want.eq_empirical
+        assert_same_result(got, want)
 
     def test_coefficients_built_once_per_distinct_spec(self, monkeypatch):
         calls = []
@@ -112,6 +110,18 @@ class TestDeterminism:
         cfg_b = make_config(seed=2, pulses=20_000)
         assert not np.array_equal(simulate(cfg_a).clicks.d0,
                                   simulate(cfg_b).clicks.d0)
+
+
+def assert_same_result(got, want):
+    """Every column and counter of two simulation results are equal."""
+    for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
+        assert np.array_equal(getattr(got.clicks, col), getattr(want.clicks, col))
+    for col in ("bits", "fill_mask", "window_index"):
+        assert np.array_equal(getattr(got.bits, col), getattr(want.bits, col))
+    for col in ("z_windows", "x_windows", "n_single", "n_double"):
+        assert getattr(got.bits, col) == getattr(want.bits, col)
+    assert got.eq_empirical == want.eq_empirical or (
+        math.isnan(got.eq_empirical) and math.isnan(want.eq_empirical))
 
 
 def dense_survive(fires, coeffs, carry):
@@ -174,9 +184,22 @@ def scatter_afterpulse_pass(base, u_ap, coeffs, carry):
     return fires, ap, new_carry
 
 
+def candidates(u_ap, coeffs):
+    """The windows whose draw lies below 1 - P_all, and their draws."""
+    cand = np.flatnonzero(u_ap < 1.0 - simulator._survival_floor(coeffs))
+    return cand, u_ap[cand]
+
+
 def new_afterpulse_pass(base, u_ap, coeffs, carry):
-    return simulator._afterpulse_pass(base, u_ap, coeffs, carry,
-                                      simulator._survival_floor(coeffs))
+    return simulator._afterpulse_pass(base, *candidates(u_ap, coeffs), coeffs, carry)
+
+
+def dense_draws(n, cand, u_cand, coeffs):
+    """A full afterpulse draw array from the candidates: every other window
+    gets 1 - P_all, the smallest draw that is not a candidate."""
+    u_ap = np.full(n, 1.0 - simulator._survival_floor(coeffs))
+    u_ap[cand] = u_cand
+    return u_ap
 
 
 _TINY = 2.0**-53
@@ -212,6 +235,99 @@ def afterpulse_pass_cases(draw):
     return base, u_ap, coeffs, carry
 
 
+def dense_chunk_draws(config, seed, chunk, count, cdf_z, cdf_x):
+    """Reference: each stream of one chunk drawn whole into an array of its
+    own, each window's click probability raised to its own photon count, and
+    the reductions that simulator._chunk_draws returns taken at the end."""
+    def stream(stream_id):
+        return simulator._stream(seed, stream_id, chunk)
+
+    u_basis = stream(simulator.STREAM_BASIS).random(count)
+    u_photon = stream(simulator.STREAM_PHOTON).random(count)
+    n_z = np.minimum(np.searchsorted(cdf_z, u_photon, side="right"), cdf_z.size - 1)
+    n_x = np.minimum(np.searchsorted(cdf_x, u_photon, side="right"), cdf_x.size - 1)
+    n_split = stream(simulator.STREAM_SPLIT).binomial(n_z, 0.5)
+    n_flip = stream(simulator.STREAM_FLIP).binomial(n_x, config.misalignment)
+    u_signal = [stream(s).random(count) for s in simulator.STREAM_SIGNAL]
+    u_dark = [stream(s).random(count) for s in simulator.STREAM_DARK]
+    u_ap = [stream(s).random(count) for s in simulator.STREAM_AFTERPULSE]
+    fill = stream(simulator.STREAM_FILL).integers(0, 2, size=count, dtype=np.uint8)
+
+    is_x = u_basis < config.x_fraction
+    is_z = ~is_x
+    photons = (np.where(is_z, n_split, 0), np.where(is_z, n_z - n_split, 0),
+               np.where(is_x, n_x - n_flip, 0), np.where(is_x, n_flip, 0))
+    dets = (config.det_0, config.det_1, config.det_plus, config.det_minus)
+    base, cand, u_cand = [], [], []
+    for k, det in enumerate(dets):
+        signal = u_signal[k] < 1.0 - np.power(1.0 - det.efficiency, photons[k])
+        base.append(signal | (u_dark[k] < det.dark_rate))
+        c, u = candidates(u_ap[k], simulator._coefficient_array(det.afterpulse))
+        cand.append(c)
+        u_cand.append(u)
+    return simulator._ChunkDraws(is_x, tuple(base), tuple(cand), tuple(u_cand), fill)
+
+
+class TestChunkDraws:
+    @pytest.mark.parametrize("kw", [
+        dict(nu=10.0, spec=AfterpulseSpec.exponential_from_rate(0.05, 0.001, 2),
+             x_fraction=0.02, misalignment=0.02),
+        dict(nu=5.0, eta=1.0, e_d=0.0, x_fraction=0.5, misalignment=1.0, t_x=0.3),
+        dict(nu=30.0, eta=0.5, e_d=0.01, spec=AfterpulseSpec.explicit([0.2, 0.0, 0.1]),
+             x_fraction=0.3, misalignment=0.0, t_z=0.6),
+        dict(nu=1.0, x_fraction=1.0, misalignment=0.3),
+    ])
+    def test_reduced_draws_match_whole_streams(self, monkeypatch, kw):
+        """Every field of every chunk's draws equals the whole-stream
+        reference, at the tables and limits simulate builds."""
+        draws = simulator._chunk_draws
+        chunks = []
+
+        def checked(config, seed, chunk, count, cdf_z, cdf_x, *tables):
+            got = draws(config, seed, chunk, count, cdf_z, cdf_x, *tables)
+            want = dense_chunk_draws(config, seed, chunk, count, cdf_z, cdf_x)
+            assert np.array_equal(got.is_x, want.is_x)
+            assert np.array_equal(got.fill, want.fill)
+            for field in ("base", "cand", "u_cand"):
+                for g, w in zip(getattr(got, field), getattr(want, field)):
+                    assert np.array_equal(g, w), field
+            chunks.append(chunk)
+            return got
+
+        monkeypatch.setattr(simulator, "_chunk_draws", checked)
+        simulate(make_config(pulses=3 * 2**12 + 5, chunk_size=2**12, seed=11, **kw))
+        assert chunks == [0, 1, 2, 3]
+
+    def test_peak_memory_holds_one_chunk(self):
+        """Beyond its result, simulate holds one chunk at a time.  The traced
+        peak of 2 or 8 chunks exceeds that of 1 chunk by at most the growth of
+        the result, the bit stream once more for its parts during the final
+        concatenation, and 8 bytes per window of one chunk."""
+        chunk = 2**14
+        spec = AfterpulseSpec.explicit([0.03, 0.02])
+
+        def run(chunks):
+            cfg = make_config(pulses=chunks * chunk, nu=5.0, spec=spec, x_fraction=0.05,
+                              misalignment=0.02, chunk_size=chunk)
+            tracemalloc.start()
+            try:
+                result = simulate(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bits = sum(getattr(result.bits, col).nbytes
+                       for col in ("bits", "fill_mask", "window_index"))
+            clicks = sum(getattr(result.clicks, col).nbytes
+                         for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"))
+            return peak, clicks + bits, bits
+
+        run(1)                                   # first-call allocations
+        peak_1, kept_1, _ = run(1)
+        for chunks in (2, 8):
+            peak, kept, bits = run(chunks)
+            assert peak - peak_1 <= kept - kept_1 + bits + 8 * chunk, chunks
+
+
 class TestAfterpulsePass:
     @settings(max_examples=300, deadline=None)
     @given(afterpulse_pass_cases())
@@ -244,7 +360,7 @@ class TestAfterpulsePass:
         assert 0.25 < np.mean(u_ap < 1.0 - p_all) < 0.35
         tracemalloc.start()
         try:
-            got = simulator._afterpulse_pass(base, u_ap, coeffs, carry, p_all)
+            got = new_afterpulse_pass(base, u_ap, coeffs, carry)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,17 +373,13 @@ class TestAfterpulsePass:
                           misalignment=0.02, chunk_size=64)
         got = simulate(cfg)
         monkeypatch.setattr(simulator, "_afterpulse_pass",
-                            lambda base, u_ap, coeffs, carry, p_all:
-                            dense_afterpulse_pass(base, u_ap, coeffs, carry))
+                            lambda base, cand, u_cand, coeffs, carry:
+                            dense_afterpulse_pass(base, dense_draws(base.size, cand, u_cand,
+                                                                    coeffs),
+                                                  coeffs, carry))
         want = simulate(cfg)
         assert got.clicks.ap0.any() and got.clicks.ap1.any()
-        for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
-            assert np.array_equal(getattr(got.clicks, col), getattr(want.clicks, col))
-        for col in ("bits", "fill_mask", "window_index"):
-            assert np.array_equal(getattr(got.bits, col), getattr(want.bits, col))
-        for col in ("z_windows", "x_windows", "n_single", "n_double"):
-            assert getattr(got.bits, col) == getattr(want.bits, col)
-        assert got.eq_empirical == want.eq_empirical
+        assert_same_result(got, want)
 
 
 class TestStatisticalAgreement:
@@ -498,6 +610,32 @@ class TestExtract:
     def test_matches_scipy_fft_reference(self, n, out_len):
         x = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
         assert np.array_equal(extract(x, out_len, 53), self.scipy_fft_extract(x, out_len, 53))
+
+    # n + out_len - 1 = 6000 = 2^4 3 5^3 is 5-smooth, 6001 is one above it.
+    @pytest.mark.parametrize("n, out_len", [(3000, 3000), (4000, 2001), (4001, 2001),
+                                            (3001, 3000), (3002, 3000)])
+    def test_fft_edges_match_references(self, monkeypatch, n, out_len):
+        """Circular FFT lengths at out_len == n and at n + out_len - 1 either
+        5-smooth or one above: equal to the linear-convolution oracle and to
+        the direct path."""
+        assert n * out_len > simulator._DIRECT_CONV_LIMIT
+        assert simulator._next_5_smooth(6000) == 6000 < simulator._next_5_smooth(6001)
+        x = np.random.default_rng(n + out_len).integers(0, 2, n, dtype=np.uint8)
+        fft = extract(x, out_len, 61)
+        assert np.array_equal(fft, self.scipy_fft_extract(x, out_len, 61))
+        monkeypatch.setattr(simulator, "_DIRECT_CONV_LIMIT", n * out_len)
+        assert np.array_equal(fft, extract(x, out_len, 61))
+
+    def test_one_output_bit_above_the_direct_limit(self):
+        """A single output bit of more than _DIRECT_CONV_LIMIT input bits
+        takes the FFT path; it is the parity of the Toeplitz matrix's first
+        row, r[n - 1 - j], against x."""
+        from siqrng.simulator import STREAM_EXTRACTOR, _stream
+        n = simulator._DIRECT_CONV_LIMIT + 1
+        x = np.random.default_rng(67).integers(0, 2, n, dtype=np.uint8)
+        r = _stream(71, STREAM_EXTRACTOR, 0).integers(0, 2, n, dtype=np.uint8)
+        parity = int(np.dot(x.astype(np.int64), r[::-1].astype(np.int64))) & 1
+        assert extract(x, 1, 71).tolist() == [parity]
 
     def test_padded_length_is_scipy_next_fast_len(self):
         from scipy import fft
