@@ -179,12 +179,6 @@ def _taus(source, eta: float, e_q: float, eta_1: Optional[float] = None) -> TauS
                             eta_plus=eta, eta_minus=eta, misalignment=e_q)
 
 
-def _arms(dets: Sequence, taus: TauSet) -> list:
-    """Each of the four detectors followed by its vacuum probability: the
-    argument list of :func:`entropy_report_from_taus`."""
-    return [value for pair in zip(dets, taus) for value in pair]
-
-
 # ---------------------------------------------------------------------------
 # autocorr
 
@@ -209,9 +203,9 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
             for p_hat_i in grid]
     taus = _taus(source, eta, 0.0)
-    # _arms(...)[:4] is (det_0, tau_0, det_1, tau_1)
-    rows: List[List] = [[p_hat_i, prior_autocorrelation(*_arms(d, taus)[:4], lag)]
-                        for p_hat_i, d in zip(grid, dets)]
+    rows: List[List] = [
+        [p_hat_i, prior_autocorrelation(d[0], taus.tau_0, d[1], taus.tau_1, lag)]
+        for p_hat_i, d in zip(grid, dets)]
     header = "p_hat_i,a_prior"
 
     if config["mc"]:
@@ -349,21 +343,21 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
     grid_points = int(config["grid_points"])
     lengths = np.logspace(math.log10(lo), math.log10(hi), points)
     source = poisson_distribution(nu)
-    variants = []    # (arms, infinite-length hmin_a) without and with afterpulsing
+    variants = []    # (detectors, infinite-length hmin_a) without and with afterpulsing
     spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], config["omega"])
     taus = _taus(source, eta, e_q)
     for spec in (AfterpulseSpec.none(), spec_ap):
-        arms = _arms(detector_set(eta, e_d, spec), taus)
-        variants.append((arms, entropy_report_from_taus(*arms).hmin_a))
+        dets = detector_set(eta, e_d, spec)
+        variants.append((dets, entropy_report_from_taus(dets, taus).hmin_a))
 
     rows = []
     for n_samples in lengths:
         n_s = int(round(float(n_samples)))
         delta = hoeffding_delta(n_s, eps_d)
         row = [float(n_s), delta]
-        for arms, h_il in variants:
+        for dets, h_il in variants:
             try:
-                h_fs = hmin_with_tau_uncertainty(*arms, delta, grid_points=grid_points)
+                h_fs = hmin_with_tau_uncertainty(dets, taus, delta, grid_points=grid_points)
             except DegenerateError as exc:
                 raise DegenerateError(
                     f"row n_samples={n_s:g}, delta_d={delta:.6g}: {exc}; "

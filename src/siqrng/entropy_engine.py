@@ -21,7 +21,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -370,11 +370,11 @@ def make_entropy_report(z_arm: ArmState, x_arm: ArmState) -> EntropyReport:
     )
 
 
-def entropy_report_from_taus(det_0: DetectorParams, tau_0: float,
-                             det_1: DetectorParams, tau_1: float,
-                             det_plus: DetectorParams, tau_plus: float,
-                             det_minus: DetectorParams, tau_minus: float) -> EntropyReport:
-    """Report for explicit per-detector vacuum probabilities."""
-    z_arm = ArmState.from_detectors(det_0, tau_0, det_1, tau_1)
-    x_arm = ArmState.from_detectors(det_plus, tau_plus, det_minus, tau_minus)
+def entropy_report_from_taus(dets: Sequence[DetectorParams], taus: TauSet) -> EntropyReport:
+    """Report of the detectors ``dets`` ("0", "1", "+", "-", in
+    :func:`detector_set` order) at the vacuum probabilities ``taus`` of the
+    same detectors; a :class:`TauSet` of arrays gives one broadcast report."""
+    det_0, det_1, det_plus, det_minus = dets
+    z_arm = ArmState.from_detectors(det_0, taus.tau_0, det_1, taus.tau_1)
+    x_arm = ArmState.from_detectors(det_plus, taus.tau_plus, det_minus, taus.tau_minus)
     return make_entropy_report(z_arm, x_arm)

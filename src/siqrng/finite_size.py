@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import BudgetError, InfeasibleError, ParameterError
 from .source_monitor import (
     PhotonDistribution,
     clipped_interval,
-    hoeffding_delta,
     monitor_attenuation,
     poisson_distribution,
 )
@@ -110,6 +109,8 @@ def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
     which is the same quantity exactly, with
     D(x || m) = x ln(1 + (x-m)/m) + (1-x) ln(1 + (m-x)/(1-m)) nats.  Callers
     keep 0 < EQ and EQ + theta <= 1, so only D(EQ+theta || m) can meet x = 1.
+    Where a log1p argument rounds to -1, its pole, the term is taken as
+    x ln(x/m) or (1-x) ln((1-x)/(1-m)) instead.
     """
     p_x = 1.0 - q_x
     mixed = eq + p_x * theta
@@ -127,8 +128,21 @@ def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
     if tested != mixed:
         d_tested = tested * math.log1p((tested - mixed) / mixed)
         if tested < 1.0:
-            d_tested += (1.0 - tested) * math.log1p((mixed - tested) / mixed_comp)
+            ratio = (mixed - tested) / mixed_comp
+            # t within about an ulp of 1 rounds the ratio to -1, as for d_eq
+            d_tested += (1.0 - tested) * (math.log((1.0 - tested) / mixed_comp)
+                                          if ratio == -1.0 else math.log1p(ratio))
     return q_x * (d_eq / _LN2) + p_x * (d_tested / _LN2)
+
+
+def _log2_prefactor(eq: float, q_x: float, n_total: float) -> float:
+    """log2 of the prefactor (q_x(1-q_x) EQ(1-EQ) N)^(-1/2) of the
+    random-sampling bound."""
+    product = q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total
+    if not (product > 0.0):
+        raise ParameterError(f"q_x(1-q_x) EQ(1-EQ) N underflows to {product} "
+                             f"(EQ={eq}, q_x={q_x}, N={n_total})")
+    return -0.5 * math.log2(product)
 
 
 def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float) -> float:
@@ -149,7 +163,7 @@ def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float)
     if eq + theta > 1.0:
         raise ParameterError(f"theta must keep EQ + theta <= 1, got theta={theta} "
                              f"with EQ={eq}")
-    log2_eps = (-0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
+    log2_eps = (_log2_prefactor(eq, q_x, n_total)
                 - q_x * n_total * _zeta_exponent(eq, q_x, theta))
     return 2.0**log2_eps
 
@@ -262,7 +276,7 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     if not (0.0 < eps_e < 1.0):
         raise ParameterError(f"eps_e must lie in (0, 1), got {eps_e}")
     n_x = q_x * n_total
-    log2_pref = -0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
+    log2_pref = _log2_prefactor(eq, q_x, n_total)
     log2_target = math.log2(eps_e)
     offset = abs(log2_pref) + abs(log2_target)
 
@@ -398,39 +412,37 @@ def composable_epsilon(eps_d: float, eps_e: float, t_e: float) -> float:
 # Minimization over monitored vacuum-probability boxes
 
 
-def _worst_eq_arm(det_plus: DetectorParams, tau_plus_iv: Tuple[float, float],
-                  det_minus: DetectorParams, tau_minus_iv: Tuple[float, float]) -> ArmState:
+def _worst_eq_arm(dets: Sequence[DetectorParams],
+                  boxes: Sequence[Tuple[float, float]]) -> ArmState:
     # EQ grows when the "-" detector sees fewer vacua and the "+" detector more.
-    return ArmState.from_detectors(det_plus, tau_plus_iv[1], det_minus, tau_minus_iv[0])
+    return ArmState.from_detectors(dets[2], boxes[2][1], dets[3], boxes[3][0])
 
 
-def _min_bracket_over_taus(det_0: DetectorParams, tau_0_iv: Tuple[float, float],
-                           det_1: DetectorParams, tau_1_iv: Tuple[float, float],
+def _min_bracket_over_taus(dets: Sequence[DetectorParams],
+                           boxes: Sequence[Tuple[float, float]],
                            x_arm: ArmState, theta: float,
                            grid_points: int = 64) -> float:
     """Minimum bracket over the (tau_0, tau_1) box with a fixed check arm.
 
-    Endpoints dominate in every regime tested; the grid guards non-monotone
-    corners.  The whole grid is one broadcast call through the entropy chain.
+    ``boxes`` holds the vacuum-probability interval of each detector of
+    ``dets``, in the same order.  Endpoints dominate in every regime tested;
+    the grid guards non-monotone corners.  The whole grid is one broadcast
+    call through the entropy chain.
     """
     if grid_points < 2:
         raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
-    z_arm = ArmState.from_detectors(det_0, np.linspace(*tau_0_iv, grid_points)[:, None],
-                                    det_1, np.linspace(*tau_1_iv, grid_points)[None, :])
+    z_arm = ArmState.from_detectors(dets[0], np.linspace(*boxes[0], grid_points)[:, None],
+                                    dets[1], np.linspace(*boxes[1], grid_points)[None, :])
     return float(np.min(_bracket(make_entropy_report(z_arm, x_arm), theta)))
 
 
-def hmin_with_tau_uncertainty(det_0: DetectorParams, tau_0: float,
-                              det_1: DetectorParams, tau_1: float,
-                              det_plus: DetectorParams, tau_plus: float,
-                              det_minus: DetectorParams, tau_minus: float,
+def hmin_with_tau_uncertainty(dets: Sequence[DetectorParams], taus: TauSet,
                               delta: float, grid_points: int = 64) -> float:
-    """Worst-case per-pulse min-entropy over the Hoeffding box of radius delta."""
-    x_arm = _worst_eq_arm(det_plus, clipped_interval(tau_plus, delta),
-                          det_minus, clipped_interval(tau_minus, delta))
-    return _min_bracket_over_taus(det_0, clipped_interval(tau_0, delta),
-                                  det_1, clipped_interval(tau_1, delta),
-                                  x_arm, 0.0, grid_points)
+    """Worst-case per-pulse min-entropy over the Hoeffding box of radius delta
+    around the vacuum probabilities ``taus`` of the detectors ``dets``."""
+    boxes = [clipped_interval(tau, delta) for tau in taus]
+    return _min_bracket_over_taus(dets, boxes, _worst_eq_arm(dets, boxes), 0.0,
+                                  grid_points)
 
 
 @dataclass(frozen=True)
@@ -462,11 +474,7 @@ class RateReport:
         return d
 
 
-def final_rate(security: SecurityParams,
-               det_0: DetectorParams, tau_0: float,
-               det_1: DetectorParams, tau_1: float,
-               det_plus: DetectorParams, tau_plus: float,
-               det_minus: DetectorParams, tau_minus: float,
+def final_rate(security: SecurityParams, dets: Sequence[DetectorParams], taus: TauSet,
                delta_d: float, grid_points: int = 64) -> RateReport:
     """Certified rate minimized over the monitored vacuum-probability box.
 
@@ -477,10 +485,9 @@ def final_rate(security: SecurityParams,
     """
     if delta_d < 0.0:
         raise ParameterError(f"delta_d must be >= 0, got {delta_d}")
-    x_arm = _worst_eq_arm(det_plus, clipped_interval(tau_plus, delta_d),
-                          det_minus, clipped_interval(tau_minus, delta_d))
-    point = entropy_report_from_taus(det_0, tau_0, det_1, tau_1,
-                                     det_plus, tau_plus, det_minus, tau_minus)
+    boxes = [clipped_interval(tau, delta_d) for tau in taus]
+    x_arm = _worst_eq_arm(dets, boxes)
+    point = entropy_report_from_taus(dets, taus)
     zeta = composable_epsilon(security.eps_d, security.eps_e, security.t_e)
     try:
         theta = theta_random_sampling(x_basis_error(x_arm.p_a, x_arm.p_b), security.x_fraction,
@@ -491,9 +498,7 @@ def final_rate(security: SecurityParams,
                           n_z=security.n_z, n_x=security.n_x,
                           total_pulses=security.total_pulses)
     random_bits = rate_random_sampling(security.n_z, point, theta, security.t_e)
-    min_bracket = _min_bracket_over_taus(det_0, clipped_interval(tau_0, delta_d),
-                                         det_1, clipped_interval(tau_1, delta_d),
-                                         x_arm, theta, grid_points)
+    min_bracket = _min_bracket_over_taus(dets, boxes, x_arm, theta, grid_points)
     final_bits = max(0.0, security.n_z * min_bracket - security.t_e)
     return RateReport(theta=theta, entropy=point,
                       random_bits=random_bits, final_bits=final_bits, zeta=zeta,
@@ -514,10 +519,7 @@ class RateScenario:
     entering the variable attenuator equals the monitored one.
     """
 
-    det_0: DetectorParams
-    det_1: DetectorParams
-    det_plus: DetectorParams
-    det_minus: DetectorParams
+    dets: Tuple[DetectorParams, ...]    # "0", "1", "+", "-", as detector_set builds them
     security: SecurityParams = field(default_factory=SecurityParams)
     nu: float = 50.0
     eta_bs: float = DEFAULT_ETA_BS
@@ -554,22 +556,15 @@ class RateScenario:
     def taus(self, loss_db: float) -> TauSet:
         """Vacuum probability at each detector behind ``loss_db`` of attenuation;
         a one-dimensional array of losses gives a :class:`TauSet` of arrays."""
-        return measurement_taus(
-            self.source,
-            eta_0=self.det_0.efficiency,
-            eta_1=self.det_1.efficiency,
-            eta_plus=self.det_plus.efficiency,
-            eta_minus=self.det_minus.efficiency,
-            misalignment=self.security.misalignment,
-            transmittance=self.transmittance(loss_db),
-        )
+        eta_0, eta_1, eta_plus, eta_minus = (det.efficiency for det in self.dets)
+        return measurement_taus(self.source, eta_0=eta_0, eta_1=eta_1, eta_plus=eta_plus,
+                                eta_minus=eta_minus, misalignment=self.security.misalignment,
+                                transmittance=self.transmittance(loss_db))
 
     def entropy(self, taus: TauSet) -> EntropyReport:
         """Report of the detectors at the vacuum probabilities ``taus``; a
         :class:`TauSet` of arrays gives one broadcast report."""
-        return entropy_report_from_taus(self.det_0, taus.tau_0, self.det_1, taus.tau_1,
-                                        self.det_plus, taus.tau_plus,
-                                        self.det_minus, taus.tau_minus)
+        return entropy_report_from_taus(self.dets, taus)
 
     def _random_sampling(self, report: EntropyReport) -> Tuple[float, float]:
         """(theta, bits) of the random-sampling bound; (nan, 0) when no theta
@@ -593,22 +588,6 @@ class RateScenario:
         return {"random_sampling": r_rs, "entropy_inequality": r_ei,
                 "infinite_length": r_il}
 
-    def rate_report(self, loss_db: float,
-                    monitor_samples: Optional[int] = None) -> RateReport:
-        """Random-sampling report at one attenuation; a sample count adds the
-        Hoeffding box."""
-        sec = self.security
-        t = self.taus(loss_db)
-        if monitor_samples is not None:
-            return final_rate(sec, self.det_0, t.tau_0, self.det_1, t.tau_1,
-                              self.det_plus, t.tau_plus, self.det_minus, t.tau_minus,
-                              hoeffding_delta(monitor_samples, sec.eps_d))
-        report = self.entropy(t)
-        theta, bits = self._random_sampling(report)
-        return RateReport(theta=theta, entropy=report, random_bits=bits, final_bits=bits,
-                          zeta=composable_epsilon(sec.eps_d, sec.eps_e, sec.t_e),
-                          n_z=sec.n_z, n_x=sec.n_x, total_pulses=sec.total_pulses)
-
 
 def scenario_from_params(params: dict) -> RateScenario:
     """Build a :class:`RateScenario` from flat sweep-specification keys."""
@@ -629,10 +608,9 @@ def scenario_from_params(params: dict) -> RateScenario:
     )
     spec = AfterpulseSpec.exponential_from_rate(float(params.get("p_hat", 0.0)),
                                                 float(params.get("omega", 0.001)))
-    dets = detector_set(float(params.get("eta", 0.1)), float(params.get("e_d", 6e-7)),
-                        spec)
     return RateScenario(
-        *dets, security=security,
+        detector_set(float(params.get("eta", 0.1)), float(params.get("e_d", 6e-7)), spec),
+        security=security,
         nu=float(params.get("nu", 50.0)),
         eta_bs=float(params.get("eta_bs", DEFAULT_ETA_BS)),
         eta_det=float(params.get("eta_det", DEFAULT_ETA_DET)),

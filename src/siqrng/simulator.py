@@ -541,9 +541,6 @@ def z_window_bits(clicks: ClickRecords) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Randomness extraction
 
-_DIRECT_CONV_LIMIT = 1 << 22  # n*output_len above this switches to FFT
-
-
 def _next_5_smooth(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: the padded length scipy.fft.next_fast_len
     gives real transforms."""
@@ -583,9 +580,6 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
     rng = _stream(extractor_seed, STREAM_EXTRACTOR, 0)
     r = rng.integers(0, 2, size=n + output_len - 1, dtype=np.uint8)
-    if n * output_len <= _DIRECT_CONV_LIMIT:
-        conv = np.convolve(x.astype(np.int64), r.astype(np.int64))
-        return (conv[n - 1:n - 1 + output_len] & 1).astype(np.uint8)
     # Circular convolution by real FFTs at a 5-smooth length N >= r.size.
     # Output i needs the linear convolution at k = n - 1 + i <= r.size - 1;
     # the circular one adds the linear terms at k + N, k + 2N, ..., and

@@ -53,12 +53,10 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def hmin_point(nu: float, spec: AfterpulseSpec, eta_1: float = ETA) -> float:
-    det0, det1, detp, detm = make_detectors(eta=ETA, e_d=DARK, spec=spec,
-                                            eta_1=eta_1)
+    dets = make_detectors(eta=ETA, e_d=DARK, spec=spec, eta_1=eta_1)
     taus = measurement_taus(poisson_distribution(nu), eta_0=ETA, eta_1=eta_1,
                             eta_plus=ETA, eta_minus=ETA, misalignment=MISALIGN)
-    return entropy_report_from_taus(det0, taus.tau_0, det1, taus.tau_1,
-                                    detp, taus.tau_plus, detm, taus.tau_minus).hmin_a
+    return entropy_report_from_taus(dets, taus).hmin_a
 
 
 def ap_spec(p_hat: float, windows=None) -> AfterpulseSpec:
@@ -243,18 +241,14 @@ def test_c10_finite_sampling_gap_shrinks():
     ok = True
     for p_hat in (0.0, 0.05):
         spec = ap_spec(p_hat)
-        det0, det1, detp, detm = make_detectors(eta=ETA, e_d=DARK, spec=spec)
+        dets = make_detectors(eta=ETA, e_d=DARK, spec=spec)
         taus = measurement_taus(source, eta_0=ETA, eta_1=ETA, eta_plus=ETA,
                                 eta_minus=ETA, misalignment=MISALIGN)
-        h_il = entropy_report_from_taus(det0, taus.tau_0, det1, taus.tau_1,
-                                        detp, taus.tau_plus,
-                                        detm, taus.tau_minus).hmin_a
+        h_il = entropy_report_from_taus(dets, taus).hmin_a
         gaps = {}
         for n_s in (10**3, 10**5):
             delta = math.sqrt(math.log(2.0 / eps_d) / (2.0 * n_s))
-            h_fs = hmin_with_tau_uncertainty(det0, taus.tau_0, det1, taus.tau_1,
-                                             detp, taus.tau_plus,
-                                             detm, taus.tau_minus, delta)
+            h_fs = hmin_with_tau_uncertainty(dets, taus, delta)
             gaps[n_s] = h_il - h_fs
         ratio = gaps[10**5] / gaps[10**3]
         ok &= ratio < 0.20

@@ -9,8 +9,9 @@ import pytest
 from siqrng import cli
 from siqrng.cli import main
 from siqrng.detector_model import detector_set
-from siqrng.entropy_engine import entropy_report_from_taus, measurement_taus
-from siqrng.finite_size import RateScenario
+from siqrng.entropy_engine import (entropy_report_from_taus, measurement_taus,
+                                   prior_autocorrelation)
+from siqrng.finite_size import RateScenario, hmin_with_tau_uncertainty
 
 
 def run(argv):
@@ -188,20 +189,27 @@ def per_row_taus(monkeypatch):
         seen["source"], seen["e_q"] = source, e_q
         return real_taus(source, eta, e_q, eta_1)
 
-    def per_row_arms(dets, taus):
-        own = measurement_taus(seen["source"], eta_0=dets[0].efficiency,
-                               eta_1=dets[1].efficiency, eta_plus=dets[2].efficiency,
-                               eta_minus=dets[3].efficiency, misalignment=seen["e_q"])
-        return [value for pair in zip(dets, own) for value in pair]
+    def own_taus(dets):
+        return measurement_taus(seen["source"], eta_0=dets[0].efficiency,
+                                eta_1=dets[1].efficiency, eta_plus=dets[2].efficiency,
+                                eta_minus=dets[3].efficiency, misalignment=seen["e_q"])
+
+    def per_row_report(dets, taus):
+        return entropy_report_from_taus(dets, own_taus(dets))
+
+    def per_row_hmin(dets, taus, delta, grid_points=64):
+        return hmin_with_tau_uncertainty(dets, own_taus(dets), delta, grid_points)
+
+    def per_row_autocorrelation(det_0, tau_0, det_1, tau_1, lag):
+        own = own_taus((det_0, det_1, det_0, det_1))    # only tau_0 and tau_1 are read
+        return prior_autocorrelation(det_0, own.tau_0, det_1, own.tau_1, lag)
 
     def per_row_hmin_a(eta, e_d, specs, taus, eta_1=None):
         # one row per spec, or one per eta_1 with a single spec
         rows = ([(spec, None) for spec in specs] if eta_1 is None
                 else [(specs[0], e) for e in eta_1.tolist()])
-        return np.array([
-            entropy_report_from_taus(*per_row_arms(detector_set(eta, e_d, spec, e),
-                                                   taus)).hmin_a
-            for spec, e in rows])
+        return np.array([per_row_report(detector_set(eta, e_d, spec, e), taus).hmin_a
+                         for spec, e in rows])
 
     def recording_scenario_taus(self, loss_db):
         seen["losses"] = np.ravel(loss_db).tolist()
@@ -213,7 +221,9 @@ def per_row_taus(monkeypatch):
         return real_rates(self, self.entropy(real_scenario_taus(self, next(losses))))
 
     monkeypatch.setattr(cli, "_taus", recording_taus)
-    monkeypatch.setattr(cli, "_arms", per_row_arms)
+    monkeypatch.setattr(cli, "entropy_report_from_taus", per_row_report)
+    monkeypatch.setattr(cli, "hmin_with_tau_uncertainty", per_row_hmin)
+    monkeypatch.setattr(cli, "prior_autocorrelation", per_row_autocorrelation)
     monkeypatch.setattr(cli, "_hmin_a", per_row_hmin_a)
     monkeypatch.setattr(RateScenario, "taus", recording_scenario_taus)
     monkeypatch.setattr(RateScenario, "rates", per_row_rates)
@@ -490,20 +500,26 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
 
 
-EDGE_DIGESTS = json.loads((Path(__file__).parent / "rates_edge_digests.json").read_text())
+OUTPUT_DIGESTS = json.loads((Path(__file__).parent / "output_digests.json").read_text())
 
 
-class TestRatesEdgeDigests:
-    """``rates --points 50`` bytes at settings the benchmark never reaches:
-    zero rows, infeasible theta (N = 60, 100) and the theta floor (eps_e = 0.5).
-    The digests were made before the theta search was reworked."""
+class TestOutputDigests:
+    """CSV bytes of commands the benchmark references do not cover.  Each key
+    is the CSV name and then the argv that writes it.  The ``rates --points
+    50`` keys are edge settings: zero rows, infeasible theta (N = 60, 100)
+    and the theta floor (eps_e = 0.5); their digests were made before the
+    theta search was reworked.  The others pass detectors and vacuum
+    probabilities through every entropy path (autocorr with and without
+    Monte Carlo, finite-sampling, rates, the efficiency sweep); their
+    digests were made before those paths took one detector tuple and one
+    TauSet."""
 
-    @pytest.mark.parametrize("flags", sorted(EDGE_DIGESTS))
-    def test_bytes_unchanged(self, tmp_path, flags):
-        assert run(["rates", "--points", "50", *flags.split(), "--out-dir",
-                    str(tmp_path)]) == 0
-        digest = hashlib.sha256((tmp_path / "rates.csv").read_bytes()).hexdigest()
-        assert digest == EDGE_DIGESTS[flags]
+    @pytest.mark.parametrize("key", sorted(OUTPUT_DIGESTS))
+    def test_bytes_unchanged(self, tmp_path, key):
+        csv_name, *argv = key.split()
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
+        assert digest == OUTPUT_DIGESTS[key]
 
 
 class TestWriteCsv:

@@ -295,8 +295,7 @@ class TestReportAssembly:
             spec=AfterpulseSpec.exponential_from_rate(0.05, 0.001))
         taus = measurement_taus(poisson_distribution(10.0), eta_0=0.1, eta_1=0.1,
                                 eta_plus=0.1, eta_minus=0.1, misalignment=0.02)
-        report = entropy_report_from_taus(det0, taus.tau_0, det1, taus.tau_1,
-                                          detp, taus.tau_plus, detm, taus.tau_minus)
+        report = entropy_report_from_taus((det0, det1, detp, detm), taus)
         data = report.to_dict()
         assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq", "k"}
         assert 0.0 <= report.hmin_z <= 1.0
@@ -316,9 +315,7 @@ class TestReportAssembly:
         for e_q in (0.0, 0.02):
             taus = measurement_taus(src, eta_0=0.1, eta_1=0.1, eta_plus=0.1,
                                     eta_minus=0.1, misalignment=e_q)
-            reports.append(entropy_report_from_taus(
-                det0, taus.tau_0, det1, taus.tau_1,
-                detp, taus.tau_plus, detm, taus.tau_minus))
+            reports.append(entropy_report_from_taus((det0, det1, detp, detm), taus))
         assert reports[1].eq > reports[0].eq
         assert reports[1].hmin_a < reports[0].hmin_a
 
@@ -361,8 +358,7 @@ class TestBroadcastChain:
 
         def scalar(row, spec):
             dets = make_detectors(e_d=e_d, spec=spec)
-            return _scalar_or_error(lambda: entropy_report_from_taus(
-                *(v for pair in zip(dets, row[:4]) for v in pair)))
+            return _scalar_or_error(lambda: entropy_report_from_taus(dets, TauSet(*row[:4])))
 
         def along_specs():
             worst = np.array([worst_afterpulse(spec) for spec in specs])
@@ -375,8 +371,7 @@ class TestBroadcastChain:
         # one detector set along tau only, as RateScenario.entropy broadcasts it
         dets = make_detectors(e_d=e_d, spec=specs[0])
         self.check_cells(
-            lambda: entropy_report_from_taus(
-                *(v for pair in zip(dets, taus) for v in pair)),
+            lambda: entropy_report_from_taus(dets, taus),
             [scalar(row, specs[0]) for row in rows])
 
     @settings(max_examples=60, deadline=None)

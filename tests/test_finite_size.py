@@ -44,7 +44,7 @@ from siqrng.finite_size import (
     random_sampling_epsilon,
     scenario_from_params,
 )
-from siqrng.source_monitor import clipped_interval
+from siqrng.source_monitor import clipped_interval, hoeffding_delta
 
 from conftest import make_detectors
 
@@ -130,6 +130,14 @@ class TestThetaRandomSampling:
         eps = random_sampling_epsilon(0.25, 1e-20, 1e22, 0.75)
         assert math.isfinite(eps)
         assert eps == pytest.approx(18.75**-0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("fn, args", [(theta_random_sampling, (5e-324, 0.5, 1.0, 0.5)),
+                                          (random_sampling_epsilon, (5e-324, 0.5, 1.0, 0.1))])
+    def test_underflowed_prefactor_rejected(self, fn, args):
+        # q_x(1-q_x) EQ(1-EQ) N underflows to 0, whose log2 raised a bare
+        # "math domain error"
+        with pytest.raises(ParameterError, match=r"q_x\(1-q_x\) EQ\(1-EQ\) N underflows to 0"):
+            fn(*args)
 
 
 def _bernoulli_kl_bits_reference(x, y, y_comp):
@@ -225,23 +233,31 @@ class TestZetaExponent:
     @example((1e-300, 0.5, 1e-310))
     @example((0.1, 0.999, 0.9))                 # EQ + theta = 1
     @example((1e-300, 0.5, 0.5))                 # (EQ - m)/m rounds to -1
+    @example((0.01831563888873418, 0.75, 0.9816843611112657))  # (m - t)/(1 - m) rounds to -1
     def test_equals_two_call_reference_bit_for_bit(self, args):
         def outcome(fn):
             try:
                 return fn(*args).hex()
-            except ValueError as exc:    # log1p(-1) where EQ << theta = 1 - EQ
+            except ValueError as exc:    # log1p(-1) at either pole below
                 return repr(exc)
         got, want = outcome(_zeta_exponent), outcome(zeta_reference)
+        assert not got.startswith("ValueError"), got
         if got != want:
-            # Only where EQ is below an ulp of m: the reference meets log1p's
-            # pole, and the EQ ln(EQ/m) branch returns a value.  On the domain
-            # of theta_random_sampling, EQ + theta <= 1/2, that value is
-            # within its error bound.
+            # Only where a log1p argument rounds to -1: EQ below an ulp of m,
+            # or t = EQ + theta within an ulp of 1.  The reference meets
+            # log1p's pole, and the EQ ln(EQ/m) or (1-t) ln((1-t)/(1-m))
+            # branch returns a value.  That value is compared with the exact
+            # zeta near t = 1, and near EQ = 0 on the domain of
+            # theta_random_sampling, EQ + theta <= 1/2, where it is within
+            # that function's error bound.
             eq, q_x, theta = args
             mixed = eq + (1.0 - q_x) * theta
-            assert (eq - mixed) / mixed == -1.0 and want == repr(ValueError("math domain error"))
+            tested = eq + theta
+            eq_pole = (eq - mixed) / mixed == -1.0
+            tested_pole = tested < 1.0 and (mixed - tested) / (1.0 - mixed) == -1.0
+            assert (eq_pole or tested_pole) and want == repr(ValueError("math domain error"))
             assert math.isfinite(float.fromhex(got))
-            if eq + theta <= 0.5:
+            if tested <= 0.5 or tested_pole:
                 exact = zeta_exact(*args)
                 assert abs(float.fromhex(got) - exact) <= 2.0**-40 * (exact + q_x * theta)
 
@@ -469,10 +485,7 @@ def _taus_at(nu=10.0, e_q=0.02):
 
 class TestFinalRate:
     def _args(self, spec=None):
-        det0, det1, detp, detm = make_detectors(spec=spec)
-        taus = _taus_at()
-        return (det0, taus.tau_0, det1, taus.tau_1,
-                detp, taus.tau_plus, detm, taus.tau_minus)
+        return make_detectors(spec=spec), _taus_at()
 
     def test_zero_delta_reduces_to_point_rate(self):
         sec = SecurityParams()
@@ -510,31 +523,21 @@ class TestFinalRate:
 
 class TestHminWithTauUncertainty:
     def test_zero_delta_is_point_value(self):
-        det0, det1, detp, detm = make_detectors()
-        taus = _taus_at()
-        report = entropy_report_from_taus(det0, taus.tau_0, det1, taus.tau_1,
-                                          detp, taus.tau_plus, detm, taus.tau_minus)
-        h = hmin_with_tau_uncertainty(det0, taus.tau_0, det1, taus.tau_1,
-                                      detp, taus.tau_plus, detm, taus.tau_minus,
-                                      delta=0.0, grid_points=2)
+        dets, taus = make_detectors(), _taus_at()
+        report = entropy_report_from_taus(dets, taus)
+        h = hmin_with_tau_uncertainty(dets, taus, delta=0.0, grid_points=2)
         assert h == pytest.approx(report.hmin_a, rel=1e-12)
 
     def test_monotone_in_delta(self):
-        det0, det1, detp, detm = make_detectors()
-        taus = _taus_at()
-        values = [hmin_with_tau_uncertainty(det0, taus.tau_0, det1, taus.tau_1,
-                                            detp, taus.tau_plus, detm, taus.tau_minus,
-                                            delta=d, grid_points=17)
+        dets, taus = make_detectors(), _taus_at()
+        values = [hmin_with_tau_uncertainty(dets, taus, delta=d, grid_points=17)
                   for d in (0.0, 0.005, 0.02, 0.08)]
         assert values == sorted(values, reverse=True)
 
     @pytest.mark.parametrize("grid_points", [0, 1])
     def test_fewer_than_two_grid_points_rejected(self, grid_points):
         # 0 points used to return inf; 1 point saw only the lower corner
-        det0, det1, detp, detm = make_detectors()
-        taus = _taus_at()
-        args = (det0, taus.tau_0, det1, taus.tau_1,
-                detp, taus.tau_plus, detm, taus.tau_minus)
+        args = (make_detectors(), _taus_at())
         with pytest.raises(ParameterError, match="grid_points must be >= 2"):
             hmin_with_tau_uncertainty(*args, delta=0.01, grid_points=grid_points)
         with pytest.raises(ParameterError, match="grid_points must be >= 2"):
@@ -542,21 +545,17 @@ class TestHminWithTauUncertainty:
 
     def test_box_reaching_vacuum_without_noise_is_degenerate(self):
         # tau = 1 with e_d = 0 and no afterpulse: neither detector can click
-        det0, det1, detp, detm = make_detectors(e_d=0.0)
-        taus = _taus_at(nu=1.0)
         with pytest.raises(DegenerateError):
-            hmin_with_tau_uncertainty(det0, taus.tau_0, det1, taus.tau_1,
-                                      detp, taus.tau_plus, detm, taus.tau_minus,
+            hmin_with_tau_uncertainty(make_detectors(e_d=0.0), _taus_at(nu=1.0),
                                       delta=0.1, grid_points=5)
 
 
-def _cell_loop_min_bracket(det_0, tau_0_iv, det_1, tau_1_iv, x_arm, theta,
-                           grid_points):
+def _cell_loop_min_bracket(dets, boxes, x_arm, theta, grid_points):
     """Reference: the bracket minimum evaluated one float cell at a time."""
     best = math.inf
-    for t0 in np.linspace(tau_0_iv[0], tau_0_iv[1], grid_points):
-        for t1 in np.linspace(tau_1_iv[0], tau_1_iv[1], grid_points):
-            z_arm = ArmState.from_detectors(det_0, float(t0), det_1, float(t1))
+    for t0 in np.linspace(boxes[0][0], boxes[0][1], grid_points):
+        for t1 in np.linspace(boxes[1][0], boxes[1][1], grid_points):
+            z_arm = ArmState.from_detectors(dets[0], float(t0), dets[1], float(t1))
             best = min(best, _bracket(make_entropy_report(z_arm, x_arm), theta))
     return best
 
@@ -581,13 +580,11 @@ class TestMinBracketOverTaus:
     def test_broadcast_equals_cell_loop(self, grid_points, p_hat, eta_1, theta,
                                         nu, delta):
         spec = AfterpulseSpec.exponential_from_rate(p_hat, 0.001)
-        det0, det1, detp, detm = make_detectors(spec=spec, eta_1=eta_1)
+        dets = make_detectors(spec=spec, eta_1=eta_1)
         taus = measurement_taus(poisson_distribution(nu), eta_0=0.1, eta_1=eta_1,
                                 eta_plus=0.1, eta_minus=0.1, misalignment=0.02)
-        x_arm = _worst_eq_arm(detp, clipped_interval(taus.tau_plus, delta),
-                              detm, clipped_interval(taus.tau_minus, delta))
-        args = (det0, clipped_interval(taus.tau_0, delta),
-                det1, clipped_interval(taus.tau_1, delta), x_arm, theta, grid_points)
+        boxes = [clipped_interval(tau, delta) for tau in taus]
+        args = (dets, boxes, _worst_eq_arm(dets, boxes), theta, grid_points)
         assert _outcome(_min_bracket_over_taus, *args) == \
             _outcome(_cell_loop_min_bracket, *args)
 
@@ -625,9 +622,11 @@ class TestRateScenario:
 
     def test_monitor_sampling_penalizes(self):
         scenario = scenario_from_params({})
-        point = scenario.rate_report(1.5)
-        monitored = scenario.rate_report(1.5, monitor_samples=10**4)
-        assert monitored.final_bits < point.final_bits
+        taus = scenario.taus(1.5)
+        point = scenario.rates(scenario.entropy(taus))["random_sampling"]
+        monitored = final_rate(scenario.security, scenario.dets, taus,
+                               hoeffding_delta(10**4, scenario.security.eps_d))
+        assert monitored.final_bits < point
         assert monitored.final_bits <= monitored.random_bits
 
     @pytest.mark.parametrize("nu", [1.0, 10.0])
@@ -635,8 +634,9 @@ class TestRateScenario:
     def test_monitored_worst_eq_above_half_gives_zero_bits(self, nu, loss_db):
         # 100 monitor samples widen the check-arm box until its worst-case EQ
         # passes 1/2, where no theta exists.
-        report = scenario_from_params({"p_hat": 0.3, "nu": nu}).rate_report(
-            loss_db, monitor_samples=100)
+        scenario = scenario_from_params({"p_hat": 0.3, "nu": nu})
+        report = final_rate(scenario.security, scenario.dets, scenario.taus(loss_db),
+                            hoeffding_delta(100, scenario.security.eps_d))
         assert math.isnan(report.theta)
         assert report.random_bits == 0.0 and report.final_bits == 0.0
 

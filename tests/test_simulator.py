@@ -577,18 +577,21 @@ class TestExtract:
         hx, hy, hxy = (extract(v, 100, 3) for v in (x, y, x ^ y))
         assert np.array_equal(hx ^ hy, hxy)
 
-    def test_fft_path_matches_direct(self, monkeypatch):
-        from siqrng import simulator
+    @staticmethod
+    def direct_extract(x, out_len, seed):
+        """Reference: the Toeplitz product as one exact integer np.convolve."""
+        from siqrng.simulator import STREAM_EXTRACTOR, _stream
+        n = x.size
+        r = _stream(seed, STREAM_EXTRACTOR, 0).integers(0, 2, n + out_len - 1,
+                                                        dtype=np.uint8)
+        conv = np.convolve(x.astype(np.int64), r.astype(np.int64))
+        return (conv[n - 1:n - 1 + out_len] & 1).astype(np.uint8)
+
+    def test_fft_path_matches_direct(self):
         rng = np.random.default_rng(37)
-        # 3.9e6 products take the direct path by default, 5e6 the FFT path
-        assert 3000 * 1300 <= simulator._DIRECT_CONV_LIMIT < 5000 * 1000
         for n, out_len in [(3000, 1300), (5000, 1000)]:
             x = rng.integers(0, 2, n, dtype=np.uint8)
-            monkeypatch.setattr(simulator, "_DIRECT_CONV_LIMIT", n * out_len)
-            direct = extract(x, out_len, 41)
-            monkeypatch.setattr(simulator, "_DIRECT_CONV_LIMIT", 1)
-            fft = extract(x, out_len, 41)
-            assert np.array_equal(direct, fft)
+            assert np.array_equal(extract(x, out_len, 41), self.direct_extract(x, out_len, 41))
 
     @staticmethod
     def scipy_fft_extract(x, out_len, seed):
@@ -614,24 +617,21 @@ class TestExtract:
     # n + out_len - 1 = 6000 = 2^4 3 5^3 is 5-smooth, 6001 is one above it.
     @pytest.mark.parametrize("n, out_len", [(3000, 3000), (4000, 2001), (4001, 2001),
                                             (3001, 3000), (3002, 3000)])
-    def test_fft_edges_match_references(self, monkeypatch, n, out_len):
+    def test_fft_edges_match_references(self, n, out_len):
         """Circular FFT lengths at out_len == n and at n + out_len - 1 either
         5-smooth or one above: equal to the linear-convolution oracle and to
-        the direct path."""
-        assert n * out_len > simulator._DIRECT_CONV_LIMIT
+        the direct convolution."""
         assert simulator._next_5_smooth(6000) == 6000 < simulator._next_5_smooth(6001)
         x = np.random.default_rng(n + out_len).integers(0, 2, n, dtype=np.uint8)
         fft = extract(x, out_len, 61)
         assert np.array_equal(fft, self.scipy_fft_extract(x, out_len, 61))
-        monkeypatch.setattr(simulator, "_DIRECT_CONV_LIMIT", n * out_len)
-        assert np.array_equal(fft, extract(x, out_len, 61))
+        assert np.array_equal(fft, self.direct_extract(x, out_len, 61))
 
-    def test_one_output_bit_above_the_direct_limit(self):
-        """A single output bit of more than _DIRECT_CONV_LIMIT input bits
-        takes the FFT path; it is the parity of the Toeplitz matrix's first
-        row, r[n - 1 - j], against x."""
+    def test_one_output_bit_of_four_million_input_bits(self):
+        """A single output bit of 2^22 + 1 input bits is the parity of the
+        Toeplitz matrix's first row, r[n - 1 - j], against x."""
         from siqrng.simulator import STREAM_EXTRACTOR, _stream
-        n = simulator._DIRECT_CONV_LIMIT + 1
+        n = (1 << 22) + 1
         x = np.random.default_rng(67).integers(0, 2, n, dtype=np.uint8)
         r = _stream(71, STREAM_EXTRACTOR, 0).integers(0, 2, n, dtype=np.uint8)
         parity = int(np.dot(x.astype(np.int64), r[::-1].astype(np.int64))) & 1
