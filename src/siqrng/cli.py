@@ -171,14 +171,6 @@ def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _taus(source, eta: float, e_q: float, eta_1: Optional[float] = None) -> TauSet:
-    """Vacuum probabilities behind ``source`` of the detectors that
-    :func:`detector_set` builds from ``eta`` and ``eta_1``; an array of
-    ``eta_1`` gives an array of ``tau_1``."""
-    return measurement_taus(source, eta_0=eta, eta_1=eta if eta_1 is None else eta_1,
-                            eta_plus=eta, eta_minus=eta, misalignment=e_q)
-
-
 # ---------------------------------------------------------------------------
 # autocorr
 
@@ -202,7 +194,7 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
             for p_hat_i in grid]
-    taus = _taus(source, eta, 0.0)
+    taus = measurement_taus(source, dets[0])
     rows: List[List] = [
         [p_hat_i, prior_autocorrelation(d[0], taus.tau_0, d[1], taus.tau_1, lag)]
         for p_hat_i, d in zip(grid, dets)]
@@ -213,8 +205,7 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
         seed = int(config["seed"])
 
         def mc_point(idx: int):
-            sim_cfg = PulseTrainConfig(pulses=pulses, source=source,
-                                       det_0=dets[idx][0], det_1=dets[idx][1],
+            sim_cfg = PulseTrainConfig(pulses=pulses, source=source, dets=dets[idx],
                                        x_fraction=0.0, seed=seed + idx)
             bits, mask = z_window_bits(simulate(sim_cfg).clicks)
             return (empirical_autocorrelation(bits, lag, mask=mask),
@@ -236,13 +227,10 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 # hmin
 
 
-def _hmin_a(eta: float, e_d: float, specs: Sequence[AfterpulseSpec], taus: TauSet,
-            eta_1: Optional[np.ndarray] = None) -> np.ndarray:
-    """hmin_a of the detectors :func:`detector_set` builds from ``eta``,
-    ``e_d`` and each spec of ``specs`` (and ``eta_1``), at the vacuum
-    probabilities ``taus``: one broadcast report along ``specs`` and
-    ``eta_1``."""
-    detector_set(eta, e_d, AfterpulseSpec.none(), eta_1)    # checks eta, e_d and eta_1
+def _hmin_a(e_d: float, specs: Sequence[AfterpulseSpec], taus: TauSet) -> np.ndarray:
+    """hmin_a of four detectors of dark-count probability ``e_d`` with each
+    spec of ``specs``, at the vacuum probabilities ``taus``: one broadcast
+    report along ``specs`` and ``taus``."""
     worst = np.array([worst_afterpulse(spec) for spec in specs])
     z_arm = ArmState.from_totals(taus.tau_0, e_d, worst, taus.tau_1, e_d, worst)
     x_arm = ArmState.from_totals(taus.tau_plus, e_d, worst, taus.tau_minus, e_d, worst)
@@ -260,13 +248,13 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 
     if sweep == "afterpulse":
         fp_windows = int(config["fp_windows"])
-        taus = _taus(source, eta, e_q)
+        taus = measurement_taus(source, detector_set(eta, e_d, AfterpulseSpec.none()), e_q)
         p_hats = np.linspace(0.0, config["p_hat_max"], points).tolist()
-        no_ap = _hmin_a(eta, e_d, [AfterpulseSpec.none()] * points, taus)
+        no_ap = _hmin_a(e_d, [AfterpulseSpec.none()] * points, taus)
         specs = [(AfterpulseSpec.exponential_from_rate(p_hat, omega),
                   AfterpulseSpec.exponential_from_rate(p_hat, omega, fp_windows))
                  for p_hat in p_hats]
-        columns = [_hmin_a(eta, e_d, column, taus) for column in zip(*specs)]
+        columns = [_hmin_a(e_d, column, taus) for column in zip(*specs)]
         rows = [list(row) for row in zip(p_hats, no_ap.tolist(),
                                          *(c.tolist() for c in columns))]
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
@@ -274,16 +262,9 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     elif sweep == "efficiency":
         spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], omega)
         ratios = np.linspace(config["ratio_min"], config["ratio_max"], points)
-        eta_1 = ratios * eta
-        # The rows run in order, so the first eta_1 outside [0, 1] fails:
-        # on its tau if its xi = eta_1/2 is out of range too, else on its
-        # detector.  Rows after it never run.
-        outside = np.flatnonzero(~((eta_1 >= 0.0) & (eta_1 <= 1.0)))
-        if outside.size:
-            eta_1 = eta_1[:outside[0] + 1]
-        taus = _taus(source, eta, e_q, eta_1)
-        columns = [_hmin_a(eta, e_d, [spec], taus, eta_1)
-                   for spec in (AfterpulseSpec.none(), spec_ap)]
+        dets = detector_set(eta, e_d, AfterpulseSpec.none(), ratios * eta)
+        taus = measurement_taus(source, dets, e_q)
+        columns = [_hmin_a(e_d, [spec], taus) for spec in (AfterpulseSpec.none(), spec_ap)]
         rows = [list(row) for row in zip(ratios.tolist(), *(c.tolist() for c in columns))]
         header = "eta_ratio,hmin_a_no_ap,hmin_a_ap"
         path = out_dir / "hmin_efficiency.csv"
@@ -343,12 +324,11 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
     grid_points = int(config["grid_points"])
     lengths = np.logspace(math.log10(lo), math.log10(hi), points)
     source = poisson_distribution(nu)
-    variants = []    # (detectors, infinite-length hmin_a) without and with afterpulsing
     spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], config["omega"])
-    taus = _taus(source, eta, e_q)
-    for spec in (AfterpulseSpec.none(), spec_ap):
-        dets = detector_set(eta, e_d, spec)
-        variants.append((dets, entropy_report_from_taus(dets, taus).hmin_a))
+    det_sets = [detector_set(eta, e_d, spec) for spec in (AfterpulseSpec.none(), spec_ap)]
+    taus = measurement_taus(source, det_sets[0], e_q)    # the sets differ in afterpulsing only
+    # (detectors, infinite-length hmin_a) without and with afterpulsing
+    variants = [(dets, entropy_report_from_taus(dets, taus).hmin_a) for dets in det_sets]
 
     rows = []
     for n_samples in lengths:
@@ -381,11 +361,11 @@ def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     spec = AfterpulseSpec.exponential_from_rate(
         float(config["p_hat"]), float(config["omega"]),
         None if depth is None else int(depth))
-    det0, det1, detp, detm = detector_set(config["eta"], config["e_d"], spec)
+    dets = detector_set(config["eta"], config["e_d"], spec)
     sim_cfg = PulseTrainConfig(
         pulses=int(config["pulses"]),
         source=poisson_distribution(config["nu"]),
-        det_0=det0, det_1=det1, det_plus=detp, det_minus=detm,
+        dets=dets,
         t_z=float(config["t_z"]), t_x=float(config["t_x"]),
         x_fraction=float(config["q_x"]), misalignment=float(config["e_q"]),
         seed=seed,

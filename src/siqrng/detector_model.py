@@ -219,6 +219,10 @@ class AfterpulseSpec:
                         "unlimited history requires decay > ln(1+amplitude); got "
                         f"decay={self.decay}, ln(1+A)={math.log1p(self.amplitude)}"
                     )
+            # first_order_rate divides by 1 - exp(-decay)
+            if self.amplitude > 0.0 and math.exp(-self.decay) == 1.0:
+                raise ParameterError(
+                    f"decay must be large enough that exp(-decay) < 1, got {self.decay}")
         rate = self.first_order_rate
         if not rate < 1.0:
             raise ParameterError(f"overall first-order rate must be < 1, got {rate}")

@@ -84,15 +84,6 @@ def worst_afterpulse(spec: AfterpulseSpec) -> float:
     return min(spec.worst_case_total(), 1.0)
 
 
-def _stationary(tau: float, e_d: float, worst: float,
-                prior_ratio: Optional[float]) -> float:
-    if prior_ratio is None:
-        prior_ratio = response_prob_no_afterpulse(tau, e_d)
-    else:
-        _check_unit("prior_ratio", prior_ratio)
-    return response_prob(tau, e_d, worst * prior_ratio)
-
-
 def baseline_click_prob(det: DetectorParams, tau: float) -> float:
     """Response probability with no afterpulse contribution."""
     return response_prob_no_afterpulse(tau, det.dark_rate)
@@ -105,7 +96,11 @@ def stationary_click_prob(det: DetectorParams, tau: float,
     ``prior_ratio`` is the detector's prior response ratio; by default the
     afterpulse-free value of this detector, the worst case injects 1.
     """
-    return _stationary(tau, det.dark_rate, worst_afterpulse(det.afterpulse), prior_ratio)
+    if prior_ratio is None:
+        prior_ratio = response_prob_no_afterpulse(tau, det.dark_rate)
+    else:
+        _check_unit("prior_ratio", prior_ratio)
+    return response_prob(tau, det.dark_rate, worst_afterpulse(det.afterpulse) * prior_ratio)
 
 
 @dataclass(frozen=True)
@@ -127,29 +122,26 @@ class ArmState:
 
     @classmethod
     def from_detectors(cls, det_a: DetectorParams, tau_a: float,
-                       det_b: DetectorParams, tau_b: float,
-                       prior_a: Optional[float] = None,
-                       prior_b: Optional[float] = None) -> "ArmState":
+                       det_b: DetectorParams, tau_b: float) -> "ArmState":
         return cls.from_totals(
             tau_a, det_a.dark_rate, worst_afterpulse(det_a.afterpulse),
-            tau_b, det_b.dark_rate, worst_afterpulse(det_b.afterpulse),
-            prior_a, prior_b)
+            tau_b, det_b.dark_rate, worst_afterpulse(det_b.afterpulse))
 
     @classmethod
     def from_totals(cls, tau_a: float, e_a: float, worst_a: float,
-                    tau_b: float, e_b: float, worst_b: float,
-                    prior_a: Optional[float] = None,
-                    prior_b: Optional[float] = None) -> "ArmState":
+                    tau_b: float, e_b: float, worst_b: float) -> "ArmState":
         """Arm of detectors with vacuum probabilities ``tau_*``, dark-count
         probabilities ``e_*`` and clamped worst-case afterpulse totals
         ``worst_*`` (see :func:`worst_afterpulse`).  Arrays broadcast."""
+        p0_a = response_prob_no_afterpulse(tau_a, e_a)
+        p0_b = response_prob_no_afterpulse(tau_b, e_b)
         return cls(
-            p_a=_stationary(tau_a, e_a, worst_a, prior_a),
-            p_b=_stationary(tau_b, e_b, worst_b, prior_b),
+            p_a=response_prob(tau_a, e_a, worst_a * p0_a),
+            p_b=response_prob(tau_b, e_b, worst_b * p0_b),
             p1_a=response_prob(tau_a, e_a, worst_a),
-            p0_a=response_prob_no_afterpulse(tau_a, e_a),
+            p0_a=p0_a,
             p1_b=response_prob(tau_b, e_b, worst_b),
-            p0_b=response_prob_no_afterpulse(tau_b, e_b),
+            p0_b=p0_b,
         )
 
 
@@ -186,7 +178,8 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
         P_fired     = p_hat/(1-p_hat)*p_b + p_hat_lag * (1 - p_b)
         P_not_fired = p_hat/(1-p_hat)*p_b - p_hat_lag * p_b
 
-    A negative not-fired correction is clamped at 0 with a warning.
+    A negative not-fired correction is clamped at 0 with a warning; one
+    above 1 means p_hat is too large and raises :class:`ParameterError`.
     """
     if prior_ratio is None:
         prior_ratio = baseline_click_prob(det, tau)
@@ -205,10 +198,12 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
             stacklevel=2,
         )
         p_ap_not = 0.0
-    return (
-        response_prob(tau, det.dark_rate, p_ap_fired),
-        response_prob(tau, det.dark_rate, p_ap_not),
-    )
+    fired = response_prob(tau, det.dark_rate, p_ap_fired)
+    if p_ap_not > 1.0:
+        raise ParameterError(
+            f"afterpulse rate p_hat = {spec.first_order_rate!r} is too large: the "
+            f"lag-{lag} not-fired afterpulse probability is {p_ap_not!r} > 1")
+    return fired, response_prob(tau, det.dark_rate, p_ap_not)
 
 
 def prior_autocorrelation(det_0: DetectorParams, tau_0: float,
@@ -331,10 +326,10 @@ class TauSet(NamedTuple):
     tau_minus: float
 
 
-def measurement_taus(source: PhotonDistribution, *, eta_0: float, eta_1: float,
-                     eta_plus: float, eta_minus: float, misalignment: float = 0.0,
-                     transmittance: float = 1.0) -> TauSet:
-    """Vacuum probability at each detector for a source at the measurement input.
+def measurement_taus(source: PhotonDistribution, dets: Sequence[DetectorParams],
+                     misalignment: float = 0.0, transmittance: float = 1.0) -> TauSet:
+    """Vacuum probability at each detector of ``dets`` ("0", "1", "+", "-",
+    in :func:`detector_set` order) for a source at the measurement input.
 
     Generation-basis photons split evenly between the two detectors, so each
     sees thinning t*eta/2.  Check-basis photons exit the "+" port except for a
@@ -345,6 +340,7 @@ def measurement_taus(source: PhotonDistribution, *, eta_0: float, eta_1: float,
     """
     _check_unit("misalignment", misalignment)
     _check_unit("transmittance", transmittance)
+    eta_0, eta_1, eta_plus, eta_minus = (det.efficiency for det in dets)
     t = transmittance
     xis = [np.asarray(xi, dtype=float) for xi in (
         0.5 * t * eta_0, 0.5 * t * eta_1,

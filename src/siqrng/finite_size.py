@@ -556,10 +556,8 @@ class RateScenario:
     def taus(self, loss_db: float) -> TauSet:
         """Vacuum probability at each detector behind ``loss_db`` of attenuation;
         a one-dimensional array of losses gives a :class:`TauSet` of arrays."""
-        eta_0, eta_1, eta_plus, eta_minus = (det.efficiency for det in self.dets)
-        return measurement_taus(self.source, eta_0=eta_0, eta_1=eta_1, eta_plus=eta_plus,
-                                eta_minus=eta_minus, misalignment=self.security.misalignment,
-                                transmittance=self.transmittance(loss_db))
+        return measurement_taus(self.source, self.dets, self.security.misalignment,
+                                self.transmittance(loss_db))
 
     def entropy(self, taus: TauSet) -> EntropyReport:
         """Report of the detectors at the vacuum probabilities ``taus``; a

@@ -16,7 +16,6 @@ reproducible for a fixed (config, seed).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -53,14 +52,14 @@ def _stream(seed: int, stream_id: int, chunk: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PulseTrainConfig:
-    """Everything one reproducible simulation run depends on."""
+    """Everything one reproducible simulation run depends on.
+
+    ``dets`` holds detectors "0", "1", "+", "-", in :func:`detector_set` order.
+    """
 
     pulses: int
     source: PhotonDistribution
-    det_0: DetectorParams
-    det_1: DetectorParams
-    det_plus: Optional[DetectorParams] = None
-    det_minus: Optional[DetectorParams] = None
+    dets: Tuple[DetectorParams, ...]
     t_z: float = 1.0
     t_x: float = 1.0
     x_fraction: float = 0.0
@@ -77,13 +76,9 @@ class PulseTrainConfig:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
         if self.chunk_size < 1:
             raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.det_plus is None:
-            object.__setattr__(self, "det_plus",
-                               dataclasses.replace(self.det_0, label="+"))
-        if self.det_minus is None:
-            object.__setattr__(self, "det_minus",
-                               dataclasses.replace(self.det_1, label="-"))
-        for det in (self.det_0, self.det_1, self.det_plus, self.det_minus):
+        if len(self.dets) != 4:
+            raise ParameterError(f"dets must hold 4 detectors, got {len(self.dets)}")
+        for det in self.dets:
             if det.afterpulse.window_depth is None:
                 raise ParameterError(
                     "simulation requires a finite afterpulse window_depth "
@@ -94,10 +89,8 @@ class PulseTrainConfig:
         return {
             "pulses": self.pulses,
             "source": self.source.to_dict(),
-            "det_0": self.det_0.to_dict(),
-            "det_1": self.det_1.to_dict(),
-            "det_plus": self.det_plus.to_dict(),
-            "det_minus": self.det_minus.to_dict(),
+            **{f"det_{name}": det.to_dict()
+               for name, det in zip(("0", "1", "plus", "minus"), self.dets)},
             "t_z": self.t_z,
             "t_x": self.t_x,
             "x_fraction": self.x_fraction,
@@ -374,9 +367,8 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     # detector's lookup, so no two of them are alive at once.
     photons = (lambda: n_0, lambda: n_z - n_0, lambda: n_x - n_minus, lambda: n_minus)
     arms = (is_z, is_z, is_x, is_x)
-    dets = (config.det_0, config.det_1, config.det_plus, config.det_minus)
     base, cand, u_cand = [], [], []
-    for k, det in enumerate(dets):
+    for k, det in enumerate(config.dets):
         # A detector of the other arm holds no photons: click probability 0.
         fired = draw(STREAM_SIGNAL[k]) < click_tables[k][photons[k]()]
         fired &= arms[k]
@@ -459,7 +451,7 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
         raise ParameterError(f"threads must be >= 1, got {threads}")
     if seed is None:
         seed = config.seed
-    dets = (config.det_0, config.det_1, config.det_plus, config.det_minus)
+    dets = config.dets
     spec_coeffs = {spec: _coefficient_array(spec) for spec in {det.afterpulse for det in dets}}
     coeffs = [spec_coeffs[det.afterpulse] for det in dets]
     ap_limits = [1.0 - _survival_floor(c) for c in coeffs]

@@ -154,6 +154,10 @@ def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistri
     xlogy[0] = 0.0
     probs = np.exp(xlogy - _lgamma_int(n + 1.0) - nu)
     total = math.fsum(probs.tolist())
+    if total - 1.0 > _SUM_TOL:
+        raise ParameterError(
+            f"Poisson probabilities of mean nu = {nu!r} sum to {total!r}, more than "
+            f"{_SUM_TOL} above 1: the pmf loses accuracy at this nu")
     if _tail_absorbed(nu, n_max + 1):
         return PhotonDistribution(probs=probs, tail_mass=max(0.0, 1.0 - total))
     from scipy import special

@@ -54,8 +54,7 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 
 def hmin_point(nu: float, spec: AfterpulseSpec, eta_1: float = ETA) -> float:
     dets = make_detectors(eta=ETA, e_d=DARK, spec=spec, eta_1=eta_1)
-    taus = measurement_taus(poisson_distribution(nu), eta_0=ETA, eta_1=eta_1,
-                            eta_plus=ETA, eta_minus=ETA, misalignment=MISALIGN)
+    taus = measurement_taus(poisson_distribution(nu), dets, misalignment=MISALIGN)
     return entropy_report_from_taus(dets, taus).hmin_a
 
 
@@ -88,21 +87,20 @@ def test_c02_finite_window_ordering():
 
 def test_c03_autocorrelation_oracle_equivalence():
     source = poisson_distribution(1.0)
-    taus = measurement_taus(source, eta_0=ETA, eta_1=ETA, eta_plus=ETA,
-                            eta_minus=ETA)
+    taus = measurement_taus(source, make_detectors(eta=ETA, e_d=DARK))
     tau = taus.tau_0
     details = []
     ok = True
     for idx, p_hat_i in enumerate((0.01, 0.03, 0.05)):
         spec = AfterpulseSpec.explicit([p_hat_i, 0.05 - p_hat_i])
-        det0, det1, _, _ = make_detectors(eta=ETA, e_d=DARK, spec=spec)
+        det0, det1, detp, detm = make_detectors(eta=ETA, e_d=DARK, spec=spec)
         analytic = prior_autocorrelation(det0, tau, det1, tau, 1)
         # identical detectors: the general formula degenerates to the linear
         # coefficient tau*(1-e_d)*p_hat_i (the prior response ratio cancels)
         closed = tau * (1.0 - DARK) * p_hat_i
         ok &= analytic == pytest.approx(closed, rel=1e-12)
-        cfg = PulseTrainConfig(pulses=10**7, source=source, det_0=det0,
-                               det_1=det1, x_fraction=0.0, seed=100 + idx)
+        cfg = PulseTrainConfig(pulses=10**7, source=source, dets=(det0, det1, detp, detm),
+                               x_fraction=0.0, seed=100 + idx)
         bits, mask = z_window_bits(simulate(cfg).clicks)
         a_mc = empirical_autocorrelation(bits, 1, mask=mask)
         stderr = autocorrelation_stderr(mask, 1)
@@ -118,8 +116,7 @@ def test_c04_quadratic_linear_degeneration():
     grid = np.linspace(0.005, 0.045, 5)
 
     def curve(eta_1):
-        taus = measurement_taus(source, eta_0=ETA, eta_1=eta_1, eta_plus=ETA,
-                                eta_minus=ETA)
+        taus = measurement_taus(source, make_detectors(eta=ETA, e_d=DARK, eta_1=eta_1))
         values = []
         for p_i in grid:
             spec = AfterpulseSpec.explicit([float(p_i), 0.05 - float(p_i)])
@@ -242,8 +239,7 @@ def test_c10_finite_sampling_gap_shrinks():
     for p_hat in (0.0, 0.05):
         spec = ap_spec(p_hat)
         dets = make_detectors(eta=ETA, e_d=DARK, spec=spec)
-        taus = measurement_taus(source, eta_0=ETA, eta_1=ETA, eta_plus=ETA,
-                                eta_minus=ETA, misalignment=MISALIGN)
+        taus = measurement_taus(source, dets, misalignment=MISALIGN)
         h_il = entropy_report_from_taus(dets, taus).hmin_a
         gaps = {}
         for n_s in (10**3, 10**5):
@@ -260,12 +256,10 @@ def test_c10_finite_sampling_gap_shrinks():
 def test_c11_simulator_statistical_agreement():
     source = poisson_distribution(1.0)
     det0, det1, detp, detm = make_detectors(eta=ETA, e_d=DARK)
-    cfg = PulseTrainConfig(pulses=10**7, source=source, det_0=det0, det_1=det1,
-                           det_plus=detp, det_minus=detm, x_fraction=0.5,
-                           misalignment=MISALIGN, seed=2024)
+    cfg = PulseTrainConfig(pulses=10**7, source=source, dets=(det0, det1, detp, detm),
+                           x_fraction=0.5, misalignment=MISALIGN, seed=2024)
     result = simulate(cfg)
-    taus = measurement_taus(source, eta_0=ETA, eta_1=ETA, eta_plus=ETA,
-                            eta_minus=ETA, misalignment=MISALIGN)
+    taus = measurement_taus(source, cfg.dets, misalignment=MISALIGN)
     p = stationary_click_prob(det0, taus.tau_0)
     q_single = 2.0 * p * (1.0 - p)
     q_double = p * p
@@ -291,9 +285,8 @@ def test_c12_determinism(tmp_path):
     spec = AfterpulseSpec.explicit([0.03, 0.02])
     det0, det1, detp, detm = make_detectors(eta=ETA, e_d=DARK, spec=spec)
     cfg = PulseTrainConfig(pulses=200_000, source=poisson_distribution(1.0),
-                           det_0=det0, det_1=det1, det_plus=detp, det_minus=detm,
-                           x_fraction=0.02, misalignment=MISALIGN, seed=77,
-                           chunk_size=2**14)
+                           dets=(det0, det1, detp, detm), x_fraction=0.02,
+                           misalignment=MISALIGN, seed=77, chunk_size=2**14)
     outputs = []
     for threads in (1, 1, 4):
         result = simulate(cfg, threads=threads)

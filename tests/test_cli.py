@@ -45,6 +45,15 @@ class TestAutocorr:
         for p_i, a_th, a_mc, se in rows:
             assert abs(a_mc - a_th) <= 4.0 * se or abs(a_mc - a_th) < 5e-3
 
+    def test_too_large_p_hat_is_named(self, tmp_path, capsys):
+        # the lag-1 not-fired afterpulse probability p_hat/(1-p_hat)*p_b
+        # exceeds 1 at p_hat = 0.96
+        assert run(["autocorr", "--p-hat", "0.96", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "siqrng: error: afterpulse rate p_hat = 0.96 is too large: the lag-1 "
+            "not-fired afterpulse probability is 1.1705075096865751 > 1\n")
+        assert not (tmp_path / "autocorr.csv").exists()
+
 
 class TestHmin:
     def test_afterpulse_sweep_ordering(self, tmp_path):
@@ -70,18 +79,21 @@ class TestHmin:
     @pytest.mark.parametrize("argv, message", [
         (["--p-hat-max", "1.2"], "first_order_rate must lie in [0, 1), got 1.02"),
         (["--eta", "1.02"], "efficiency must lie in [0, 1], got 1.02"),
-        (["--eta", "1.5"], "xi must lie in [0, 1], got 1.47"),
+        (["--eta", "1.5"], "efficiency must lie in [0, 1], got 1.5"),
         (["--e-d", "1"], "dark_rate must lie in [0, 1), got 1.0"),
         # the first row whose eta_1 = ratio * eta leaves [0, 1] names the fault
         (["--sweep", "efficiency", "--ratio-max", "15"],
          "efficiency must lie in [0, 1], got 1.02875"),
         (["--sweep", "efficiency", "--ratio-max", "25"],
          "efficiency must lie in [0, 1], got 1.03"),
-        (["--sweep", "efficiency", "--ratio-min", "-1"], "xi must lie in [0, 1], got -0.05"),
+        (["--sweep", "efficiency", "--ratio-min", "-1"],
+         "efficiency must lie in [0, 1], got -0.1"),
         # a nonzero afterpulse rate needs a decay to shape its profile
         (["--omega", "0", "--points", "3"], "decay must be > 0, got 0.0"),
         (["--omega", "-0.5"], "decay must be > 0, got -0.5"),
         (["--sweep", "efficiency", "--omega", "0"], "decay must be > 0, got 0.0"),
+        # exp(-decay) rounds to 1, which first_order_rate divides by 1 minus
+        (["--omega", "1e-17"], "decay must be large enough that exp(-decay) < 1, got 1e-17"),
     ], ids=lambda v: "_".join(v).replace("-", "") if isinstance(v, list) else "")
     def test_first_faulty_row_is_named(self, tmp_path, capsys, argv, message):
         assert run(["hmin", "--out-dir", str(tmp_path)] + argv) == 2
@@ -182,17 +194,15 @@ def per_row_taus(monkeypatch):
     ignoring the TauSet it is handed, and ``rates`` ignores the report cell
     it is handed."""
     seen = {}
-    real_taus, real_scenario_taus = cli._taus, RateScenario.taus
+    real_scenario_taus = RateScenario.taus
     real_rates = RateScenario.rates
 
-    def recording_taus(source, eta, e_q, eta_1=None):
-        seen["source"], seen["e_q"] = source, e_q
-        return real_taus(source, eta, e_q, eta_1)
+    def recording_taus(source, dets, misalignment=0.0):
+        seen["source"], seen["dets"], seen["e_q"] = source, dets, misalignment
+        return measurement_taus(source, dets, misalignment)
 
     def own_taus(dets):
-        return measurement_taus(seen["source"], eta_0=dets[0].efficiency,
-                                eta_1=dets[1].efficiency, eta_plus=dets[2].efficiency,
-                                eta_minus=dets[3].efficiency, misalignment=seen["e_q"])
+        return measurement_taus(seen["source"], dets, misalignment=seen["e_q"])
 
     def per_row_report(dets, taus):
         return entropy_report_from_taus(dets, own_taus(dets))
@@ -204,9 +214,11 @@ def per_row_taus(monkeypatch):
         own = own_taus((det_0, det_1, det_0, det_1))    # only tau_0 and tau_1 are read
         return prior_autocorrelation(det_0, own.tau_0, det_1, own.tau_1, lag)
 
-    def per_row_hmin_a(eta, e_d, specs, taus, eta_1=None):
-        # one row per spec, or one per eta_1 with a single spec
-        rows = ([(spec, None) for spec in specs] if eta_1 is None
+    def per_row_hmin_a(e_d, specs, taus):
+        # one row per spec, or one per eta_1 of the measured detectors with a
+        # single spec
+        eta, eta_1 = seen["dets"][0].efficiency, seen["dets"][1].efficiency
+        rows = ([(spec, None) for spec in specs] if np.ndim(eta_1) == 0
                 else [(specs[0], e) for e in eta_1.tolist()])
         return np.array([per_row_report(detector_set(eta, e_d, spec, e), taus).hmin_a
                          for spec, e in rows])
@@ -220,7 +232,7 @@ def per_row_taus(monkeypatch):
         losses = seen.setdefault(id(self), iter(seen["losses"]))
         return real_rates(self, self.entropy(real_scenario_taus(self, next(losses))))
 
-    monkeypatch.setattr(cli, "_taus", recording_taus)
+    monkeypatch.setattr(cli, "measurement_taus", recording_taus)
     monkeypatch.setattr(cli, "entropy_report_from_taus", per_row_report)
     monkeypatch.setattr(cli, "hmin_with_tau_uncertainty", per_row_hmin)
     monkeypatch.setattr(cli, "prior_autocorrelation", per_row_autocorrelation)
@@ -290,9 +302,9 @@ class TestSimulateCommand:
         assert time.monotonic() - started < 60.0
         sidecar = json.loads((tmp_path / "bits.json").read_text())
         # default config: nu=1, eta=0.1, e_d=6e-7, e_q=0.02, no afterpulse
-        taus = measurement_taus(poisson_distribution(1.0), eta_0=0.1, eta_1=0.1,
-                                eta_plus=0.1, eta_minus=0.1, misalignment=0.02)
-        _, _, detp, detm = make_detectors()
+        dets = make_detectors()
+        taus = measurement_taus(poisson_distribution(1.0), dets, misalignment=0.02)
+        _, _, detp, detm = dets
         eq = x_basis_error(p_plus=stationary_click_prob(detp, taus.tau_plus),
                            p_minus=stationary_click_prob(detm, taus.tau_minus))
         n_x = sidecar["x_windows"]
@@ -488,6 +500,17 @@ class TestConfigHandling:
         cfg.write_text(text)
         assert run(["hmin", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rates", "simulate", "finite-sampling"])
+    def test_large_nu_is_named(self, tmp_path, capsys, command):
+        # the Poisson pmf of mean 2300 sums to 1 + 1.1e-12
+        out = tmp_path / "out"
+        assert run([command, "--nu", "2300", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "siqrng: error: Poisson probabilities of mean nu = 2300.0 sum to "
+            "1.0000000000011235, more than 1e-12 above 1: the pmf loses accuracy "
+            "at this nu\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["--q-x", "5e-324"], "N = 1e+10 and q_x = 4.94066e-324 leave n_x = 4.94066e-314"),

@@ -216,6 +216,13 @@ class TestAfterpulseSpec:
         # a zero rate has no profile for the decay to shape
         assert AfterpulseSpec.exponential_from_rate(0.0, decay) == AfterpulseSpec.none()
 
+    @pytest.mark.parametrize("depth", [None, 3])
+    def test_exponential_from_rate_rejects_decay_below_resolution(self, depth):
+        # exp(-1e-17) rounds to 1, so first_order_rate would divide by zero
+        with pytest.raises(ParameterError, match=r"^decay must be large enough that "
+                                                 r"exp\(-decay\) < 1, got 1e-17$"):
+            AfterpulseSpec.exponential_from_rate(0.05, 1e-17, depth)
+
     def test_finite_depth_truncates_coefficients(self):
         spec = AfterpulseSpec.exponential(0.01, 0.001, window_depth=5)
         assert spec.coefficient(5) > 0.0

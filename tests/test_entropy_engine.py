@@ -197,8 +197,7 @@ class TestLaggedResponseProbs:
 class TestPriorAutocorrelation:
     def setup_method(self):
         self.source = poisson_distribution(1.0)
-        self.taus = measurement_taus(self.source, eta_0=0.1, eta_1=0.1,
-                                     eta_plus=0.1, eta_minus=0.1)
+        self.taus = measurement_taus(self.source, make_detectors())
 
     def _detectors(self, p1, p2, eta_1=None):
         spec = AfterpulseSpec.explicit([p1, p2])
@@ -224,11 +223,9 @@ class TestPriorAutocorrelation:
         def series(eta_1):
             values = []
             for p1 in grid:
-                det0, det1, _, _ = self._detectors(float(p1), 0.05 - float(p1),
-                                                   eta_1=eta_1)
-                tau1 = measurement_taus(self.source, eta_0=0.1,
-                                        eta_1=eta_1 if eta_1 else 0.1,
-                                        eta_plus=0.1, eta_minus=0.1).tau_1
+                dets = self._detectors(float(p1), 0.05 - float(p1), eta_1=eta_1)
+                det0, det1, _, _ = dets
+                tau1 = measurement_taus(self.source, dets).tau_1
                 values.append(prior_autocorrelation(det0, tau0, det1, tau1, 1))
             return np.polyfit(grid, values, 2)
 
@@ -240,9 +237,9 @@ class TestPriorAutocorrelation:
     def test_prior_ratio_injectable(self):
         # the prior ratio cancels exactly for identical detectors, so a
         # mismatched pair is needed to see the injection take effect
-        det0, det1, _, _ = self._detectors(0.02, 0.03, eta_1=0.2)
-        tau1 = measurement_taus(self.source, eta_0=0.1, eta_1=0.2,
-                                eta_plus=0.1, eta_minus=0.1).tau_1
+        dets = self._detectors(0.02, 0.03, eta_1=0.2)
+        det0, det1, _, _ = dets
+        tau1 = measurement_taus(self.source, dets).tau_1
         a_default = prior_autocorrelation(det0, self.taus.tau_0, det1, tau1, 1)
         a_worst = prior_autocorrelation(det0, self.taus.tau_0, det1, tau1, 1,
                                         prior_0=1.0, prior_1=1.0)
@@ -293,8 +290,8 @@ class TestReportAssembly:
     def test_report_fields_and_json(self):
         det0, det1, detp, detm = make_detectors(
             spec=AfterpulseSpec.exponential_from_rate(0.05, 0.001))
-        taus = measurement_taus(poisson_distribution(10.0), eta_0=0.1, eta_1=0.1,
-                                eta_plus=0.1, eta_minus=0.1, misalignment=0.02)
+        taus = measurement_taus(poisson_distribution(10.0), (det0, det1, detp, detm),
+                                misalignment=0.02)
         report = entropy_report_from_taus((det0, det1, detp, detm), taus)
         data = report.to_dict()
         assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq", "k"}
@@ -313,8 +310,7 @@ class TestReportAssembly:
         src = poisson_distribution(10.0)
         reports = []
         for e_q in (0.0, 0.02):
-            taus = measurement_taus(src, eta_0=0.1, eta_1=0.1, eta_plus=0.1,
-                                    eta_minus=0.1, misalignment=e_q)
+            taus = measurement_taus(src, (det0, det1, detp, detm), misalignment=e_q)
             reports.append(entropy_report_from_taus((det0, det1, detp, detm), taus))
         assert reports[1].eq > reports[0].eq
         assert reports[1].hmin_a < reports[0].hmin_a
@@ -380,11 +376,11 @@ class TestBroadcastChain:
     def test_efficiency_mismatch_taus(self, ratios, eta, e_q):
         source = poisson_distribution(10.0)
         eta_1 = np.array(ratios) * eta
-        taus = measurement_taus(source, eta_0=eta, eta_1=eta_1, eta_plus=eta,
-                                eta_minus=eta, misalignment=e_q)
+        taus = measurement_taus(source, make_detectors(eta=eta, eta_1=eta_1),
+                                misalignment=e_q)
         for i, ratio in enumerate(ratios):
-            own = measurement_taus(source, eta_0=eta, eta_1=ratio * eta, eta_plus=eta,
-                                   eta_minus=eta, misalignment=e_q)
+            own = measurement_taus(source, make_detectors(eta=eta, eta_1=ratio * eta),
+                                   misalignment=e_q)
             assert taus.tau_1[i] == own.tau_1
             assert (taus.tau_0, taus.tau_plus, taus.tau_minus) == (
                 own.tau_0, own.tau_plus, own.tau_minus)

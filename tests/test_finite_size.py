@@ -479,8 +479,7 @@ class TestSecurityParams:
 
 def _taus_at(nu=10.0, e_q=0.02):
     source = poisson_distribution(nu)
-    return measurement_taus(source, eta_0=0.1, eta_1=0.1, eta_plus=0.1,
-                            eta_minus=0.1, misalignment=e_q)
+    return measurement_taus(source, make_detectors(), misalignment=e_q)
 
 
 class TestFinalRate:
@@ -581,8 +580,7 @@ class TestMinBracketOverTaus:
                                         nu, delta):
         spec = AfterpulseSpec.exponential_from_rate(p_hat, 0.001)
         dets = make_detectors(spec=spec, eta_1=eta_1)
-        taus = measurement_taus(poisson_distribution(nu), eta_0=0.1, eta_1=eta_1,
-                                eta_plus=0.1, eta_minus=0.1, misalignment=0.02)
+        taus = measurement_taus(poisson_distribution(nu), dets, misalignment=0.02)
         boxes = [clipped_interval(tau, delta) for tau in taus]
         args = (dets, boxes, _worst_eq_arm(dets, boxes), theta, grid_points)
         assert _outcome(_min_bracket_over_taus, *args) == \

@@ -34,26 +34,21 @@ VACUUM = PhotonDistribution(probs=np.array([1.0]))
 
 def make_config(pulses=200_000, nu=1.0, eta=0.1, e_d=6e-7, spec=None,
                 x_fraction=0.0, misalignment=0.0, seed=3, **kw):
-    det0, det1, detp, detm = make_detectors(eta=eta, e_d=e_d, spec=spec)
     return PulseTrainConfig(
         pulses=pulses, source=poisson_distribution(nu),
-        det_0=det0, det_1=det1, det_plus=detp, det_minus=detm,
+        dets=make_detectors(eta=eta, e_d=e_d, spec=spec),
         x_fraction=x_fraction, misalignment=misalignment, seed=seed, **kw)
 
 
 class TestConfig:
     def test_infinite_window_rejected(self):
         spec = AfterpulseSpec.exponential_from_rate(0.05, 0.001)  # unlimited
-        det0, det1, _, _ = make_detectors(spec=spec)
         with pytest.raises(ParameterError):
-            PulseTrainConfig(pulses=10, source=VACUUM, det_0=det0, det_1=det1)
+            PulseTrainConfig(pulses=10, source=VACUUM, dets=make_detectors(spec=spec))
 
-    def test_x_detectors_default_to_z_params(self):
-        det0, det1, _, _ = make_detectors()
-        cfg = PulseTrainConfig(pulses=10, source=VACUUM, det_0=det0, det_1=det1)
-        assert cfg.det_plus.efficiency == det0.efficiency
-        assert cfg.det_plus.label == "+"
-        assert cfg.det_minus.label == "-"
+    def test_three_detectors_rejected(self):
+        with pytest.raises(ParameterError, match=r"^dets must hold 4 detectors, got 3$"):
+            PulseTrainConfig(pulses=10, source=VACUUM, dets=make_detectors()[:3])
 
     def test_config_hash_tracks_content(self):
         a = make_config(pulses=100)
@@ -65,8 +60,8 @@ class TestConfig:
 
 class TestDeterminism:
     def test_dead_system_never_clicks(self):
-        det0, det1, _, _ = make_detectors(eta=0.1, e_d=0.0)
-        cfg = PulseTrainConfig(pulses=5000, source=VACUUM, det_0=det0, det_1=det1,
+        cfg = PulseTrainConfig(pulses=5000, source=VACUUM,
+                               dets=make_detectors(eta=0.1, e_d=0.0),
                                x_fraction=0.1, seed=5)
         result = simulate(cfg)
         assert not result.clicks.d0.any()
@@ -257,7 +252,7 @@ def dense_chunk_draws(config, seed, chunk, count, cdf_z, cdf_x):
     is_z = ~is_x
     photons = (np.where(is_z, n_split, 0), np.where(is_z, n_z - n_split, 0),
                np.where(is_x, n_x - n_flip, 0), np.where(is_x, n_flip, 0))
-    dets = (config.det_0, config.det_1, config.det_plus, config.det_minus)
+    dets = config.dets
     base, cand, u_cand = [], [], []
     for k, det in enumerate(dets):
         signal = u_signal[k] < 1.0 - np.power(1.0 - det.efficiency, photons[k])
@@ -387,9 +382,8 @@ class TestStatisticalAgreement:
         cfg = make_config(pulses=10**6, nu=1.0, seed=21)
         result = simulate(cfg)
         qs_hat, qd_hat, n = empirical_click_stats(result.clicks)
-        taus = measurement_taus(cfg.source, eta_0=0.1, eta_1=0.1, eta_plus=0.1,
-                                eta_minus=0.1)
-        p = stationary_click_prob(cfg.det_0, taus.tau_0)
+        taus = measurement_taus(cfg.source, cfg.dets)
+        p = stationary_click_prob(cfg.dets[0], taus.tau_0)
         qs, qd = click_probabilities(p, p)
         assert abs(qs_hat - qs) <= 3.0 * math.sqrt(qs * (1 - qs) / n)
         assert abs(qd_hat - qd) <= 3.0 * math.sqrt(qd * (1 - qd) / n)
@@ -398,10 +392,9 @@ class TestStatisticalAgreement:
         cfg = make_config(pulses=2 * 10**6, nu=1.0, x_fraction=1.0,
                           misalignment=0.02, seed=33)
         result = simulate(cfg)
-        taus = measurement_taus(cfg.source, eta_0=0.1, eta_1=0.1, eta_plus=0.1,
-                                eta_minus=0.1, misalignment=0.02)
-        p_plus = stationary_click_prob(cfg.det_plus, taus.tau_plus)
-        p_minus = stationary_click_prob(cfg.det_minus, taus.tau_minus)
+        taus = measurement_taus(cfg.source, cfg.dets, misalignment=0.02)
+        p_plus = stationary_click_prob(cfg.dets[2], taus.tau_plus)
+        p_minus = stationary_click_prob(cfg.dets[3], taus.tau_minus)
         eq = x_basis_error(p_plus=p_plus, p_minus=p_minus)
         n_x = result.bits.x_windows
         assert n_x == cfg.pulses
@@ -433,8 +426,7 @@ class TestStatisticalAgreement:
         # approaches the unlimited-history model from below, within noise
         det = DetectorParams(0.1, 6e-7, AfterpulseSpec.exponential(amp, omega),
                              label="0")
-        tau = measurement_taus(poisson_distribution(1.0), eta_0=0.1, eta_1=0.1,
-                               eta_plus=0.1, eta_minus=0.1).tau_0
+        tau = measurement_taus(poisson_distribution(1.0), make_detectors()).tau_0
         p_inf = stationary_click_prob(det, tau)
         q_inf = 2.0 * p_inf - p_inf * p_inf
         sigma = math.sqrt(q_inf * (1.0 - q_inf) / n)
@@ -464,8 +456,10 @@ class TestEmpiricalK:
         # vacuum source: clicks are pure dark counts at exactly e_d per window
         det0 = DetectorParams(0.1, 0.1, AfterpulseSpec.none(), label="0")
         det1 = DetectorParams(0.1, 0.2, AfterpulseSpec.none(), label="1")
-        cfg = PulseTrainConfig(pulses=10**6, source=VACUUM, det_0=det0,
-                               det_1=det1, x_fraction=0.0, seed=17)
+        detp = DetectorParams(0.1, 0.1, AfterpulseSpec.none(), label="+")
+        detm = DetectorParams(0.1, 0.2, AfterpulseSpec.none(), label="-")
+        cfg = PulseTrainConfig(pulses=10**6, source=VACUUM,
+                               dets=(det0, det1, detp, detm), x_fraction=0.0, seed=17)
         result = simulate(cfg)
         k_hat = result.bits.bits[~result.bits.fill_mask].mean()
         expected = 0.2 * 0.9 / (0.2 * 0.9 + 0.1 * 0.8)

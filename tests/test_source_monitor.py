@@ -72,6 +72,14 @@ class TestPoisson:
         with pytest.raises(ParameterError):
             poisson_distribution(-1.0)
 
+    @pytest.mark.parametrize("nu, total", [(2300.0, "1.0000000000011235"),
+                                           (10000.0, "1.0000000000140308")])
+    def test_rejects_mean_whose_pmf_sums_above_one(self, nu, total):
+        # the pmf's rounding drift passes the sum tolerance at these means
+        with pytest.raises(ParameterError, match=rf"^Poisson probabilities of mean "
+                                                 rf"nu = {nu} sum to {total}, "):
+            poisson_distribution(nu)
+
     @pytest.mark.parametrize("nu", [math.inf, math.nan])
     def test_rejects_non_finite_mean(self, nu):
         # inf used to overflow while sizing the truncation
