@@ -178,8 +178,9 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
         P_fired     = p_hat/(1-p_hat)*p_b + p_hat_lag * (1 - p_b)
         P_not_fired = p_hat/(1-p_hat)*p_b - p_hat_lag * p_b
 
-    A negative not-fired correction is clamped at 0 with a warning; one
-    above 1 means p_hat is too large and raises :class:`ParameterError`.
+    A negative not-fired correction is clamped at 0 with a warning.  Either
+    probability above 1 means p_hat is too large and raises
+    :class:`ParameterError`, which names p_hat, the lag and the probability.
     """
     if prior_ratio is None:
         prior_ratio = baseline_click_prob(det, tau)
@@ -188,7 +189,7 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
     spec = det.afterpulse
     background = spec.first_order_rate / (1.0 - spec.first_order_rate) * prior_ratio
     coeff = spec.coefficient(lag)
-    p_ap_fired = min(background + coeff * (1.0 - prior_ratio), 1.0)
+    p_ap_fired = background + coeff * (1.0 - prior_ratio)
     p_ap_not = background - coeff * prior_ratio
     if p_ap_not < 0.0:
         warnings.warn(
@@ -198,12 +199,13 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
             stacklevel=2,
         )
         p_ap_not = 0.0
-    fired = response_prob(tau, det.dark_rate, p_ap_fired)
-    if p_ap_not > 1.0:
-        raise ParameterError(
-            f"afterpulse rate p_hat = {spec.first_order_rate!r} is too large: the "
-            f"lag-{lag} not-fired afterpulse probability is {p_ap_not!r} > 1")
-    return fired, response_prob(tau, det.dark_rate, p_ap_not)
+    for branch, p_ap in (("not-fired", p_ap_not), ("fired", p_ap_fired)):
+        if p_ap > 1.0:
+            raise ParameterError(
+                f"afterpulse rate p_hat = {spec.first_order_rate!r} is too large: the "
+                f"lag-{lag} {branch} afterpulse probability is {p_ap!r} > 1")
+    return (response_prob(tau, det.dark_rate, p_ap_fired),
+            response_prob(tau, det.dark_rate, p_ap_not))
 
 
 def prior_autocorrelation(det_0: DetectorParams, tau_0: float,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -325,6 +326,221 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
     return fires, ap, new_carry
 
 
+# ---------------------------------------------------------------------------
+# Exact inversion by guide tables
+#
+# Generator.random and Generator.binomial both read a uniform as u = m * 2^-53
+# with m = random_raw() >> 11.  A draw that is a non-decreasing step function
+# of u is the number of its thresholds at or below m: a few array passes over
+# a table built once, in place of a binary search or a per-window recurrence.
+# (L. Devroye, Non-Uniform Random Variate Generation, 1986, III.2; the guide
+# table of H.-C. Chen and Y. Asau, AIIE Trans. 6, 163 (1974).)
+
+_M_SHIFT = 11
+_M_END = 1 << 53                 # a threshold that no m reaches
+_GUIDE_BITS = 12
+_GUIDE_SHIFT = 53 - _GUIDE_BITS
+_BLOCK = 1 << 15                 # windows per lookup pass, to keep its temporaries small
+
+
+class _Inversion(NamedTuple):
+    """Sorted thresholds on m, one row per key, and their guide table.
+
+    ``thresholds`` holds the rows flat, each padded with ``_M_END`` to a
+    power-of-two ``width`` that leaves at least one pad.  ``guide[r <<
+    _GUIDE_BITS | g]`` counts the thresholds of row r at or below ``g <<
+    _GUIDE_SHIFT``, the first m of bucket g, in the smallest unsigned dtype
+    that holds ``width``.
+    """
+
+    thresholds: np.ndarray
+    guide: np.ndarray
+    width: int
+
+
+def _inversion(rows) -> _Inversion:
+    width = 1 << max(len(row) for row in rows).bit_length()
+    thresholds = np.full((len(rows), width), _M_END, dtype=np.int64)
+    for r, row in enumerate(rows):
+        thresholds[r, :len(row)] = row
+    # Threshold t counts in every bucket from the first one whose first m
+    # reaches it, ceil(t / 2^_GUIDE_SHIFT), on.
+    buckets = 1 << _GUIDE_BITS
+    first = np.minimum(-(-thresholds >> _GUIDE_SHIFT), buckets)
+    counts = np.arange(width + 1, dtype=np.min_scalar_type(width))
+    guide = np.concatenate([np.repeat(counts, np.diff(row, prepend=0, append=buckets))
+                            for row in first])
+    return _Inversion(thresholds.ravel(), guide, width)
+
+
+def _count_at_or_below(inv: _Inversion, m: np.ndarray, rows=None) -> np.ndarray:
+    """Per window, the number of thresholds of its row at or below its m.
+
+    ``m`` is int64 in [0, 2^53); ``rows`` gives each window's row (default:
+    row 0 for all).  The guide entry counts the thresholds at or below the
+    first m of the window's bucket; each pass adds one threshold inside the
+    bucket for the windows whose m reaches it.  Every row ends in ``_M_END``,
+    so the passes stop, and after the first one only the windows that stepped
+    are looked at again.
+    """
+    key = m >> _GUIDE_SHIFT
+    if rows is None:
+        # take() is several times slower with indices narrower than intp.
+        at = inv.guide.take(key).astype(np.intp)
+    else:
+        row = rows.astype(np.intp)
+        key |= row << _GUIDE_BITS
+        at = row << (inv.width.bit_length() - 1)      # flat index of the row's start
+        at += inv.guide.take(key)
+    step = m >= inv.thresholds.take(at)
+    at += step
+    active = np.flatnonzero(step)
+    while active.size:
+        active = active[m[active] >= inv.thresholds.take(at[active])]
+        at[active] += 1
+    if rows is not None:
+        at &= inv.width - 1
+    return at
+
+
+def _m(raw: np.ndarray) -> np.ndarray:
+    """The m of raw 64-bit draws, as int64 (in place)."""
+    raw >>= _M_SHIFT
+    return raw.view(np.int64)
+
+
+def _photon_inversion(cdf: np.ndarray) -> _Inversion:
+    """``min(searchsorted(cdf, u, "right"), cdf.size - 1)`` as a count over
+    m: ``cdf[j] <= m * 2^-53`` exactly where ``ceil(cdf[j] * 2^53) <= m``
+    (the product is exact), and leaving out the last entry caps the count."""
+    return _inversion([np.ceil(cdf[:-1] * 2.0**53).astype(np.int64)])
+
+
+class _BinomialInversion:
+    """``Generator.binomial(n, p)`` for one p in (0, 1/2], as thresholds on m.
+
+    Where p * n <= 30, NumPy (``random_binomial_inversion``) reads one uniform
+    U for each window with n > 0 and none where n = 0.  It sets q = 1 - p,
+    px_0 = exp(n log q), px_k = ((n - k + 1) p px_{k-1}) / (k q), and returns
+    the first k at which the running U_k = fl(U_{k-1} - px_{k-1}) satisfies
+    U_k <= px_k.  Past ``bound`` = min(n, np + 10 sqrt(npq + 1)) it restarts
+    with a fresh uniform.  fl(U - c) is non-decreasing in U, so the U that
+    reach k form an upward-closed set: the count is a step function of U.
+    Its thresholds are found exactly, once per n, by running the chain
+    backwards from U_{k-1} = nextafter(px_{k-1}, inf) with the least double
+    that each subtraction maps at or above its target.  Row n holds
+    tau_{n,1} .. tau_{n,bound} and then the restart threshold
+    tau_{n,bound+1}.  The chain is evaluated in the same double operations,
+    with ``math.exp`` and ``math.log`` from the C library NumPy calls.
+
+    Rows are built lazily, up to the largest n a chunk draws; chunks drawn in
+    threads share the table under a lock.
+    """
+
+    def __init__(self, p: float):
+        self.p = p
+        # The largest n looked up: NumPy's p * n <= 30.0, and at most 255, so
+        # that the guide stays within 1 MB.
+        self.n_limit = int(min(30.0 / p + 1.0, 255.0))
+        while p * self.n_limit > 30.0:
+            self.n_limit -= 1
+        self._lock = threading.Lock()
+        self._rows = []
+        self._tables = None
+
+    def _thresholds(self, ns):
+        p = self.p
+        q = 1.0 - p
+        bounds = [int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1))) for n in ns]
+        size = max(bounds) + 1
+        px = np.empty((len(ns), size))
+        px[:, 0] = [math.exp(n * math.log(q)) for n in ns]
+        count = np.array(ns, dtype=float)
+        for k in range(1, size):
+            # Beyond n + 1 the factor is negative and px is -0.0; those
+            # columns lie past the row's bound and are cut below.
+            px[:, k] = (count - k + 1) * p * px[:, k - 1] / (k * q)
+        # Column k - 1 of least starts as the least U_{k-1} above px_{k-1};
+        # folding in the subtractions j = k - 2 .. 0 makes it the least U_0
+        # that reaches k.
+        least = np.nextafter(px, np.inf)
+        for j in range(size - 2, -1, -1):
+            c = px[:, j:j + 1]
+            target = least[:, j + 1:]
+            u = target + c
+            while (short := u - c < target).any():
+                u[short] = np.nextafter(u, np.inf)[short]
+            while (fits := (lower := np.nextafter(u, -np.inf)) - c >= target).any():
+                u[fits] = lower[fits]
+            least[:, j + 1:] = u
+        taus = np.minimum(np.ceil(least * 2.0**53), float(_M_END)).astype(np.int64)
+        return [row[:bound + 1] for row, bound in zip(taus, bounds)]
+
+    def tables(self, top: int) -> Tuple[_Inversion, int]:
+        """The inversion over rows 0 .. at least ``top`` and the least
+        restart threshold of rows 1 .. ``top``."""
+        with self._lock:
+            if len(self._rows) <= top:
+                self._rows += self._thresholds(range(len(self._rows), top + 1))
+                self._tables = _inversion(self._rows)
+            restart = min((int(row[-1]) for row in self._rows[1:top + 1]), default=_M_END)
+            return self._tables, restart
+
+
+def _binomial_inversion(p: float) -> Optional[_BinomialInversion]:
+    """p's inversion table, or None where NumPy does not invert (p = 0 or
+    p > 1/2: it returns 0 without a draw, or inverts at 1 - p)."""
+    return _BinomialInversion(p) if 0.0 < p <= 0.5 else None
+
+
+def _photon_counts(seed: int, chunk: int, count: int, cdf_z: np.ndarray,
+                   cdf_x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Photons at the Z and the X arm, one photon-stream uniform per window,
+    each ``min(searchsorted(cdf, u, "right"), cdf.size - 1)`` exactly."""
+    invs = [_photon_inversion(cdf) for cdf in ((cdf_z,) if cdf_x is cdf_z else (cdf_z, cdf_x))]
+    counts = [np.empty(count, dtype=np.min_scalar_type(inv.width - 1)) for inv in invs]
+    bits = _stream(seed, STREAM_PHOTON, chunk).bit_generator
+    for lo in range(0, count, _BLOCK):
+        m = _m(bits.random_raw(min(_BLOCK, count - lo)))
+        for out, inv in zip(counts, invs):
+            out[lo:lo + m.size] = _count_at_or_below(inv, m)
+    return counts[0], counts[-1]
+
+
+def _binomial(seed: int, stream_id: int, chunk: int, n: np.ndarray, p: float,
+              inversion: Optional[_BinomialInversion], where=None) -> np.ndarray:
+    """``_stream(seed, stream_id, chunk).binomial(n, p)``, by table lookup.
+
+    ``inversion`` is :func:`_binomial_inversion` of p.  The lookup reads the
+    same uniforms as NumPy, so it is exact unless NumPy would read others:
+    where p * n > 30 for some n (NumPy samples by BTPE) or some m reaches its
+    row's restart threshold (NumPy reads one more uniform, which shifts every
+    later window).  Then, and where n exceeds the table's ``n_limit`` or
+    ``inversion`` is None, the whole chunk is drawn by NumPy.  With
+    ``where``, only those windows are looked up, though every window's uniform
+    is read; the others hold a count in [0, n].
+    """
+    if inversion is not None and (top := int(n.max())) <= inversion.n_limit:
+        inv, restart = inversion.tables(top)
+        bits = _stream(seed, stream_id, chunk).bit_generator
+        drawn = n > 0
+        out = np.zeros(n.size, dtype=n.dtype)
+        for lo in range(0, n.size, _BLOCK):
+            span = slice(lo, lo + _BLOCK)
+            m = np.zeros(min(_BLOCK, n.size - lo), dtype=np.int64)
+            m[drawn[span]] = _m(bits.random_raw(np.count_nonzero(drawn[span])))
+            if m.max() >= restart:
+                break
+            if where is None:
+                out[span] = _count_at_or_below(inv, m, n[span])
+            else:
+                w = where[span]
+                out[span][w] = _count_at_or_below(inv, m[w], n[span][w])
+        else:
+            return out
+    return _stream(seed, stream_id, chunk).binomial(n, p)
+
+
 class _ChunkDraws(NamedTuple):
     """One chunk's randomness, reduced to what its windows read.
 
@@ -342,13 +558,28 @@ class _ChunkDraws(NamedTuple):
 
 def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
                  cdf_z: np.ndarray, cdf_x: np.ndarray, click_tables,
-                 ap_limits) -> _ChunkDraws:
+                 ap_limits, binomials) -> _ChunkDraws:
     """All randomness of one chunk, drawn from its keyed streams.
 
-    Every uniform stream is drawn into one reused buffer and reduced before
-    the next draw overwrites it.  ``click_tables[k][j]`` is detector k's
-    click probability with j photons and ``ap_limits[k]`` its ``1 - P_all``;
-    where that is 0 no window can afterpulse, and the stream is not drawn.
+    The basis, signal, dark and afterpulse streams are each drawn into one
+    reused buffer and reduced before the next draw overwrites it.
+    ``click_tables[k][j]`` is detector k's click probability with j photons
+    and ``ap_limits[k]`` its ``1 - P_all``; where that is 0 no window can
+    afterpulse, and the stream is not drawn.
+
+    The photon counts, the split of Z photons between "0" and "1" and the
+    misaligned X photons are exact table inversions of each uniform's 53-bit
+    integer m = ``random_raw() >> 11``, the m from which ``Generator.random``
+    and ``Generator.binomial`` form u = m * 2^-53 (:func:`_photon_counts`,
+    :func:`_binomial`).  ``binomials`` holds the :class:`_BinomialInversion`
+    of p = 1/2 and of the misalignment, or None.  Exactness rests on three
+    things: the lookups read the same m; the binomial tables replay NumPy's
+    inversion algorithm operation for operation; and where NumPy would not
+    invert (p = 0 or p > 1/2, p * n > 30, or a restart), or n is past the
+    table's rows, the chunk's draw falls back to ``Generator.binomial``.  The
+    flip stream is read at every window with n_x > 0, as NumPy reads it, but
+    looked up only in X windows, since a Z window masks the "+" and "-"
+    signal.
     """
     u = np.empty(count)
 
@@ -357,12 +588,10 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
 
     is_x = draw(STREAM_BASIS) < config.x_fraction
     is_z = ~is_x
-    draw(STREAM_PHOTON)
-    n_z = np.minimum(np.searchsorted(cdf_z, u, side="right"), cdf_z.size - 1)
-    n_x = (n_z if cdf_x is cdf_z
-           else np.minimum(np.searchsorted(cdf_x, u, side="right"), cdf_x.size - 1))
-    n_0 = _stream(seed, STREAM_SPLIT, chunk).binomial(n_z, 0.5)
-    n_minus = _stream(seed, STREAM_FLIP, chunk).binomial(n_x, config.misalignment)
+    n_z, n_x = _photon_counts(seed, chunk, count, cdf_z, cdf_x)
+    split, flip = binomials
+    n_0 = _binomial(seed, STREAM_SPLIT, chunk, n_z, 0.5, split)
+    n_minus = _binomial(seed, STREAM_FLIP, chunk, n_x, config.misalignment, flip, is_x)
     # Photons at detectors 0, 1, +, -; a difference is formed only for its
     # detector's lookup, so no two of them are alive at once.
     photons = (lambda: n_0, lambda: n_z - n_0, lambda: n_x - n_minus, lambda: n_minus)
@@ -462,6 +691,7 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
              else _photon_cdf(config.source, config.t_x))
     photon_range = np.arange(max(cdf_z.size, cdf_x.size))
     click_tables = [_click_prob(det.efficiency, photon_range) for det in dets]
+    binomials = (_binomial_inversion(0.5), _binomial_inversion(config.misalignment))
 
     n_pulses = config.pulses
     chunk_size = config.chunk_size
@@ -471,7 +701,7 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
 
     def draws_for(chunk: int) -> _ChunkDraws:
         return _chunk_draws(config, seed, chunk, chunk_counts[chunk], cdf_z, cdf_x,
-                            click_tables, ap_limits)
+                            click_tables, ap_limits, binomials)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     parts, totals = [], (0,) * 6

@@ -45,13 +45,21 @@ class TestAutocorr:
         for p_i, a_th, a_mc, se in rows:
             assert abs(a_mc - a_th) <= 4.0 * se or abs(a_mc - a_th) < 5e-3
 
-    def test_too_large_p_hat_is_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
         # the lag-1 not-fired afterpulse probability p_hat/(1-p_hat)*p_b
         # exceeds 1 at p_hat = 0.96
-        assert run(["autocorr", "--p-hat", "0.96", "--out-dir", str(tmp_path)]) == 2
+        (["--p-hat", "0.96"], "not-fired afterpulse probability is 1.1705075096865751"),
+        # at p_hat = 0.9 only the fired one, p_hat/(1-p_hat)*p_b + p_hat_1*(1-p_b),
+        # does, from the row p_hat_1 = 0.675 on
+        (["--p-hat", "0.9", "--points", "5"],
+         "fired afterpulse probability is 1.0810197924225313"),
+    ], ids=["not_fired", "fired"])
+    def test_too_large_p_hat_is_named(self, tmp_path, capsys, argv, message):
+        assert run(["autocorr", *argv, "--out-dir", str(tmp_path)]) == 2
+        p_hat = argv[1]
         assert capsys.readouterr().err == (
-            "siqrng: error: afterpulse rate p_hat = 0.96 is too large: the lag-1 "
-            "not-fired afterpulse probability is 1.1705075096865751 > 1\n")
+            f"siqrng: error: afterpulse rate p_hat = {p_hat} is too large: the lag-1 "
+            f"{message} > 1\n")
         assert not (tmp_path / "autocorr.csv").exists()
 
 
@@ -535,7 +543,11 @@ class TestOutputDigests:
     probabilities through every entropy path (autocorr with and without
     Monte Carlo, finite-sampling, rates, the efficiency sweep); their
     digests were made before those paths took one detector tuple and one
-    TauSet."""
+    TauSet.  The ``simulate`` keys at ``--nu 50``, ``--e-q 0.7 --q-x 0.5``
+    and ``--e-q 0`` reach the Monte Carlo's binomial paths that no reference
+    run takes (NumPy's BTPE, p > 1/2, p = 0); their digests were made with
+    ``Generator.binomial`` and ``searchsorted`` drawing every split, flip and
+    photon count, before those became table lookups."""
 
     @pytest.mark.parametrize("key", sorted(OUTPUT_DIGESTS))
     def test_bytes_unchanged(self, tmp_path, key):

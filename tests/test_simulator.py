@@ -323,6 +323,106 @@ class TestChunkDraws:
             assert peak - peak_1 <= kept - kept_1 + bits + 8 * chunk, chunks
 
 
+def numpy_binomial_inversion(u, n, p):
+    """NumPy's random_binomial_inversion for one uniform u, operation for
+    operation; None where it would restart with a fresh uniform."""
+    q = 1.0 - p
+    px = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+class TestTableInversion:
+    SPLIT = simulator.STREAM_SPLIT
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.02, 0.7, 0.0])
+    def test_binomial_matches_numpy(self, p):
+        """The lookup equals Generator.binomial on the same stream, with and
+        without a window mask, for counts with zeros, for counts whose p * n
+        exceeds 30 (NumPy's BTPE) and for a count past the table's rows."""
+        inversion = simulator._binomial_inversion(p)
+        rng = np.random.default_rng(7)
+        for seed in range(24):
+            top = 40 if seed % 3 else 70
+            n = rng.integers(0, top, size=3 * simulator._BLOCK // 2).astype(np.uint16)
+            n[rng.random(n.size) < 0.2] = 0
+            if seed >= 22:
+                n[5] = 300 if seed == 22 else 101 if p == 0.3 else 1501
+            want = simulator._stream(seed, self.SPLIT, 2).binomial(n, p)
+            got = simulator._binomial(seed, self.SPLIT, 2, n, p, inversion)
+            assert np.array_equal(got, want), seed
+            where = rng.random(n.size) < 0.1
+            got = simulator._binomial(seed, self.SPLIT, 2, n, p, inversion, where)
+            assert np.array_equal(got[where], want[where]), seed
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.02, 1e-3])
+    def test_thresholds_invert_numpys_recurrence(self, p):
+        """At every tau_{n,k}, NumPy's literal recurrence reaches k, or
+        restarts where tau_{n,k} is the restart threshold (the row's last), and
+        one m lower it stops below k."""
+        inversion = simulator._BinomialInversion(p)
+        ns = range(min(inversion.n_limit, 60) + 1)
+        for n, row in zip(ns, inversion._thresholds(ns)):
+            restart = int(row[-1])
+            for k, tau in enumerate(row.tolist(), 1):
+                below = numpy_binomial_inversion((tau - 1) * 2.0**-53, n, p)
+                assert below is not None and below < k, (n, k)
+                if tau < 2**53:
+                    at = numpy_binomial_inversion(tau * 2.0**-53, n, p)
+                    assert at is None or at >= k, (n, k)
+                    assert (at is None) == (tau >= restart), (n, k)
+
+    @pytest.mark.parametrize("nu", [1.0, 10.0, 50.0])
+    def test_photon_counts_match_searchsorted(self, nu):
+        """The photon lookup equals the capped searchsorted of the cdf, at
+        random m and at the m next to every cdf entry, including u on an entry
+        and one ulp either side of it."""
+        cdf = simulator._photon_cdf(poisson_distribution(nu), 1.0)
+        on_grid = cdf[cdf * 2.0**53 == np.floor(cdf * 2.0**53)]
+        near = np.concatenate([np.floor(cdf * 2.0**53), np.ceil(cdf * 2.0**53),
+                               np.nextafter(on_grid, 0.0) * 2.0**53,
+                               np.nextafter(on_grid, 2.0) * 2.0**53])
+        m = np.concatenate([np.floor(near) + d for d in (-1, 0, 1)])
+        m = m[(m >= 0) & (m < 2.0**53)].astype(np.int64)
+        m = np.concatenate([m, simulator._m(simulator._stream(1, 1, 0).bit_generator
+                                            .random_raw(50_000))])
+        got = simulator._count_at_or_below(simulator._photon_inversion(cdf), m)
+        want = np.minimum(np.searchsorted(cdf, m * 2.0**-53, side="right"), cdf.size - 1)
+        assert np.array_equal(got, want)
+
+    def test_restart_falls_back_to_numpy(self, monkeypatch):
+        """A block whose m reaches the restart threshold sends the whole
+        chunk to Generator.binomial, including blocks already looked up: the
+        tables are replaced by ones that count 0 everywhere, so any count
+        taken from them would differ."""
+        p, seed = 0.3, 4
+        n = np.random.default_rng(3).integers(0, 30, size=3 * simulator._BLOCK)
+        drawn = np.count_nonzero(n[:simulator._BLOCK])
+        m = simulator._m(simulator._stream(seed, self.SPLIT, 0).bit_generator
+                         .random_raw(np.count_nonzero(n)))
+        restart = int(m[:drawn].max()) + 1
+        assert m[drawn:].max() >= restart        # a later block restarts
+        inversion = simulator._BinomialInversion(p)
+        tables = inversion.tables
+
+        def zero_tables(top):
+            inv = tables(top)[0]
+            return inv._replace(guide=np.zeros_like(inv.guide),
+                                thresholds=np.full_like(inv.thresholds, 2**53)), restart
+
+        monkeypatch.setattr(inversion, "tables", zero_tables)
+        got = simulator._binomial(seed, self.SPLIT, 0, n, p, inversion)
+        assert np.array_equal(got, simulator._stream(seed, self.SPLIT, 0).binomial(n, p))
+
+
 class TestAfterpulsePass:
     @settings(max_examples=300, deadline=None)
     @given(afterpulse_pass_cases())
