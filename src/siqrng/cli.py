@@ -493,12 +493,18 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _thread_count(args: argparse.Namespace) -> int:
+    """``--threads``, else ``SIQRNG_THREADS``, else 1; an error names its source."""
     if args.threads is not None:
-        threads = args.threads
+        threads, source = args.threads, "threads"
     else:
-        threads = int(os.environ.get("SIQRNG_THREADS", "1"))
+        value = os.environ.get("SIQRNG_THREADS", "1")
+        source = "SIQRNG_THREADS"
+        try:
+            threads = int(value)
+        except ValueError:
+            raise ParameterError(f"{source} must be an integer, got {value!r}") from None
     if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+        raise ParameterError(f"{source} must be >= 1, got {threads}")
     return threads
 
 

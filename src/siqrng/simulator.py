@@ -105,13 +105,16 @@ class PulseTrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_CSV_BLOCK_ROWS = 1 << 16
-
-# Row suffix ",basis,d0,d1,ap0,ap1\n" for the flag code
-# is_x << 4 | d0 << 3 | d1 << 2 | ap0 << 1 | ap1.
-_ROW_SUFFIX = np.frombuffer(b"".join(
-    f",{'X' if c & 16 else 'Z'},{c >> 3 & 1},{c >> 2 & 1},{c >> 1 & 1},{c & 1}\n".encode()
-    for c in range(32)), dtype=np.uint8).reshape(32, 11)
+# clicks.csv rows: the index, then the 11-byte suffix ",basis,d0,d1,ap0,ap1\n".
+# _DIGIT_RUN consecutive indices share every digit above their low four, and
+# the four low digits of run position r are _LOW_DIGITS[r].
+_DIGIT_RUN = 10_000
+_CSV_BLOCK_ROWS = 6 * _DIGIT_RUN
+_LOW_DIGITS = (np.arange(_DIGIT_RUN, dtype=np.uint16)[:, None]
+               // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+_ROW_SUFFIX = np.frombuffer(b",Z,0,0,0,0\n", dtype=np.uint8)
+_BASIS_COL = 1                     # suffix offsets of the basis and the four flags
+_FLAG_COLS = (3, 5, 7, 9)
 
 
 class ClickRecords:
@@ -137,35 +140,53 @@ class ClickRecords:
         """Write one ``index,basis,d0,d1,ap0,ap1`` row per pulse.
 
         ``basis`` is ``Z`` or ``X``; the four flags are ``0``/``1``.  A truthy
-        ``header_comment`` is written first as a ``# ...`` line.  Every row
-        whose index has w decimal digits is exactly w + 11 bytes long, so the
-        rows of one decimal-width band are built as a ``uint8`` byte block:
-        index digits by repeated ``% 10``, the rest by a lookup of the five
-        flags in a 32-row suffix table.  Blocks hold at most
-        ``_CSV_BLOCK_ROWS`` rows, so beyond one code byte per pulse the
-        writer needs a few MB, whatever the pulse count.
+        ``header_comment`` is written first as a ``# ...`` line.
+
+        Every row whose index has w decimal digits is exactly w + 11 bytes
+        long, so each decimal-width band is written as fixed-width records
+        from one reused ``(rows, w + 11)`` byte block of at most
+        ``_CSV_BLOCK_ROWS`` rows.  The bytes that repeat are set once per
+        band: the commas and newlines, and the low four index digits from
+        ``_LOW_DIGITS``, since blocks past 4 digits start on a multiple of
+        ``_DIGIT_RUN``.  Each block then gets the digits above the low four,
+        one value per run of ``_DIGIT_RUN`` rows, and one byte column per
+        flag (``"Z" - 2 * is_x`` and ``"0" + flag``), and goes to the file
+        through the buffer protocol.  Beyond its columns the writer holds
+        about 1 MB, whatever the pulse count.
         """
-        codes = np.zeros(len(self), dtype=np.uint8)
-        for shift, col in zip((4, 3, 2, 1, 0), (self.basis_is_x, self.d0, self.d1,
-                                                self.ap0, self.ap1)):
-            codes |= col.view(np.uint8) << shift
+        flags = [col.view(np.uint8) for col in (self.d0, self.d1, self.ap0, self.ap1)]
+        n = len(self)
+        row_bytes = len(str(n - 1)) + _ROW_SUFFIX.size
+        space = np.empty(min(n, _CSV_BLOCK_ROWS) * row_bytes, dtype=np.uint8)
         with open(path, "wb") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n".encode("utf-8"))
             fh.write((self.CSV_HEADER + "\n").encode("utf-8"))
             start, width = 0, 1
-            while start < codes.size:
-                band_end = min(codes.size, 10 ** width)
-                for lo in range(start, band_end, _CSV_BLOCK_ROWS):
-                    hi = min(lo + _CSV_BLOCK_ROWS, band_end)
-                    block = np.empty((hi - lo, width + _ROW_SUFFIX.shape[1]),
-                                     dtype=np.uint8)
-                    index = np.arange(lo, hi, dtype=np.int64)
-                    for digit in range(width - 1, -1, -1):
-                        block[:, digit] = index % 10 + ord("0")
-                        index //= 10
-                    block[:, width:] = _ROW_SUFFIX[codes[lo:hi]]
-                    fh.write(block.tobytes())
+            while start < n:
+                band_end = min(n, 10 ** width)
+                high = max(width - 4, 0)      # digits above the low four
+                rows = min(band_end - start, _CSV_BLOCK_ROWS)
+                buf = space[:rows * (width + _ROW_SUFFIX.size)].reshape(rows, -1)
+                buf[:, width:] = _ROW_SUFFIX
+                for run in range(0, rows, _DIGIT_RUN):
+                    part = buf[run:run + _DIGIT_RUN, high:width]
+                    first = (start + run) % _DIGIT_RUN
+                    part[:] = _LOW_DIGITS[first:first + part.shape[0], 4 - part.shape[1]:]
+                for lo in range(start, band_end, rows):
+                    block = buf[:min(rows, band_end - lo)]
+                    span = slice(lo, lo + block.shape[0])
+                    if high:
+                        for run in range(0, block.shape[0], _DIGIT_RUN):
+                            value = (lo + run) // _DIGIT_RUN
+                            for col in range(high - 1, -1, -1):
+                                block[run:run + _DIGIT_RUN, col] = ord("0") + value % 10
+                                value //= 10
+                    np.subtract(ord("Z"), self.basis_is_x[span].view(np.uint8) << 1,
+                                out=block[:, width + _BASIS_COL])
+                    for col, flag in zip(_FLAG_COLS, flags):
+                        np.add(flag[span], ord("0"), out=block[:, width + col])
+                    fh.write(block)
                 start, width = band_end, width + 1
 
 
@@ -239,7 +260,9 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
                      carry: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve afterpulse-induced fires within one chunk.
 
-    ``base`` holds signal/dark fires, ``carry`` the final fires of the
+    Returns the chunk's fires, the indices of the windows that afterpulse,
+    in no particular order, and the carry for the next chunk.  ``base``
+    holds signal/dark fires, ``carry`` the final fires of the
     previous ``len(coeffs)`` windows, ``cand`` the ascending indices of the
     windows whose afterpulse draw ``u_ap`` is below ``1 - p_all``, with
     ``p_all = _survival_floor(coeffs)``, and ``u_cand`` their draws.  Fires
@@ -270,24 +293,25 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
     argument above a product over more fired lags is no larger, so a
     candidate that afterpulses keeps doing so.  Later iterations therefore
     recompute only the candidates that have not afterpulsed yet, and shift
-    their ranks by the number of new fires below them.
+    their ranks by the number of new fires below them; the new fires are
+    merged into the sorted fired positions, not found again.
 
-    Cost and memory.  An iteration costs O(chunk + candidates * (log chunk +
+    Cost and memory.  The pass costs one O(chunk) search for the fired
+    positions; each iteration then costs O(fires + candidates * (log chunk +
     fires in reach)); the candidates' fires in reach never outnumber the
     depth * fires factors that scattering every fire into every window it
     reaches would multiply.  Memory is O(chunk + depth): a few arrays of at
     most one entry per window, no (candidate x fire) matrix.
     """
     m = coeffs.size
-    n = base.size
+    ap = [np.zeros(0, dtype=np.intp)]
     if m == 0:
-        return base.copy(), np.zeros(n, dtype=bool), carry
+        return base.copy(), ap[0], carry
     factors = 1.0 - coeffs
     # Candidate w sees positions w .. w + m - 1 of carry + fires; its factor
     # for position p is factors[w + m - 1 - p].
     reach = cand + (m - 1)
     fires = base.copy()
-    ap = np.zeros(n, dtype=bool)
     fired = np.flatnonzero(np.concatenate((carry, fires)))
     first = np.searchsorted(fired, cand)
     top = np.searchsorted(fired, reach, side="right")
@@ -310,7 +334,7 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
             pos[:k] -= 1
         hit = np.empty(cand.size, dtype=bool)
         hit[order] = u_cand[order] < (1.0 - survive)
-        ap[cand[hit]] = True
+        ap.append(cand[hit])
         added = cand[hit & ~fires[cand]]
         if added.size == 0:
             break
@@ -319,11 +343,10 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
         cand, u_cand, reach, first, top = (cand[keep], u_cand[keep], reach[keep],
                                            first[keep], top[keep])
         added += m
-        fired = np.flatnonzero(np.concatenate((carry, fires)))
+        fired = np.insert(fired, np.searchsorted(fired, added), added)
         first += np.searchsorted(added, cand)
         top += np.searchsorted(added, reach, side="right")
-    new_carry = np.concatenate((carry, fires))[-m:]
-    return fires, ap, new_carry
+    return fires, np.concatenate(ap), np.concatenate((carry, fires[-m:]))[-m:]
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +387,13 @@ def _inversion(rows) -> _Inversion:
     for r, row in enumerate(rows):
         thresholds[r, :len(row)] = row
     # Threshold t counts in every bucket from the first one whose first m
-    # reaches it, ceil(t / 2^_GUIDE_SHIFT), on.
+    # reaches it, ceil(t / 2^_GUIDE_SHIFT), on: each row is the run of 0s up
+    # to its first threshold's bucket, then of 1s up to its second's, ...
     buckets = 1 << _GUIDE_BITS
     first = np.minimum(-(-thresholds >> _GUIDE_SHIFT), buckets)
     counts = np.arange(width + 1, dtype=np.min_scalar_type(width))
-    guide = np.concatenate([np.repeat(counts, np.diff(row, prepend=0, append=buckets))
-                            for row in first])
+    runs = np.diff(first, axis=1, prepend=0, append=buckets)
+    guide = np.repeat(np.tile(counts, len(rows)), runs.ravel())
     return _Inversion(thresholds.ravel(), guide, width)
 
 
@@ -561,8 +585,9 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
                  ap_limits, binomials) -> _ChunkDraws:
     """All randomness of one chunk, drawn from its keyed streams.
 
-    The basis, signal, dark and afterpulse streams are each drawn into one
-    reused buffer and reduced before the next draw overwrites it.
+    The basis, signal, dark and afterpulse streams are each drawn ``_BLOCK``
+    windows at a time into one reused buffer, and each block is reduced
+    before the next draw overwrites it.
     ``click_tables[k][j]`` is detector k's click probability with j photons
     and ``ap_limits[k]`` its ``1 - P_all``; where that is 0 no window can
     afterpulse, and the stream is not drawn.
@@ -581,12 +606,18 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     looked up only in X windows, since a Z window masks the "+" and "-"
     signal.
     """
-    u = np.empty(count)
+    spans = [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
+    u = np.empty(spans[0].stop)
 
-    def draw(stream_id: int) -> np.ndarray:
-        return _stream(seed, stream_id, chunk).random(out=u)
+    def draws(stream_id: int):
+        """The stream's uniforms, one span at a time, each drawn into ``u``."""
+        stream = _stream(seed, stream_id, chunk)
+        for span in spans:
+            yield span, stream.random(out=u[:span.stop - span.start])
 
-    is_x = draw(STREAM_BASIS) < config.x_fraction
+    is_x = np.empty(count, dtype=bool)
+    for span, v in draws(STREAM_BASIS):
+        np.less(v, config.x_fraction, out=is_x[span])
     is_z = ~is_x
     n_z, n_x = _photon_counts(seed, chunk, count, cdf_z, cdf_x)
     split, flip = binomials
@@ -598,17 +629,24 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     arms = (is_z, is_z, is_x, is_x)
     base, cand, u_cand = [], [], []
     for k, det in enumerate(config.dets):
+        n_k, table = photons[k](), click_tables[k]
+        fired = np.empty(count, dtype=bool)
+        for span, v in draws(STREAM_SIGNAL[k]):
+            # take() is several times slower with indices narrower than intp.
+            np.less(v, table.take(n_k[span].astype(np.intp)), out=fired[span])
         # A detector of the other arm holds no photons: click probability 0.
-        fired = draw(STREAM_SIGNAL[k]) < click_tables[k][photons[k]()]
         fired &= arms[k]
-        fired |= draw(STREAM_DARK[k]) < det.dark_rate
+        for span, v in draws(STREAM_DARK[k]):
+            fired[span] |= v < det.dark_rate
         base.append(fired)
+        hits, u_hits = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         if ap_limits[k] > 0.0:
-            cand.append(np.flatnonzero(draw(STREAM_AFTERPULSE[k]) < ap_limits[k]))
-            u_cand.append(u[cand[-1]])
-        else:
-            cand.append(np.zeros(0, dtype=np.intp))
-            u_cand.append(np.zeros(0))
+            for span, v in draws(STREAM_AFTERPULSE[k]):
+                hit = np.flatnonzero(v < ap_limits[k])
+                u_hits.append(v[hit])
+                hits.append(hit + span.start)
+        cand.append(np.concatenate(hits))
+        u_cand.append(np.concatenate(u_hits))
     fill = _stream(seed, STREAM_FILL, chunk).integers(0, 2, size=count, dtype=np.uint8)
     return _ChunkDraws(is_x, tuple(base), tuple(cand), tuple(u_cand), fill)
 
@@ -618,7 +656,8 @@ def _resolve_chunk(d: _ChunkDraws, coeffs, carries, records, offset: int):
 
     ``coeffs[k]`` and ``carries[k]`` are detector k's lag coefficients and
     fired history; the carries are replaced by the chunk's.  The click
-    columns are written into ``records`` at ``offset``.  Returns the chunk's
+    columns are written into ``records`` at ``offset``; the afterpulse
+    columns are only set, so they must start False.  Returns the chunk's
     (bits, fill flags, window indices) and its counts of singles, doubles,
     Z windows, X windows, X windows where only "-" fires and X doubles.
     """
@@ -630,24 +669,34 @@ def _resolve_chunk(d: _ChunkDraws, coeffs, carries, records, offset: int):
         aps.append(ap)
 
     is_x = d.is_x
-    is_z = ~is_x
+    x_windows = np.flatnonzero(is_x)
     span = slice(offset, offset + is_x.size)
-    rec_is_x, rec_d0, rec_d1, rec_ap0, rec_ap1 = records
-    rec_is_x[span] = is_x
-    rec_d0[span] = np.where(is_x, fires[2], fires[0])
-    rec_d1[span] = np.where(is_x, fires[3], fires[1])
-    rec_ap0[span] = np.where(is_x, aps[2], aps[0])
-    rec_ap1[span] = np.where(is_x, aps[3], aps[1])
+    records[0][span] = is_x
+    # Each record column holds the active arm: "0"/"1" in Z windows, "+"/"-"
+    # in X windows.
+    for rec, z_fires, x_fires in zip(records[1:3], fires[:2], fires[2:]):
+        rec[span] = z_fires
+        rec[span][x_windows] = x_fires[x_windows]
+    for rec, z_aps, x_aps in zip(records[3:], aps[:2], aps[2:]):
+        rec[span][z_aps[~is_x[z_aps]]] = True
+        rec[span][x_aps[is_x[x_aps]]] = True
 
-    single = is_z & (fires[0] ^ fires[1])
-    double = is_z & fires[0] & fires[1]
-    detected = single | double
-    part = (np.where(double, d.fill, fires[1].astype(np.uint8))[detected],
-            double[detected], offset + np.flatnonzero(detected))
-    counts = (int(single.sum()), int(double.sum()), int(is_z.sum()), int(is_x.sum()),
-              int((is_x & fires[3] & ~fires[2]).sum()),
-              int((is_x & fires[3] & fires[2]).sum()))
-    return part, counts
+    # A Z window with a click gives one bit: the clicking detector of a
+    # single, the fill bit of a double.
+    detected = fires[0] | fires[1]
+    detected &= ~is_x
+    index = np.flatnonzero(detected)
+    bits = fires[1].take(index)
+    double = fires[0].take(index)
+    double &= bits
+    bits = bits.view(np.uint8)
+    np.copyto(bits, d.fill.take(index), where=double)
+    n_double = int(np.count_nonzero(double))
+    plus, minus = fires[2].take(x_windows), fires[3].take(x_windows)
+    counts = (index.size - n_double, n_double, is_x.size - x_windows.size, x_windows.size,
+              int(np.count_nonzero(minus & ~plus)), int(np.count_nonzero(minus & plus)))
+    index += offset
+    return (bits, double, index), counts
 
 
 def _photon_cdf(source: PhotonDistribution, transmittance: float) -> np.ndarray:
@@ -669,12 +718,14 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
     the result does not depend on the thread count.
 
     Memory.  Beyond the result, which grows with the pulse count, one thread
-    holds one chunk at a time: while it is drawn a float buffer and a few
-    integer arrays of one entry per window, then its reduced draws, about
-    6 bytes per window plus 16 per afterpulse candidate, and the arrays of
-    its afterpulse passes.  With ``threads`` > 1 up to ``threads`` chunks are
-    in flight: each holds its reduced draws, and each one being drawn its own
-    buffer and integer arrays.
+    holds one chunk at a time: while it is drawn a float buffer of
+    ``_BLOCK`` windows and a few one-byte arrays of one entry per window,
+    then its reduced draws, about 6 bytes per window plus 16 per afterpulse
+    candidate, and the arrays of its afterpulse passes.  The chunk's click
+    columns and raw bits are written by index, from the X windows and from
+    the Z windows with a click.  With ``threads`` > 1 up to ``threads``
+    chunks are in flight: each holds its reduced draws, and each one being
+    drawn its own buffer and one-byte arrays.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")

@@ -464,6 +464,21 @@ class TestConfigHandling:
         monkeypatch.setenv("SIQRNG_THREADS", "0")
         assert run(["hmin", "--out-dir", str(tmp_path), "--points", "5"]) == 2
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "SIQRNG_THREADS must be an integer, got 'abc'"),
+        ("0", "SIQRNG_THREADS must be >= 1, got 0"),
+    ])
+    def test_bad_threads_env_is_named(self, tmp_path, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("SIQRNG_THREADS", value)
+        assert run(["hmin", "--out-dir", str(tmp_path), "--points", "3"]) == 2
+        assert capsys.readouterr().err == f"siqrng: error: {message}\n"
+        assert not (tmp_path / "hmin_afterpulse.csv").exists()
+
+    def test_bad_threads_flag_message_unchanged(self, tmp_path, capsys):
+        assert run(["hmin", "--out-dir", str(tmp_path), "--points", "3",
+                    "--threads", "0"]) == 2
+        assert capsys.readouterr().err == "siqrng: error: threads must be >= 1, got 0\n"
+
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

@@ -186,7 +186,14 @@ def candidates(u_ap, coeffs):
 
 
 def new_afterpulse_pass(base, u_ap, coeffs, carry):
-    return simulator._afterpulse_pass(base, *candidates(u_ap, coeffs), coeffs, carry)
+    """The pass with its afterpulse windows as a flag per window, like the
+    references; each window is listed at most once."""
+    fires, ap_index, new_carry = simulator._afterpulse_pass(
+        base, *candidates(u_ap, coeffs), coeffs, carry)
+    assert np.unique(ap_index).size == ap_index.size
+    ap = np.zeros(base.size, dtype=bool)
+    ap[ap_index] = True
+    return fires, ap, new_carry
 
 
 def dense_draws(n, cand, u_cand, coeffs):
@@ -201,15 +208,18 @@ _TINY = 2.0**-53
 
 
 @st.composite
-def afterpulse_pass_cases(draw):
+def afterpulse_pass_cases(draw, sparse=False):
     """Coefficient tables with zeros inside and a nonzero last entry, depths
     1..300, chunks 1..500 (often shorter than the depth), any fire density.
     Coefficients reach just below 1 and below 2**-53, where 1 - c rounds to
     1.0 or to 1 - 2**-53; densities reach 1; some draws sit at 1 - P_all and
-    one ulp either side of it."""
+    one ulp either side of it.  With ``sparse``, chunks of 1,000..5,000
+    windows, base fire density 0.5..1 and at most 30 candidates: far more
+    fired positions than candidates, as at high mean photon numbers."""
     depth = draw(st.integers(1, 300))
-    n = draw(st.integers(1, 500))
-    base_density = draw(st.floats(0.0, 1.0) | st.floats(0.95, 1.0))
+    n = draw(st.integers(1000, 5000) if sparse else st.integers(1, 500))
+    base_density = draw(st.floats(0.5, 1.0) if sparse
+                        else st.floats(0.0, 1.0) | st.floats(0.95, 1.0))
     carry_density = draw(st.floats(0.0, 1.0) | st.floats(0.95, 1.0))
     zero_share = draw(st.floats(0.0, 0.9))
     tiny_share = draw(st.floats(0.0, 0.9))
@@ -224,6 +234,11 @@ def afterpulse_pass_cases(draw):
     carry = rng.random(depth) < carry_density
     u_ap = rng.random(n)
     edge = 1.0 - simulator._survival_floor(coeffs)
+    if sparse:
+        u_ap = edge + (1.0 - edge) * u_ap
+        few = rng.choice(n, size=draw(st.integers(0, 30)), replace=False)
+        u_ap[few] = edge * rng.random(few.size)
+        return base, u_ap, coeffs, carry
     near = [v for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)) if v < 1.0]
     at_edge = rng.random(n) < edge_share
     u_ap[at_edge] = rng.choice(near, size=int(at_edge.sum()))
@@ -261,6 +276,61 @@ def dense_chunk_draws(config, seed, chunk, count, cdf_z, cdf_x):
         cand.append(c)
         u_cand.append(u)
     return simulator._ChunkDraws(is_x, tuple(base), tuple(cand), tuple(u_cand), fill)
+
+
+def dense_resolve_chunk(d, coeffs, carries, offset):
+    """Reference: each click column by np.where over the whole chunk, the
+    raw bits and counts by boolean masks, from the dense afterpulse pass."""
+    fires, aps = [], []
+    for k in range(4):
+        u_ap = dense_draws(d.base[k].size, d.cand[k], d.u_cand[k], coeffs[k])
+        f, ap, carries[k] = dense_afterpulse_pass(d.base[k], u_ap, coeffs[k], carries[k])
+        fires.append(f)
+        aps.append(ap)
+    is_x = d.is_x
+    is_z = ~is_x
+    columns = (is_x, np.where(is_x, fires[2], fires[0]), np.where(is_x, fires[3], fires[1]),
+               np.where(is_x, aps[2], aps[0]), np.where(is_x, aps[3], aps[1]))
+    single = is_z & (fires[0] ^ fires[1])
+    double = is_z & fires[0] & fires[1]
+    detected = single | double
+    part = (np.where(double, d.fill, fires[1].astype(np.uint8))[detected],
+            double[detected], offset + np.flatnonzero(detected))
+    counts = (single.sum(), double.sum(), is_z.sum(), is_x.sum(),
+              (is_x & fires[3] & ~fires[2]).sum(), (is_x & fires[3] & fires[2]).sum())
+    return columns, part, tuple(int(c) for c in counts)
+
+
+class TestResolveChunk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_matches_dense_reference(self, n, seed, x_share, density):
+        """Click columns, raw bits with their fill flags and window indices,
+        counts and carries equal the whole-chunk reference, with afterpulses
+        at every detector in both bases and records that start at an
+        offset."""
+        rng = np.random.default_rng(seed)
+        coeffs = [np.array([0.3, 0.0, 0.2]), np.array([0.5]), np.zeros(0), 0.4 * rng.random(4)]
+        cands = [candidates(rng.random(n), c) for c in coeffs]
+        d = simulator._ChunkDraws(rng.random(n) < x_share,
+                                  tuple(rng.random(n) < density for _ in range(4)),
+                                  tuple(c for c, _ in cands), tuple(u for _, u in cands),
+                                  rng.integers(0, 2, size=n, dtype=np.uint8))
+        carries = [rng.random(c.size) < density for c in coeffs]
+        want_carries = [c.copy() for c in carries]
+        offset = int(rng.integers(0, 50))
+        records = tuple(np.zeros(offset + n, dtype=bool) for _ in range(5))
+        part, counts = simulator._resolve_chunk(d, coeffs, carries, records, offset)
+        columns, want_part, want_counts = dense_resolve_chunk(d, coeffs, want_carries, offset)
+        for rec, col in zip(records, columns):
+            assert not rec[:offset].any()
+            assert np.array_equal(rec[offset:], col)
+        for got, want in zip(part, want_part):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert counts == want_counts
+        for got, want in zip(carries, want_carries):
+            assert np.array_equal(got, want)
 
 
 class TestChunkDraws:
@@ -423,24 +493,33 @@ class TestTableInversion:
         assert np.array_equal(got, simulator._stream(seed, self.SPLIT, 0).binomial(n, p))
 
 
+def assert_matches_dense_product(case):
+    """Fires, ap flags and carry equal both references; then again with
+    every draw tied to the reference's 1 - survive (one ulp below it where a
+    window afterpulses), which keeps the reference's fixed point and flips on
+    any survive that differs from it in the last bit."""
+    base, u_ap, coeffs, carry = case
+    want = dense_afterpulse_pass(*case)
+    for got in (new_afterpulse_pass(*case), scatter_afterpulse_pass(*case)):
+        for g, w in zip(got, want):          # fires, ap flags, carry
+            assert np.array_equal(g, w)
+    tie = 1.0 - dense_survive(want[0], coeffs, carry)
+    tied = np.where(want[1], np.nextafter(tie, 0.0), tie)
+    tied_case = (base, tied, coeffs, carry)
+    for g, w in zip(new_afterpulse_pass(*tied_case), want):
+        assert np.array_equal(g, w)
+
+
 class TestAfterpulsePass:
     @settings(max_examples=300, deadline=None)
     @given(afterpulse_pass_cases())
     def test_matches_dense_product(self, case):
-        """Fires, ap flags and carry equal both references; then again with
-        every draw tied to the reference's 1 - survive (one ulp below it
-        where a window afterpulses), which keeps the reference's fixed point
-        and flips on any survive that differs from it in the last bit."""
-        base, u_ap, coeffs, carry = case
-        want = dense_afterpulse_pass(*case)
-        for got in (new_afterpulse_pass(*case), scatter_afterpulse_pass(*case)):
-            for g, w in zip(got, want):          # fires, ap flags, carry
-                assert np.array_equal(g, w)
-        tie = 1.0 - dense_survive(want[0], coeffs, carry)
-        tied = np.where(want[1], np.nextafter(tie, 0.0), tie)
-        tied_case = (base, tied, coeffs, carry)
-        for g, w in zip(new_afterpulse_pass(*tied_case), want):
-            assert np.array_equal(g, w)
+        assert_matches_dense_product(case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(afterpulse_pass_cases(sparse=True))
+    def test_sparse_candidates_match_dense_product(self, case):
+        assert_matches_dense_product(case)
 
     def test_peak_memory_is_linear_in_the_chunk(self):
         """Depth 1000, fire density 0.9, about 30% candidates: a (candidate x
@@ -467,11 +546,12 @@ class TestAfterpulsePass:
         cfg = make_config(pulses=2000, nu=5.0, spec=spec, x_fraction=0.2,
                           misalignment=0.02, chunk_size=64)
         got = simulate(cfg)
-        monkeypatch.setattr(simulator, "_afterpulse_pass",
-                            lambda base, cand, u_cand, coeffs, carry:
-                            dense_afterpulse_pass(base, dense_draws(base.size, cand, u_cand,
-                                                                    coeffs),
-                                                  coeffs, carry))
+        def dense(base, cand, u_cand, coeffs, carry):
+            fires, ap, new_carry = dense_afterpulse_pass(
+                base, dense_draws(base.size, cand, u_cand, coeffs), coeffs, carry)
+            return fires, np.flatnonzero(ap), new_carry
+
+        monkeypatch.setattr(simulator, "_afterpulse_pass", dense)
         want = simulate(cfg)
         assert got.clicks.ap0.any() and got.clicks.ap1.any()
         assert_same_result(got, want)
@@ -601,8 +681,9 @@ class TestClickRecords:
         assert first[0] == "0" and first[1] in ("Z", "X")
 
     @pytest.mark.parametrize("header_comment", [None, "siqrng csv=1 hé"])
-    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 65535, 65536,
-                                   65537, 100000, 131073])
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 9999, 10000, 10001,
+                                   65535, 65536, 65537, 69999, 70000, 70001, 100000,
+                                   131073, 1000003])
     def test_csv_bytes_match_row_formatter(self, tmp_path, n, header_comment):
         # every flag code in order, then a seeded random set
         codes = np.arange(n) % 32
@@ -625,6 +706,24 @@ class TestClickRecords:
                 fh.write(f"{i},{basis[i]},{flags[0][i]},{flags[1][i]},"
                          f"{flags[2][i]},{flags[3][i]}\n")
         assert path.read_bytes() == ref.read_bytes()
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
+        """The traced peak of writing 10^6 rows (7-digit indices, 18 MB of
+        text) stays within 2 MB: one reused block, far below even one byte
+        per row."""
+        n = 1_000_000
+        rng = np.random.default_rng(7)
+        clicks = ClickRecords(*(rng.random(n) < 0.5 for _ in range(5)))
+        tracemalloc.start()
+        try:
+            clicks.to_csv(tmp_path / "clicks.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        digits = 10 + sum(9 * 10 ** (w - 1) * w for w in range(2, 7))   # of 0 .. n - 1
+        size = len(ClickRecords.CSV_HEADER) + 1 + digits + 11 * n
+        assert (tmp_path / "clicks.csv").stat().st_size == size
+        assert peak < 2 * 2**20
 
     def test_packed_bits_round_trip(self):
         result = simulate(make_config(pulses=2000, seed=19))
