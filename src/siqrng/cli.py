@@ -62,7 +62,7 @@ from .finite_size import (
     split_sweep_spec,
 )
 from .source_monitor import hoeffding_delta, poisson_distribution
-from .simulator import PulseTrainConfig, extract, simulate, z_window_bits
+from .simulator import SEED_LIMIT, PulseTrainConfig, extract, simulate, z_window_bits
 
 CSV_FORMAT_VERSION = 1
 
@@ -101,12 +101,6 @@ _DEFAULTS: Dict[str, dict] = {
         "e_q": 0.02, "t_z": 1.0, "t_x": 1.0, "seed": 1, "extract_bits": None,
     },
 }
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 def _manifest_hash(command: str, config: dict, seed) -> str:
@@ -158,16 +152,11 @@ class RunManifest:
 
 def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
                rows: Sequence[Sequence]) -> None:
-    """Write the comment line, ``header`` and ``rows``.  A row of floats
-    only is formatted by one %-template, which gives the bytes of
-    :func:`_fmt`; any other row goes cell by cell through :func:`_fmt`."""
+    """Write the comment line, ``header`` and ``rows`` of floats, each cell
+    with 17 significant digits."""
     lines = [f"# siqrng csv={CSV_FORMAT_VERSION} command={command} manifest={manifest_hash}",
              header]
-    for row in rows:
-        if all(type(v) is float for v in row):
-            lines.append(",".join(["%.17g"] * len(row)) % tuple(row))
-        else:
-            lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(["%.17g"] * len(row)) % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -188,8 +177,12 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     nu, eta, e_d = config["nu"], config["eta"], config["e_d"]
     p_hat, lag = config["p_hat"], int(config["lag"])
     points = int(config["points"])
-    if points < 2 or not (0.0 <= p_hat < 1.0) or lag < 1:
-        raise ParameterError("autocorr needs points >= 2, 0 <= p_hat < 1, lag >= 1")
+    if points < 2:
+        raise ParameterError(f"autocorr needs points >= 2, got {points}")
+    if not (0.0 <= p_hat < 1.0):
+        raise ParameterError(f"autocorr needs 0 <= p_hat < 1, got {p_hat}")
+    if lag < 1:
+        raise ParameterError(f"autocorr needs lag >= 1, got {lag}")
     source = poisson_distribution(nu)
     grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
@@ -203,6 +196,10 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     if config["mc"]:
         pulses = int(config["pulses"])
         seed = int(config["seed"])
+        if not 0 <= seed <= SEED_LIMIT - points:
+            raise ParameterError(f"autocorr --mc draws point i with seed + i, so seed must "
+                                 f"lie in [0, 2^64 - points]; got seed {seed} for "
+                                 f"{points} points")
 
         def mc_point(idx: int):
             sim_cfg = PulseTrainConfig(pulses=pulses, source=source, dets=dets[idx],
@@ -248,6 +245,8 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 
     if sweep == "afterpulse":
         fp_windows = int(config["fp_windows"])
+        if fp_windows < 0:
+            raise ParameterError(f"fp_windows must be >= 0, got {fp_windows}")
         taus = measurement_taus(source, detector_set(eta, e_d, AfterpulseSpec.none()), e_q)
         p_hats = np.linspace(0.0, config["p_hat_max"], points).tolist()
         no_ap = _hmin_a(e_d, [AfterpulseSpec.none()] * points, taus)
@@ -357,10 +356,8 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
 
 def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     seed = int(config["seed"])
-    depth = config["window_depth"]
     spec = AfterpulseSpec.exponential_from_rate(
-        float(config["p_hat"]), float(config["omega"]),
-        None if depth is None else int(depth))
+        float(config["p_hat"]), float(config["omega"]), int(config["window_depth"]))
     dets = detector_set(config["eta"], config["e_d"], spec)
     sim_cfg = PulseTrainConfig(
         pulses=int(config["pulses"]),
@@ -375,7 +372,7 @@ def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     if extract_bits is None:
         extract_bits = len(result.bits) // 2   # demonstration default, not an entropy claim
     # Extract before writing, so a rejected length leaves no output files.
-    extracted = extract(result.bits, int(extract_bits), seed)
+    extracted = extract(result.bits.bits, int(extract_bits), seed)
     mhash = _manifest_hash("simulate", config, seed)
 
     clicks_path = out_dir / "clicks.csv"

@@ -30,10 +30,6 @@ DETECTOR_LABELS = ("0", "1", "+", "-")
 # singularity (1+A)e^-omega == 1.
 _RATIO_EPS = 1e-14
 
-# Marks "depth not given" in AfterpulseSpec.explicit, where None already
-# means unlimited history.
-_DEPTH_FROM_LIST = object()
-
 
 def _check_unit(name: str, value, *, high_open: bool = False) -> None:
     """Raise unless ``value``, or every array entry, lies in [0, 1] ([0, 1) if
@@ -188,18 +184,8 @@ class AfterpulseSpec:
         if self.mode not in ("explicit", "exponential"):
             raise ParameterError(f"unknown afterpulse mode {self.mode!r}")
         depth = self.window_depth
-        if depth is not None:
-            if isinstance(depth, float):
-                if math.isinf(depth):
-                    object.__setattr__(self, "window_depth", None)
-                    depth = None
-                elif depth == int(depth):
-                    depth = int(depth)
-                    object.__setattr__(self, "window_depth", depth)
-                else:
-                    raise ParameterError(f"window_depth must be an integer, got {depth}")
-            if depth is not None and depth < 0:
-                raise ParameterError(f"window_depth must be >= 0, got {depth}")
+        if depth is not None and not (isinstance(depth, int) and depth >= 0):
+            raise ParameterError(f"window_depth must be None or an integer >= 0, got {depth!r}")
         if self.mode == "explicit":
             coeffs = tuple(float(c) for c in self.coefficients)
             object.__setattr__(self, "coefficients", coeffs)
@@ -235,15 +221,11 @@ class AfterpulseSpec:
         return cls(mode="explicit", coefficients=(), window_depth=0)
 
     @classmethod
-    def explicit(cls, coefficients: Sequence[float],
-                 window_depth=_DEPTH_FROM_LIST) -> "AfterpulseSpec":
-        """Explicit coefficient table; the history depth defaults to the table
-        length, pass ``None`` for unlimited history."""
+    def explicit(cls, coefficients: Sequence[float]) -> "AfterpulseSpec":
+        """Explicit coefficient table, with the table length as history depth."""
         coefficients = tuple(coefficients)
-        if window_depth is _DEPTH_FROM_LIST:
-            window_depth = len(coefficients)
         return cls(mode="explicit", coefficients=coefficients,
-                   window_depth=window_depth)
+                   window_depth=len(coefficients))
 
     @classmethod
     def exponential(cls, amplitude: float, decay: float,

@@ -21,7 +21,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -84,23 +84,11 @@ def worst_afterpulse(spec: AfterpulseSpec) -> float:
     return min(spec.worst_case_total(), 1.0)
 
 
-def baseline_click_prob(det: DetectorParams, tau: float) -> float:
-    """Response probability with no afterpulse contribution."""
-    return response_prob_no_afterpulse(tau, det.dark_rate)
-
-
-def stationary_click_prob(det: DetectorParams, tau: float,
-                          prior_ratio: Optional[float] = None) -> float:
-    """Steady-state response probability including afterpulsing.
-
-    ``prior_ratio`` is the detector's prior response ratio; by default the
-    afterpulse-free value of this detector, the worst case injects 1.
-    """
-    if prior_ratio is None:
-        prior_ratio = response_prob_no_afterpulse(tau, det.dark_rate)
-    else:
-        _check_unit("prior_ratio", prior_ratio)
-    return response_prob(tau, det.dark_rate, worst_afterpulse(det.afterpulse) * prior_ratio)
+def stationary_click_prob(det: DetectorParams, tau: float) -> float:
+    """Steady-state response probability including afterpulsing; the prior
+    response ratio is this detector's afterpulse-free response probability."""
+    p_b = response_prob_no_afterpulse(tau, det.dark_rate)
+    return response_prob(tau, det.dark_rate, worst_afterpulse(det.afterpulse) * p_b)
 
 
 @dataclass(frozen=True)
@@ -167,13 +155,13 @@ def hmin_a(hmin_z: float, q_single: float, q_double: float, eq: float) -> float:
     return (hmin_z * q_single + q_double) * (1.0 - binary_entropy(eq)) - q_double
 
 
-def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
-                          prior_ratio: Optional[float] = None) -> Tuple[float, float]:
+def lagged_response_probs(det: DetectorParams, tau: float, lag: int) -> Tuple[float, float]:
     """Response probabilities (fired, not fired) conditioned on the window
     ``lag`` slots earlier.
 
     The stationary afterpulse background keeps its mean except that the lag
-    coefficient's contribution is resolved to 1 (fired) or 0 (not fired):
+    coefficient's contribution is resolved to 1 (fired) or 0 (not fired),
+    with p_b the detector's afterpulse-free response probability:
 
         P_fired     = p_hat/(1-p_hat)*p_b + p_hat_lag * (1 - p_b)
         P_not_fired = p_hat/(1-p_hat)*p_b - p_hat_lag * p_b
@@ -182,15 +170,12 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
     probability above 1 means p_hat is too large and raises
     :class:`ParameterError`, which names p_hat, the lag and the probability.
     """
-    if prior_ratio is None:
-        prior_ratio = baseline_click_prob(det, tau)
-    elif not (0.0 <= prior_ratio <= 1.0):
-        raise ParameterError(f"prior_ratio must lie in [0, 1], got {prior_ratio}")
+    p_b = response_prob_no_afterpulse(tau, det.dark_rate)
     spec = det.afterpulse
-    background = spec.first_order_rate / (1.0 - spec.first_order_rate) * prior_ratio
+    background = spec.first_order_rate / (1.0 - spec.first_order_rate) * p_b
     coeff = spec.coefficient(lag)
-    p_ap_fired = background + coeff * (1.0 - prior_ratio)
-    p_ap_not = background - coeff * prior_ratio
+    p_ap_fired = background + coeff * (1.0 - p_b)
+    p_ap_not = background - coeff * p_b
     if p_ap_not < 0.0:
         warnings.warn(
             f"lag-{lag} correction drives the afterpulse probability negative "
@@ -209,9 +194,7 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int,
 
 
 def prior_autocorrelation(det_0: DetectorParams, tau_0: float,
-                          det_1: DetectorParams, tau_1: float, lag: int,
-                          prior_0: Optional[float] = None,
-                          prior_1: Optional[float] = None) -> float:
+                          det_1: DetectorParams, tau_1: float, lag: int) -> float:
     """Predicted lag-``lag`` autocorrelation of the raw bit sequence.
 
     a_i = [p1^i1 (1-p0^i0) - p1^i0 (1-p0^i1)] (1-k)
@@ -221,12 +204,10 @@ def prior_autocorrelation(det_0: DetectorParams, tau_0: float,
     For identical detectors this reduces to tau*(1-e_d)*p_hat_lag, linear in
     the lag coefficient; distinct detectors make it quadratic.
     """
-    p0_f, p0_n = lagged_response_probs(det_0, tau_0, lag, prior_0)
-    p1_f, p1_n = lagged_response_probs(det_1, tau_1, lag, prior_1)
-    k = expectation_k(
-        stationary_click_prob(det_0, tau_0, prior_0),
-        stationary_click_prob(det_1, tau_1, prior_1),
-    )
+    p0_f, p0_n = lagged_response_probs(det_0, tau_0, lag)
+    p1_f, p1_n = lagged_response_probs(det_1, tau_1, lag)
+    k = expectation_k(stationary_click_prob(det_0, tau_0),
+                      stationary_click_prob(det_1, tau_1))
     term_one = (p1_f * (1.0 - p0_n) - p1_n * (1.0 - p0_f)) * (1.0 - k)
     term_zero = (p0_n * (1.0 - p1_f) - p0_f * (1.0 - p1_n)) * (-k)
     return term_one + term_zero
@@ -347,7 +328,7 @@ def measurement_taus(source: PhotonDistribution, dets: Sequence[DetectorParams],
     xis = [np.asarray(xi, dtype=float) for xi in (
         0.5 * t * eta_0, 0.5 * t * eta_1,
         t * eta_plus * (1.0 - misalignment), t * eta_minus * misalignment)]
-    lo = vacuum_probability(source, np.concatenate([xi.ravel() for xi in xis]))[0]
+    lo = vacuum_probability(source, np.concatenate([xi.ravel() for xi in xis]))
     cells = np.split(lo, np.cumsum([xi.size for xi in xis])[:-1])
     taus = [cell.reshape(xi.shape) for xi, cell in zip(xis, cells)]
     return TauSet(*(float(tau) if tau.ndim == 0 else tau for tau in taus))

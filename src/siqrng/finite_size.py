@@ -516,7 +516,8 @@ class RateScenario:
 
     The monitor splitter keeps ``eta_bs`` of the light and its balance
     attenuation (1-eta_bs)/eta_bs * eta_det follows, so the distribution
-    entering the variable attenuator equals the monitored one.
+    entering the variable attenuator equals the monitored one.  ``source``
+    is the Poisson distribution of mean ``nu``.
     """
 
     dets: Tuple[DetectorParams, ...]    # "0", "1", "+", "-", as detector_set builds them
@@ -524,7 +525,7 @@ class RateScenario:
     nu: float = 50.0
     eta_bs: float = DEFAULT_ETA_BS
     eta_det: float = DEFAULT_ETA_DET
-    source: PhotonDistribution = None
+    source: PhotonDistribution = field(init=False, repr=False, compare=False)
     # (theta, subtracted bits) of the entropy-inequality route: one per scenario
     _entropy_inequality: Tuple[float, float] = field(init=False, repr=False,
                                                      compare=False)
@@ -532,8 +533,7 @@ class RateScenario:
     def __post_init__(self):
         if self.nu < 0.0:
             raise ParameterError(f"nu must be >= 0, got {self.nu}")
-        if self.source is None:
-            object.__setattr__(self, "source", poisson_distribution(self.nu))
+        object.__setattr__(self, "source", poisson_distribution(self.nu))
         sec = self.security
         object.__setattr__(self, "_entropy_inequality", (
             theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all),

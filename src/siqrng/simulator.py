@@ -11,7 +11,7 @@ Randomness comes from the Philox 4x64 counter-based generator (NumPy
 implementation).  Each purpose draws from an independent stream keyed as
 ``key = [master_seed, stream_id * 2^32 + chunk_index]``, so adding streams or
 changing the thread count never perturbs existing draws; runs are bit-for-bit
-reproducible for a fixed (config, seed).
+reproducible for a fixed config, whose ``seed`` is the master seed.
 """
 
 from __future__ import annotations
@@ -42,12 +42,18 @@ STREAM_FILL = 16
 STREAM_EXTRACTOR = 17
 
 _MASK64 = (1 << 64) - 1
+# Seeds are the first Philox key word, so they lie in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 64
 DEFAULT_CHUNK = 1 << 18
 
 
+def _check_seed(name: str, seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ParameterError(f"{name} must lie in [0, 2^64), got {seed}")
+
+
 def _stream(seed: int, stream_id: int, chunk: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, ((stream_id << 32) | chunk) & _MASK64],
-                   dtype=np.uint64)
+    key = np.array([seed, ((stream_id << 32) | chunk) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -77,6 +83,7 @@ class PulseTrainConfig:
                 raise ParameterError(f"{name} must lie in [0, 1], got {v}")
         if self.chunk_size < 1:
             raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        _check_seed("seed", self.seed)
         if len(self.dets) != 4:
             raise ParameterError(f"dets must hold 4 detectors, got {len(self.dets)}")
         for det in self.dets:
@@ -709,9 +716,9 @@ def _click_prob(eta: float, photons: np.ndarray) -> np.ndarray:
     return 1.0 - np.power(1.0 - eta, photons)
 
 
-def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
-             threads: int = 1) -> SimulationResult:
-    """Run the pulse train; identical (config, seed) gives identical output.
+def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
+    """Run the pulse train; an identical config, ``seed`` included, gives
+    identical output.
 
     ``threads`` parallelizes the per-chunk randomness generation only; the
     afterpulse recursion is applied chunk after chunk with carried history, so
@@ -729,8 +736,6 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    if seed is None:
-        seed = config.seed
     dets = config.dets
     spec_coeffs = {spec: _coefficient_array(spec) for spec in {det.afterpulse for det in dets}}
     coeffs = [spec_coeffs[det.afterpulse] for det in dets]
@@ -751,7 +756,7 @@ def simulate(config: PulseTrainConfig, seed: Optional[int] = None,
     records = tuple(np.zeros(n_pulses, dtype=bool) for _ in range(5))
 
     def draws_for(chunk: int) -> _ChunkDraws:
-        return _chunk_draws(config, seed, chunk, chunk_counts[chunk], cdf_z, cdf_x,
+        return _chunk_draws(config, config.seed, chunk, chunk_counts[chunk], cdf_z, cdf_x,
                             click_tables, ap_limits, binomials)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -829,23 +834,21 @@ def _next_5_smooth(n: int) -> int:
 
 
 def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
-    """Two-universal Toeplitz hash of a bit sequence.
+    """Two-universal Toeplitz hash of a 0/1 bit sequence.
 
     The binary Toeplitz matrix T[i, j] = r[n-1+i-j] is generated from a keyed
     Philox stream of n + output_len - 1 bits; the product T x over GF(2) is a
     convolution reduced mod 2.  Deterministic in (bits, seed, output_len); the
     caller is responsible for choosing output_len within the entropy budget.
     """
-    if isinstance(bits, BitStream):
-        x = bits.bits
-    else:
-        x = np.asarray(bits, dtype=np.uint8)
+    x = np.asarray(bits, dtype=np.uint8)
     if x.ndim != 1:
         raise ParameterError("bit input must be one-dimensional")
     if np.any(x > 1):
         raise ParameterError("bit input must be 0/1 valued")
     if output_len < 0:
         raise ParameterError(f"output_len must be >= 0, got {output_len}")
+    _check_seed("extractor_seed", extractor_seed)
     n = x.size
     if output_len > n:
         raise ParameterError(f"output_len {output_len} exceeds input length {n}")

@@ -1,23 +1,20 @@
 """Photon-number distribution handling for an untrusted source.
 
 Covers the truncated distribution type, the Bernoulli (binomial) loss
-transform, vacuum probabilities with truncation bounds, the monitor-arm
-attenuation balance and Hoeffding confidence radii for sampled estimates.
+transform, lower bounds on vacuum probabilities, the monitor-arm attenuation
+balance and Hoeffding confidence radii for sampled estimates.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ParameterError
 
-# Truncation tail above which construction warns.
-TAIL_WARN_THRESHOLD = 1e-10
 _SUM_TOL = 1e-12
 # Rows of the power matrix per block in vacuum_probability: 256 rows of
 # 551 photon numbers (nu = 50) are about 1.1 MB.
@@ -28,8 +25,6 @@ _LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
            7.93650340457716943945E-4, -2.77777777730099687205E-3,
            8.33333333333331927722E-2)
 _LS2PI = 0.91893853320467274178
-# log 2^-110 less a margin of 1 for the rounding of the log-space bound.
-_LOG_TAIL_ABSORBED = -110.0 * math.log(2.0) - 1.0
 
 
 @dataclass(frozen=True)
@@ -102,51 +97,28 @@ def _lgamma_int(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_absorbed(nu: float, m: int) -> bool:
-    """Whether P(N >= m) of a Poisson(nu) count is certainly below 2^-110.
-
-    Chernoff: P(N >= m) <= e^-nu (e nu / m)^m for m > nu, compared in log
-    space with a margin of 1 (e-fold) for the rounding of the log-space
-    expression, whose terms stay far below 2^50 for any array that fits in
-    memory.  At ``default_poisson_truncation`` (m >= 10 nu + 51) the bound is
-    below 2^-260 for every nu, so only an explicit short ``n_max`` fails it.
-    """
-    if nu == 0.0:
-        return True
-    if m <= nu:
-        return False
-    return -nu + m * (1.0 + math.log(nu) - math.log(m)) < _LOG_TAIL_ABSORBED
-
-
-def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistribution:
-    """Truncated Poisson distribution of mean ``nu`` with exact tail tracking.
+def poisson_distribution(nu: float) -> PhotonDistribution:
+    """Poisson distribution of mean ``nu``, truncated at
+    :func:`default_poisson_truncation`, with exact tail tracking.
 
     ``probs`` is exp(n log nu - lgamma(n+1) - nu), the expression
     ``scipy.stats.poisson.pmf`` evaluates (``xlogy`` and ``gammaln``), bit for
     bit and without SciPy: the bytes of ``probs`` enter ``config_hash``.
 
-    The tail mass is the Poisson tail P(N > n_max) plus the pmf's rounding
-    drift, max(0, t + ((1 - s) - t)) with s = fsum(probs) and t the tail.
-    Where the tail is certainly below 2^-110 (:func:`_tail_absorbed`), that
-    expression equals max(0, 1 - s) for any t in [0, 2^-107), so t is never
-    computed.  Proof: s lies within far less than 1/2 of 1, so by Sterbenz's
-    lemma d = 1 - s is exact, and since s >= 1/2 is a multiple of 2^-53, so
-    is d: either d = 0 or |d| >= 2^-53.  If d = 0, (0 - t) + t = 0 exactly.
-    Otherwise the floats next to d on either side are at least |d| 2^-53 >=
-    2^-106 away, more than twice t, so d - t rounds to d and t + d rounds to
-    d.  A computed tail below 2^-107 only needs SciPy's ``pdtrc`` to be
-    within a factor 8 e of the bound, and it is accurate to a few ulps.
-    Elsewhere (an explicit short ``n_max``) ``scipy.special.pdtrc`` gives t;
-    it is imported only there, as ``bernoulli_transform`` imports
-    ``scipy.stats``, to keep SciPy out of start-up.
+    The tail mass is max(0, 1 - s) with s = fsum(probs).  That is exactly the
+    Poisson tail t = P(N > n_max) plus the pmf's rounding drift, max(0, t +
+    ((1 - s) - t)), since t < 2^-107: by Chernoff, P(N >= m) <= e^-nu (e nu /
+    m)^m for m > nu, and at m = n_max + 1 >= 10 nu + 51 that is below 2^-260
+    for every nu.  Proof of the equality for t in [0, 2^-107): s lies within
+    far less than 1/2 of 1, so by Sterbenz's lemma d = 1 - s is exact, and
+    since s >= 1/2 is a multiple of 2^-53, so is d: either d = 0 or |d| >=
+    2^-53.  If d = 0, (0 - t) + t = 0 exactly.  Otherwise the floats next to
+    d on either side are at least |d| 2^-53 >= 2^-106 away, more than twice
+    t, so d - t rounds to d and t + d rounds to d.
     """
     if not (0.0 <= nu < math.inf):
         raise ParameterError(f"mean photon number must be finite and >= 0, got {nu}")
-    if n_max is None:
-        n_max = default_poisson_truncation(nu)
-    if n_max < 0:
-        raise ParameterError(f"n_max must be >= 0, got {n_max}")
-    n = np.arange(n_max + 1)
+    n = np.arange(default_poisson_truncation(nu) + 1)
     if nu == 0.0:
         xlogy = np.full(n.size, -np.inf)
     else:
@@ -158,20 +130,7 @@ def poisson_distribution(nu: float, n_max: Optional[int] = None) -> PhotonDistri
         raise ParameterError(
             f"Poisson probabilities of mean nu = {nu!r} sum to {total!r}, more than "
             f"{_SUM_TOL} above 1: the pmf loses accuracy at this nu")
-    if _tail_absorbed(nu, n_max + 1):
-        return PhotonDistribution(probs=probs, tail_mass=max(0.0, 1.0 - total))
-    from scipy import special
-
-    tail = float(special.pdtrc(n_max, nu))
-    if tail > TAIL_WARN_THRESHOLD:
-        warnings.warn(
-            f"Poisson truncation at n_max={n_max} leaves tail mass {tail:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    # absorb the rounding drift of the pmf into the tail
-    drift = 1.0 - total - tail
-    return PhotonDistribution(probs=probs, tail_mass=max(0.0, tail + drift))
+    return PhotonDistribution(probs=probs, tail_mass=max(0.0, 1.0 - total))
 
 
 def bernoulli_transform(dist: PhotonDistribution, xi: float) -> PhotonDistribution:
@@ -197,15 +156,15 @@ def bernoulli_transform(dist: PhotonDistribution, xi: float) -> PhotonDistributi
     return PhotonDistribution(probs=out, tail_mass=tail)
 
 
-def vacuum_probability(dist: PhotonDistribution, xi) -> Tuple[float, float]:
-    """Bounds (lo, hi) on the vacuum probability after thinning by ``xi``.
+def vacuum_probability(dist: PhotonDistribution, xi) -> np.ndarray:
+    """Vacuum probability after thinning by ``xi``, a lower bound: an array of
+    ``xi``'s shape.
 
-    tau = sum_n P(n) (1-xi)^n; the truncation tail contributes 0 (lower bound)
-    or survives entirely as vacuum (upper bound).  ``xi`` may be an array;
-    the bounds are then arrays of its shape, each cell equal to the float
-    result.  Each distinct ``xi`` is its own ``np.dot`` with the power row,
-    since a matrix product sums in another order, and the power matrix is
-    built ``_POWER_ROWS`` rows at a time.
+    tau = sum_n P(n) (1-xi)^n, to which the truncation tail contributes 0.
+    Each cell equals the float result of its own ``xi``: each distinct
+    ``xi`` is its own ``np.dot`` with the power row, since a matrix product
+    sums in another order, and the power matrix is built ``_POWER_ROWS``
+    rows at a time.
     """
     xis = np.asarray(xi, dtype=float)
     outside = ~((xis >= 0.0) & (xis <= 1.0))
@@ -218,11 +177,7 @@ def vacuum_probability(dist: PhotonDistribution, xi) -> Tuple[float, float]:
     for start in range(0, distinct.size, _POWER_ROWS):
         powers = np.power((1.0 - distinct[start:start + _POWER_ROWS])[:, None], n)
         lo[start:start + _POWER_ROWS] = [np.dot(dist.probs, row) for row in powers]
-    lo = np.clip(lo[inverse], 0.0, 1.0).reshape(xis.shape)
-    hi = np.minimum(lo + dist.tail_mass, 1.0)
-    if xis.ndim == 0:
-        return float(lo), float(hi)
-    return lo, hi
+    return np.clip(lo[inverse], 0.0, 1.0).reshape(xis.shape)
 
 
 def monitor_attenuation(eta_bs: float, eta_det: float) -> float:

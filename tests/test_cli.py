@@ -62,6 +62,29 @@ class TestAutocorr:
             f"{message} > 1\n")
         assert not (tmp_path / "autocorr.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--points", "1"], "autocorr needs points >= 2, got 1"),
+        (["--p-hat", "-0.1"], "autocorr needs 0 <= p_hat < 1, got -0.1"),
+        (["--p-hat", "1"], "autocorr needs 0 <= p_hat < 1, got 1.0"),
+        (["--lag", "0"], "autocorr needs lag >= 1, got 0"),
+    ], ids=["points", "negative_p_hat", "unit_p_hat", "lag"])
+    def test_bad_setting_names_its_key(self, tmp_path, capsys, argv, message):
+        assert run(["autocorr", *argv, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"siqrng: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 2])
+    def test_mc_seed_range_covers_every_point(self, tmp_path, capsys, seed):
+        # point i draws with seed + i, so 3 points reach seed + 2 < 2^64
+        argv = ["autocorr", "--mc", "--points", "3", "--pulses", "1000",
+                "--out-dir", str(tmp_path)]
+        assert run(argv + ["--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == (
+            "siqrng: error: autocorr --mc draws point i with seed + i, so seed must lie "
+            f"in [0, 2^64 - points]; got seed {seed} for 3 points\n")
+        assert list(tmp_path.iterdir()) == []
+        assert run(argv + ["--seed", str(2**64 - 3)]) == 0
+
 
 class TestHmin:
     def test_afterpulse_sweep_ordering(self, tmp_path):
@@ -102,6 +125,7 @@ class TestHmin:
         (["--sweep", "efficiency", "--omega", "0"], "decay must be > 0, got 0.0"),
         # exp(-decay) rounds to 1, which first_order_rate divides by 1 minus
         (["--omega", "1e-17"], "decay must be large enough that exp(-decay) < 1, got 1e-17"),
+        (["--fp-windows", "-1"], "fp_windows must be >= 0, got -1"),
     ], ids=lambda v: "_".join(v).replace("-", "") if isinstance(v, list) else "")
     def test_first_faulty_row_is_named(self, tmp_path, capsys, argv, message):
         assert run(["hmin", "--out-dir", str(tmp_path)] + argv) == 2
@@ -345,6 +369,16 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"siqrng: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad, good", [(-1, 2**64 - 1), (2**64, 0)])
+    def test_seed_outside_philox_key_range_rejected(self, tmp_path, capsys, bad, good):
+        # both seeds of each pair used to draw the same Philox streams
+        argv = ["simulate", "--pulses", "1000"]
+        assert run([*argv, "--seed", str(bad), "--out-dir", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == (
+            f"siqrng: error: seed must lie in [0, 2^64), got {bad}\n")
+        assert list((tmp_path / "bad").iterdir()) == []
+        assert run([*argv, "--seed", str(good), "--out-dir", str(tmp_path / "good")]) == 0
+
     @pytest.mark.parametrize("flags", [["--pulses", "1000", "--q-x", "0"],
                                        ["--pulses", "1"]])
     def test_no_x_windows_writes_strict_json(self, tmp_path, flags):
@@ -584,11 +618,27 @@ class TestWriteCsv:
     def test_float_rows_match_cell_formatting(self, tmp_path):
         rows = [self.VALUES, self.VALUES[::-1], [1.0]]
         assert self._rows(tmp_path, rows) == [
-            ",".join(cli._fmt(v) for v in row) for row in rows]
+            ",".join(f"{v:.17g}" for v in row) for row in rows]
 
-    @pytest.mark.parametrize("odd", [10**17 + 1, True, "abc", np.float64(0.1)])
-    def test_other_rows_fall_back_to_cell_formatting(self, tmp_path, odd):
-        # "%.17g" would print 10**17 + 1 as 1.0000000000000000e+17, True as 1
-        # and fail on a str
-        row = [0.5, odd, math.nan]
-        assert self._rows(tmp_path, [row]) == [",".join(cli._fmt(v) for v in row)]
+    @pytest.mark.parametrize("argv", [
+        ["hmin", "--points", "3"],
+        ["hmin", "--sweep", "efficiency", "--points", "3"],
+        ["rates", "--points", "3"],
+        ["rates", "--points", "3", "--p-hat-ap", "0.6"],
+        ["finite-sampling", "--points", "3"],
+        ["autocorr", "--points", "3"],
+        ["autocorr", "--points", "3", "--mc", "--pulses", "2000"],
+    ], ids=lambda v: "_".join(v).replace("-", ""))
+    def test_every_command_writes_python_floats(self, tmp_path, monkeypatch, argv):
+        # "%.17g" writes a float as f"{v:.17g}" does, but an int of 18 digits
+        # or a bool otherwise
+        cells = []
+        write = cli._write_csv
+
+        def spy(path, command, manifest_hash, header, rows):
+            cells.extend(v for row in rows for v in row)
+            write(path, command, manifest_hash, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert cells and {type(v) for v in cells} == {float}

@@ -194,7 +194,7 @@ class TestAfterpulseSpec:
             brute_force_composition_total([0.03, 0.02], 2), rel=1e-12)
 
     def test_explicit_unlimited_history_closed_form(self):
-        spec = AfterpulseSpec.explicit([0.03, 0.02], window_depth=None)
+        spec = AfterpulseSpec(mode="explicit", coefficients=(0.03, 0.02), window_depth=None)
         assert spec.window_depth is None
         assert spec.worst_case_total() == pytest.approx(0.05 / 0.95, rel=1e-12)
 
@@ -228,9 +228,11 @@ class TestAfterpulseSpec:
         assert spec.coefficient(5) > 0.0
         assert spec.coefficient(6) == 0.0
 
-    def test_infinity_sentinel_normalized(self):
-        spec = AfterpulseSpec.exponential(1e-4, 0.001, window_depth=math.inf)
-        assert spec.window_depth is None
+    @pytest.mark.parametrize("depth", [-1, 2.0, math.inf, "3"])
+    def test_depth_must_be_none_or_a_nonnegative_integer(self, depth):
+        with pytest.raises(ParameterError, match=rf"^window_depth must be None or an "
+                                                 rf"integer >= 0, got {depth!r}$"):
+            AfterpulseSpec.exponential(1e-4, 0.001, window_depth=depth)
 
     def test_invalid_coefficients(self):
         with pytest.raises(ParameterError):
@@ -254,7 +256,8 @@ class TestAfterpulseSpec:
 
         for spec, expected in (
                 (AfterpulseSpec.none(), documented("explicit", 0.0, 0.0, [], 0)),
-                (AfterpulseSpec.explicit([0.01, 0.005], window_depth=10),
+                (AfterpulseSpec(mode="explicit", coefficients=(0.01, 0.005),
+                                window_depth=10),
                  documented("explicit", 0.0, 0.0, [0.01, 0.005], 10)),
                 (AfterpulseSpec.exponential(1e-4, 0.001),
                  documented("exponential", 1e-4, 0.001, [], None)),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestHminZWorstcase:
 
     def test_extreme_rate_clamps(self):
         # p_hat > 1/2 drives the geometric worst case above 1; it is capped
-        spec = AfterpulseSpec.explicit([0.3, 0.3], window_depth=None)
+        spec = AfterpulseSpec(mode="explicit", coefficients=(0.3, 0.3), window_depth=None)
         det0, det1, _, _ = make_detectors(spec=spec)
         h = hmin_z(det0, math.exp(-0.5), det1, math.exp(-0.5))
         assert 0.0 <= h <= 1.0
@@ -183,14 +184,17 @@ class TestLaggedResponseProbs:
 
     def test_not_fired_probability_never_negative(self):
         # the background p_hat/(1-p_hat)*p_b always dominates the lag
-        # correction p_hat_lag*p_b, so the defensive clamp stays inactive
+        # correction p_hat_lag*p_b, so the defensive clamp stays inactive;
+        # without dark counts the prior p_b is 1 - tau
         for p1, p2, prior in [(0.4999, 0.0001, 0.001), (0.05, 0.0, 1.0),
                               (0.01, 0.04, 0.3)]:
             spec = AfterpulseSpec.explicit([p1, p2])
             det = DetectorParams(0.1, 0.0, spec, label="0")
-            fired, not_fired = lagged_response_probs(det, 0.9, lag=1,
-                                                     prior_ratio=prior)
-            base = 1.0 - 0.9
+            tau = 1.0 - prior
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                fired, not_fired = lagged_response_probs(det, tau, lag=1)
+            base = 1.0 - tau
             assert not_fired >= base - 1e-15
 
 
@@ -233,17 +237,6 @@ class TestPriorAutocorrelation:
         c2_diff = series(0.2)[0]
         assert abs(c2_same) < 1e-12
         assert abs(c2_diff) > 1e-6
-
-    def test_prior_ratio_injectable(self):
-        # the prior ratio cancels exactly for identical detectors, so a
-        # mismatched pair is needed to see the injection take effect
-        dets = self._detectors(0.02, 0.03, eta_1=0.2)
-        det0, det1, _, _ = dets
-        tau1 = measurement_taus(self.source, dets).tau_1
-        a_default = prior_autocorrelation(det0, self.taus.tau_0, det1, tau1, 1)
-        a_worst = prior_autocorrelation(det0, self.taus.tau_0, det1, tau1, 1,
-                                        prior_0=1.0, prior_1=1.0)
-        assert a_default != a_worst
 
 
 class TestEmpiricalAutocorrelation:

@@ -50,6 +50,14 @@ class TestConfig:
         with pytest.raises(ParameterError, match=r"^dets must hold 4 detectors, got 3$"):
             PulseTrainConfig(pulses=10, source=VACUUM, dets=make_detectors()[:3])
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        # the key's first word is the seed, which used to be taken mod 2^64
+        with pytest.raises(ParameterError, match=rf"^seed must lie in \[0, 2\^64\), "
+                                                 rf"got {seed}$"):
+            make_config(seed=seed)
+        assert make_config(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_config_hash_tracks_content(self):
         a = make_config(pulses=100)
         b = make_config(pulses=100)
@@ -748,6 +756,13 @@ class TestExtract:
         with pytest.raises(ParameterError):
             extract([1, 0], 3, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        with pytest.raises(ParameterError, match=rf"^extractor_seed must lie in "
+                                                 rf"\[0, 2\^64\), got {seed}$"):
+            extract([1, 0], 1, seed)
+        assert extract([1, 0], 1, 2**64 - 1).size == 1
+
     def test_matches_explicit_toeplitz_matrix(self):
         rng = np.random.default_rng(23)
         x = rng.integers(0, 2, 40, dtype=np.uint8)
@@ -840,7 +855,7 @@ class TestExtract:
         cfg = make_config(pulses=1_500_000, nu=10.0, seed=43)
         result = simulate(cfg)
         n_out = 500_000
-        out = extract(result.bits, n_out, 47).astype(float)
+        out = extract(result.bits.bits, n_out, 47).astype(float)
         assert abs(out.mean() - 0.5) <= 4.0 * math.sqrt(0.25 / n_out)
         for lag in range(1, 17):
             assert abs(empirical_autocorrelation(out, lag)) <= 4.0 / math.sqrt(n_out)
