@@ -28,7 +28,6 @@ from .entropy_engine import (
     x_basis_error,
 )
 from .errors import (
-    BudgetError,
     ConvergenceError,
     DegenerateError,
     InfeasibleError,
@@ -36,14 +35,8 @@ from .errors import (
     SiqrngError,
 )
 from .finite_size import (
-    RateReport,
     RateScenario,
     SecurityParams,
-    composable_epsilon,
-    final_rate,
-    rate_entropy_inequality,
-    rate_infinite_length,
-    rate_random_sampling,
     theta_entropy_inequality,
     theta_random_sampling,
 )

@@ -47,15 +47,7 @@ from .entropy_engine import (
 )
 from .errors import DegenerateError, ParameterError, SiqrngError
 from .finite_size import (
-    DEFAULT_EPS_TERM,
-    DEFAULT_ETA_BS,
-    DEFAULT_ETA_DET,
-    DEFAULT_LOSS_MAX_DB,
-    DEFAULT_MISALIGNMENT,
-    DEFAULT_T_E,
-    DEFAULT_TOTAL_PULSES,
-    DEFAULT_X_FRACTION,
-    DEFAULT_Z_RATE,
+    SCENARIO_DEFAULTS,
     hmin_with_tau_uncertainty,
     loss_grid,
     scenario_from_params,
@@ -81,14 +73,11 @@ _DEFAULTS: Dict[str, dict] = {
         "p_hat_max": 0.1, "p_hat_ap": 0.05, "ratio_min": 0.5, "ratio_max": 1.5,
         "points": 41,
     },
+    # The scenario keys, with the afterpulsed curve's p_hat_ap for p_hat
     "rates": {
-        "from": 0.0, "to": DEFAULT_LOSS_MAX_DB, "points": 200, "nu": 50.0,
-        "eta": 0.1, "e_d": 6e-7, "e_q": DEFAULT_MISALIGNMENT,
-        "N": DEFAULT_TOTAL_PULSES, "q_x": DEFAULT_X_FRACTION,
-        "eps_all": 2.0 * DEFAULT_EPS_TERM, "eps_d": DEFAULT_EPS_TERM,
-        "eps_e": DEFAULT_EPS_TERM, "t_e": DEFAULT_T_E, "v": DEFAULT_Z_RATE,
-        "eta_bs": DEFAULT_ETA_BS, "eta_det": DEFAULT_ETA_DET,
-        "p_hat_ap": 0.05, "omega": 0.001,
+        "from": 0.0, "to": 2.5, "points": 200,
+        **{key: value for key, value in SCENARIO_DEFAULTS.items() if key != "p_hat"},
+        "p_hat_ap": 0.05,
     },
     "finite-sampling": {
         "nu": 10.0, "eta": 0.1, "e_d": 6e-7, "e_q": 0.02, "eps_d": 2.0**-50,
@@ -205,8 +194,13 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
             sim_cfg = PulseTrainConfig(pulses=pulses, source=source, dets=dets[idx],
                                        x_fraction=0.0, seed=seed + idx)
             bits, mask = z_window_bits(simulate(sim_cfg).clicks)
-            return (empirical_autocorrelation(bits, lag, mask=mask),
-                    autocorrelation_stderr(mask, lag))
+            try:
+                return (empirical_autocorrelation(bits, lag, mask=mask),
+                        autocorrelation_stderr(mask, lag))
+            except DegenerateError as exc:
+                raise DegenerateError(
+                    f"point p_hat_i={grid[idx]:.6g}, seed={seed + idx}: {exc}; "
+                    "raise --pulses") from exc
 
         # Each point is a NumPy Monte Carlo run, so worker threads overlap.
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -239,7 +233,7 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     omega = config["omega"]
     points = int(config["points"])
     if points < 2:
-        raise ParameterError("hmin needs points >= 2")
+        raise ParameterError(f"hmin needs points >= 2, got {points}")
     source = poisson_distribution(nu)
     sweep = config["sweep"]
 
@@ -282,11 +276,9 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 def cmd_rates(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     points = int(config["points"])
     if points < 2:
-        raise ParameterError("rates needs points >= 2")
+        raise ParameterError(f"rates needs points >= 2, got {points}")
     losses = loss_grid(config["from"], config["to"], points)
-    base_params = {k: config[k] for k in
-                   ("N", "q_x", "eps_all", "eps_d", "eps_e", "t_e", "e_q", "v",
-                    "e_d", "eta", "eta_bs", "eta_det", "nu", "omega")}
+    base_params = {k: config[k] for k in SCENARIO_DEFAULTS if k != "p_hat"}
     plain = scenario_from_params(base_params)
     withap = scenario_from_params({**base_params, "p_hat": config["p_hat_ap"]})
     n = plain.security.total_pulses
@@ -316,7 +308,7 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
     eps_d = config["eps_d"]
     points = int(config["points"])
     if points < 2:
-        raise ParameterError("finite-sampling needs points >= 2")
+        raise ParameterError(f"finite-sampling needs points >= 2, got {points}")
     lo, hi = config["length_min"], config["length_max"]
     if not (lo > 0.0 and hi > 0.0):
         raise ParameterError(f"length_min and length_max must be > 0, got {lo} and {hi}")

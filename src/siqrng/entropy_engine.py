@@ -287,9 +287,6 @@ class EntropyReport:
         if (total if type(total) is float else np.max(total)) > 1.0 + 1e-12:
             raise ParameterError("Q_single + Q_double exceeds 1")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def cells(self) -> Iterator["EntropyReport"]:
         """The scalar report of each cell of a one-dimensional broadcast
         report, in order, one at a time."""

@@ -17,9 +17,5 @@ class DegenerateError(SiqrngError, ValueError):
     """A ratio is undefined because its denominator vanishes (e.g. no clicks)."""
 
 
-class BudgetError(SiqrngError, ValueError):
-    """A failure-probability budget exceeds what composition allows."""
-
-
 class InfeasibleError(SiqrngError, RuntimeError):
     """No statistical deviation satisfies the requested failure probability."""

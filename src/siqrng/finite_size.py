@@ -1,16 +1,13 @@
-"""Finite-size rate bounds, composable security and certified final rates.
+"""Finite-size rate bounds and certified final rates.
 
 Two routes bound the check-basis error deviation theta: inverting the
 random-sampling tail bound by bisection, or the closed-form entropy
-inequality.  The certified rate additionally minimizes over the Hoeffding
-confidence box of the monitored vacuum probabilities, and the composable
-failure probability combines the error-estimation, distribution-estimation
-and extraction budgets.
+inequality.  The monitored rate additionally minimizes over the Hoeffding
+confidence box of the monitored vacuum probabilities.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
@@ -29,7 +26,7 @@ from .entropy_engine import (
     measurement_taus,
     x_basis_error,
 )
-from .errors import BudgetError, InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError
 from .source_monitor import (
     PhotonDistribution,
     clipped_interval,
@@ -37,19 +34,16 @@ from .source_monitor import (
     poisson_distribution,
 )
 
-# Defaults reproducing the reference operating point (10^10 pulses, 2% check
-# sampling, 2^-50 budgets, 100-bit extraction exponent).
-DEFAULT_TOTAL_PULSES = 1e10
-DEFAULT_X_FRACTION = 0.02
-DEFAULT_EPS_TERM = 2.0**-50
-DEFAULT_T_E = 100
-DEFAULT_MISALIGNMENT = 0.02
-DEFAULT_Z_RATE = 1e6
-DEFAULT_ETA_BS = 0.5
-# Monitor photodiode efficiency: not part of the published operating point;
-# 0.65 places the rate peak near 1.5 dB of variable attenuation.
-DEFAULT_ETA_DET = 0.65
-DEFAULT_LOSS_MAX_DB = 2.5
+# The flat keys of :func:`scenario_from_params` at the reference operating
+# point: 10^10 pulses, 2% check sampling, 2^-50 budgets and a 100-bit
+# extraction exponent.  The monitor photodiode efficiency eta_det is not part
+# of the published operating point; 0.65 places the rate peak near 1.5 dB of
+# variable attenuation.
+SCENARIO_DEFAULTS = {
+    "nu": 50.0, "eta": 0.1, "e_d": 6e-7, "e_q": 0.02, "N": 1e10, "q_x": 0.02,
+    "eps_all": 2.0 * 2.0**-50, "eps_d": 2.0**-50, "eps_e": 2.0**-50, "t_e": 100,
+    "v": 1e6, "eta_bs": 0.5, "eta_det": 0.65, "p_hat": 0.0, "omega": 0.001,
+}
 
 _THETA_FLOOR = 1e-15
 _NEWTON_STEPS = 8
@@ -59,14 +53,15 @@ _NEWTON_STEPS = 8
 class SecurityParams:
     """Failure-probability budgets and sampling layout of one run."""
 
-    total_pulses: float = DEFAULT_TOTAL_PULSES
-    x_fraction: float = DEFAULT_X_FRACTION
-    eps_all: float = 2.0 * DEFAULT_EPS_TERM
-    eps_d: float = DEFAULT_EPS_TERM
-    eps_e: float = DEFAULT_EPS_TERM
-    t_e: int = DEFAULT_T_E
-    misalignment: float = DEFAULT_MISALIGNMENT
-    z_rate: float = DEFAULT_Z_RATE    # pulses/s measured in the generation basis; informational
+    total_pulses: float = SCENARIO_DEFAULTS["N"]
+    x_fraction: float = SCENARIO_DEFAULTS["q_x"]
+    eps_all: float = SCENARIO_DEFAULTS["eps_all"]
+    eps_d: float = SCENARIO_DEFAULTS["eps_d"]
+    eps_e: float = SCENARIO_DEFAULTS["eps_e"]
+    t_e: int = SCENARIO_DEFAULTS["t_e"]
+    misalignment: float = SCENARIO_DEFAULTS["e_q"]
+    # pulses/s measured in the generation basis; informational
+    z_rate: float = SCENARIO_DEFAULTS["v"]
     n_z: float = field(init=False)
     n_x: float = field(init=False)
 
@@ -372,42 +367,6 @@ def _bits_after(n_z: float, report: EntropyReport, theta: float, cost: float) ->
     return max(0.0, n_z * _bracket(report, theta) - cost)
 
 
-def rate_random_sampling(n_z: float, report: EntropyReport, theta: float,
-                         t_e: float) -> float:
-    """Final random bits n_z * bracket - t_e, clamped at 0."""
-    return _bits_after(n_z, report, theta, t_e)
-
-
-def _entropy_inequality_cost(eps_all: float) -> float:
-    """The 2 log2(1/eps_all) bits that :func:`rate_entropy_inequality`
-    subtracts."""
-    if not (0.0 < eps_all <= 1.0):
-        raise ParameterError(f"eps_all must lie in (0, 1], got {eps_all}")
-    return 2.0 * math.log2(1.0 / eps_all)
-
-
-def rate_entropy_inequality(n_z: float, report: EntropyReport, theta: float,
-                            eps_all: float) -> float:
-    """Final random bits n_z * bracket - 2 log2(1/eps_all), clamped at 0."""
-    return _bits_after(n_z, report, theta, _entropy_inequality_cost(eps_all))
-
-
-def rate_infinite_length(n_z: float, report: EntropyReport) -> float:
-    """Asymptotic bits n_z * bracket(theta=0) with no subtraction, clamped at 0."""
-    return max(0.0, n_z * _bracket(report, 0.0))
-
-
-def composable_epsilon(eps_d: float, eps_e: float, t_e: float) -> float:
-    """Composable security parameter sqrt(s(2-s)), s = eps_d + eps_e + 2^-t_e."""
-    for name, v in (("eps_d", eps_d), ("eps_e", eps_e)):
-        if v < 0.0:
-            raise ParameterError(f"{name} must be >= 0, got {v}")
-    s = eps_d + eps_e + 2.0**-t_e
-    if s > 1.0:
-        raise BudgetError(f"failure budget eps_d + eps_e + 2^-t_e = {s} exceeds 1")
-    return math.sqrt(s * (2.0 - s))
-
-
 # ---------------------------------------------------------------------------
 # Minimization over monitored vacuum-probability boxes
 
@@ -445,67 +404,6 @@ def hmin_with_tau_uncertainty(dets: Sequence[DetectorParams], taus: TauSet,
                                   grid_points)
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Certified random-sampling output of one parameter point."""
-
-    theta: float
-    entropy: EntropyReport
-    random_bits: float
-    final_bits: float
-    zeta: float
-    n_z: float
-    n_x: float
-    total_pulses: float
-
-    @property
-    def per_pulse(self) -> float:
-        return self.random_bits / self.total_pulses
-
-    @property
-    def final_per_pulse(self) -> float:
-        return self.final_bits / self.total_pulses
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["entropy"] = self.entropy.to_dict()
-        d["per_pulse"] = self.per_pulse
-        d["final_per_pulse"] = self.final_per_pulse
-        return d
-
-
-def final_rate(security: SecurityParams, dets: Sequence[DetectorParams], taus: TauSet,
-               delta_d: float, grid_points: int = 64) -> RateReport:
-    """Certified rate minimized over the monitored vacuum-probability box.
-
-    The deviation theta comes from the random-sampling bound at the worst-case
-    check-arm corner; the bracket is then minimized over the generation-arm
-    box and t_e subtracted.  An infeasible theta, or a worst-case EQ outside
-    (0, 1/2), yields zero bits with theta = nan, as in ``RateScenario.rates``.
-    """
-    if delta_d < 0.0:
-        raise ParameterError(f"delta_d must be >= 0, got {delta_d}")
-    boxes = [clipped_interval(tau, delta_d) for tau in taus]
-    x_arm = _worst_eq_arm(dets, boxes)
-    point = entropy_report_from_taus(dets, taus)
-    zeta = composable_epsilon(security.eps_d, security.eps_e, security.t_e)
-    try:
-        theta = theta_random_sampling(x_basis_error(x_arm.p_a, x_arm.p_b), security.x_fraction,
-                                      security.total_pulses, security.eps_e)
-    except (InfeasibleError, ParameterError):
-        return RateReport(theta=math.nan, entropy=point,
-                          random_bits=0.0, final_bits=0.0, zeta=zeta,
-                          n_z=security.n_z, n_x=security.n_x,
-                          total_pulses=security.total_pulses)
-    random_bits = rate_random_sampling(security.n_z, point, theta, security.t_e)
-    min_bracket = _min_bracket_over_taus(dets, boxes, x_arm, theta, grid_points)
-    final_bits = max(0.0, security.n_z * min_bracket - security.t_e)
-    return RateReport(theta=theta, entropy=point,
-                      random_bits=random_bits, final_bits=final_bits, zeta=zeta,
-                      n_z=security.n_z, n_x=security.n_x,
-                      total_pulses=security.total_pulses)
-
-
 # ---------------------------------------------------------------------------
 # The source -> monitor -> attenuator -> measurement chain of the rate curves
 
@@ -522,9 +420,9 @@ class RateScenario:
 
     dets: Tuple[DetectorParams, ...]    # "0", "1", "+", "-", as detector_set builds them
     security: SecurityParams = field(default_factory=SecurityParams)
-    nu: float = 50.0
-    eta_bs: float = DEFAULT_ETA_BS
-    eta_det: float = DEFAULT_ETA_DET
+    nu: float = SCENARIO_DEFAULTS["nu"]
+    eta_bs: float = SCENARIO_DEFAULTS["eta_bs"]
+    eta_det: float = SCENARIO_DEFAULTS["eta_det"]
     source: PhotonDistribution = field(init=False, repr=False, compare=False)
     # (theta, subtracted bits) of the entropy-inequality route: one per scenario
     _entropy_inequality: Tuple[float, float] = field(init=False, repr=False,
@@ -537,7 +435,7 @@ class RateScenario:
         sec = self.security
         object.__setattr__(self, "_entropy_inequality", (
             theta_entropy_inequality(sec.n_z, sec.n_x, sec.eps_all),
-            _entropy_inequality_cost(sec.eps_all)))
+            2.0 * math.log2(1.0 / sec.eps_all)))
 
     def transmittance(self, loss_db: float) -> float:
         """Fixed monitor chain times the variable attenuator 10^(-dB/10).
@@ -564,16 +462,43 @@ class RateScenario:
         :class:`TauSet` of arrays gives one broadcast report."""
         return entropy_report_from_taus(self.dets, taus)
 
+    def _theta(self, eq: float) -> float:
+        """Random-sampling deviation theta at the check-basis error ``eq``;
+        nan when no theta is admissible."""
+        sec = self.security
+        try:
+            return theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
+        except (InfeasibleError, ParameterError):
+            return math.nan
+
     def _random_sampling(self, report: EntropyReport) -> Tuple[float, float]:
         """(theta, bits) of the random-sampling bound; (nan, 0) when no theta
         is admissible."""
-        sec = self.security
-        try:
-            theta = theta_random_sampling(report.eq, sec.x_fraction,
-                                          sec.total_pulses, sec.eps_e)
-            return theta, rate_random_sampling(sec.n_z, report, theta, sec.t_e)
-        except (InfeasibleError, ParameterError):
-            return math.nan, 0.0
+        theta = self._theta(report.eq)
+        if math.isnan(theta):
+            return theta, 0.0
+        return theta, _bits_after(self.security.n_z, report, theta, self.security.t_e)
+
+    def monitored(self, taus: TauSet, delta_d: float,
+                  grid_points: int = 64) -> Tuple[float, float]:
+        """(theta, bits) of the random-sampling bound minimized over the
+        Hoeffding box of radius ``delta_d`` around the vacuum probabilities
+        ``taus``; (nan, 0) when no theta is admissible, as where the
+        worst-case EQ leaves (0, 1/2).
+
+        theta comes from the worst-case check-arm corner of the box; the
+        bracket is then minimized over the generation-arm box and t_e
+        subtracted.
+        """
+        if not (delta_d >= 0.0):
+            raise ParameterError(f"delta_d must be >= 0, got {delta_d}")
+        boxes = [clipped_interval(tau, delta_d) for tau in taus]
+        x_arm = _worst_eq_arm(self.dets, boxes)
+        theta = self._theta(x_basis_error(x_arm.p_a, x_arm.p_b))
+        if math.isnan(theta):
+            return theta, 0.0
+        min_bracket = _min_bracket_over_taus(self.dets, boxes, x_arm, theta, grid_points)
+        return theta, max(0.0, self.security.n_z * min_bracket - self.security.t_e)
 
     def rates(self, report: EntropyReport) -> Dict[str, float]:
         """Bit counts of all three bounding methods for the scalar report of
@@ -582,36 +507,28 @@ class RateScenario:
         n_z = self.security.n_z
         _, r_rs = self._random_sampling(report)
         r_ei = _bits_after(n_z, report, *self._entropy_inequality)
-        r_il = rate_infinite_length(n_z, report)
+        r_il = _bits_after(n_z, report, 0.0, 0.0)
         return {"random_sampling": r_rs, "entropy_inequality": r_ei,
                 "infinite_length": r_il}
 
 
 def scenario_from_params(params: dict) -> RateScenario:
-    """Build a :class:`RateScenario` from flat sweep-specification keys."""
-    known = {"N", "q_x", "eps_all", "eps_d", "eps_e", "t_e", "e_q", "v", "e_d",
-             "eta", "eta_bs", "eta_det", "nu", "p_hat", "omega"}
-    unknown = set(params) - known
+    """Build a :class:`RateScenario` from flat sweep-specification keys; a
+    missing key takes its :data:`SCENARIO_DEFAULTS` value."""
+    unknown = set(params) - set(SCENARIO_DEFAULTS)
     if unknown:
         raise ParameterError(f"unknown sweep parameters: {sorted(unknown)}")
+    p = {**SCENARIO_DEFAULTS, **params}
     security = SecurityParams(
-        total_pulses=float(params.get("N", DEFAULT_TOTAL_PULSES)),
-        x_fraction=float(params.get("q_x", DEFAULT_X_FRACTION)),
-        eps_all=float(params.get("eps_all", 2.0 * DEFAULT_EPS_TERM)),
-        eps_d=float(params.get("eps_d", DEFAULT_EPS_TERM)),
-        eps_e=float(params.get("eps_e", DEFAULT_EPS_TERM)),
-        t_e=int(params.get("t_e", DEFAULT_T_E)),
-        misalignment=float(params.get("e_q", DEFAULT_MISALIGNMENT)),
-        z_rate=float(params.get("v", DEFAULT_Z_RATE)),
+        total_pulses=float(p["N"]), x_fraction=float(p["q_x"]),
+        eps_all=float(p["eps_all"]), eps_d=float(p["eps_d"]), eps_e=float(p["eps_e"]),
+        t_e=int(p["t_e"]), misalignment=float(p["e_q"]), z_rate=float(p["v"]),
     )
-    spec = AfterpulseSpec.exponential_from_rate(float(params.get("p_hat", 0.0)),
-                                                float(params.get("omega", 0.001)))
+    spec = AfterpulseSpec.exponential_from_rate(float(p["p_hat"]), float(p["omega"]))
     return RateScenario(
-        detector_set(float(params.get("eta", 0.1)), float(params.get("e_d", 6e-7)), spec),
-        security=security,
-        nu=float(params.get("nu", 50.0)),
-        eta_bs=float(params.get("eta_bs", DEFAULT_ETA_BS)),
-        eta_det=float(params.get("eta_det", DEFAULT_ETA_DET)),
+        detector_set(float(p["eta"]), float(p["e_d"]), spec),
+        security=security, nu=float(p["nu"]),
+        eta_bs=float(p["eta_bs"]), eta_det=float(p["eta_det"]),
     )
 
 

@@ -198,7 +198,7 @@ def hoeffding_delta(n_samples: int, eps_d: float) -> float:
 
     Inverts eps_d = 2 exp(-2 n delta^2).
     """
-    if n_samples < 1:
+    if not (n_samples >= 1):    # a NaN count fails too
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
     if not (0.0 < eps_d < 1.0):
         raise ParameterError(f"eps_d must lie in (0, 1), got {eps_d}")
@@ -207,7 +207,7 @@ def hoeffding_delta(n_samples: int, eps_d: float) -> float:
 
 def clipped_interval(center: float, delta: float) -> Tuple[float, float]:
     """Confidence interval [center-delta, center+delta] clipped to [0, 1]."""
-    if delta < 0.0:
+    if not (delta >= 0.0):    # a NaN radius fails too
         raise ParameterError(f"delta must be >= 0, got {delta}")
     return max(0.0, center - delta), min(1.0, center + delta)
 

@@ -63,13 +63,17 @@ class TestAutocorr:
         assert not (tmp_path / "autocorr.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--points", "1"], "autocorr needs points >= 2, got 1"),
-        (["--p-hat", "-0.1"], "autocorr needs 0 <= p_hat < 1, got -0.1"),
-        (["--p-hat", "1"], "autocorr needs 0 <= p_hat < 1, got 1.0"),
-        (["--lag", "0"], "autocorr needs lag >= 1, got 0"),
-    ], ids=["points", "negative_p_hat", "unit_p_hat", "lag"])
+        (["autocorr", "--points", "1"], "autocorr needs points >= 2, got 1"),
+        (["hmin", "--points", "1"], "hmin needs points >= 2, got 1"),
+        (["rates", "--points", "1"], "rates needs points >= 2, got 1"),
+        (["finite-sampling", "--points", "0"], "finite-sampling needs points >= 2, got 0"),
+        (["autocorr", "--p-hat", "-0.1"], "autocorr needs 0 <= p_hat < 1, got -0.1"),
+        (["autocorr", "--p-hat", "1"], "autocorr needs 0 <= p_hat < 1, got 1.0"),
+        (["autocorr", "--lag", "0"], "autocorr needs lag >= 1, got 0"),
+    ], ids=["points", "hmin_points", "rates_points", "finite_sampling_points",
+            "negative_p_hat", "unit_p_hat", "lag"])
     def test_bad_setting_names_its_key(self, tmp_path, capsys, argv, message):
-        assert run(["autocorr", *argv, "--out-dir", str(tmp_path)]) == 2
+        assert run([*argv, "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"siqrng: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
@@ -84,6 +88,16 @@ class TestAutocorr:
             f"in [0, 2^64 - points]; got seed {seed} for 3 points\n")
         assert list(tmp_path.iterdir()) == []
         assert run(argv + ["--seed", str(2**64 - 3)]) == 0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc_point_without_clicks_is_named(self, tmp_path, capsys, threads):
+        # 10 pulses at nu = 1 and eta = 0.1 leave a constant Z-window bit sequence
+        assert run(["autocorr", "--points", "3", "--mc", "--pulses", "10", "--seed", "7",
+                    "--threads", threads, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "siqrng: error: point p_hat_i=0, seed=7: constant sequence has undefined "
+            "autocorrelation; raise --pulses\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHmin:

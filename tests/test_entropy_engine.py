@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -286,7 +287,7 @@ class TestReportAssembly:
         taus = measurement_taus(poisson_distribution(10.0), (det0, det1, detp, detm),
                                 misalignment=0.02)
         report = entropy_report_from_taus((det0, det1, detp, detm), taus)
-        data = report.to_dict()
+        data = dataclasses.asdict(report)
         assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq", "k"}
         assert 0.0 <= report.hmin_z <= 1.0
         assert report.q_single + report.q_double <= 1.0
@@ -336,7 +337,8 @@ class TestBroadcastChain:
                 broadcast()
             return
         cells = broadcast().cells()
-        assert [c.to_dict() for c in cells] == [r.to_dict() for r in scalars]
+        assert ([dataclasses.asdict(c) for c in cells]
+                == [dataclasses.asdict(r) for r in scalars])
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(_row, min_size=1, max_size=12), e_d=st.floats(0.0, 0.1))
@@ -383,5 +385,5 @@ class TestBroadcastChain:
                                q_single=np.array([0.2, 0.3]), q_double=0.01, eq=0.02,
                                k=0.5)
         cells = list(report.cells())
-        assert [type(v) for c in cells for v in c.to_dict().values()] == [float] * 12
+        assert [type(v) for c in cells for v in dataclasses.asdict(c).values()] == [float] * 12
         assert cells[1] == EntropyReport(0.25, 0.1, 0.3, 0.01, 0.02, 0.5)

@@ -7,17 +7,12 @@ from hypothesis import strategies as st
 
 from siqrng import (
     AfterpulseSpec,
-    BudgetError,
     DegenerateError,
     InfeasibleError,
     ParameterError,
+    RateScenario,
     SecurityParams,
-    composable_epsilon,
-    final_rate,
     poisson_distribution,
-    rate_entropy_inequality,
-    rate_infinite_length,
-    rate_random_sampling,
     theta_entropy_inequality,
     theta_random_sampling,
 )
@@ -29,10 +24,10 @@ from siqrng.entropy_engine import (
     make_entropy_report,
     measurement_taus,
 )
-from siqrng import finite_size
+from siqrng import cli, finite_size
 from siqrng.finite_size import (
-    DEFAULT_LOSS_MAX_DB,
     _THETA_FLOOR,
+    _bits_after,
     _bracket,
     _excess_error_bound,
     _min_bracket_over_taus,
@@ -354,10 +349,11 @@ class TestCertifiedBisection:
             return _zeta_exponent(*args)
 
         sec = SecurityParams()
+        defaults = cli._DEFAULTS["rates"]
         eqs = [scenario.entropy(scenario.taus(float(loss))).eq
                for scenario in (scenario_from_params({}),
-                                scenario_from_params({"p_hat": 0.05}))
-               for loss in loss_grid(0.0, DEFAULT_LOSS_MAX_DB, 200)]
+                                scenario_from_params({"p_hat": defaults["p_hat_ap"]}))
+               for loss in loss_grid(defaults["from"], defaults["to"], defaults["points"])]
         monkeypatch.setattr(finite_size, "_zeta_exponent", counted)
         for eq in eqs:
             calls.clear()
@@ -395,48 +391,31 @@ class TestCertifiedBisection:
 class TestRates:
     def test_saturated_error_rate_clamps_to_zero(self):
         report = simple_report(eq=0.4)
-        assert rate_random_sampling(1e9, report, 0.2, 100) == 0.0
+        assert _bits_after(1e9, report, 0.2, 100) == 0.0
 
     def test_theta_zero_te_zero_recovers_hmin_a(self):
         report = simple_report()
         expected = 1e9 * ((report.hmin_z * report.q_single + report.q_double)
                           * (1.0 - binary_entropy(report.eq)) - report.q_double)
-        assert rate_random_sampling(1e9, report, 0.0, 0.0) == pytest.approx(
-            expected, rel=1e-12)
-        assert rate_infinite_length(1e9, report) == pytest.approx(expected, rel=1e-12)
+        assert _bits_after(1e9, report, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_entropy_inequality_subtraction(self):
-        report = simple_report()
-        base = rate_entropy_inequality(1e9, report, 0.0, 1.0)
-        tighter = rate_entropy_inequality(1e9, report, 0.0, 2.0 * 2.0**-50)
-        assert base - tighter == pytest.approx(98.0, abs=1e-6)
+        # 2 log2(1/eps_all) bits: 98 at eps_all = 2^-49, 2 at eps_all = 1/2
+        assert scenario_from_params({})._entropy_inequality[1] == 98.0
+        assert scenario_from_params({"eps_all": 0.5})._entropy_inequality[1] == 2.0
+        scenario = scenario_from_params({})
+        report = scenario.entropy(scenario.taus(1.5))
+        theta = theta_entropy_inequality(scenario.security.n_z, scenario.security.n_x,
+                                         scenario.security.eps_all)
+        assert scenario.rates(report)["entropy_inequality"] == _bits_after(
+            scenario.security.n_z, report, theta, 98.0)
 
     def test_rates_non_increasing_in_theta(self):
         report = simple_report()
-        for rate in (lambda th: rate_random_sampling(1e9, report, th, 100),
-                     lambda th: rate_entropy_inequality(1e9, report, th,
-                                                        2.0 * 2.0**-50)):
-            values = [rate(th) for th in (0.0, 1e-5, 1e-3, 0.05, 0.3, 0.49)]
+        for cost in (100, 98.0):
+            values = [_bits_after(1e9, report, th, cost)
+                      for th in (0.0, 1e-5, 1e-3, 0.05, 0.3, 0.49)]
             assert values == sorted(values, reverse=True)
-
-
-class TestComposableEpsilon:
-    def test_zero_budget(self):
-        assert composable_epsilon(0.0, 0.0, 10**6) == pytest.approx(0.0, abs=1e-90)
-
-    def test_extraction_only_specialization(self):
-        s = 2.0**-30
-        assert composable_epsilon(0.0, 0.0, 30) == pytest.approx(
-            math.sqrt(s * (2.0 - s)), rel=1e-12)
-
-    def test_reference_budget(self):
-        # eps_d = eps_e = 2^-50, t_e = 100: sqrt(s(2-s)) with s ~ 2^-49
-        assert composable_epsilon(2.0**-50, 2.0**-50, 100) == pytest.approx(
-            5.960464477539061e-8, rel=1e-9)
-
-    def test_budget_error(self):
-        with pytest.raises(BudgetError):
-            composable_epsilon(0.7, 0.4, 1)
 
 
 class TestSecurityParams:
@@ -482,42 +461,42 @@ def _taus_at(nu=10.0, e_q=0.02):
     return measurement_taus(source, make_detectors(), misalignment=e_q)
 
 
-class TestFinalRate:
-    def _args(self, spec=None):
-        return make_detectors(spec=spec), _taus_at()
+class TestMonitored:
+    def _scenario(self, spec=None):
+        # monitored takes the vacuum probabilities, so nu plays no part here
+        return RateScenario(make_detectors(spec=spec)), _taus_at()
 
-    def test_zero_delta_reduces_to_point_rate(self):
-        sec = SecurityParams()
-        args = self._args()
-        report = entropy_report_from_taus(*args)
-        theta = theta_random_sampling(report.eq, sec.x_fraction,
-                                      sec.total_pulses, sec.eps_e)
-        expected = rate_random_sampling(sec.n_z, report, theta, sec.t_e)
-        out = final_rate(sec, *args, delta_d=0.0, grid_points=2)
-        assert out.final_bits == pytest.approx(expected, rel=1e-9)
-        assert out.random_bits == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("p_hat", [0.0, 0.05, 0.6])
+    def test_zero_delta_equals_point_rate_exactly(self, p_hat):
+        # every cell of the default rates sweep, as cmd_rates evaluates it
+        scenario = scenario_from_params({"p_hat": p_hat})
+        defaults = cli._DEFAULTS["rates"]
+        losses = loss_grid(defaults["from"], defaults["to"], defaults["points"])
+        cells = list(scenario.entropy(scenario.taus(losses)).cells())
+        got = [scenario.monitored(scenario.taus(loss), 0.0) for loss in losses.tolist()]
+        assert [bits for _, bits in got] == [scenario.rates(cell)["random_sampling"]
+                                            for cell in cells]
+        # theta too, nan where no theta is admissible
+        np.testing.assert_array_equal([theta for theta, _ in got],
+                                      [scenario._random_sampling(cell)[0] for cell in cells])
 
     def test_non_increasing_in_delta(self):
-        sec = SecurityParams()
-        args = self._args()
-        values = [final_rate(sec, *args, delta_d=d, grid_points=9).final_bits
+        scenario, taus = self._scenario()
+        values = [scenario.monitored(taus, d, grid_points=9)[1]
                   for d in (0.0, 0.01, 0.05, 0.1)]
         assert values == sorted(values, reverse=True)
 
     def test_final_never_exceeds_point_rate(self):
-        sec = SecurityParams()
-        spec = AfterpulseSpec.exponential_from_rate(0.05, 0.001)
-        args = self._args(spec=spec)
-        out = final_rate(sec, *args, delta_d=0.02, grid_points=9)
-        assert out.final_bits <= out.random_bits
-        assert out.zeta == pytest.approx(
-            composable_epsilon(sec.eps_d, sec.eps_e, sec.t_e), rel=1e-12)
+        scenario, taus = self._scenario(AfterpulseSpec.exponential_from_rate(0.05, 0.001))
+        sec = scenario.security
+        theta, bits = scenario.monitored(taus, 0.02, grid_points=9)
+        assert bits <= _bits_after(sec.n_z, scenario.entropy(taus), theta, sec.t_e)
 
-    def test_report_serializes(self):
-        sec = SecurityParams()
-        out = final_rate(sec, *self._args(), delta_d=0.01, grid_points=5)
-        data = out.to_dict()
-        assert data["per_pulse"] == pytest.approx(out.random_bits / 1e10)
+    @pytest.mark.parametrize("delta_d", [math.nan, -1e-3])
+    def test_nan_or_negative_radius_is_named(self, delta_d):
+        scenario, taus = self._scenario()
+        with pytest.raises(ParameterError, match=f"^delta_d must be >= 0, got {delta_d}$"):
+            scenario.monitored(taus, delta_d)
 
 
 class TestHminWithTauUncertainty:
@@ -540,7 +519,12 @@ class TestHminWithTauUncertainty:
         with pytest.raises(ParameterError, match="grid_points must be >= 2"):
             hmin_with_tau_uncertainty(*args, delta=0.01, grid_points=grid_points)
         with pytest.raises(ParameterError, match="grid_points must be >= 2"):
-            final_rate(SecurityParams(), *args, delta_d=0.01, grid_points=grid_points)
+            RateScenario(args[0]).monitored(args[1], 0.01, grid_points=grid_points)
+
+    def test_nan_radius_is_named(self):
+        # a NaN radius used to clip to the box [0, 1] and raise DegenerateError
+        with pytest.raises(ParameterError, match="^delta must be >= 0, got nan$"):
+            hmin_with_tau_uncertainty(make_detectors(), _taus_at(), math.nan)
 
     def test_box_reaching_vacuum_without_noise_is_degenerate(self):
         # tau = 1 with e_d = 0 and no afterpulse: neither detector can click
@@ -621,11 +605,12 @@ class TestRateScenario:
     def test_monitor_sampling_penalizes(self):
         scenario = scenario_from_params({})
         taus = scenario.taus(1.5)
-        point = scenario.rates(scenario.entropy(taus))["random_sampling"]
-        monitored = final_rate(scenario.security, scenario.dets, taus,
-                               hoeffding_delta(10**4, scenario.security.eps_d))
-        assert monitored.final_bits < point
-        assert monitored.final_bits <= monitored.random_bits
+        report = scenario.entropy(taus)
+        point = scenario.rates(report)["random_sampling"]
+        sec = scenario.security
+        theta, bits = scenario.monitored(taus, hoeffding_delta(10**4, sec.eps_d))
+        assert bits < point
+        assert bits <= _bits_after(sec.n_z, report, theta, sec.t_e)
 
     @pytest.mark.parametrize("nu", [1.0, 10.0])
     @pytest.mark.parametrize("loss_db", [0.0, 1.5, 3.0])
@@ -633,13 +618,13 @@ class TestRateScenario:
         # 100 monitor samples widen the check-arm box until its worst-case EQ
         # passes 1/2, where no theta exists.
         scenario = scenario_from_params({"p_hat": 0.3, "nu": nu})
-        report = final_rate(scenario.security, scenario.dets, scenario.taus(loss_db),
-                            hoeffding_delta(100, scenario.security.eps_d))
-        assert math.isnan(report.theta)
-        assert report.random_bits == 0.0 and report.final_bits == 0.0
+        theta, bits = scenario.monitored(scenario.taus(loss_db),
+                                         hoeffding_delta(100, scenario.security.eps_d))
+        assert math.isnan(theta) and bits == 0.0
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError,
+                           match=r"^unknown sweep parameters: \['bogus'\]$"):
             scenario_from_params({"bogus": 1.0})
 
     def test_negative_afterpulse_rate_rejected(self):

@@ -258,3 +258,13 @@ class TestHoeffding:
         assert clipped_interval(0.99, 0.05) == (0.94, 1.0)
         assert clipped_interval(0.02, 0.05) == (0.0, 0.07)
 
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hoeffding_delta(math.nan, 2.0**-50), "n_samples must be >= 1, got nan"),
+        (lambda: clipped_interval(0.3, math.nan), "delta must be >= 0, got nan"),
+        (lambda: clipped_interval(0.3, -1e-3), "delta must be >= 0, got -0.001"),
+    ], ids=["nan_samples", "nan_radius", "negative_radius"])
+    def test_nan_and_negative_inputs_are_named(self, call, message):
+        # a NaN count used to give a NaN radius, and a NaN radius the box [0, 1]
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            call()
