@@ -54,7 +54,14 @@ from .finite_size import (
     split_sweep_spec,
 )
 from .source_monitor import hoeffding_delta, poisson_distribution
-from .simulator import SEED_LIMIT, PulseTrainConfig, extract, simulate, z_window_bits
+from .simulator import (
+    SEED_LIMIT,
+    PulseTrainConfig,
+    extract,
+    open_new,
+    simulate,
+    z_window_bits,
+)
 
 CSV_FORMAT_VERSION = 1
 
@@ -132,10 +139,10 @@ class RunManifest:
         }
 
     def write(self, out_dir: Path) -> Path:
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True, default=str) + "\n"
         path = out_dir / "manifest.json"
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf-8")
+        with open_new(path) as fh:
+            fh.write(text.encode("utf-8"))
         return path
 
 
@@ -146,7 +153,9 @@ def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
     lines = [f"# siqrng csv={CSV_FORMAT_VERSION} command={command} manifest={manifest_hash}",
              header]
     lines += [",".join(["%.17g"] * len(row)) % tuple(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    with open_new(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +381,20 @@ def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
                          header_comment=f"siqrng csv={CSV_FORMAT_VERSION} "
                                         f"command=simulate manifest={mhash}")
     bits_path = out_dir / "bits.bin"
-    bits_path.write_bytes(result.bits.packed())
+    with open_new(bits_path) as fh:
+        fh.write(result.bits.packed())
     sidecar = result.bits.sidecar(seed, sim_cfg.config_hash())
     sidecar["manifest_hash"] = mhash
     # no X windows leaves EQ undefined (NaN), which JSON cannot carry
     sidecar["eq_empirical"] = result.eq_empirical if result.bits.x_windows else None
+    text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n"
     sidecar_path = out_dir / "bits.json"
-    sidecar_path.write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8")
+    with open_new(sidecar_path) as fh:
+        fh.write(text.encode("utf-8"))
 
     extracted_path = out_dir / "extracted.bin"
-    extracted_path.write_bytes(np.packbits(extracted).tobytes())
+    with open_new(extracted_path) as fh:
+        fh.write(np.packbits(extracted).tobytes())
     return [clicks_path, bits_path, sidecar_path, extracted_path]
 
 
@@ -429,7 +440,16 @@ def _check_config_types(file_cfg: dict, defaults: dict) -> None:
                                  f"got {json.dumps(value)}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of every command, with the options of the one ``argv`` names.
+
+    All commands are registered, so ``siqrng --help`` lists them and an
+    unknown command is named, but only the invoked one gets its options:
+    adding all of them costs a few milliseconds per run.  The command is the
+    first token of ``argv`` that names one, since no top-level option takes
+    a value.
+    """
+    command = next((token for token in argv if token in _DEFAULTS), None)
     parser = argparse.ArgumentParser(
         prog="siqrng",
         description="Security modeling and simulation for source-independent "
@@ -439,6 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, defaults in _DEFAULTS.items():
         p = sub.add_parser(name, help=f"{name} command")
+        if name != command:
+            continue
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with configuration values")
         p.add_argument("--out-dir", type=str, default=".")
@@ -498,8 +520,9 @@ def _thread_count(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     started = time.monotonic()
     try:
         config = _resolve_config(args.command, args)

@@ -19,10 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import BinaryIO, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +46,9 @@ _MASK64 = (1 << 64) - 1
 # Seeds are the first Philox key word, so they lie in [0, SEED_LIMIT).
 SEED_LIMIT = 1 << 64
 DEFAULT_CHUNK = 1 << 18
+# Windows per lookup pass, and (window, fire) pairs per product block of the
+# afterpulse pass, to keep their temporaries small.
+_BLOCK = 1 << 15
 
 
 def _check_seed(name: str, seed: int) -> None:
@@ -112,6 +116,24 @@ class PulseTrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def open_new(path) -> BinaryIO:
+    """Open ``path`` for binary writing as a new file.
+
+    Whatever ``path`` names is unlinked first, not truncated: truncating a
+    large file in place can cost several times writing a new one (on ext4
+    mounted with ``discard``, rewriting an 8.5 MB file took 12.8 ms through
+    ``O_TRUNC`` and 3.8 ms after an unlink).  So a symlink at ``path`` is
+    replaced, not written through; other hard links keep the old content;
+    and the new file's mode comes from the umask.  The file is created
+    exclusively, so a link made at ``path`` in between is not followed.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "xb")
+
+
 # clicks.csv rows: the index, then the 11-byte suffix ",basis,d0,d1,ap0,ap1\n".
 # _DIGIT_RUN consecutive indices share every digit above their low four, and
 # the four low digits of run position r are _LOW_DIGITS[r].
@@ -165,7 +187,7 @@ class ClickRecords:
         n = len(self)
         row_bytes = len(str(n - 1)) + _ROW_SUFFIX.size
         space = np.empty(min(n, _CSV_BLOCK_ROWS) * row_bytes, dtype=np.uint8)
-        with open(path, "wb") as fh:
+        with open_new(path) as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n".encode("utf-8"))
             fh.write((self.CSV_HEADER + "\n").encode("utf-8"))
@@ -262,6 +284,33 @@ def _survival_floor(coeffs: np.ndarray) -> float:
     return math.prod((1.0 - coeffs).tolist())
 
 
+def _fired_products(factors: np.ndarray, fired: np.ndarray, reach: np.ndarray,
+                    top: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per window, the product of ``factors[reach - p]`` over its ``count``
+    fired positions p = ``fired[top - count:top]``, highest position (lowest
+    lag) first; every ``count`` is at least 1.
+
+    The (window, position) pairs are listed a block of at most ``_BLOCK`` at
+    a time (or one window's, if it has more), and each window's run of
+    factors is multiplied by one ``np.multiply.reduceat``.
+    """
+    out = np.empty(count.size)
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < count.size:
+        start = ends[lo] - count[lo]
+        hi = max(int(np.searchsorted(ends, start + _BLOCK, side="right")), lo + 1)
+        runs = count[lo:hi]
+        heads = ends[lo:hi] - runs - start        # each window's first pair
+        pos = np.repeat(top[lo:hi] - 1 + heads, runs)
+        pos -= np.arange(pos.size)
+        index = np.repeat(reach[lo:hi], runs)
+        index -= fired.take(pos)
+        out[lo:hi] = np.multiply.reduceat(factors.take(index), heads)
+        lo = hi
+    return out
+
+
 def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
                      coeffs: np.ndarray,
                      carry: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,33 +337,57 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
     ``u_ap < 1 - p_all``.  Every other window keeps ``ap`` False whatever
     fires, so its draw is never needed.
 
-    Rounds.  Window w sees the positions w .. w + m - 1 of ``carry + fires``,
-    position p at lag w + m - p.  The fired positions' ranks bound each
-    candidate's fires in reach (two ``searchsorted`` calls), and round k
-    multiplies in the factor of each candidate's k-th smallest fired lag.  The
-    factors meet in ascending-lag order and the lags without a fire contribute
-    an exact 1.0, so ``survive``, and with it fires, ``ap`` and carry, are
-    bit-identical to the product over every lag of every window.
+    Screen.  Window w sees the positions w .. w + m - 1 of ``carry + fires``,
+    position p at lag w + m - p; two ``searchsorted`` calls on the fired
+    positions give each candidate's k fires in reach.  Let f_min =
+    ``factors.min()``, an element, so exact, and ``floor[k]`` the running
+    product of k copies of it (``np.multiply.accumulate``, sequential by
+    definition, from ``floor[0]`` = 1).  The candidate's ``survive`` is a
+    running product of k factors, each at least f_min, from 1; by the same
+    induction as above it is at least ``floor[k]``, so ``1 - survive`` is at
+    most ``lim[k] = fl(1 - floor[k])``.  A draw ``u_ap >= lim[k]`` therefore
+    proves that the window does not afterpulse, and only the candidates with
+    ``u_ap < lim[k]`` get an exact product.  ``lim[0]`` is 0 and no draw is
+    negative, so every candidate that gets one has a fire in reach.
+
+    Products.  A screened candidate's pairs list its fired positions from
+    the highest (lag 1 side) down, so its factors meet in ascending-lag
+    order, and the lags without a fire contribute an exact 1.0 to the
+    reference product over every lag.  ``np.multiply.reduceat`` takes each
+    window's run of factors in one call.  NumPy does not document the order
+    of a ``reduceat``; NumPy 2.4.6 multiplies each run from its first element
+    left to right, and ``1.0 * f_1`` is exact, so the result is the running
+    product from 1.  A test pins that order, since ``survive`` and with it
+    fires, ``ap`` and carry are bit-identical to the product over every lag
+    of every window only under it.
 
     Iterations.  Fires only grow from one iteration to the next, and by the
     argument above a product over more fired lags is no larger, so a
-    candidate that afterpulses keeps doing so.  Later iterations therefore
-    recompute only the candidates that have not afterpulsed yet, and shift
-    their ranks by the number of new fires below them; the new fires are
-    merged into the sorted fired positions, not found again.
+    candidate that afterpulses keeps doing so and is dropped.  A candidate
+    whose count of fires in reach did not change sees the same fired lags,
+    so its ``survive`` and its verdict stand.  Later iterations therefore
+    screen and recompute only the candidates whose count grew; the counts
+    are updated by shifting the ranks by the number of new fires below them,
+    and the new fires are merged into the sorted fired positions, not found
+    again.
 
     Cost and memory.  The pass costs one O(chunk) search for the fired
-    positions; each iteration then costs O(fires + candidates * (log chunk +
-    fires in reach)); the candidates' fires in reach never outnumber the
-    depth * fires factors that scattering every fire into every window it
-    reaches would multiply.  Memory is O(chunk + depth): a few arrays of at
-    most one entry per window, no (candidate x fire) matrix.
+    positions; each iteration then costs O((fires + candidates) log chunk)
+    for the ranks and screen, plus one gathered factor per fire in reach of
+    each candidate that passes the screen, which never outnumber the depth *
+    fires factors that scattering every fire into every window it reaches
+    would multiply.  Memory is O(chunk + depth): a few arrays of at most one
+    entry per window, and blocks of at most ``_BLOCK`` (window, fire) pairs
+    (more only for a single window, whose pairs are at most the depth).
     """
     m = coeffs.size
     ap = [np.zeros(0, dtype=np.intp)]
     if m == 0:
         return base.copy(), ap[0], carry
     factors = 1.0 - coeffs
+    floor = np.full(m + 1, factors.min())
+    floor[0] = 1.0
+    lim = 1.0 - np.multiply.accumulate(floor, out=floor)
     # Candidate w sees positions w .. w + m - 1 of carry + fires; its factor
     # for position p is factors[w + m - 1 - p].
     reach = cand + (m - 1)
@@ -322,37 +395,28 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
     fired = np.flatnonzero(np.concatenate((carry, fires)))
     first = np.searchsorted(fired, cand)
     top = np.searchsorted(fired, reach, side="right")
-    while cand.size:
-        # Order the candidates by fires in reach, most first, so that each
-        # round's candidates are a prefix; round k takes fired[top - 1 - k],
-        # the k-th smallest lag.
-        count = top - first
-        order = np.argsort(-count)
-        prefix = np.searchsorted(-count[order], -np.arange(count.max()))
-        pos = top[order] - 1
-        at = reach[order]
-        survive = np.ones(cand.size)
-        index = np.empty(cand.size, dtype=np.intp)
-        f = np.empty(cand.size)
-        for k in prefix.tolist():
-            np.subtract(at[:k], fired[pos[:k]], out=index[:k])
-            np.take(factors, index[:k], out=f[:k])
-            survive[:k] *= f[:k]
-            pos[:k] -= 1
-        hit = np.empty(cand.size, dtype=bool)
-        hit[order] = u_cand[order] < (1.0 - survive)
+    count = top - first
+    grown = np.arange(cand.size)        # the candidates to (re)evaluate
+    while grown.size:
+        exact = grown[u_cand[grown] < lim.take(count[grown])]
+        survive = _fired_products(factors, fired, reach[exact], top[exact], count[exact])
+        hit = exact[u_cand[exact] < 1.0 - survive]
         ap.append(cand[hit])
-        added = cand[hit & ~fires[cand]]
+        added = ap[-1][~fires[ap[-1]]]
         if added.size == 0:
             break
         fires[added] = True
-        keep = ~hit
-        cand, u_cand, reach, first, top = (cand[keep], u_cand[keep], reach[keep],
-                                           first[keep], top[keep])
+        keep = np.ones(cand.size, dtype=bool)
+        keep[hit] = False
+        cand, u_cand, reach, first, top, count = (
+            a[keep] for a in (cand, u_cand, reach, first, top, count))
         added += m
         fired = np.insert(fired, np.searchsorted(fired, added), added)
         first += np.searchsorted(added, cand)
         top += np.searchsorted(added, reach, side="right")
+        now = top - first
+        grown = np.flatnonzero(now != count)
+        count = now
     return fires, np.concatenate(ap), np.concatenate((carry, fires[-m:]))[-m:]
 
 
@@ -370,7 +434,6 @@ _M_SHIFT = 11
 _M_END = 1 << 53                 # a threshold that no m reaches
 _GUIDE_BITS = 12
 _GUIDE_SHIFT = 53 - _GUIDE_BITS
-_BLOCK = 1 << 15                 # windows per lookup pass, to keep its temporaries small
 
 
 class _Inversion(NamedTuple):

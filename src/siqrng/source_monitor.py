@@ -115,6 +115,12 @@ def poisson_distribution(nu: float) -> PhotonDistribution:
     2^-53.  If d = 0, (0 - t) + t = 0 exactly.  Otherwise the floats next to
     d on either side are at least |d| 2^-53 >= 2^-106 away, more than twice
     t, so d - t rounds to d and t + d rounds to d.
+
+    The sum check is two-sided.  A sum more than ``_SUM_TOL`` above 1 is
+    rounding drift; so is a deficit of more than ``_SUM_TOL``, since the tail
+    it would otherwise stand for is below 2^-107.  Either is rejected with
+    its own message, naming nu and the sum, so the tail mass is at most
+    ``_SUM_TOL``.
     """
     if not (0.0 <= nu < math.inf):
         raise ParameterError(f"mean photon number must be finite and >= 0, got {nu}")
@@ -130,6 +136,11 @@ def poisson_distribution(nu: float) -> PhotonDistribution:
         raise ParameterError(
             f"Poisson probabilities of mean nu = {nu!r} sum to {total!r}, more than "
             f"{_SUM_TOL} above 1: the pmf loses accuracy at this nu")
+    if 1.0 - total > _SUM_TOL:
+        raise ParameterError(
+            f"Poisson probabilities of mean nu = {nu!r} sum to {total!r}, more than "
+            f"{_SUM_TOL} below 1 with a tail below 2^-107: the pmf loses accuracy "
+            "at this nu")
     return PhotonDistribution(probs=probs, tail_mass=max(0.0, 1.0 - total))
 
 

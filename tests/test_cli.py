@@ -406,6 +406,21 @@ class TestSimulateCommand:
         assert sidecar["x_windows"] == 0
         assert sidecar["eq_empirical"] is None
 
+    def test_output_symlink_is_replaced_not_written_through(self, tmp_path):
+        args = ["simulate", "--pulses", "2000", "--seed", "6"]
+        assert run(args + ["--out-dir", str(tmp_path / "ref")]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        sentinel = tmp_path / "sentinel"
+        sentinel.write_bytes(b"keep me\n")
+        (out / "clicks.csv").symlink_to(sentinel)
+        for _ in range(2):          # into the linked directory, then a rerun
+            assert run(args + ["--out-dir", str(out)]) == 0
+            assert sentinel.read_bytes() == b"keep me\n"
+            assert not (out / "clicks.csv").is_symlink()
+            for name in ("clicks.csv", "bits.bin", "bits.json", "extracted.bin"):
+                assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
     def test_manifest_hash_links_outputs(self, tmp_path):
         assert run(["simulate", "--pulses", "5000", "--out-dir",
                     str(tmp_path)]) == 0
@@ -434,6 +449,20 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert "unrecognized arguments: --points 5" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_help_lists_every_command_and_its_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        listing = capsys.readouterr().out
+        for command, defaults in cli._DEFAULTS.items():
+            assert f"    {command} " in listing
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--help"])
+            assert exc.value.code == 0
+            options = capsys.readouterr().out
+            for key in [*defaults, "config", "out_dir", "threads"]:
+                assert f"--{key.replace('_', '-')}" in options
 
     @pytest.mark.parametrize("command", ["hmin", "rates", "finite-sampling"])
     def test_seed_flag_only_where_the_command_has_a_seed(self, command, tmp_path, capsys):
@@ -581,6 +610,16 @@ class TestConfigHandling:
             "siqrng: error: Poisson probabilities of mean nu = 2300.0 sum to "
             "1.0000000000011235, more than 1e-12 above 1: the pmf loses accuracy "
             "at this nu\n")
+        assert list(out.iterdir()) == []
+
+    def test_nu_whose_pmf_sums_short_of_one_is_named(self, tmp_path, capsys):
+        # the Poisson pmf of mean 6000 sums to 1 - 6.2e-12, with a tail below 2^-107
+        out = tmp_path / "out"
+        assert run(["rates", "--nu", "6000", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "siqrng: error: Poisson probabilities of mean nu = 6000.0 sum to "
+            "0.9999999999937795, more than 1e-12 below 1 with a tail below 2^-107: "
+            "the pmf loses accuracy at this nu\n")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [

@@ -215,15 +215,36 @@ def dense_draws(n, cand, u_cand, coeffs):
 _TINY = 2.0**-53
 
 
+def screen_limits(coeffs):
+    """lim[k] = 1 - (k copies of the least 1 - c_j, multiplied one after
+    another), for k = 0 .. depth, by a Python loop."""
+    least = float(np.min(1.0 - coeffs))
+    floor = [1.0]
+    for _ in range(coeffs.size):
+        floor.append(floor[-1] * least)
+    return 1.0 - np.array(floor)
+
+
+def fires_in_reach(fires, carry):
+    """Per window w, the fired positions among w .. w + depth - 1 of carry +
+    fires."""
+    ext = np.concatenate(([0], np.cumsum(np.concatenate((carry, fires)))))
+    w = np.arange(fires.size)
+    return ext[w + carry.size] - ext[w]
+
+
 @st.composite
 def afterpulse_pass_cases(draw, sparse=False):
     """Coefficient tables with zeros inside and a nonzero last entry, depths
     1..300, chunks 1..500 (often shorter than the depth), any fire density.
     Coefficients reach just below 1 and below 2**-53, where 1 - c rounds to
-    1.0 or to 1 - 2**-53; densities reach 1; some draws sit at 1 - P_all and
-    one ulp either side of it.  With ``sparse``, chunks of 1,000..5,000
-    windows, base fire density 0.5..1 and at most 30 candidates: far more
-    fired positions than candidates, as at high mean photon numbers."""
+    1.0 or to 1 - 2**-53, and are sometimes all equal where nonzero, so that
+    a product can meet the screen's floor; densities reach 1; some draws sit
+    at 1 - P_all and one ulp either side of it, and some at the screen limit
+    of the window's count of signal/dark fires in reach and one ulp below it.
+    With ``sparse``, chunks of 1,000..5,000 windows, base fire density 0.5..1
+    and at most 30 candidates: far more fired positions than candidates, as
+    at high mean photon numbers."""
     depth = draw(st.integers(1, 300))
     n = draw(st.integers(1000, 5000) if sparse else st.integers(1, 500))
     base_density = draw(st.floats(0.5, 1.0) if sparse
@@ -238,6 +259,8 @@ def afterpulse_pass_cases(draw, sparse=False):
     coeffs[rng.random(depth) < tiny_share] = _TINY * rng.random()
     coeffs[rng.random(depth) < zero_share] = 0.0
     coeffs[-1] = draw(st.sampled_from([scale, _TINY, _TINY / 2, _TINY / 4]))
+    if draw(st.booleans()):
+        coeffs[coeffs != 0.0] = coeffs[-1]
     base = rng.random(n) < base_density
     carry = rng.random(depth) < carry_density
     u_ap = rng.random(n)
@@ -250,6 +273,10 @@ def afterpulse_pass_cases(draw, sparse=False):
     near = [v for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)) if v < 1.0]
     at_edge = rng.random(n) < edge_share
     u_ap[at_edge] = rng.choice(near, size=int(at_edge.sum()))
+    lim = screen_limits(coeffs)[fires_in_reach(base, carry)]
+    tied = np.where(rng.random(n) < 0.5, np.nextafter(lim, 0.0), lim)
+    at_lim = (rng.random(n) < draw(st.floats(0.0, 0.5))) & (tied >= 0.0) & (tied < 1.0)
+    u_ap[at_lim] = tied[at_lim]
     return base, u_ap, coeffs, carry
 
 
@@ -528,6 +555,29 @@ class TestAfterpulsePass:
     @given(afterpulse_pass_cases(sparse=True))
     def test_sparse_candidates_match_dense_product(self, case):
         assert_matches_dense_product(case)
+
+    def test_reduceat_multiplies_each_segment_left_to_right(self):
+        """The pass's products rest on np.multiply.reduceat taking each
+        segment's factors in order; the reversed order gives other bits on
+        some of these segments, so a reordering would show."""
+        rng = np.random.default_rng(11)
+        sizes = rng.integers(1, 301, size=10_000)
+        factors = 1.0 - 0.5 * rng.random(int(sizes.sum())) ** 4
+        heads = np.cumsum(sizes) - sizes
+        got = np.multiply.reduceat(factors, heads)
+        left_to_right, reversed_order = [], []
+        for segment in np.split(factors, heads[1:]):
+            values = segment.tolist()
+            product = 1.0
+            for f in values:
+                product *= f
+            left_to_right.append(product)
+            product = 1.0
+            for f in reversed(values):
+                product *= f
+            reversed_order.append(product)
+        assert np.array_equal(got, left_to_right)
+        assert not np.array_equal(got, reversed_order)
 
     def test_peak_memory_is_linear_in_the_chunk(self):
         """Depth 1000, fire density 0.9, about 30% candidates: a (candidate x

@@ -75,6 +75,20 @@ class TestPoisson:
                                                  rf"nu = {nu} sum to {total}, "):
             poisson_distribution(nu)
 
+    @pytest.mark.parametrize("nu, total", [(6000.0, "0.9999999999937795"),
+                                           (20000.0, "0.9999999999880748"),
+                                           (50000.0, "0.999999999981043")])
+    def test_rejects_mean_whose_pmf_sums_short_of_one(self, nu, total):
+        # the true tail is below 2^-107, so the deficit is rounding drift
+        with pytest.raises(ParameterError, match=rf"^Poisson probabilities of mean "
+                                                 rf"nu = {nu} sum to {total}, more "
+                                                 rf"than 1e-12 below 1 "):
+            poisson_distribution(nu)
+
+    def test_deficit_within_tolerance_is_the_tail(self):
+        d = poisson_distribution(3000.0)            # sums to 1 - 6.2e-13
+        assert 0.0 < d.tail_mass <= 1e-12
+
     @pytest.mark.parametrize("nu", [math.inf, math.nan])
     def test_rejects_non_finite_mean(self, nu):
         # inf used to overflow while sizing the truncation
@@ -135,8 +149,8 @@ class TestPoissonWithoutScipy:
     def test_truncation_tail_is_absorbed_on_a_dense_grid(self):
         # At fixed m both bounds rise with nu, and m = default + 1 is constant
         # on each ((k-1)/10, k/10], so nu = k/10 is the worst point of each
-        # interval.  The sum check rejects some large means (2300, 4000) and
-        # accepts others (3000, 5e4), so the grid runs to 10^4; beyond it the
+        # interval.  The sum check rejects some large means (2300, 4000, 5e4)
+        # and accepts others (3000), so the grid runs to 10^4; beyond it the
         # log bound keeps falling, by about 14 per unit of nu.  The log grid
         # covers the small means, where m = 51.
         from scipy import special
