@@ -409,26 +409,20 @@ _COMMANDS = {
     "simulate": cmd_simulate,
 }
 
-_FLAG_TYPES = {
-    "nu": float, "eta": float, "e_d": float, "e_q": float, "p_hat": float,
-    "p_hat_max": float, "p_hat_ap": float, "omega": float, "lag": int,
-    "pulses": int, "fp_windows": int, "ratio_min": float, "ratio_max": float,
-    "from": float, "to": float, "N": float, "q_x": float, "eps_all": float,
-    "eps_d": float, "eps_e": float, "t_e": int, "v": float, "eta_bs": float,
-    "eta_det": float, "length_min": float, "length_max": float,
-    "grid_points": int, "window_depth": int, "t_z": float, "t_x": float,
-    "extract_bits": int, "sweep": str, "points": int, "seed": int, "mc": bool,
-}
+def _key_type(command: str, key: str) -> type:
+    """The flag type of a config key: its default's, except ``extract_bits``,
+    an int whose default ``None`` stands for half the raw bits."""
+    return int if key == "extract_bits" else type(_DEFAULTS[command][key])
 
 
-def _check_config_types(file_cfg: dict, defaults: dict) -> None:
+def _check_config_types(file_cfg: dict, command: str) -> None:
     """Reject a config file value whose JSON type does not fit the key's flag
     type.  Float keys take any number and int keys an integral one (``1e6``
     included); values are kept as parsed.  ``null`` fits only a key whose
     default is ``None``."""
     for key, value in file_cfg.items():
-        kind = _FLAG_TYPES[key]
-        if value is None and defaults[key] is None:
+        kind = _key_type(command, key)
+        if value is None and _DEFAULTS[command][key] is None:
             continue
         if kind in (float, int):
             fits = isinstance(value, (int, float)) and not isinstance(value, bool) and (
@@ -474,7 +468,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
             if key == "mc":
                 continue
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           type=_FLAG_TYPES[key], default=None)
+                           type=_key_type(name, key), default=None)
     return parser
 
 
@@ -490,7 +484,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(config)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        _check_config_types(file_cfg, config)
+        _check_config_types(file_cfg, command)
         config.update(file_cfg)
     for key in config:
         value = getattr(args, key, None)
@@ -498,7 +492,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             config[key] = value
     # Flags and JSON (NaN, Infinity) both parse non-finite floats.
     for key, value in config.items():
-        if _FLAG_TYPES[key] is float and not (-math.inf < value < math.inf):
+        if _key_type(command, key) is float and not (-math.inf < value < math.inf):
             raise ParameterError(f"config key {key!r} must be finite, got {value}")
     return config
 

@@ -381,12 +381,15 @@ def _min_bracket_over_taus(dets: Sequence[DetectorParams],
                            boxes: Sequence[Tuple[float, float]],
                            x_arm: ArmState, theta: float,
                            grid_points: int = 64) -> float:
-    """Minimum bracket over the (tau_0, tau_1) box with a fixed check arm.
+    """Least bracket over a ``grid_points``-square grid on the (tau_0, tau_1)
+    box, with a fixed check arm: one broadcast call through the entropy chain.
 
     ``boxes`` holds the vacuum-probability interval of each detector of
-    ``dets``, in the same order.  Endpoints dominate in every regime tested;
-    the grid guards non-monotone corners.  The whole grid is one broadcast
-    call through the entropy chain.
+    ``dets``, in the same order.  Positive values seen equal the corners'.
+    Where the minimum is <= 0 the value depends on ``grid_points`` and is not
+    the box's minimum: default ``finite-sampling`` at n_samples = 631 (no
+    afterpulsing) gives -0.01141315 at the corners, -0.01183018 on the
+    64-grid and -0.0118305 on a 513-grid.  See ROADMAP.md item 2.
     """
     if grid_points < 2:
         raise ParameterError(f"grid_points must be >= 2, got {grid_points}")

@@ -514,22 +514,37 @@ class TestConfigHandling:
                               text=True, check=True, timeout=60, env=env)
         assert done.stdout == "[]\n"
 
-    def test_commands_load_no_scipy(self, tmp_path):
+    # simulate at 100,000 pulses makes about 9,300 raw bits, so extraction
+    # takes the FFT path; --t-z thins the source and autocorr --mc simulates.
+    NO_SCIPY_ARGVS = ["rates", "hmin", "finite-sampling", "simulate --pulses 100000",
+                      "hmin --sweep efficiency --points 3",
+                      "autocorr --points 3 --mc --pulses 20000",
+                      "simulate --pulses 20000 --t-z 0.5 --t-x 0.3"]
+
+    def run_no_scipy_argvs(self, tmp_path, prelude=""):
+        """Run every argv of NO_SCIPY_ARGVS in one fresh interpreter after
+        ``prelude``, each required to exit 0; the last line printed names the
+        SciPy modules loaded."""
         import os
         import subprocess
         import sys
         from pathlib import Path
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        code = ("import sys, siqrng.cli\n"
+        code = (prelude + "import sys, siqrng.cli\n"
                 "for argv in sys.argv[2:]:\n"
-                "    assert siqrng.cli.main([*argv.split(), '--out-dir', sys.argv[1]]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        # about 9,300 raw bits at 100,000 pulses: extraction takes the FFT path
-        argvs = ["rates", "hmin", "finite-sampling", "simulate --pulses 100000"]
-        done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *argvs],
-                              capture_output=True, text=True, check=True, timeout=120,
-                              env=env)
-        assert done.stdout.splitlines()[-1] == "[]"
+                "    assert siqrng.cli.main([*argv.split(), '--out-dir', sys.argv[1]]) == 0, argv\n"
+                "print(sorted(m for m, module in sys.modules.items()\n"
+                "             if m.split('.')[0] == 'scipy' and module is not None))")
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *self.NO_SCIPY_ARGVS],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        assert self.run_no_scipy_argvs(tmp_path) == "[]"
+
+    def test_commands_run_where_scipy_cannot_be_imported(self, tmp_path):
+        assert self.run_no_scipy_argvs(tmp_path, "import sys; sys.modules['scipy'] = None\n") == "[]"
 
     def test_invalid_parameter_exit_code(self, tmp_path):
         assert run(["autocorr", "--out-dir", str(tmp_path), "--points", "1"]) == 2

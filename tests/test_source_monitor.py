@@ -164,7 +164,8 @@ class TestBernoulliTransform:
     def test_identity(self):
         d = poisson_distribution(3.0)
         out = bernoulli_transform(d, 1.0)
-        assert np.allclose(out.probs, d.probs, atol=1e-14)
+        assert np.array_equal(out.probs, d.probs)
+        assert out.tail_mass == d.tail_mass
 
     def test_total_loss_gives_vacuum(self):
         d = poisson_distribution(3.0)
@@ -190,6 +191,48 @@ class TestBernoulliTransform:
         d = PhotonDistribution(probs=np.array([0.5, 0.3]), tail_mass=0.2)
         out = bernoulli_transform(d, 0.5)
         assert out.tail_mass == pytest.approx(0.2, abs=1e-12)
+
+    @staticmethod
+    def mpmath_thinning(probs, xi):
+        """Reference: D(m) = sum_{n>=m} P(n) C(n,m) xi^m (1-xi)^(n-m) at 50
+        digits, each term from the last by the ratio (1-xi) n / (n-m)."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x = mpmath.mpf(xi)
+            p = [mpmath.mpf(v) for v in probs]
+            out = []
+            for m in range(len(p)):
+                term = x**m
+                acc = p[m] * term
+                for n in range(m + 1, len(p)):
+                    term = term * (1 - x) * n / (n - m)
+                    acc += p[n] * term
+                out.append(acc)
+            return out
+
+    @pytest.mark.parametrize("nu, xi", [(1.0, 1e-9), (10.0, 0.5), (50.0, 0.3),
+                                        (50.0, 1.0 - 2**-53)])
+    def test_matches_mpmath_within_the_horner_bound(self, nu, xi):
+        d = poisson_distribution(nu)
+        got = bernoulli_transform(d, xi).probs.tolist()
+        bound = 2 * (d.n_max + 1) * 2.0**-53
+        ref = self.mpmath_thinning(d.probs.tolist(), xi)
+        checked = [m for m, r in enumerate(ref) if r >= 1e-250]
+        assert len(checked) > 20
+        assert max(float(abs(got[m] - ref[m]) / ref[m]) for m in checked) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                            min_size=1, max_size=60).filter(any),
+           xi=st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53]),
+                        st.floats(0.0, 1.0)))
+    def test_any_distribution_thins_to_non_negative_cells(self, weights, xi):
+        total = math.fsum(weights)
+        probs = np.array(weights) / total
+        d = PhotonDistribution(probs=probs, tail_mass=max(0.0, 1.0 - math.fsum(probs.tolist())))
+        out = bernoulli_transform(d, xi)
+        assert out.probs.min() >= 0.0
+        assert out.n_max == d.n_max
 
 
 class TestVacuumProbability:
