@@ -9,8 +9,9 @@ Subcommands
 
 Every command accepts ``--config FILE`` (JSON) with flags overriding file
 values; fully-defaulted runs need no file.  Numeric CSV output carries 17
-significant digits, the first line references the run manifest, and seeded
-commands rerun byte-identically.
+significant digits and seeded commands rerun byte-identically.  Each run
+writes ``manifest.json``, whose hash of the command, the config as recorded,
+the seed and the version heads every CSV and sits in ``bits.json``.
 
 Exit status: 0 success, 2 invalid configuration or parameters, 1 I/O or
 internal failure.
@@ -26,7 +27,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -100,6 +100,9 @@ _DEFAULTS: Dict[str, dict] = {
 
 
 def _manifest_hash(command: str, config: dict, seed) -> str:
+    """The run's identity: command, resolved configuration as recorded, seed
+    and tool version, but not the duration, so a rerun of the same manifest
+    reproduces every seeded output byte for byte under the same hash."""
     blob = json.dumps(
         {"command": command, "config": config, "seed": seed, "version": __version__},
         sort_keys=True, separators=(",", ":"), default=str,
@@ -107,51 +110,23 @@ def _manifest_hash(command: str, config: dict, seed) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation.
+def _write_json(path: Path, record: dict) -> None:
+    """Write ``record`` as strict JSON (a NaN or infinity raises), keys sorted."""
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with open_new(path) as fh:
+        fh.write(text.encode("utf-8"))
 
-    The hash covers command, resolved configuration, seed and tool version —
-    not the duration — so a rerun of the same manifest reproduces every
-    seeded output byte for byte and carries the same hash.
-    """
 
-    command: str
-    config: dict
-    seed: object
-    outputs: List[str]
-    duration_s: float
-    version: str = __version__
-
-    @property
-    def manifest_hash(self) -> str:
-        return _manifest_hash(self.command, self.config, self.seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config,
-            "outputs": self.outputs,
-            "manifest_hash": self.manifest_hash,
-            "duration_s": self.duration_s,
-        }
-
-    def write(self, out_dir: Path) -> Path:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True, default=str) + "\n"
-        path = out_dir / "manifest.json"
-        with open_new(path) as fh:
-            fh.write(text.encode("utf-8"))
-        return path
+def _comment_line(command: str, manifest_hash: str) -> str:
+    """The text of the ``# ...`` first line of every CSV a command writes."""
+    return f"siqrng csv={CSV_FORMAT_VERSION} command={command} manifest={manifest_hash}"
 
 
 def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
                rows: Sequence[Sequence]) -> None:
     """Write the comment line, ``header`` and ``rows`` of floats, each cell
     with 17 significant digits."""
-    lines = [f"# siqrng csv={CSV_FORMAT_VERSION} command={command} manifest={manifest_hash}",
-             header]
+    lines = ["# " + _comment_line(command, manifest_hash), header]
     lines += [",".join(["%.17g"] * len(row)) % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
     with open_new(path) as fh:
@@ -171,7 +146,8 @@ def _autocorr_spec(p_hat_i: float, p_hat: float, lag: int) -> AfterpulseSpec:
     return AfterpulseSpec.explicit(coeffs)
 
 
-def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
+def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
+                 threads: int = 1) -> List[Path]:
     nu, eta, e_d = config["nu"], config["eta"], config["e_d"]
     p_hat, lag = config["p_hat"], int(config["lag"])
     points = int(config["points"])
@@ -217,9 +193,8 @@ def cmd_autocorr(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
         rows = [row + [a, se] for row, (a, se) in zip(rows, mc)]
         header = "p_hat_i,a_prior,a_mc,a_mc_stderr"
 
-    mhash = _manifest_hash("autocorr", config, config.get("seed"))
     path = out_dir / "autocorr.csv"
-    _write_csv(path, "autocorr", mhash, header, rows)
+    _write_csv(path, "autocorr", manifest_hash, header, rows)
     return [path]
 
 
@@ -237,7 +212,8 @@ def _hmin_a(e_d: float, specs: Sequence[AfterpulseSpec], taus: TauSet) -> np.nda
     return make_entropy_report(z_arm, x_arm).hmin_a
 
 
-def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
+def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
+             threads: int = 1) -> List[Path]:
     nu, eta, e_d, e_q = config["nu"], config["eta"], config["e_d"], config["e_q"]
     omega = config["omega"]
     points = int(config["points"])
@@ -273,8 +249,7 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     else:
         raise ParameterError(f"unknown hmin sweep {sweep!r}")
 
-    mhash = _manifest_hash("hmin", config, None)
-    _write_csv(path, "hmin", mhash, header, rows)
+    _write_csv(path, "hmin", manifest_hash, header, rows)
     return [path]
 
 
@@ -282,7 +257,8 @@ def cmd_hmin(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 # rates
 
 
-def cmd_rates(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
+def cmd_rates(config: dict, out_dir: Path, manifest_hash: str,
+              threads: int = 1) -> List[Path]:
     points = int(config["points"])
     if points < 2:
         raise ParameterError(f"rates needs points >= 2, got {points}")
@@ -302,9 +278,8 @@ def cmd_rates(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
     header = ("loss_db,bits_rs,bits_ei,bits_il,bits_rs_ap,bits_ei_ap,bits_il_ap,"
               "per_pulse_rs,per_pulse_ei,per_pulse_il,"
               "per_pulse_rs_ap,per_pulse_ei_ap,per_pulse_il_ap")
-    mhash = _manifest_hash("rates", config, None)
     path = out_dir / "rates.csv"
-    _write_csv(path, "rates", mhash, header, rows)
+    _write_csv(path, "rates", manifest_hash, header, rows)
     return [path]
 
 
@@ -312,7 +287,8 @@ def cmd_rates(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
 # finite-sampling
 
 
-def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
+def cmd_finite_sampling(config: dict, out_dir: Path, manifest_hash: str,
+                        threads: int = 1) -> List[Path]:
     nu, eta, e_d, e_q = config["nu"], config["eta"], config["e_d"], config["e_q"]
     eps_d = config["eps_d"]
     points = int(config["points"])
@@ -345,9 +321,8 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
             row += [h_fs, h_il]
         rows.append(row)
     header = "n_samples,delta_d,hmin_fs,hmin_il,hmin_fs_ap,hmin_il_ap"
-    mhash = _manifest_hash("finite-sampling", config, None)
     path = out_dir / "finite_sampling.csv"
-    _write_csv(path, "finite-sampling", mhash, header, rows)
+    _write_csv(path, "finite-sampling", manifest_hash, header, rows)
     return [path]
 
 
@@ -355,7 +330,8 @@ def cmd_finite_sampling(config: dict, out_dir: Path, threads: int = 1) -> List[P
 # simulate
 
 
-def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
+def cmd_simulate(config: dict, out_dir: Path, manifest_hash: str,
+                 threads: int = 1) -> List[Path]:
     seed = int(config["seed"])
     spec = AfterpulseSpec.exponential_from_rate(
         float(config["p_hat"]), float(config["omega"]), int(config["window_depth"]))
@@ -369,28 +345,31 @@ def cmd_simulate(config: dict, out_dir: Path, threads: int = 1) -> List[Path]:
         seed=seed,
     )
     result = simulate(sim_cfg, threads=threads)
+    stream = result.bits
     extract_bits = config.get("extract_bits")
     if extract_bits is None:
-        extract_bits = len(result.bits) // 2   # demonstration default, not an entropy claim
+        extract_bits = len(stream) // 2   # demonstration default, not an entropy claim
     # Extract before writing, so a rejected length leaves no output files.
-    extracted = extract(result.bits.bits, int(extract_bits), seed)
-    mhash = _manifest_hash("simulate", config, seed)
+    extracted = extract(stream.bits, int(extract_bits), seed)
 
     clicks_path = out_dir / "clicks.csv"
-    result.clicks.to_csv(clicks_path,
-                         header_comment=f"siqrng csv={CSV_FORMAT_VERSION} "
-                                        f"command=simulate manifest={mhash}")
+    result.clicks.to_csv(clicks_path, header_comment=_comment_line("simulate", manifest_hash))
     bits_path = out_dir / "bits.bin"
     with open_new(bits_path) as fh:
-        fh.write(result.bits.packed())
-    sidecar = result.bits.sidecar(seed, sim_cfg.config_hash())
-    sidecar["manifest_hash"] = mhash
-    # no X windows leaves EQ undefined (NaN), which JSON cannot carry
-    sidecar["eq_empirical"] = result.eq_empirical if result.bits.x_windows else None
-    text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        fh.write(stream.packed())
     sidecar_path = out_dir / "bits.json"
-    with open_new(sidecar_path) as fh:
-        fh.write(text.encode("utf-8"))
+    _write_json(sidecar_path, {
+        "seed": seed,
+        "config_hash": sim_cfg.config_hash(),
+        "manifest_hash": manifest_hash,
+        "bit_count": len(stream),
+        "n_single": int(stream.n_single),
+        "n_double": int(stream.n_double),
+        "z_windows": int(stream.z_windows),
+        "x_windows": int(stream.x_windows),
+        # no X windows leaves EQ undefined (NaN), which JSON cannot carry
+        "eq_empirical": result.eq_empirical if stream.x_windows else None,
+    })
 
     extracted_path = out_dir / "extracted.bin"
     with open_new(extracted_path) as fh:
@@ -523,12 +502,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         threads = _thread_count(args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](config, out_dir, threads)
-        manifest = RunManifest(command=args.command, config=config,
-                               seed=config.get("seed"),
-                               outputs=[p.name for p in outputs],
-                               duration_s=time.monotonic() - started)
-        for path in outputs + [manifest.write(out_dir)]:
+        seed = config.get("seed")
+        manifest_hash = _manifest_hash(args.command, config, seed)
+        outputs = _COMMANDS[args.command](config, out_dir, manifest_hash, threads)
+        manifest_path = out_dir / "manifest.json"
+        _write_json(manifest_path, {
+            "command": args.command,
+            "version": __version__,
+            "seed": seed,
+            "config": config,
+            "outputs": [path.name for path in outputs],
+            "manifest_hash": manifest_hash,
+            "duration_s": time.monotonic() - started,
+        })
+        for path in outputs + [manifest_path]:
             print(path)
         return EXIT_OK
     except (SiqrngError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -278,10 +278,9 @@ class EntropyReport:
     q_single: float
     q_double: float
     eq: float
-    k: float
 
     def __post_init__(self):
-        for name in ("hmin_z", "q_single", "q_double", "eq", "k"):
+        for name in ("hmin_z", "q_single", "q_double", "eq"):
             _check_unit(name, getattr(self, name))
         total = self.q_single + self.q_double
         if (total if type(total) is float else np.max(total)) > 1.0 + 1e-12:
@@ -342,7 +341,6 @@ def make_entropy_report(z_arm: ArmState, x_arm: ArmState) -> EntropyReport:
         q_single=q_single,
         q_double=q_double,
         eq=eq,
-        k=expectation_k(z_arm.p_a, z_arm.p_b),
     )
 
 

@@ -250,17 +250,6 @@ class BitStream:
     def packed(self) -> bytes:
         return np.packbits(self.bits).tobytes()
 
-    def sidecar(self, seed: int, config_hash: str) -> dict:
-        return {
-            "seed": seed,
-            "config_hash": config_hash,
-            "bit_count": int(self.bits.size),
-            "n_single": int(self.n_single),
-            "n_double": int(self.n_double),
-            "z_windows": int(self.z_windows),
-            "x_windows": int(self.x_windows),
-        }
-
 
 class SimulationResult(NamedTuple):
     clicks: ClickRecords

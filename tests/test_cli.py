@@ -421,14 +421,103 @@ class TestSimulateCommand:
             for name in ("clicks.csv", "bits.bin", "bits.json", "extracted.bin"):
                 assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
-    def test_manifest_hash_links_outputs(self, tmp_path):
-        assert run(["simulate", "--pulses", "5000", "--out-dir",
-                    str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        first_line = (tmp_path / "clicks.csv").read_text().splitlines()[0]
-        assert manifest["manifest_hash"] in first_line
-        assert set(manifest["outputs"]) == {"clicks.csv", "bits.bin",
-                                            "bits.json", "extracted.bin"}
+
+
+class TestRunRecord:
+    # (argv, config file or None); a config file's float for an int key is
+    # recorded as written, which once gave simulate two hashes per run
+    RUNS = [
+        (["autocorr", "--points", "3"], None),
+        (["autocorr"], {"points": 3.0}),
+        (["hmin", "--points", "3"], None),
+        (["hmin"], {"points": 3.0}),
+        (["rates", "--points", "3"], None),
+        (["rates"], {"points": 3.0}),
+        (["finite-sampling", "--points", "3"], None),
+        (["finite-sampling"], {"points": 3.0}),
+        (["simulate", "--pulses", "2000"], None),
+        (["simulate", "--pulses", "2000"], {"seed": 3.0}),
+    ]
+
+    @pytest.mark.parametrize("argv, file_cfg", RUNS, ids=lambda v: (
+        "_".join(v).replace("-", "") if isinstance(v, list) else "config" if v else "flags"))
+    def test_manifest_hash_links_outputs(self, tmp_path, argv, file_cfg):
+        out = tmp_path / "out"
+        if file_cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        mhash = manifest["manifest_hash"]
+        assert mhash == cli._manifest_hash(manifest["command"], manifest["config"],
+                                           manifest["seed"])
+        assert sorted(manifest["outputs"]) == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json")
+        linked = 0
+        for name in manifest["outputs"]:
+            if name.endswith(".csv"):
+                first_line = (out / name).read_text().splitlines()[0]
+                assert first_line == (f"# siqrng csv=1 command={argv[0]} "
+                                      f"manifest={mhash}")
+                linked += 1
+            elif name == "bits.json":
+                assert json.loads((out / name).read_text())["manifest_hash"] == mhash
+                linked += 1
+        assert linked == (2 if argv[0] == "simulate" else 1)
+
+    def test_float_seed_draws_the_int_seeds_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3.0}))
+        argv = ["simulate", "--pulses", "2000"]
+        assert run(argv + ["--config", str(cfg), "--out-dir", str(tmp_path / "f")]) == 0
+        assert run(argv + ["--seed", "3", "--out-dir", str(tmp_path / "i")]) == 0
+        hashes = [json.loads((tmp_path / d / "manifest.json").read_text())["manifest_hash"]
+                  for d in ("f", "i")]
+        # values are recorded as written, so the two runs differ in hash only
+        assert hashes[0] == "0a7262e33f13706e" and hashes[1] != hashes[0]
+        for name in ("bits.bin", "extracted.bin"):
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "i" / name).read_bytes()
+        clicks = [(tmp_path / d / "clicks.csv").read_bytes().split(b"\n", 1)[1]
+                  for d in ("f", "i")]
+        assert clicks[0] == clicks[1]
+
+    # measured before the run record moved into main; a change to the hashed
+    # blob (command, config, seed, version) moves them
+    @pytest.mark.parametrize("argv, mhash", [
+        (["autocorr"], "80e10757626090db"),
+        (["hmin"], "4e956bb477813a17"),
+        (["rates"], "7475560ef404e8f8"),
+        (["finite-sampling"], "bee38b2838b7c5b5"),
+        (["simulate", "--pulses", "2000"], "9dccc0625bb98ad5"),
+    ], ids=lambda v: "_".join(v).replace("-", "") if isinstance(v, list) else None)
+    def test_default_manifest_hashes_are_pinned(self, tmp_path, argv, mhash):
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["manifest_hash"] == mhash
+
+    def test_bits_json_describes_bits_bin(self, tmp_path, monkeypatch):
+        runs = []
+        simulate = cli.simulate
+
+        def spy(cfg, threads=1):
+            runs.append((cfg, simulate(cfg, threads=threads)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        assert run(["simulate", "--pulses", "2000", "--seed", "19",
+                    "--out-dir", str(tmp_path)]) == 0
+        ((sim_cfg, result),) = runs
+        record = json.loads((tmp_path / "bits.json").read_text())
+        assert record["config_hash"] == sim_cfg.config_hash()
+        assert record["seed"] == 19
+        packed = (tmp_path / "bits.bin").read_bytes()
+        bit_count = record["bit_count"]
+        assert bit_count == len(result.bits) > 0
+        assert len(packed) == math.ceil(bit_count / 8)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+        assert np.array_equal(bits[:bit_count], result.bits.bits)
+        assert not bits[bit_count:].any()
+        assert bit_count == record["n_single"] + record["n_double"]
+        assert record["z_windows"] + record["x_windows"] == 2000
 
 
 class TestConfigHandling:

@@ -288,7 +288,7 @@ class TestReportAssembly:
                                 misalignment=0.02)
         report = entropy_report_from_taus((det0, det1, detp, detm), taus)
         data = dataclasses.asdict(report)
-        assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq", "k"}
+        assert set(data) == {"hmin_z", "hmin_a", "q_single", "q_double", "eq"}
         assert 0.0 <= report.hmin_z <= 1.0
         assert report.q_single + report.q_double <= 1.0
 
@@ -382,8 +382,7 @@ class TestBroadcastChain:
 
     def test_cells_of_an_array_are_python_floats(self):
         report = EntropyReport(hmin_z=np.array([0.5, 0.25]), hmin_a=0.1,
-                               q_single=np.array([0.2, 0.3]), q_double=0.01, eq=0.02,
-                               k=0.5)
+                               q_single=np.array([0.2, 0.3]), q_double=0.01, eq=0.02)
         cells = list(report.cells())
-        assert [type(v) for c in cells for v in dataclasses.asdict(c).values()] == [float] * 12
-        assert cells[1] == EntropyReport(0.25, 0.1, 0.3, 0.01, 0.02, 0.5)
+        assert [type(v) for c in cells for v in dataclasses.asdict(c).values()] == [float] * 10
+        assert cells[1] == EntropyReport(0.25, 0.1, 0.3, 0.01, 0.02)

@@ -44,9 +44,9 @@ from siqrng.source_monitor import clipped_interval, hoeffding_delta
 from conftest import make_detectors
 
 
-def simple_report(hmin_z=0.9, q_single=0.4, q_double=0.1, eq=0.01, k=0.5):
+def simple_report(hmin_z=0.9, q_single=0.4, q_double=0.1, eq=0.01):
     return EntropyReport(hmin_z=hmin_z, hmin_a=0.0, q_single=q_single,
-                         q_double=q_double, eq=eq, k=k)
+                         q_double=q_double, eq=eq)
 
 
 class TestThetaEntropyInequality:

@@ -788,9 +788,6 @@ class TestClickRecords:
         packed = result.bits.packed()
         unpacked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
         assert np.array_equal(unpacked[:len(result.bits)], result.bits.bits)
-        sidecar = result.bits.sidecar(19, "abc123")
-        assert sidecar["bit_count"] == len(result.bits)
-        assert sidecar["config_hash"] == "abc123"
 
 
 class TestExtract:
