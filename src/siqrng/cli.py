@@ -20,6 +20,7 @@ internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -44,6 +45,7 @@ from .entropy_engine import (
     measurement_taus,
     prior_autocorrelation,
     worst_afterpulse,
+    worst_afterpulse_exponential,
 )
 from .errors import DegenerateError, ParameterError, SiqrngError
 from .finite_size import (
@@ -122,12 +124,19 @@ def _comment_line(command: str, manifest_hash: str) -> str:
     return f"siqrng csv={CSV_FORMAT_VERSION} command={command} manifest={manifest_hash}"
 
 
+@functools.lru_cache(maxsize=None)
+def _row_format(width: int) -> str:
+    """The format of a CSV row of ``width`` floats, each with 17 significant
+    digits."""
+    return ",".join(["%.17g"] * width)
+
+
 def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
                rows: Sequence[Sequence]) -> None:
     """Write the comment line, ``header`` and ``rows`` of floats, each cell
     with 17 significant digits."""
     lines = ["# " + _comment_line(command, manifest_hash), header]
-    lines += [",".join(["%.17g"] * len(row)) % tuple(row) for row in rows]
+    lines += [_row_format(len(row)) % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
     with open_new(path) as fh:
         fh.write(text.encode("utf-8"))
@@ -157,6 +166,11 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
         raise ParameterError(f"autocorr needs 0 <= p_hat < 1, got {p_hat}")
     if lag < 1:
         raise ParameterError(f"autocorr needs lag >= 1, got {lag}")
+    stray = [f"{key}={config[key]}" for key in ("pulses", "seed")
+             if config[key] != _DEFAULTS["autocorr"][key]]
+    if stray and not config["mc"]:
+        raise ParameterError(f"autocorr pulses and seed take effect only with --mc; "
+                             f"got {', '.join(stray)}")
     source = poisson_distribution(nu)
     grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
@@ -202,11 +216,10 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
 # hmin
 
 
-def _hmin_a(e_d: float, specs: Sequence[AfterpulseSpec], taus: TauSet) -> np.ndarray:
-    """hmin_a of four detectors of dark-count probability ``e_d`` with each
-    spec of ``specs``, at the vacuum probabilities ``taus``: one broadcast
-    report along ``specs`` and ``taus``."""
-    worst = np.array([worst_afterpulse(spec) for spec in specs])
+def _hmin_a(e_d: float, worst: float, taus: TauSet) -> np.ndarray:
+    """hmin_a of four detectors of dark-count probability ``e_d`` with the
+    clamped worst-case afterpulse totals ``worst``, at the vacuum
+    probabilities ``taus``: one broadcast report along ``worst`` and ``taus``."""
     z_arm = ArmState.from_totals(taus.tau_0, e_d, worst, taus.tau_1, e_d, worst)
     x_arm = ArmState.from_totals(taus.tau_plus, e_d, worst, taus.tau_minus, e_d, worst)
     return make_entropy_report(z_arm, x_arm).hmin_a
@@ -227,14 +240,23 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
         if fp_windows < 0:
             raise ParameterError(f"fp_windows must be >= 0, got {fp_windows}")
         taus = measurement_taus(source, detector_set(eta, e_d, AfterpulseSpec.none()), e_q)
-        p_hats = np.linspace(0.0, config["p_hat_max"], points).tolist()
-        no_ap = _hmin_a(e_d, [AfterpulseSpec.none()] * points, taus)
-        specs = [(AfterpulseSpec.exponential_from_rate(p_hat, omega),
-                  AfterpulseSpec.exponential_from_rate(p_hat, omega, fp_windows))
-                 for p_hat in p_hats]
-        columns = [_hmin_a(e_d, column, taus) for column in zip(*specs)]
-        rows = [list(row) for row in zip(p_hats, no_ap.tolist(),
-                                         *(c.tolist() for c in columns))]
+        p_hats = np.linspace(0.0, config["p_hat_max"], points)
+        grid = p_hats.tolist()
+        depths = (None, fp_windows)
+        # Every check of a spec is monotone in p_hat, so the specs of the last
+        # row cover all rows; where they fail, the first faulty row is named.
+        try:
+            for depth in depths:
+                AfterpulseSpec.exponential_from_rate(grid[-1], omega, depth)
+        except SiqrngError:
+            for p_hat in grid:
+                for depth in depths:
+                    AfterpulseSpec.exponential_from_rate(p_hat, omega, depth)
+            raise
+        columns = [_hmin_a(e_d, np.zeros(points), taus)] + [
+            _hmin_a(e_d, worst_afterpulse_exponential(p_hats, omega, depth), taus)
+            for depth in depths]
+        rows = [list(row) for row in zip(grid, *(c.tolist() for c in columns))]
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
@@ -242,7 +264,7 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
         ratios = np.linspace(config["ratio_min"], config["ratio_max"], points)
         dets = detector_set(eta, e_d, AfterpulseSpec.none(), ratios * eta)
         taus = measurement_taus(source, dets, e_q)
-        columns = [_hmin_a(e_d, [spec], taus) for spec in (AfterpulseSpec.none(), spec_ap)]
+        columns = [_hmin_a(e_d, worst, taus) for worst in (0.0, worst_afterpulse(spec_ap))]
         rows = [list(row) for row in zip(ratios.tolist(), *(c.tolist() for c in columns))]
         header = "eta_ratio,hmin_a_no_ap,hmin_a_ap"
         path = out_dir / "hmin_efficiency.csv"

@@ -75,6 +75,17 @@ def afterpulse_prob_infinite(p_hat: float, p_b: float) -> float:
     return p_hat / (1.0 - p_hat) * p_b
 
 
+def _exponential_first_order_rate(amplitude: float, decay: float,
+                                  depth: Optional[int] = None) -> float:
+    """Overall first-order rate sum_{j<=depth} A e^(-j omega) of the
+    exponential profile (all lags when ``depth`` is None).  An array of
+    amplitudes gives an array."""
+    e = math.exp(-decay)
+    if depth is None:
+        return amplitude * e / (1.0 - e)
+    return amplitude * e * (1.0 - e**depth) / (1.0 - e)
+
+
 def afterpulse_coeff(amplitude: float, decay: float, lag: int) -> float:
     """First-order coefficient A*exp(-j*omega) for the window ``lag`` back.
 
@@ -270,10 +281,7 @@ class AfterpulseSpec:
             return math.fsum(self.coefficients[:n])
         if self.amplitude == 0.0:
             return 0.0
-        e = math.exp(-self.decay)
-        if depth is None:
-            return self.amplitude * e / (1.0 - e)
-        return self.amplitude * e * (1.0 - e**depth) / (1.0 - e)
+        return _exponential_first_order_rate(self.amplitude, self.decay, depth)
 
     def worst_case_total(self) -> float:
         """Total afterpulse probability when every history window fired.

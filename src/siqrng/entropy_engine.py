@@ -21,12 +21,14 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .detector_model import (AfterpulseSpec, DetectorParams, _check_unit,
-                             response_prob, response_prob_no_afterpulse)
+                             _exponential_first_order_rate, afterpulse_prob_infinite,
+                             response_prob, response_prob_no_afterpulse,
+                             total_afterpulse_finite)
 from .errors import DegenerateError, ParameterError
 from .source_monitor import PhotonDistribution, vacuum_probability
 
@@ -82,6 +84,25 @@ def worst_afterpulse(spec: AfterpulseSpec) -> float:
     response probabilities stay physical by capping it there.
     """
     return min(spec.worst_case_total(), 1.0)
+
+
+def worst_afterpulse_exponential(rates: np.ndarray, decay: float,
+                                 depth: Optional[int] = None) -> np.ndarray:
+    """:func:`worst_afterpulse` of ``AfterpulseSpec.exponential_from_rate(rate,
+    decay, depth)`` at every rate of ``rates``, without a spec per rate.
+
+    The caller validates the spec at the largest rate: every check of that
+    constructor is monotone in the rate, so the one spec covers the array.
+    """
+    total = np.zeros(rates.shape)
+    live = rates > 0.0    # a zero rate has no afterpulsing, whatever the decay
+    if depth != 0 and live.any():
+        amplitude = rates[live] * math.expm1(decay)
+        total[live] = (
+            afterpulse_prob_infinite(_exponential_first_order_rate(amplitude, decay), 1.0)
+            if depth is None else
+            _cellwise(lambda a: total_afterpulse_finite(a, decay, depth), amplitude))
+    return np.minimum(total, 1.0)
 
 
 def stationary_click_prob(det: DetectorParams, tau: float) -> float:
@@ -288,11 +309,17 @@ class EntropyReport:
 
     def cells(self) -> Iterator["EntropyReport"]:
         """The scalar report of each cell of a one-dimensional broadcast
-        report, in order, one at a time."""
-        columns = np.broadcast_arrays(*(getattr(self, f.name)
-                                        for f in dataclasses.fields(self)))
+        report, in order, one at a time.
+
+        The range and total checks of this report covered every cell, so the
+        cells are not checked again.
+        """
+        names = [f.name for f in dataclasses.fields(self)]
+        columns = np.broadcast_arrays(*(getattr(self, name) for name in names))
         for row in zip(*columns):
-            yield EntropyReport(*map(float, row))
+            cell = object.__new__(EntropyReport)
+            cell.__dict__.update(zip(names, map(float, row)))
+            yield cell
 
 
 class TauSet(NamedTuple):

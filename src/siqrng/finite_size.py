@@ -20,6 +20,7 @@ from .entropy_engine import (
     ArmState,
     EntropyReport,
     TauSet,
+    _binary_entropy,
     binary_entropy,
     entropy_report_from_taus,
     make_entropy_report,
@@ -255,12 +256,15 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
 
     End checks.  A passed check at a proves excess(_THETA_FLOOR) > 0 by the
     same chain, so the floor is evaluated, and returned when its excess is
-    <= 0, only where that check fails.  The check at hi runs first, before
-    Newton: an infeasible point raises there, and Newton never meets it.  At
-    such points n_x can be so small that n_x zeta' underflows to 0 (q_x =
-    1e-200 with N = 1), and a Newton step would divide by it.  Where
-    L <= 0 there is no Gaussian estimate, Newton does not run and the plain
-    bisection decides every midpoint.
+    <= 0, only where that check fails.  Symmetrically, a passed check at b
+    proves excess(hi) < 0, so hi is evaluated, and an infeasible point
+    raises, only where the check at b fails.  Newton therefore meets
+    infeasible points too, where n_x can be so small that n_x q_x(1-q_x) or
+    n_x zeta' underflows to 0 (q_x = 1e-200 with N = 1).  The Gaussian
+    estimate and the Newton step would divide by it, so there Newton stops
+    and no window is set: a = lo and b = hi.  Where L <= 0 there is no
+    Gaussian estimate either, and the plain bisection decides every
+    midpoint.
     """
     if not (0.0 < eq < 0.5):
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
@@ -285,26 +289,27 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     hi = b = 0.5 - eq - _THETA_FLOOR
     if hi <= lo:
         raise InfeasibleError(f"no admissible theta below 0.5 - EQ for EQ = {eq}")
-    if excess(hi) > 0.0:
-        raise InfeasibleError(
-            f"no theta <= {hi:.6g} reaches eps_e = {eps_e:.3e} "
-            f"(EQ={eq:.3e}, q_x={q_x}, N={n_total:.3e})"
-        )
-    if log2_pref - log2_target > 0.0:
+    spread = n_x * q_x * (1.0 - q_x)
+    if log2_pref - log2_target > 0.0 and spread > 0.0:
         theta = min(max(math.sqrt(2.0 * _LN2 * (log2_pref - log2_target) * eq * (1.0 - eq)
-                                  / (n_x * q_x * (1.0 - q_x))), lo), hi)
+                                  / spread), lo), hi)
         # Newton's error after a step s is about s^2 / theta, so a step below
         # 2^-26 theta leaves the estimate within a few ulps of the root.
         for _ in range(_NEWTON_STEPS):
-            step = excess(theta) / (n_x * _zeta_slope(eq, q_x, theta))
+            rise = n_x * _zeta_slope(eq, q_x, theta)
+            if not rise > 0.0:    # underflowed: no step, and no window below
+                break
+            step = excess(theta) / rise
             theta = min(max(theta + step, lo), hi)
             if abs(step) <= 2.0**-26 * theta:
                 break
         # A half-width of 4 g / slope puts |excess| near 4 g at the window
         # ends, twice the margin the checks need.
         slope = _zeta_slope(eq, q_x, theta)
-        width = 4.0 * bound(theta, slope, 0.0) / (n_x * slope) + 4.0 * step * step / theta
-        a, b = theta - width, theta + width
+        if n_x * slope > 0.0:
+            width = (4.0 * bound(theta, slope, 0.0) / (n_x * slope)
+                     + 4.0 * step * step / theta)
+            a, b = theta - width, theta + width
         if not (lo < a and (value := excess(a)) > 2.0 * bound(a, _zeta_slope(eq, q_x, a),
                                                                 value)):
             a = lo
@@ -314,6 +319,11 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
                 >= 2.0**-47 * (8.0 * q_x + 3.0 + 2.0**-43 / (1.0 - q_x))
                 and (value := excess(b)) < -2.0 * bound(b, slope, value)):
             b = hi
+    if b == hi and excess(hi) > 0.0:
+        raise InfeasibleError(
+            f"no theta <= {hi:.6g} reaches eps_e = {eps_e:.3e} "
+            f"(EQ={eq:.3e}, q_x={q_x}, N={n_total:.3e})"
+        )
     if a == lo and excess(lo) <= 0.0:
         return lo
 
@@ -356,10 +366,12 @@ def _bracket(report: EntropyReport, theta: float) -> float:
     """Per-pulse certified bits before any subtraction.
 
     (hmin_z Q_single + Q_double)(1 - h(min(EQ+theta, 1/2))) - Q_double.
+    The report checked EQ and theta is >= 0, so a float argument of h lies
+    in [0, 1/2] and goes to the unchecked kernel.
     """
     x = min(report.eq + theta, 0.5)
-    return ((report.hmin_z * report.q_single + report.q_double)
-            * (1.0 - binary_entropy(x)) - report.q_double)
+    h = _binary_entropy(x) if type(x) is float else binary_entropy(x)
+    return (report.hmin_z * report.q_single + report.q_double) * (1.0 - h) - report.q_double
 
 
 def _bits_after(n_z: float, report: EntropyReport, theta: float, cost: float) -> float:

@@ -61,6 +61,18 @@ def _stream(seed: int, stream_id: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _stream_bits(seed: int, stream_id: int, chunk: int, size: int) -> np.ndarray:
+    """``size`` uniform 0/1 bytes of a keyed stream: the top bit of each byte
+    of ceil(size/8) raw 64-bit words, taken little-endian.
+
+    ``Generator.integers(0, 2, size, dtype=np.uint8)`` returns the same bits:
+    it takes the bytes of 32-bit halves, low half first, and maps each to
+    its top bit.
+    """
+    words = _stream(seed, stream_id, chunk).bit_generator.random_raw(-(-size // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
+
+
 @dataclass(frozen=True)
 class PulseTrainConfig:
     """Everything one reproducible simulation run depends on.
@@ -706,7 +718,7 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
                 hits.append(hit + span.start)
         cand.append(np.concatenate(hits))
         u_cand.append(np.concatenate(u_hits))
-    fill = _stream(seed, STREAM_FILL, chunk).integers(0, 2, size=count, dtype=np.uint8)
+    fill = _stream_bits(seed, STREAM_FILL, chunk, count)
     return _ChunkDraws(is_x, tuple(base), tuple(cand), tuple(u_cand), fill)
 
 
@@ -906,8 +918,7 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
         raise ParameterError(f"output_len {output_len} exceeds input length {n}")
     if output_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    rng = _stream(extractor_seed, STREAM_EXTRACTOR, 0)
-    r = rng.integers(0, 2, size=n + output_len - 1, dtype=np.uint8)
+    r = _stream_bits(extractor_seed, STREAM_EXTRACTOR, 0, n + output_len - 1)
     # Circular convolution by real FFTs at a 5-smooth length N >= r.size.
     # Output i needs the linear convolution at k = n - 1 + i <= r.size - 1;
     # the circular one adds the linear terms at k + N, k + 2N, ..., and

@@ -8,9 +8,10 @@ import pytest
 
 from siqrng import cli
 from siqrng.cli import main
-from siqrng.detector_model import detector_set
-from siqrng.entropy_engine import (entropy_report_from_taus, measurement_taus,
-                                   prior_autocorrelation)
+from siqrng.detector_model import AfterpulseSpec, detector_set
+from siqrng.entropy_engine import (ArmState, entropy_report_from_taus,
+                                   make_entropy_report, measurement_taus,
+                                   prior_autocorrelation, worst_afterpulse)
 from siqrng.finite_size import RateScenario, hmin_with_tau_uncertainty
 
 
@@ -76,6 +77,32 @@ class TestAutocorr:
         assert run([*argv, "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"siqrng: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, config, got", [
+        (["--seed", "5"], None, "seed=5"),
+        (["--pulses", "20000"], None, "pulses=20000"),
+        (["--seed", "-1", "--pulses", "7"], None, "pulses=7, seed=-1"),
+        ([], {"seed": 3}, "seed=3"),
+        ([], {"pulses": 1000, "points": 4}, "pulses=1000"),
+    ], ids=["seed_flag", "pulses_flag", "both_flags", "seed_key", "pulses_key"])
+    def test_mc_settings_without_mc_rejected(self, tmp_path, capsys, argv, config, got):
+        """Only the Monte Carlo columns read pulses and seed, so without --mc
+        a value other than the default would change the run hash and nothing
+        else."""
+        out = tmp_path / "out"
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        assert run(["autocorr", "--points", "3", *argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "siqrng: error: autocorr pulses and seed take effect only with --mc; "
+            f"got {got}\n")
+        assert list(out.iterdir()) == []
+        # the defaults, given explicitly, run and keep the default run's hash
+        assert run(["autocorr", "--seed", "1", "--pulses", "10000000",
+                    "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["manifest_hash"] == (
+            "80e10757626090db")
 
     @pytest.mark.parametrize("seed", [-1, 2**64 - 2])
     def test_mc_seed_range_covers_every_point(self, tmp_path, capsys, seed):
@@ -145,6 +172,26 @@ class TestHmin:
         assert run(["hmin", "--out-dir", str(tmp_path)] + argv) == 2
         assert capsys.readouterr().err == f"siqrng: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_afterpulse_sweep_builds_no_spec_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        total = AfterpulseSpec.worst_case_total
+
+        def counted(spec):
+            calls.append(spec)
+            return total(spec)
+
+        monkeypatch.setattr(AfterpulseSpec, "worst_case_total", counted)
+        assert run(["hmin", "--points", "2001", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("omega", ["0", "-1", "1000"])
+    def test_zero_rate_sweep_ignores_the_decay(self, tmp_path, omega):
+        # p_hat = 0 builds AfterpulseSpec.none() at every row, whatever omega
+        assert run(["hmin", "--p-hat-max", "0", "--omega", omega, "--points", "3",
+                    "--out-dir", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "hmin_afterpulse.csv")
+        assert all(row[1] == row[2] == row[3] for row in rows)
 
 
 class TestRates:
@@ -260,14 +307,24 @@ def per_row_taus(monkeypatch):
         own = own_taus((det_0, det_1, det_0, det_1))    # only tau_0 and tau_1 are read
         return prior_autocorrelation(det_0, own.tau_0, det_1, own.tau_1, lag)
 
-    def per_row_hmin_a(e_d, specs, taus):
-        # one row per spec, or one per eta_1 of the measured detectors with a
-        # single spec
+    def per_spec_totals(rates, decay, depth):
+        return np.array([worst_afterpulse(AfterpulseSpec.exponential_from_rate(
+            rate, decay, depth)) for rate in rates.tolist()])
+
+    def per_row_hmin_a(e_d, worst, taus):
+        # one row per total, or one per eta_1 of the measured detectors with a
+        # single total
         eta, eta_1 = seen["dets"][0].efficiency, seen["dets"][1].efficiency
-        rows = ([(spec, None) for spec in specs] if np.ndim(eta_1) == 0
-                else [(specs[0], e) for e in eta_1.tolist()])
-        return np.array([per_row_report(detector_set(eta, e_d, spec, e), taus).hmin_a
-                         for spec, e in rows])
+        rows = ([(w, None) for w in worst.tolist()] if np.ndim(eta_1) == 0
+                else [(worst, e) for e in eta_1.tolist()])
+
+        def row_hmin_a(w, e):
+            own = own_taus(detector_set(eta, e_d, AfterpulseSpec.none(), e))
+            return make_entropy_report(
+                ArmState.from_totals(own.tau_0, e_d, w, own.tau_1, e_d, w),
+                ArmState.from_totals(own.tau_plus, e_d, w, own.tau_minus, e_d, w)).hmin_a
+
+        return np.array([row_hmin_a(w, e) for w, e in rows])
 
     def recording_scenario_taus(self, loss_db):
         seen["losses"] = np.ravel(loss_db).tolist()
@@ -283,6 +340,7 @@ def per_row_taus(monkeypatch):
     monkeypatch.setattr(cli, "hmin_with_tau_uncertainty", per_row_hmin)
     monkeypatch.setattr(cli, "prior_autocorrelation", per_row_autocorrelation)
     monkeypatch.setattr(cli, "_hmin_a", per_row_hmin_a)
+    monkeypatch.setattr(cli, "worst_afterpulse_exponential", per_spec_totals)
     monkeypatch.setattr(RateScenario, "taus", recording_scenario_taus)
     monkeypatch.setattr(RateScenario, "rates", per_row_rates)
 

@@ -34,6 +34,7 @@ from siqrng.entropy_engine import (
     measurement_taus,
     stationary_click_prob,
     worst_afterpulse,
+    worst_afterpulse_exponential,
 )
 
 from conftest import make_detectors
@@ -386,3 +387,52 @@ class TestBroadcastChain:
         cells = list(report.cells())
         assert [type(v) for c in cells for v in dataclasses.asdict(c).values()] == [float] * 10
         assert cells[1] == EntropyReport(0.25, 0.1, 0.3, 0.01, 0.02)
+
+    def test_cells_are_not_checked_again(self, monkeypatch):
+        report = EntropyReport(hmin_z=np.array([0.5, 0.25]), hmin_a=0.1,
+                               q_single=np.array([0.2, 0.3]), q_double=0.01, eq=0.02)
+
+        def fail(self):
+            raise AssertionError("a cell was checked again")
+
+        monkeypatch.setattr(EntropyReport, "__post_init__", fail)
+        assert [c.hmin_z for c in report.cells()] == [0.5, 0.25]
+
+
+class TestWorstAfterpulseExponential:
+    """The array totals of the hmin afterpulse sweep equal the clamped total
+    of each rate's own spec, bit for bit."""
+
+    RATES = np.linspace(0.0, 0.999, 667)
+
+    @pytest.mark.parametrize("depth", [None, 0, 1, 2, 1000])
+    @pytest.mark.parametrize("omega", [1e-16, 1e-9, 1e-3, 0.5, 2.0, 30.0])
+    def test_matches_the_spec_of_each_rate(self, omega, depth):
+        want = []
+        for rate in self.RATES.tolist():
+            try:
+                spec = AfterpulseSpec.exponential_from_rate(rate, omega, depth)
+            except SiqrngError:
+                break    # every check is monotone in the rate: all later rates fail
+            want.append(worst_afterpulse(spec))
+        assert len(want) > 100
+        got = worst_afterpulse_exponential(self.RATES[:len(want)], omega, depth)
+        assert got.tolist() == want
+
+    def test_finite_total_branches_are_reached(self):
+        """The grid above meets every branch of total_afterpulse_finite."""
+        def ratio(omega):
+            amplitude = self.RATES[1:] * math.expm1(omega)
+            return (1.0 + amplitude) * np.exp(-omega)
+
+        # the removable singularity (1+A)e^-w = 1 at every rate
+        assert np.all(np.abs(ratio(1e-16) - 1.0) < 1e-14)
+        # ratio^1000 underflows for the small rates only
+        underflow = 1000 * np.log(ratio(2.0)) < -745.0
+        assert underflow.any() and not underflow.all()
+
+    def test_zero_rates_need_no_valid_decay(self):
+        for omega in (0.0, -1.0, 1000.0):
+            for depth in (None, 0, 3):
+                assert worst_afterpulse_exponential(np.zeros(3), omega, depth).tolist() == [
+                    0.0, 0.0, 0.0]

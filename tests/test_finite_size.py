@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -331,6 +332,12 @@ class TestCertifiedBisection:
     @example((0.49, 1e-200, 1.0, 1e-300))
     # The floor: the prefactor alone is below eps_e
     @example((0.01, 0.5, 1e12, 0.5))
+    # Infeasible with n_x q_x underflowing to 0: no Gaussian estimate, hi
+    # decides
+    @example((1e-3, 1e-200, 1.0, 0.5))
+    # Infeasible with hi about 1e-7: Newton runs, the check at b fails, and
+    # hi raises
+    @example((0.4999999, 0.5, 1e10, 2.0**-50))
     def test_matches_plain_bisection(self, args):
         assert _theta_outcome(theta_random_sampling, *args) == \
             _theta_outcome(plain_bisection_theta, *args)
@@ -358,7 +365,27 @@ class TestCertifiedBisection:
         for eq in eqs:
             calls.clear()
             theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
-            assert len(calls) <= 23
+            assert len(calls) <= 22
+
+    def test_rates_sweep_thetas_are_pinned(self):
+        """Every theta of ``rates --points 4000``, both scenarios: the sha256 of
+        each float's repr (or the exception's type name), one per line, so a
+        change to the solver's evaluation order that moves any theta by one
+        bit fails here."""
+        defaults = cli._DEFAULTS["rates"]
+        sec = SecurityParams()
+        outcomes = []
+        for p_hat in (0.0, defaults["p_hat_ap"]):
+            scenario = scenario_from_params({"p_hat": p_hat})
+            losses = loss_grid(defaults["from"], defaults["to"], 4000)
+            for cell in scenario.entropy(scenario.taus(losses)).cells():
+                outcome = _theta_outcome(theta_random_sampling, cell.eq, sec.x_fraction,
+                                         sec.total_pulses, sec.eps_e)
+                outcomes.append(outcome.__name__ if isinstance(outcome, type)
+                                else repr(outcome))
+        assert len(outcomes) == 8000
+        assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
+            "7b57f7adfc25c3ede8ca41af5c10beedc3020735dfea2709dd4892a203b75fcb")
 
     @settings(max_examples=200, deadline=None)
     @given(theta_inputs, st.floats(-1e-6, 1e-6))

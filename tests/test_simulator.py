@@ -790,6 +790,18 @@ class TestClickRecords:
         assert np.array_equal(unpacked[:len(result.bits)], result.bits.bits)
 
 
+class TestStreamBits:
+    @pytest.mark.parametrize("seed", [0, 1, 123, 2**64 - 1])
+    def test_match_generator_integers(self, seed):
+        """The extractor seed and the double-click fill read raw words; NumPy's
+        bounded uint8 integers give the same bits."""
+        for size in (0, 1, 7, 8, 9, 63, 64, 65, 4097, 465_066, 1_000_003):
+            want = simulator._stream(seed, simulator.STREAM_FILL, 3).integers(
+                0, 2, size=size, dtype=np.uint8)
+            got = simulator._stream_bits(seed, simulator.STREAM_FILL, 3, size)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), size
+
+
 class TestExtract:
     def test_empty_output(self):
         assert extract([1, 0, 1], 0, 7).size == 0
