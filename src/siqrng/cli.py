@@ -320,17 +320,27 @@ def cmd_finite_sampling(config: dict, out_dir: Path, manifest_hash: str,
     if not (lo > 0.0 and hi > 0.0):
         raise ParameterError(f"length_min and length_max must be > 0, got {lo} and {hi}")
     grid_points = int(config["grid_points"])
-    lengths = np.logspace(math.log10(lo), math.log10(hi), points)
+    lengths = np.logspace(math.log10(lo), math.log10(hi), points).tolist()
+    counts = [int(round(n_samples)) for n_samples in lengths]
+    if min(counts) < 1:
+        raise ParameterError(
+            f"length_min = {lo:g} and length_max = {hi:g} give a row of "
+            f"{min(lengths):.6g} monitor samples, which rounds to 0; "
+            "--length-min and --length-max must both exceed 0.5")
     source = poisson_distribution(nu)
     spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], config["omega"])
     det_sets = [detector_set(eta, e_d, spec) for spec in (AfterpulseSpec.none(), spec_ap)]
     taus = measurement_taus(source, det_sets[0], e_q)    # the sets differ in afterpulsing only
     # (detectors, infinite-length hmin_a) without and with afterpulsing
-    variants = [(dets, entropy_report_from_taus(dets, taus).hmin_a) for dets in det_sets]
+    try:
+        variants = [(dets, entropy_report_from_taus(dets, taus).hmin_a) for dets in det_sets]
+    except DegenerateError as exc:
+        raise DegenerateError(
+            f"hmin_il at the exact vacuum probabilities, before any monitor box: "
+            f"{exc}") from exc
 
     rows = []
-    for n_samples in lengths:
-        n_s = int(round(float(n_samples)))
+    for n_s in counts:
         delta = hoeffding_delta(n_s, eps_d)
         row = [float(n_s), delta]
         for dets, h_il in variants:

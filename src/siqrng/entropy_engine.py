@@ -154,17 +154,29 @@ class ArmState:
         )
 
 
-def _hmin_z_from_pairs(p1_0: float, p0_0: float, p1_1: float, p0_1: float) -> float:
+def _max_guess_ratio(p1_0: float, p0_0: float, p1_1: float, p0_1: float) -> float:
+    """Largest single-click guessing probability of the worst-case pairs;
+    hmin_z is its -log2.  Arrays broadcast.
+
+    The pair (pm, pn) guesses with probability x / q, where x = pm (1 - pn),
+    y = pn (1 - pm) and q = x + y.  The pair (pn, pm) has x and y swapped and
+    the same rounded q, and rounded division by q > 0 is monotone, so
+    max(x, y) / q is the greater of the two pairs' float ratios.
+    """
     best = 0.0
-    for pm, pn in ((p1_0, p0_1), (p0_1, p1_0), (p1_1, p0_0), (p0_0, p1_1)):
+    for pm, pn in ((p1_0, p0_1), (p1_1, p0_0)):
         x = pm * (1.0 - pn)
         y = pn * (1.0 - pm)
         q = x + y
         cells = type(q) is not float and isinstance(q, np.ndarray)
         if (not q.all()) if cells else q == 0.0:
             raise DegenerateError("single-click probability vanishes in the worst case")
-        best = np.maximum(best, x / q) if cells else max(best, x / q)
-    return -_cellwise(math.log2, best)
+        best = np.maximum(best, np.maximum(x, y) / q) if cells else max(best, max(x, y) / q)
+    return best
+
+
+def _hmin_z_from_pairs(p1_0: float, p0_0: float, p1_1: float, p0_1: float) -> float:
+    return -_cellwise(math.log2, _max_guess_ratio(p1_0, p0_0, p1_1, p0_1))
 
 
 def hmin_a(hmin_z: float, q_single: float, q_double: float, eq: float) -> float:

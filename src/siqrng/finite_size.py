@@ -14,16 +14,18 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .detector_model import AfterpulseSpec, DetectorParams, detector_set
+from .detector_model import AfterpulseSpec, DetectorParams, _check_unit, detector_set
 from .entropy_engine import (
     _LN2,
     ArmState,
     EntropyReport,
     TauSet,
     _binary_entropy,
+    _cellwise,
+    _max_guess_ratio,
     binary_entropy,
+    click_probabilities,
     entropy_report_from_taus,
-    make_entropy_report,
     measurement_taus,
     x_basis_error,
 )
@@ -366,12 +368,19 @@ def _bracket(report: EntropyReport, theta: float) -> float:
     """Per-pulse certified bits before any subtraction.
 
     (hmin_z Q_single + Q_double)(1 - h(min(EQ+theta, 1/2))) - Q_double.
-    The report checked EQ and theta is >= 0, so a float argument of h lies
-    in [0, 1/2] and goes to the unchecked kernel.
     """
-    x = min(report.eq + theta, 0.5)
+    return _bracket_of(report.hmin_z, report.q_single, report.q_double, report.eq, theta)
+
+
+def _bracket_of(hmin_z: float, q_single: float, q_double: float, eq: float,
+                theta: float) -> float:
+    """:func:`_bracket` of the report fields; ``hmin_z``, ``q_single`` and
+    ``q_double`` broadcast.  The caller checked EQ and theta is >= 0, so a
+    float argument of h lies in [0, 1/2] and goes to the unchecked kernel.
+    """
+    x = min(eq + theta, 0.5)
     h = _binary_entropy(x) if type(x) is float else binary_entropy(x)
-    return (report.hmin_z * report.q_single + report.q_double) * (1.0 - h) - report.q_double
+    return (hmin_z * q_single + q_double) * (1.0 - h) - q_double
 
 
 def _bits_after(n_z: float, report: EntropyReport, theta: float, cost: float) -> float:
@@ -381,6 +390,12 @@ def _bits_after(n_z: float, report: EntropyReport, theta: float, cost: float) ->
 
 # ---------------------------------------------------------------------------
 # Minimization over monitored vacuum-probability boxes
+
+# A bound on |np.log2(r) - math.log2(r)| for r in [1/2, 1], the one assumption
+# of the screen in :func:`_min_bracket_over_taus`.  On 1.2 million inputs
+# there, the two differ by at most 1 ulp (1.1e-16) with NumPy 2.4's AVX-512
+# kernel and not at all with its baseline kernel.
+_LOG2_PROXY_ERROR = 2.0**-30
 
 
 def _worst_eq_arm(dets: Sequence[DetectorParams],
@@ -394,7 +409,7 @@ def _min_bracket_over_taus(dets: Sequence[DetectorParams],
                            x_arm: ArmState, theta: float,
                            grid_points: int = 64) -> float:
     """Least bracket over a ``grid_points``-square grid on the (tau_0, tau_1)
-    box, with a fixed check arm: one broadcast call through the entropy chain.
+    box, with a fixed check arm.
 
     ``boxes`` holds the vacuum-probability interval of each detector of
     ``dets``, in the same order.  Positive values seen equal the corners'.
@@ -402,12 +417,55 @@ def _min_bracket_over_taus(dets: Sequence[DetectorParams],
     the box's minimum: default ``finite-sampling`` at n_samples = 631 (no
     afterpulsing) gives -0.01141315 at the corners, -0.01183018 on the
     64-grid and -0.0118305 on a 513-grid.  See ROADMAP.md item 2.
+
+    The result is the float ``np.min(_bracket(report, theta))`` of the
+    grid's broadcast entropy report, and the grid fails every check of that
+    report, in its order and with its exception type.  Only the cells that
+    can hold the minimum take an exact ``math.log2``; the rest are screened
+    out with NumPy's ``log2``.
+
+    Screen.  At a cell with guessing ratio r (:func:`_max_guess_ratio`),
+    hmin_z is the float z = -math.log2(r), and the bracket is
+    f(z) = fl(fl(fl(fl(z Q_single) + Q_double) c) - Q_double) with one float
+    c = 1 - h(min(EQ + theta, 1/2)) for the grid.  Q_single >= 0 (checked),
+    so each rounded operation is monotone in z: f is non-decreasing where
+    c >= 0 and non-increasing where c < 0.  Assume that
+    |np.log2(r) - math.log2(r)| <= D = ``_LOG2_PROXY_ERROR`` for r in
+    [1/2, 1].  Then the proxy p = -np.log2(r) has p - D <= z <= p + D, and
+    since z is a float and rounding is monotone, fl(p - D) <= z <= fl(p + D).
+    So f(z) lies between the ends f(fl(p - D)) and f(fl(p + D)); call the
+    lesser L and the greater U.  The least bracket m is f(z_j) at some cell
+    j, and L_j <= m <= f(z_i) <= U_i at every cell i, so L_j <= min_i U_i.
+    A cell with L > min U therefore cannot hold m, and m is the least exact
+    bracket of the other cells.  With D far above the gap between the two
+    logarithms, the screen keeps every cell that ties the minimum to within
+    about 2 D Q_single c, and costs nothing else.
+
+    Range.  The report's check hmin_z in [0, 1] cannot fail, so it is not
+    made.  Each ratio of :func:`_max_guess_ratio` is x / fl(x + y) with
+    x, y >= 0, and fl(x + y) >= x, so r <= 1.  Swapping a pair swaps x and y
+    and keeps fl(x + y), and x + y <= 2 max(x, y), a float, so
+    fl(x + y) <= 2 max(x, y) and the larger of the two ratios is >= 1/2.  So
+    r lies in [1/2, 1] and log2(r) in [-1, 0].  Both ends are floats, so a
+    faithful math.log2 (error below 1 ulp) stays in [-1, 0]: z lies in [0, 1].
     """
     if grid_points < 2:
         raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
     z_arm = ArmState.from_detectors(dets[0], np.linspace(*boxes[0], grid_points)[:, None],
                                     dets[1], np.linspace(*boxes[1], grid_points)[None, :])
-    return float(np.min(_bracket(make_entropy_report(z_arm, x_arm), theta)))
+    q_single, q_double = click_probabilities(z_arm.p_a, z_arm.p_b)
+    eq = x_basis_error(p_plus=x_arm.p_a, p_minus=x_arm.p_b)
+    ratio = _max_guess_ratio(z_arm.p1_a, z_arm.p0_a, z_arm.p1_b, z_arm.p0_b)
+    for name, value in (("eq", eq), ("q_single", q_single), ("q_double", q_double)):
+        _check_unit(name, value)
+    if np.max(q_single + q_double) > 1.0 + 1e-12:
+        raise ParameterError("Q_single + Q_double exceeds 1")
+    proxy = -np.log2(ratio)
+    ends = [_bracket_of(proxy + d, q_single, q_double, eq, theta)
+            for d in (-_LOG2_PROXY_ERROR, _LOG2_PROXY_ERROR)]
+    keep = np.minimum(*ends) <= np.maximum(*ends).min()
+    return float(np.min(_bracket_of(-_cellwise(math.log2, ratio[keep]), q_single[keep],
+                                    q_double[keep], eq, theta)))
 
 
 def hmin_with_tau_uncertainty(dets: Sequence[DetectorParams], taus: TauSet,

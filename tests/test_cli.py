@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siqrng import cli
+from siqrng import cli, finite_size
 from siqrng.cli import main
 from siqrng.detector_model import AfterpulseSpec, detector_set
 from siqrng.entropy_engine import (ArmState, entropy_report_from_taus,
@@ -279,6 +279,83 @@ class TestFiniteSampling:
         assert not (tmp_path / "a" / "finite_sampling.csv").exists()
         assert run(args + ["--length-min", "1e4", "--out-dir", str(tmp_path / "b")]) == 0
         assert (tmp_path / "b" / "finite_sampling.csv").exists()
+
+    @pytest.mark.parametrize("flags, smallest", [
+        (["--length-min", "0.4"], "0.4"),
+        (["--length-min", "3", "--length-max", "0.5"], "0.5"),
+    ], ids=["length_min", "length_max"])
+    def test_length_rounding_to_no_samples_is_named(self, tmp_path, capsys, flags,
+                                                    smallest):
+        assert run(["finite-sampling", "--points", "2", *flags,
+                    "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("siqrng: error: length_min = ")
+        assert err.endswith(f"give a row of {smallest} monitor samples, which rounds to 0; "
+                            "--length-min and --length-max must both exceed 0.5\n")
+        assert not (tmp_path / "finite_sampling.csv").exists()
+
+    def test_degenerate_exact_taus_are_named(self, tmp_path, capsys):
+        assert run(["finite-sampling", "--eta", "0", "--e-d", "0",
+                    "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "siqrng: error: hmin_il at the exact vacuum probabilities, before any "
+            "monitor box: single-click probability vanishes in the worst case\n")
+        assert not (tmp_path / "finite_sampling.csv").exists()
+
+    def test_exact_log2_at_few_cells_per_grid(self, tmp_path, monkeypatch):
+        """Default ``finite-sampling --points 10`` takes an exact math.log2
+        at no more than 8 of the 4,096 cells of each of its 20 grids."""
+        log2, ratios, per_grid = math.log2, [], []
+
+        def counting_log2(x):
+            # guessing ratios lie in [1/2, 1]; the binary-entropy arguments
+            # of this run (EQ, about 0.01) stay below 1/2
+            if 0.5 <= x <= 1.0:
+                ratios.append(x)
+            return log2(x)
+
+        grid = finite_size._min_bracket_over_taus
+
+        def counted_grid(*args, **kwargs):
+            start = len(ratios)
+            result = grid(*args, **kwargs)
+            per_grid.append(len(ratios) - start)
+            return result
+
+        monkeypatch.setattr(math, "log2", counting_log2)
+        monkeypatch.setattr(finite_size, "_min_bracket_over_taus", counted_grid)
+        assert run(["finite-sampling", "--points", "10", "--out-dir", str(tmp_path)]) == 0
+        assert len(per_grid) == 20
+        assert all(1 <= n <= 8 for n in per_grid), per_grid
+        assert len(ratios) == sum(per_grid) + 2    # the two hmin_il reports
+
+    def test_same_bytes_with_the_baseline_log2_kernel(self, tmp_path):
+        """The grid minimum's screen holds under both of NumPy's float64
+        log2 kernels: with the AVX-512 kernels disabled, a fresh interpreter
+        writes the same CSV as this one."""
+        import os
+        import subprocess
+        import sys
+        from numpy.lib.introspect import opt_func_info
+        kernels = opt_func_info(func_name="log2", signature="float64").get("log2", {})
+        if not any(k["current"] == "X86_V4" for k in kernels.values()):
+            pytest.skip("NumPy's float64 log2 has no X86_V4 kernel here")
+        argv = ["finite-sampling", "--points", "10"]
+        assert run([*argv, "--out-dir", str(tmp_path / "here")]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+        code = ("import sys\n"
+                "from numpy.lib.introspect import opt_func_info\n"
+                "import siqrng.cli\n"
+                "info = opt_func_info(func_name='log2', signature='float64')['log2']\n"
+                "assert all(k['current'] != 'X86_V4' for k in info.values()), info\n"
+                "sys.exit(siqrng.cli.main(sys.argv[1:]))\n")
+        done = subprocess.run([sys.executable, "-c", code, *argv, "--out-dir",
+                               str(tmp_path / "baseline")],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert ((tmp_path / "baseline" / "finite_sampling.csv").read_bytes()
+                == (tmp_path / "here" / "finite_sampling.csv").read_bytes())
 
 
 def per_row_taus(monkeypatch):

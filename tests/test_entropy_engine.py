@@ -28,6 +28,7 @@ from siqrng.entropy_engine import (
     EntropyReport,
     TauSet,
     _hmin_z_from_pairs,
+    _max_guess_ratio,
     autocorrelation_stderr,
     entropy_report_from_taus,
     make_entropy_report,
@@ -324,6 +325,38 @@ def _scalar_or_error(fn):
         return fn()
     except SiqrngError as exc:
         return type(exc)
+
+
+def _four_ratio_max(p1_0, p0_0, p1_1, p0_1):
+    """Reference: the largest guessing ratio over all four worst-case pairs,
+    one float at a time."""
+    best = 0.0
+    for pm, pn in ((p1_0, p0_1), (p0_1, p1_0), (p1_1, p0_0), (p0_0, p1_1)):
+        x = pm * (1.0 - pn)
+        y = pn * (1.0 - pm)
+        if x + y == 0.0:
+            raise DegenerateError("single-click probability vanishes in the worst case")
+        best = max(best, x / (x + y))
+    return best
+
+
+class TestMaxGuessRatio:
+    """Each swapped pair is evaluated once, as the larger of x and y over
+    their sum, with the same float as the four ratios taken one by one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(st.tuples(_unit, _unit, _unit, _unit), min_size=1, max_size=8))
+    def test_equals_the_four_ratios(self, cells):
+        want = [_scalar_or_error(lambda c=c: _four_ratio_max(*c)) for c in cells]
+        for cell, value in zip(cells, want):
+            assert _scalar_or_error(lambda: _max_guess_ratio(*cell)) == value
+        columns = [np.array(column) for column in zip(*cells)]
+        errors = {v for v in want if isinstance(v, type)}
+        if errors:
+            with pytest.raises(tuple(errors)):
+                _max_guess_ratio(*columns)
+        else:
+            assert _max_guess_ratio(*columns).tolist() == want
 
 
 class TestBroadcastChain:

@@ -24,6 +24,7 @@ from siqrng.entropy_engine import (
     entropy_report_from_taus,
     make_entropy_report,
     measurement_taus,
+    x_basis_error,
 )
 from siqrng import cli, finite_size
 from siqrng.finite_size import (
@@ -596,6 +597,65 @@ class TestMinBracketOverTaus:
         args = (dets, boxes, _worst_eq_arm(dets, boxes), theta, grid_points)
         assert _outcome(_min_bracket_over_taus, *args) == \
             _outcome(_cell_loop_min_bracket, *args)
+
+    @staticmethod
+    def grid_args(nu, delta, theta_share, p_hat, eta_1, grid_points):
+        """Arguments of the grid minimum around the exact vacuum probabilities,
+        with theta = ``theta_share`` (1/2 - EQ) at the box's worst-case EQ."""
+        dets = make_detectors(spec=AfterpulseSpec.exponential_from_rate(p_hat, 0.001),
+                              eta_1=eta_1)
+        taus = measurement_taus(poisson_distribution(nu), dets, misalignment=0.02)
+        boxes = [clipped_interval(tau, delta) for tau in taus]
+        x_arm = _worst_eq_arm(dets, boxes)
+        theta = theta_share * max(0.5 - x_basis_error(x_arm.p_a, x_arm.p_b), 0.0)
+        return dets, boxes, x_arm, theta, grid_points
+
+    # Zero-width boxes, where every cell ties and the screen keeps them all;
+    # boxes clipped at 1 (nu 1) and at 0 (nu 50); theta up to 1/2 - EQ;
+    # p_hat 0.6, which clamps the total; eta_1 != eta.
+    @settings(max_examples=60, deadline=None)
+    @given(nu=st.sampled_from([1.0, 10.0, 50.0]) | st.floats(0.5, 60.0),
+           delta=st.sampled_from([0.0, 0.01, 0.1, 0.2, 0.55]) | st.floats(0.0, 0.6),
+           theta_share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           p_hat=st.sampled_from([0.0, 0.05, 0.6]),
+           eta_1=st.sampled_from([0.1, 0.06]) | st.floats(0.01, 0.3),
+           grid_points=st.integers(2, 64))
+    @example(nu=10.0, delta=0.0, theta_share=0.0, p_hat=0.05, eta_1=0.1, grid_points=64)
+    @example(nu=10.0, delta=0.0, theta_share=1.0, p_hat=0.6, eta_1=0.06, grid_points=64)
+    @example(nu=50.0, delta=0.1, theta_share=1.0, p_hat=0.05, eta_1=0.06, grid_points=64)
+    @example(nu=1.0, delta=0.2, theta_share=0.5, p_hat=0.0, eta_1=0.1, grid_points=33)
+    @example(nu=10.0, delta=1e-12, theta_share=0.0, p_hat=0.05, eta_1=0.06, grid_points=64)
+    def test_screen_equals_cell_loop(self, nu, delta, theta_share, p_hat, eta_1,
+                                     grid_points):
+        args = self.grid_args(nu, delta, theta_share, p_hat, eta_1, grid_points)
+        assert _outcome(_min_bracket_over_taus, *args) == \
+            _outcome(_cell_loop_min_bracket, *args)
+
+    @pytest.mark.parametrize("nu,delta", [(10.0, 0.0), (10.0, 1e-12), (10.0, 0.01),
+                                          (50.0, 0.1), (1.0, 0.2)])
+    @pytest.mark.parametrize("p_hat", [0.0, 0.05])
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("error", ["relative 2^-45", "absolute 2^-31"])
+    def test_screen_absorbs_a_perturbed_numpy_log2(self, monkeypatch, nu, delta, p_hat,
+                                                   parity, error):
+        # NumPy's log2 off by +-2^-45 relative, or by +-2^-31, half the
+        # screen's bound, with the sign alternating from cell to cell.  On the
+        # 1e-12 box the cells differ by far less than 2^-31, so a screen
+        # without its margin would keep a cell that does not hold the minimum.
+        args = self.grid_args(nu, delta, 0.0, p_hat, 0.06, 64)
+        want = _min_bracket_over_taus(*args)
+        log2, calls = np.log2, []
+
+        def perturbed(x):
+            calls.append(x.size)
+            sign = np.where(np.indices(x.shape).sum(axis=0) % 2 == parity, 1.0, -1.0)
+            if error == "relative 2^-45":
+                return log2(x) * (1.0 + sign * 2.0**-45)
+            return log2(x) + sign * 2.0**-31
+
+        monkeypatch.setattr(np, "log2", perturbed)
+        assert _min_bracket_over_taus(*args) == want
+        assert calls == [4096]
 
 
 class TestRateScenario:
