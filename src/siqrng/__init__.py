@@ -13,7 +13,6 @@ from .detector_model import (
     response_prob,
     response_prob_no_afterpulse,
     total_afterpulse_finite,
-    total_afterpulse_infinite,
 )
 from .entropy_engine import (
     ArmState,

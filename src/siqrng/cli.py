@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .detector_model import AfterpulseSpec, detector_set
+from .detector_model import AfterpulseSpec, _check_unit, detector_set
 from .entropy_engine import (
     ArmState,
     TauSet,
@@ -261,6 +261,12 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
         spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], omega)
+        _check_unit("efficiency", eta)
+        for key in ("ratio_min", "ratio_max"):    # the grid's ends bound eta_1 = ratio * eta
+            if not 0.0 <= config[key] * eta <= 1.0:
+                raise ParameterError(
+                    f"--{key.replace('_', '-')} {config[key]} times --eta {eta} gives "
+                    f"detector \"1\" the efficiency {config[key] * eta}, outside [0, 1]")
         ratios = np.linspace(config["ratio_min"], config["ratio_max"], points)
         dets = detector_set(eta, e_d, AfterpulseSpec.none(), ratios * eta)
         taus = measurement_taus(source, dets, e_q)

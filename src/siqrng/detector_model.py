@@ -75,6 +75,13 @@ def afterpulse_prob_infinite(p_hat: float, p_b: float) -> float:
     return p_hat / (1.0 - p_hat) * p_b
 
 
+def _cellwise(fn, x):
+    """``fn`` of every cell of ``x`` as a Python float, if ``x`` is an array."""
+    if type(x) is not float and isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)
+
+
 def _exponential_first_order_rate(amplitude: float, decay: float,
                                   depth: Optional[int] = None) -> float:
     """Overall first-order rate sum_{j<=depth} A e^(-j omega) of the
@@ -126,25 +133,14 @@ def total_afterpulse_finite(amplitude: float, decay: float, windows: int) -> flo
     return first * (ratio**windows - 1.0) / (ratio - 1.0)
 
 
-def total_afterpulse_infinite(amplitude: float, decay: float) -> float:
-    """Limit of :func:`total_afterpulse_finite` for unlimited history.
-
-    Requires omega > ln(1+A); equals p_hat/(1-p_hat) with
-    p_hat = A e^-w / (1 - e^-w).
-    """
-    if amplitude < 0.0:
-        raise ParameterError(f"amplitude must be >= 0, got {amplitude}")
-    if decay <= 0.0:
-        raise ParameterError(f"decay must be > 0, got {decay}")
-    if amplitude == 0.0:
-        return 0.0
-    if decay <= math.log1p(amplitude):
-        raise ConvergenceError(
-            f"total afterpulse diverges: decay {decay} <= ln(1+A) = "
-            f"{math.log1p(amplitude)}"
-        )
-    ratio = (1.0 + amplitude) * math.exp(-decay)
-    return amplitude * math.exp(-decay) / (1.0 - ratio)
+def _exponential_worst_total(amplitude: float, decay: float, depth: Optional[int]) -> float:
+    """Total afterpulse probability of the exponential profile of amplitude
+    ``amplitude`` > 0 when every history window fired: p_hat/(1-p_hat) for
+    unlimited history (``depth`` None), else :func:`total_afterpulse_finite`
+    over ``depth`` >= 1 windows.  An array of amplitudes gives an array."""
+    if depth is None:
+        return afterpulse_prob_infinite(_exponential_first_order_rate(amplitude, decay), 1.0)
+    return _cellwise(lambda a: total_afterpulse_finite(a, decay, depth), amplitude)
 
 
 def composition_total(coefficients: Sequence[float], windows: int) -> float:
@@ -290,12 +286,12 @@ class AfterpulseSpec:
         composition sum (closed form in exponential mode).  Not clamped.
         """
         depth = self.window_depth
-        if depth is None:
-            return afterpulse_prob_infinite(self.first_order_rate, 1.0)
         if self.mode == "exponential":
             if self.amplitude == 0.0 or depth == 0:
                 return 0.0
-            return total_afterpulse_finite(self.amplitude, self.decay, depth)
+            return _exponential_worst_total(self.amplitude, self.decay, depth)
+        if depth is None:
+            return afterpulse_prob_infinite(self.first_order_rate, 1.0)
         return composition_total(self.coefficients, depth)
 
     # -- serialization -----------------------------------------------------

@@ -25,21 +25,13 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector_model import (AfterpulseSpec, DetectorParams, _check_unit,
-                             _exponential_first_order_rate, afterpulse_prob_infinite,
-                             response_prob, response_prob_no_afterpulse,
-                             total_afterpulse_finite)
+from .detector_model import (AfterpulseSpec, DetectorParams, _cellwise, _check_unit,
+                             _exponential_worst_total, afterpulse_prob_infinite,
+                             response_prob, response_prob_no_afterpulse)
 from .errors import DegenerateError, ParameterError
 from .source_monitor import PhotonDistribution, vacuum_probability
 
 _LN2 = math.log(2.0)
-
-
-def _cellwise(fn, x):
-    """``fn`` of every cell of ``x`` as a Python float, if ``x`` is an array."""
-    if type(x) is not float and isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return fn(x)
 
 
 def _binary_entropy(x: float) -> float:
@@ -97,11 +89,7 @@ def worst_afterpulse_exponential(rates: np.ndarray, decay: float,
     total = np.zeros(rates.shape)
     live = rates > 0.0    # a zero rate has no afterpulsing, whatever the decay
     if depth != 0 and live.any():
-        amplitude = rates[live] * math.expm1(decay)
-        total[live] = (
-            afterpulse_prob_infinite(_exponential_first_order_rate(amplitude, decay), 1.0)
-            if depth is None else
-            _cellwise(lambda a: total_afterpulse_finite(a, decay, depth), amplitude))
+        total[live] = _exponential_worst_total(rates[live] * math.expm1(decay), decay, depth)
     return np.minimum(total, 1.0)
 
 
@@ -179,13 +167,26 @@ def _hmin_z_from_pairs(p1_0: float, p0_0: float, p1_1: float, p0_1: float) -> fl
     return -_cellwise(math.log2, _max_guess_ratio(p1_0, p0_0, p1_1, p0_1))
 
 
-def hmin_a(hmin_z: float, q_single: float, q_double: float, eq: float) -> float:
-    """Min-entropy per generation-basis pulse.
+def _bracket_of(hmin_z: float, q_single: float, q_double: float, eq: float,
+                theta: float) -> float:
+    """Per-pulse certified bits at the deviation ``theta``, before any
+    subtraction: (hmin_z Q_single + Q_double)(1 - h(min(EQ+theta, 1/2))) - Q_double.
 
-    [hmin_z * Q_single + Q_double] * [1 - h(EQ)] - Q_double.  May be negative;
-    rate formulas clamp at zero, this function reports the raw value.
+    Every argument broadcasts.  The caller checked EQ and theta is >= 0, so
+    a float argument of h lies in [0, 1/2] and goes to the unchecked kernel.
     """
-    return (hmin_z * q_single + q_double) * (1.0 - binary_entropy(eq)) - q_double
+    x = eq + theta
+    h = _binary_entropy(min(x, 0.5)) if type(x) is float else binary_entropy(np.minimum(x, 0.5))
+    return (hmin_z * q_single + q_double) * (1.0 - h) - q_double
+
+
+def hmin_a(hmin_z: float, q_single: float, q_double: float, eq: float) -> float:
+    """Min-entropy per generation-basis pulse, :func:`_bracket_of` at theta = 0:
+    [hmin_z * Q_single + Q_double] * [1 - h(min(EQ, 1/2))] - Q_double.  May be
+    negative; rate formulas clamp at zero, this function reports the raw value.
+    """
+    _check_unit("eq", eq)
+    return _bracket_of(hmin_z, q_single, q_double, eq, 0.0)
 
 
 def lagged_response_probs(det: DetectorParams, tau: float, lag: int) -> Tuple[float, float]:
@@ -205,7 +206,7 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int) -> Tuple[fl
     """
     p_b = response_prob_no_afterpulse(tau, det.dark_rate)
     spec = det.afterpulse
-    background = spec.first_order_rate / (1.0 - spec.first_order_rate) * p_b
+    background = afterpulse_prob_infinite(spec.first_order_rate, p_b)
     coeff = spec.coefficient(lag)
     p_ap_fired = background + coeff * (1.0 - p_b)
     p_ap_not = background - coeff * p_b
@@ -249,10 +250,10 @@ def prior_autocorrelation(det_0: DetectorParams, tau_0: float,
 def empirical_autocorrelation(bits, lag: int, mask=None) -> float:
     """Lag-``lag`` autocorrelation coefficient of a bit sequence.
 
-    Without ``mask``: sum_{j<=n-lag}(x_j - xbar)(x_{j+lag} - xbar) /
-    sum_j (x_j - xbar)^2 over the dense sequence.  With ``mask`` (validity per
-    index, e.g. single-click windows), pairs contribute only where both
-    entries are valid and the denominator runs over every valid entry, so the
+    sum (x_j - xbar)(x_{j+lag} - xbar) / sum (x_j - xbar)^2 over the entries
+    that ``mask`` marks valid (all of them without a mask, e.g. the
+    single-click windows with one): pairs contribute only where both entries
+    are valid and the denominator runs over every valid entry, so the
     estimate converges to the per-window prediction above.
     """
     x = np.asarray(bits, dtype=float)
@@ -260,17 +261,7 @@ def empirical_autocorrelation(bits, lag: int, mask=None) -> float:
         raise ParameterError("bit sequence must be one-dimensional")
     if lag < 1:
         raise ParameterError(f"lag must be >= 1, got {lag}")
-    if mask is None:
-        n = x.size
-        if n <= lag:
-            raise ParameterError(f"sequence of length {n} too short for lag {lag}")
-        xbar = x.mean()
-        d = x - xbar
-        denom = float(np.dot(d, d))
-        if denom == 0.0:
-            raise DegenerateError("constant sequence has undefined autocorrelation")
-        return float(np.dot(d[:-lag], d[lag:])) / denom
-    m = np.asarray(mask, dtype=bool)
+    m = np.ones(x.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if m.shape != x.shape:
         raise ParameterError("mask must have the same shape as the bit sequence")
     if m.size <= lag:

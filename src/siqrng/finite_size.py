@@ -20,10 +20,9 @@ from .entropy_engine import (
     ArmState,
     EntropyReport,
     TauSet,
-    _binary_entropy,
+    _bracket_of,
     _cellwise,
     _max_guess_ratio,
-    binary_entropy,
     click_probabilities,
     entropy_report_from_taus,
     measurement_taus,
@@ -141,29 +140,6 @@ def _log2_prefactor(eq: float, q_x: float, n_total: float) -> float:
         raise ParameterError(f"q_x(1-q_x) EQ(1-EQ) N underflows to {product} "
                              f"(EQ={eq}, q_x={q_x}, N={n_total})")
     return -0.5 * math.log2(product)
-
-
-def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float) -> float:
-    """Failure probability bound of the random-sampling deviation ``theta``.
-
-    (q_x(1-q_x) EQ(1-EQ) N)^(-1/2) * 2^(-n_x zeta(theta)) with n_x = q_x N.
-    """
-    if not (0.0 < eq < 0.5):
-        raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
-    if not (0.0 < q_x < 1.0):
-        raise ParameterError(f"q_x must lie in (0, 1), got {q_x}")
-    if not (n_total >= 1):
-        raise ParameterError(f"N must be >= 1, got {n_total}")
-    if theta < 0.0:
-        raise ParameterError(f"theta must be >= 0, got {theta}")
-    # With EQ + theta <= 1 and theta > 0, the mixture point EQ + (1-q_x) theta
-    # of the relative entropies stays below 1.
-    if eq + theta > 1.0:
-        raise ParameterError(f"theta must keep EQ + theta <= 1, got theta={theta} "
-                             f"with EQ={eq}")
-    log2_eps = (_log2_prefactor(eq, q_x, n_total)
-                - q_x * n_total * _zeta_exponent(eq, q_x, theta))
-    return 2.0**log2_eps
 
 
 def _zeta_slope(eq: float, q_x: float, theta: float) -> float:
@@ -365,22 +341,9 @@ def theta_entropy_inequality(n_z: float, n_x: float, eps_e: float) -> float:
 
 
 def _bracket(report: EntropyReport, theta: float) -> float:
-    """Per-pulse certified bits before any subtraction.
-
-    (hmin_z Q_single + Q_double)(1 - h(min(EQ+theta, 1/2))) - Q_double.
-    """
+    """Per-pulse certified bits of ``report`` before any subtraction
+    (:func:`entropy_engine._bracket_of`); its value at theta = 0 is hmin_a."""
     return _bracket_of(report.hmin_z, report.q_single, report.q_double, report.eq, theta)
-
-
-def _bracket_of(hmin_z: float, q_single: float, q_double: float, eq: float,
-                theta: float) -> float:
-    """:func:`_bracket` of the report fields; ``hmin_z``, ``q_single`` and
-    ``q_double`` broadcast.  The caller checked EQ and theta is >= 0, so a
-    float argument of h lies in [0, 1/2] and goes to the unchecked kernel.
-    """
-    x = min(eq + theta, 0.5)
-    h = _binary_entropy(x) if type(x) is float else binary_entropy(x)
-    return (hmin_z * q_single + q_double) * (1.0 - h) - q_double
 
 
 def _bits_after(n_z: float, report: EntropyReport, theta: float, cost: float) -> float:

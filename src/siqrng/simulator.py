@@ -28,7 +28,7 @@ from typing import BinaryIO, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .detector_model import AfterpulseSpec, DetectorParams
-from .errors import DegenerateError, ParameterError
+from .errors import ParameterError
 from .source_monitor import PhotonDistribution, bernoulli_transform
 
 # Stream identifiers; append only, never renumber.
@@ -851,21 +851,6 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
                        z_windows=z_windows, x_windows=x_windows,
                        n_single=n_single, n_double=n_double)
     return SimulationResult(clicks=clicks, bits=stream, eq_empirical=eq_hat)
-
-
-# ---------------------------------------------------------------------------
-# Empirical statistics
-
-
-def empirical_click_stats(clicks: ClickRecords) -> Tuple[float, float, int]:
-    """(single-click ratio, double-click ratio, window count) in the Z basis."""
-    z = ~clicks.basis_is_x
-    n = int(z.sum())
-    if n == 0:
-        raise DegenerateError("no generation-basis windows")
-    single = int((clicks.d0[z] ^ clicks.d1[z]).sum())
-    double = int((clicks.d0[z] & clicks.d1[z]).sum())
-    return single / n, double / n, n
 
 
 def z_window_bits(clicks: ClickRecords) -> Tuple[np.ndarray, np.ndarray]:

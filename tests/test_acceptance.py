@@ -18,7 +18,6 @@ from siqrng import (
     simulate,
     theta_random_sampling,
     total_afterpulse_finite,
-    total_afterpulse_infinite,
 )
 from siqrng.entropy_engine import (
     autocorrelation_stderr,
@@ -31,12 +30,13 @@ from siqrng.entropy_engine import (
 from siqrng.finite_size import (
     _bracket,
     hmin_with_tau_uncertainty,
-    random_sampling_epsilon,
     scenario_from_params,
 )
-from siqrng.simulator import empirical_click_stats, z_window_bits
+from siqrng.simulator import z_window_bits
 
 from conftest import brute_force_composition_total, make_detectors
+from references import (empirical_click_stats, random_sampling_epsilon,
+                        total_afterpulse_infinite)
 
 ETA = 0.1
 DARK = 6e-7

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siqrng import cli, finite_size
+from siqrng import cli, finite_size, poisson_distribution
 from siqrng.cli import main
 from siqrng.detector_model import AfterpulseSpec, detector_set
 from siqrng.entropy_engine import (ArmState, entropy_report_from_taus,
@@ -153,13 +153,21 @@ class TestHmin:
         (["--eta", "1.02"], "efficiency must lie in [0, 1], got 1.02"),
         (["--eta", "1.5"], "efficiency must lie in [0, 1], got 1.5"),
         (["--e-d", "1"], "dark_rate must lie in [0, 1), got 1.0"),
-        # the first row whose eta_1 = ratio * eta leaves [0, 1] names the fault
+        # the end of the ratio grid whose eta_1 = ratio * eta leaves [0, 1]
+        # names the fault, with the flags that set it
         (["--sweep", "efficiency", "--ratio-max", "15"],
-         "efficiency must lie in [0, 1], got 1.02875"),
+         '--ratio-max 15.0 times --eta 0.1 gives detector "1" the efficiency 1.5, '
+         "outside [0, 1]"),
         (["--sweep", "efficiency", "--ratio-max", "25"],
-         "efficiency must lie in [0, 1], got 1.03"),
+         '--ratio-max 25.0 times --eta 0.1 gives detector "1" the efficiency 2.5, '
+         "outside [0, 1]"),
         (["--sweep", "efficiency", "--ratio-min", "-1"],
-         "efficiency must lie in [0, 1], got -0.1"),
+         '--ratio-min -1.0 times --eta 0.1 gives detector "1" the efficiency -0.1, '
+         "outside [0, 1]"),
+        # any eta above 2/3 at the default ratio_max 1.5
+        (["--sweep", "efficiency", "--eta", "0.9"],
+         '--ratio-max 1.5 times --eta 0.9 gives detector "1" the efficiency 1.35, '
+         "outside [0, 1]"),
         # a nonzero afterpulse rate needs a decay to shape its profile
         (["--omega", "0", "--points", "3"], "decay must be > 0, got 0.0"),
         (["--omega", "-0.5"], "decay must be > 0, got -0.5"),
@@ -184,6 +192,24 @@ class TestHmin:
         monkeypatch.setattr(AfterpulseSpec, "worst_case_total", counted)
         assert run(["hmin", "--points", "2001", "--out-dir", str(tmp_path)]) == 0
         assert len(calls) <= 4
+
+    def test_eq_above_half_cells_are_the_bracket_at_zero_theta(self, tmp_path):
+        # e_q = 1 routes every check-basis photon to "-", so EQ is about 0.95
+        assert run(["hmin", "--e-q", "1", "--eta", "0.6", "--nu", "5", "--points", "2",
+                    "--out-dir", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "hmin_afterpulse.csv")
+        e_d = 6e-7
+        taus = measurement_taus(poisson_distribution(5.0),
+                                detector_set(0.6, e_d, AfterpulseSpec.none()), 1.0)
+        for p_hat, *cells in rows:
+            totals = [0.0] + [worst_afterpulse(AfterpulseSpec.exponential_from_rate(
+                p_hat, 0.001, depth)) for depth in (None, 1000)]
+            for cell, w in zip(cells, totals):
+                report = make_entropy_report(
+                    ArmState.from_totals(taus.tau_0, e_d, w, taus.tau_1, e_d, w),
+                    ArmState.from_totals(taus.tau_plus, e_d, w, taus.tau_minus, e_d, w))
+                assert report.eq > 0.5
+                assert cell == finite_size._bracket(report, 0.0)
 
     @pytest.mark.parametrize("omega", ["0", "-1", "1000"])
     def test_zero_rate_sweep_ignores_the_decay(self, tmp_path, omega):
@@ -242,6 +268,18 @@ class TestRates:
 
 
 class TestFiniteSampling:
+    def test_eq_above_half_monitored_value_tends_to_the_exact_one(self, tmp_path):
+        # EQ is about 0.95, where h(EQ) < h(1/2) = 1
+        assert run(["finite-sampling", "--e-q", "1", "--eta", "0.6", "--nu", "5",
+                    "--length-min", "1e5", "--length-max", "1e9",
+                    "--out-dir", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "finite_sampling.csv")
+        for _, _, h_fs, h_il, h_fs_ap, h_il_ap in rows:
+            assert h_fs <= h_il and h_fs_ap <= h_il_ap
+        # and the monitored value tends to the exact one as the samples grow
+        assert 0.0 < rows[-1][3] - rows[-1][2] < 1e-3
+        assert 0.0 < rows[-1][5] - rows[-1][4] < 1e-3
+
     def test_gap_shrinks(self, tmp_path):
         assert run(["finite-sampling", "--out-dir", str(tmp_path), "--points",
                     "4", "--grid-points", "17"]) == 0

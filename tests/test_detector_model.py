@@ -14,11 +14,11 @@ from siqrng import (
     response_prob,
     response_prob_no_afterpulse,
     total_afterpulse_finite,
-    total_afterpulse_infinite,
 )
 from siqrng.detector_model import composition_total
 
 from conftest import brute_force_composition_total
+from references import total_afterpulse_infinite
 
 
 class TestResponseProbNoAfterpulse:

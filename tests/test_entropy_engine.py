@@ -39,6 +39,7 @@ from siqrng.entropy_engine import (
 )
 
 from conftest import make_detectors
+from references import dense_autocorrelation
 
 
 def hmin_z(det_0, tau_0, det_1, tau_1):
@@ -265,10 +266,11 @@ class TestEmpiricalAutocorrelation:
     def test_masked_matches_dense_on_full_mask(self):
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=5000)
-        dense = empirical_autocorrelation(bits, 3)
+        dense = dense_autocorrelation(bits, 3)
         masked = empirical_autocorrelation(bits, 3, mask=np.ones(5000, dtype=bool))
         # the masked numerator skips nothing on a full mask
         assert masked == pytest.approx(dense, rel=1e-12)
+        assert empirical_autocorrelation(bits, 3) == pytest.approx(dense, rel=1e-12)
 
     def test_masked_ignores_invalid_entries(self):
         bits = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=float)

@@ -38,12 +38,12 @@ from siqrng.finite_size import (
     _zeta_slope,
     hmin_with_tau_uncertainty,
     loss_grid,
-    random_sampling_epsilon,
     scenario_from_params,
 )
 from siqrng.source_monitor import clipped_interval, hoeffding_delta
 
 from conftest import make_detectors
+from references import random_sampling_epsilon
 
 
 def simple_report(hmin_z=0.9, q_single=0.4, q_double=0.1, eq=0.01):
@@ -444,6 +444,23 @@ class TestRates:
             values = [_bits_after(1e9, report, th, cost)
                       for th in (0.0, 1e-5, 1e-3, 0.05, 0.3, 0.49)]
             assert values == sorted(values, reverse=True)
+
+
+class TestHminAIsTheBracketAtZeroTheta:
+    @pytest.mark.parametrize("above_half", [False, True])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bit_for_bit(self, above_half, data):
+        inside, edge = st.floats(0.01, 0.99), st.floats(0.9, 1.0)
+        tau_plus, tau_minus = (edge, st.floats(0.0, 0.1)) if above_half else (inside, edge)
+        e_d, worst = data.draw(st.floats(0.0, 0.01)), data.draw(st.floats(0.0, 0.05))
+        z_arm = ArmState.from_totals(data.draw(inside), e_d, worst, data.draw(inside), e_d,
+                                     worst)
+        x_arm = ArmState.from_totals(data.draw(tau_plus), e_d, worst, data.draw(tau_minus),
+                                     e_d, worst)
+        report = make_entropy_report(z_arm, x_arm)
+        assert (report.eq > 0.5) == above_half
+        assert report.hmin_a == _bracket(report, 0.0)
 
 
 class TestSecurityParams:

@@ -25,9 +25,10 @@ from siqrng.entropy_engine import (
     x_basis_error,
 )
 from siqrng import simulator
-from siqrng.simulator import ClickRecords, empirical_click_stats
+from siqrng.simulator import ClickRecords
 
 from conftest import make_detectors
+from references import empirical_click_stats
 
 VACUUM = PhotonDistribution(probs=np.array([1.0]))
 
