@@ -93,6 +93,14 @@ def _exponential_first_order_rate(amplitude: float, decay: float,
     return amplitude * e * (1.0 - e**depth) / (1.0 - e)
 
 
+def _amplitude_of(rate, decay: float):
+    """Amplitude rate*(e^decay - 1) whose unlimited-history first-order rate is ``rate``."""
+    try:
+        return rate * math.expm1(decay)
+    except OverflowError:
+        raise ParameterError(f"decay {decay} is too large: e^decay - 1 overflows") from None
+
+
 def afterpulse_coeff(amplitude: float, decay: float, lag: int) -> float:
     """First-order coefficient A*exp(-j*omega) for the window ``lag`` back.
 
@@ -253,8 +261,7 @@ class AfterpulseSpec:
             return cls.none()
         if not decay > 0.0:
             raise ParameterError(f"decay must be > 0, got {decay}")
-        amplitude = first_order_rate * math.expm1(decay)
-        return cls.exponential(amplitude, decay, window_depth)
+        return cls.exponential(_amplitude_of(first_order_rate, decay), decay, window_depth)
 
     # -- derived quantities ------------------------------------------------
 

@@ -25,8 +25,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector_model import (AfterpulseSpec, DetectorParams, _cellwise, _check_unit,
-                             _exponential_worst_total, afterpulse_prob_infinite,
+from .detector_model import (AfterpulseSpec, DetectorParams, _amplitude_of, _cellwise,
+                             _check_unit, _exponential_worst_total, afterpulse_prob_infinite,
                              response_prob, response_prob_no_afterpulse)
 from .errors import DegenerateError, ParameterError
 from .source_monitor import PhotonDistribution, vacuum_probability
@@ -89,7 +89,7 @@ def worst_afterpulse_exponential(rates: np.ndarray, decay: float,
     total = np.zeros(rates.shape)
     live = rates > 0.0    # a zero rate has no afterpulsing, whatever the decay
     if depth != 0 and live.any():
-        total[live] = _exponential_worst_total(rates[live] * math.expm1(decay), decay, depth)
+        total[live] = _exponential_worst_total(_amplitude_of(rates[live], decay), decay, depth)
     return np.minimum(total, 1.0)
 
 

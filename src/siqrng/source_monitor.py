@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ParameterError
 
 _SUM_TOL = 1e-12
+_MAX_NU = 1e5    # poisson_distribution builds 10 nu + 51 cells; a larger nu is refused first
 # Rows of the power matrix per block in vacuum_probability: 256 rows of
 # 551 photon numbers (nu = 50) are about 1.1 MB.
 _POWER_ROWS = 256
@@ -124,6 +125,8 @@ def poisson_distribution(nu: float) -> PhotonDistribution:
     """
     if not (0.0 <= nu < math.inf):
         raise ParameterError(f"mean photon number must be finite and >= 0, got {nu}")
+    if nu > _MAX_NU:
+        raise ParameterError(f"mean photon number nu = {nu!r} is above the bound {_MAX_NU:g}")
     n = np.arange(default_poisson_truncation(nu) + 1)
     if nu == 0.0:
         xlogy = np.full(n.size, -np.inf)

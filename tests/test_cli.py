@@ -889,6 +889,21 @@ class TestConfigHandling:
             "at this nu\n")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["hmin", "--omega", "1000", "--points", "3"],
+        ["simulate", "--pulses", "1000", "--p-hat", "0.05", "--omega", "800"],
+        ["rates", "--omega", "710", "--points", "2"],
+        ["finite-sampling", "--omega", "710", "--points", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_decay_whose_amplitude_overflows_is_named(self, tmp_path, capsys, argv):
+        # e^decay - 1 overflows a float above ln(DBL_MAX), about 709.78
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", str(out)]) == 2
+        omega = float(argv[argv.index("--omega") + 1])
+        assert capsys.readouterr().err == (
+            f"siqrng: error: decay {omega} is too large: e^decay - 1 overflows\n")
+        assert list(out.iterdir()) == []
+
     def test_nu_whose_pmf_sums_short_of_one_is_named(self, tmp_path, capsys):
         # the Poisson pmf of mean 6000 sums to 1 - 6.2e-12, with a tail below 2^-107
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,14 @@ class TestPoisson:
         # inf used to overflow while sizing the truncation
         with pytest.raises(ParameterError, match="must be finite and >= 0"):
             poisson_distribution(nu)
+
+    def test_rejects_huge_mean_before_building_the_pmf(self):
+        # the pmf peaks at about 0.1 GB at nu = 1e5 and grows linearly in nu
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=r"^mean photon number nu = 10000000.0 is "
+                                                 r"above the bound 100000$"):
+            poisson_distribution(1e7)
+        assert time.perf_counter() - start < 1.0
 
     @staticmethod
     def scipy_stats_poisson(nu, n_max):
