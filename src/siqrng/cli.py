@@ -458,9 +458,14 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     unknown command is named, but only the invoked one gets its options:
     adding all of them costs a few milliseconds per run.  The command is the
     first token of ``argv`` that names one, since no top-level option takes
-    a value.
+    a value.  Each command's parser is built on its first use and then kept,
+    so a process that runs many commands builds at most six parsers.
     """
-    command = next((token for token in argv if token in _DEFAULTS), None)
+    return _command_parser(next((token for token in argv if token in _DEFAULTS), None))
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(command: Optional[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="siqrng",
         description="Security modeling and simulation for source-independent "
@@ -552,6 +557,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "outputs": [path.name for path in outputs],
             "manifest_hash": manifest_hash,
             "duration_s": time.monotonic() - started,
+            # Seeded bytes rest on NumPy's Philox words and binomial
+            # algorithm, so the version that drew them is recorded, unhashed.
+            "numpy": np.__version__,
         })
         for path in outputs + [manifest_path]:
             print(path)

@@ -101,15 +101,17 @@ def _amplitude_of(rate, decay: float):
         raise ParameterError(f"decay {decay} is too large: e^decay - 1 overflows") from None
 
 
-def afterpulse_coeff(amplitude: float, decay: float, lag: int) -> float:
+def afterpulse_coeff(amplitude: float, decay: float, lag):
     """First-order coefficient A*exp(-j*omega) for the window ``lag`` back.
 
     ``decay`` is the ratio of gating time to de-trapping lifetime; the
     exponent uses the lag index, consistent with the geometric sums below.
+    An integer array of lags gives an array, each entry the float that its
+    lag gives alone.
     """
-    if lag < 1:
-        raise ParameterError(f"lag must be >= 1, got {lag}")
-    return amplitude * math.exp(-lag * decay)
+    if np.any(np.less(lag, 1)):
+        raise ParameterError(f"lag must be >= 1, got {np.min(lag)}")
+    return amplitude * _cellwise(math.exp, -lag * decay)
 
 
 def total_afterpulse_finite(amplitude: float, decay: float, windows: int) -> float:

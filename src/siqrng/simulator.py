@@ -16,6 +16,7 @@ reproducible for a fixed config, whose ``seed`` is the master seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from typing import BinaryIO, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .detector_model import AfterpulseSpec, DetectorParams
+from .detector_model import AfterpulseSpec, DetectorParams, afterpulse_coeff
 from .errors import ParameterError
 from .source_monitor import PhotonDistribution, bernoulli_transform
 
@@ -56,9 +57,12 @@ def _check_seed(name: str, seed: int) -> None:
         raise ParameterError(f"{name} must lie in [0, 2^64), got {seed}")
 
 
-def _stream(seed: int, stream_id: int, chunk: int) -> np.random.Generator:
+def _stream(seed: int, stream_id: int, chunk: int) -> np.random.Philox:
+    """The keyed Philox bit generator of one purpose and chunk.  Every draw
+    is a function of its ``random_raw()`` words, whose sequence NumPy keeps
+    stable across versions (NEP 19), unlike that of ``Generator`` methods."""
     key = np.array([seed, ((stream_id << 32) | chunk) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
 
 
 def _stream_bits(seed: int, stream_id: int, chunk: int, size: int) -> np.ndarray:
@@ -69,7 +73,7 @@ def _stream_bits(seed: int, stream_id: int, chunk: int, size: int) -> np.ndarray
     it takes the bytes of 32-bit halves, low half first, and maps each to
     its top bit.
     """
-    words = _stream(seed, stream_id, chunk).bit_generator.random_raw(-(-size // 8))
+    words = _stream(seed, stream_id, chunk).random_raw(-(-size // 8))
     return words.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
 
 
@@ -270,13 +274,16 @@ class SimulationResult(NamedTuple):
 
 
 def _coefficient_array(spec: AfterpulseSpec) -> np.ndarray:
-    depth = spec.window_depth
-    if depth is None or depth == 0:
-        return np.zeros(0)
-    coeffs = np.array([spec.coefficient(j) for j in range(1, depth + 1)])
-    while coeffs.size and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-    return coeffs
+    """``spec.coefficient(j)`` for j = 1 .. depth, trailing zeros cut, as
+    one array expression."""
+    depth = spec.window_depth or 0
+    if spec.mode == "exponential":
+        coeffs = afterpulse_coeff(spec.amplitude, spec.decay, np.arange(1, depth + 1))
+    else:
+        coeffs = np.zeros(depth)
+        listed = spec.coefficients[:depth]
+        coeffs[:len(listed)] = listed
+    return coeffs[:np.flatnonzero(coeffs)[-1] + 1] if coeffs.any() else coeffs[:0]
 
 
 def _survival_floor(coeffs: np.ndarray) -> float:
@@ -422,14 +429,16 @@ def _afterpulse_pass(base: np.ndarray, cand: np.ndarray, u_cand: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Exact inversion by guide tables
+# Draws as integer comparisons, and exact inversion by guide tables
 #
-# Generator.random and Generator.binomial both read a uniform as u = m * 2^-53
-# with m = random_raw() >> 11.  A draw that is a non-decreasing step function
-# of u is the number of its thresholds at or below m: a few array passes over
-# a table built once, in place of a binary search or a per-window recurrence.
-# (L. Devroye, Non-Uniform Random Variate Generation, 1986, III.2; the guide
-# table of H.-C. Chen and Y. Asau, AIIE Trans. 6, 163 (1974).)
+# NumPy's float uniform and Generator.binomial both read a uniform as
+# u = m * 2^-53 with m = random_raw() >> 11.  A uniform compared with p is m
+# compared with an integer threshold (_threshold), and a draw that is a
+# non-decreasing step function of u is the number of its thresholds at or
+# below m: a few array passes over a table built once, in place of a binary
+# search or a per-window recurrence.  (L. Devroye, Non-Uniform Random Variate
+# Generation, 1986, III.2; the guide table of H.-C. Chen and Y. Asau, AIIE
+# Trans. 6, 163 (1974).)
 
 _M_SHIFT = 11
 _M_END = 1 << 53                 # a threshold that no m reaches
@@ -504,11 +513,19 @@ def _m(raw: np.ndarray) -> np.ndarray:
     return raw.view(np.int64)
 
 
+def _threshold(p) -> np.ndarray:
+    """``ceil(p * 2^53)`` as int64, for p >= 0, or every p of an array, up
+    to 2^10: the m with ``m * 2^-53 < p`` are exactly those below it.
+    ``p * 2^53`` is exact, and for an integer m and a real x, m < x exactly
+    where m < ceil(x)."""
+    return np.ceil(np.multiply(p, 2.0**53)).astype(np.int64)
+
+
 def _photon_inversion(cdf: np.ndarray) -> _Inversion:
     """``min(searchsorted(cdf, u, "right"), cdf.size - 1)`` as a count over
-    m: ``cdf[j] <= m * 2^-53`` exactly where ``ceil(cdf[j] * 2^53) <= m``
-    (the product is exact), and leaving out the last entry caps the count."""
-    return _inversion([np.ceil(cdf[:-1] * 2.0**53).astype(np.int64)])
+    m: ``cdf[j] <= m * 2^-53`` exactly where ``_threshold(cdf[j]) <= m``, and
+    leaving out the last entry caps the count."""
+    return _inversion([_threshold(cdf[:-1])])
 
 
 class _BinomialInversion:
@@ -528,8 +545,9 @@ class _BinomialInversion:
     tau_{n,bound+1}.  The chain is evaluated in the same double operations,
     with ``math.exp`` and ``math.log`` from the C library NumPy calls.
 
-    Rows are built lazily, up to the largest n a chunk draws; chunks drawn in
-    threads share the table under a lock.
+    Rows are built lazily, up to the largest n a chunk draws, and kept: one
+    table per p serves every run of the process (:func:`_binomial_inversion`),
+    and chunks and runs drawn in threads share it under a lock.
     """
 
     def __init__(self, p: float):
@@ -568,7 +586,7 @@ class _BinomialInversion:
             while (fits := (lower := np.nextafter(u, -np.inf)) - c >= target).any():
                 u[fits] = lower[fits]
             least[:, j + 1:] = u
-        taus = np.minimum(np.ceil(least * 2.0**53), float(_M_END)).astype(np.int64)
+        taus = np.minimum(_threshold(least), _M_END)
         return [row[:bound + 1] for row, bound in zip(taus, bounds)]
 
     def tables(self, top: int) -> Tuple[_Inversion, int]:
@@ -582,9 +600,17 @@ class _BinomialInversion:
             return self._tables, restart
 
 
+@functools.lru_cache(maxsize=4)
 def _binomial_inversion(p: float) -> Optional[_BinomialInversion]:
     """p's inversion table, or None where NumPy does not invert (p = 0 or
-    p > 1/2: it returns 0 without a draw, or inverts at 1 - p)."""
+    p > 1/2: it returns 0 without a draw, or inverts at 1 - p).
+
+    Its rows are a function of (n, p) alone, so each p's table is kept for
+    the process: p = 1/2 (the Z split) and the last three misalignments.  A
+    table holds at most 256 rows of at most 86 thresholds, and its guide at
+    most 256 * 4096 one-byte counts: 1.4 MB at its largest (p near 0.12),
+    so the cache holds under 6 MB.
+    """
     return _BinomialInversion(p) if 0.0 < p <= 0.5 else None
 
 
@@ -594,7 +620,7 @@ def _photon_counts(seed: int, chunk: int, count: int, cdf_z: np.ndarray,
     each ``min(searchsorted(cdf, u, "right"), cdf.size - 1)`` exactly."""
     invs = [_photon_inversion(cdf) for cdf in ((cdf_z,) if cdf_x is cdf_z else (cdf_z, cdf_x))]
     counts = [np.empty(count, dtype=np.min_scalar_type(inv.width - 1)) for inv in invs]
-    bits = _stream(seed, STREAM_PHOTON, chunk).bit_generator
+    bits = _stream(seed, STREAM_PHOTON, chunk)
     for lo in range(0, count, _BLOCK):
         m = _m(bits.random_raw(min(_BLOCK, count - lo)))
         for out, inv in zip(counts, invs):
@@ -604,7 +630,8 @@ def _photon_counts(seed: int, chunk: int, count: int, cdf_z: np.ndarray,
 
 def _binomial(seed: int, stream_id: int, chunk: int, n: np.ndarray, p: float,
               inversion: Optional[_BinomialInversion], where=None) -> np.ndarray:
-    """``_stream(seed, stream_id, chunk).binomial(n, p)``, by table lookup.
+    """``Generator(_stream(seed, stream_id, chunk)).binomial(n, p)``, by table
+    lookup.
 
     ``inversion`` is :func:`_binomial_inversion` of p.  The lookup reads the
     same uniforms as NumPy, so it is exact unless NumPy would read others:
@@ -617,7 +644,7 @@ def _binomial(seed: int, stream_id: int, chunk: int, n: np.ndarray, p: float,
     """
     if inversion is not None and (top := int(n.max())) <= inversion.n_limit:
         inv, restart = inversion.tables(top)
-        bits = _stream(seed, stream_id, chunk).bit_generator
+        bits = _stream(seed, stream_id, chunk)
         drawn = n > 0
         out = np.zeros(n.size, dtype=n.dtype)
         for lo in range(0, n.size, _BLOCK):
@@ -633,7 +660,7 @@ def _binomial(seed: int, stream_id: int, chunk: int, n: np.ndarray, p: float,
                 out[span][w] = _count_at_or_below(inv, m[w], n[span][w])
         else:
             return out
-    return _stream(seed, stream_id, chunk).binomial(n, p)
+    return np.random.Generator(_stream(seed, stream_id, chunk)).binomial(n, p)
 
 
 class _ChunkDraws(NamedTuple):
@@ -651,22 +678,37 @@ class _ChunkDraws(NamedTuple):
     fill: np.ndarray
 
 
+class _Thresholds(NamedTuple):
+    """A run's uniform comparisons as :func:`_threshold` of their p.
+
+    ``basis`` is that of the X-basis fraction; per detector (0, 1, +, -),
+    ``click[k][j]`` that of its click probability with j photons, ``dark[k]``
+    that of its dark rate and ``afterpulse[k]`` that of its ``1 - P_all``.
+    """
+
+    basis: np.ndarray
+    click: Tuple[np.ndarray, ...]
+    dark: Tuple[np.ndarray, ...]
+    afterpulse: Tuple[np.ndarray, ...]
+
+
 def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
-                 cdf_z: np.ndarray, cdf_x: np.ndarray, click_tables,
-                 ap_limits, binomials) -> _ChunkDraws:
+                 cdf_z: np.ndarray, cdf_x: np.ndarray, thresholds: _Thresholds,
+                 binomials) -> _ChunkDraws:
     """All randomness of one chunk, drawn from its keyed streams.
 
     The basis, signal, dark and afterpulse streams are each drawn ``_BLOCK``
-    windows at a time into one reused buffer, and each block is reduced
-    before the next draw overwrites it.
-    ``click_tables[k][j]`` is detector k's click probability with j photons
-    and ``ap_limits[k]`` its ``1 - P_all``; where that is 0 no window can
-    afterpulse, and the stream is not drawn.
+    windows at a time as raw words, and each block is reduced before the
+    next is drawn.  A uniform u = m * 2^-53 lies below p exactly where its m
+    = ``random_raw() >> 11`` lies below :func:`_threshold` of p, so each
+    comparison is one of integers against ``thresholds`` that decides as the
+    float comparison would.  Where a detector's afterpulse threshold is 0 no window
+    can afterpulse, and the stream is not drawn; the candidates' draws are
+    kept as the floats m * 2^-53, which are exact.
 
     The photon counts, the split of Z photons between "0" and "1" and the
-    misaligned X photons are exact table inversions of each uniform's 53-bit
-    integer m = ``random_raw() >> 11``, the m from which ``Generator.random``
-    and ``Generator.binomial`` form u = m * 2^-53 (:func:`_photon_counts`,
+    misaligned X photons are exact table inversions of the same m, from
+    which ``Generator.binomial`` also forms u (:func:`_photon_counts`,
     :func:`_binomial`).  ``binomials`` holds the :class:`_BinomialInversion`
     of p = 1/2 and of the misalignment, or None.  Exactness rests on three
     things: the lookups read the same m; the binomial tables replay NumPy's
@@ -678,17 +720,16 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     signal.
     """
     spans = [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
-    u = np.empty(spans[0].stop)
 
     def draws(stream_id: int):
-        """The stream's uniforms, one span at a time, each drawn into ``u``."""
-        stream = _stream(seed, stream_id, chunk)
+        """The stream's m, one span at a time."""
+        bits = _stream(seed, stream_id, chunk)
         for span in spans:
-            yield span, stream.random(out=u[:span.stop - span.start])
+            yield span, _m(bits.random_raw(span.stop - span.start))
 
     is_x = np.empty(count, dtype=bool)
-    for span, v in draws(STREAM_BASIS):
-        np.less(v, config.x_fraction, out=is_x[span])
+    for span, m in draws(STREAM_BASIS):
+        np.less(m, thresholds.basis, out=is_x[span])
     is_z = ~is_x
     n_z, n_x = _photon_counts(seed, chunk, count, cdf_z, cdf_x)
     split, flip = binomials
@@ -699,22 +740,23 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     photons = (lambda: n_0, lambda: n_z - n_0, lambda: n_x - n_minus, lambda: n_minus)
     arms = (is_z, is_z, is_x, is_x)
     base, cand, u_cand = [], [], []
-    for k, det in enumerate(config.dets):
-        n_k, table = photons[k](), click_tables[k]
+    for k in range(4):
+        n_k, table = photons[k](), thresholds.click[k]
+        dark, limit = thresholds.dark[k], thresholds.afterpulse[k]
         fired = np.empty(count, dtype=bool)
-        for span, v in draws(STREAM_SIGNAL[k]):
+        for span, m in draws(STREAM_SIGNAL[k]):
             # take() is several times slower with indices narrower than intp.
-            np.less(v, table.take(n_k[span].astype(np.intp)), out=fired[span])
+            np.less(m, table.take(n_k[span].astype(np.intp)), out=fired[span])
         # A detector of the other arm holds no photons: click probability 0.
         fired &= arms[k]
-        for span, v in draws(STREAM_DARK[k]):
-            fired[span] |= v < det.dark_rate
+        for span, m in draws(STREAM_DARK[k]):
+            fired[span] |= m < dark
         base.append(fired)
         hits, u_hits = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-        if ap_limits[k] > 0.0:
-            for span, v in draws(STREAM_AFTERPULSE[k]):
-                hit = np.flatnonzero(v < ap_limits[k])
-                u_hits.append(v[hit])
+        if limit > 0:
+            for span, m in draws(STREAM_AFTERPULSE[k]):
+                hit = np.flatnonzero(m < limit)
+                u_hits.append(m[hit] * 2.0**-53)
                 hits.append(hit + span.start)
         cand.append(np.concatenate(hits))
         u_cand.append(np.concatenate(u_hits))
@@ -789,28 +831,31 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
     the result does not depend on the thread count.
 
     Memory.  Beyond the result, which grows with the pulse count, one thread
-    holds one chunk at a time: while it is drawn a float buffer of
-    ``_BLOCK`` windows and a few one-byte arrays of one entry per window,
+    holds one chunk at a time: while it is drawn one block of ``_BLOCK`` raw
+    words and a few one-byte arrays of one entry per window,
     then its reduced draws, about 6 bytes per window plus 16 per afterpulse
     candidate, and the arrays of its afterpulse passes.  The chunk's click
     columns and raw bits are written by index, from the X windows and from
     the Z windows with a click.  With ``threads`` > 1 up to ``threads``
     chunks are in flight: each holds its reduced draws, and each one being
-    drawn its own buffer and one-byte arrays.
+    drawn its own block and one-byte arrays.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     dets = config.dets
     spec_coeffs = {spec: _coefficient_array(spec) for spec in {det.afterpulse for det in dets}}
     coeffs = [spec_coeffs[det.afterpulse] for det in dets]
-    ap_limits = [1.0 - _survival_floor(c) for c in coeffs]
     carries = [np.zeros(c.size, dtype=bool) for c in coeffs]
 
     cdf_z = _photon_cdf(config.source, config.t_z)
     cdf_x = (cdf_z if config.t_x == config.t_z
              else _photon_cdf(config.source, config.t_x))
     photon_range = np.arange(max(cdf_z.size, cdf_x.size))
-    click_tables = [_click_prob(det.efficiency, photon_range) for det in dets]
+    thresholds = _Thresholds(
+        basis=_threshold(config.x_fraction),
+        click=tuple(_threshold(_click_prob(det.efficiency, photon_range)) for det in dets),
+        dark=tuple(_threshold(det.dark_rate) for det in dets),
+        afterpulse=tuple(_threshold(1.0 - _survival_floor(c)) for c in coeffs))
     binomials = (_binomial_inversion(0.5), _binomial_inversion(config.misalignment))
 
     n_pulses = config.pulses
@@ -821,7 +866,7 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
 
     def draws_for(chunk: int) -> _ChunkDraws:
         return _chunk_draws(config, config.seed, chunk, chunk_counts[chunk], cdf_z, cdf_x,
-                            click_tables, ap_limits, binomials)
+                            thresholds, binomials)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     parts, totals = [], (0,) * 6

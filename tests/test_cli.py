@@ -487,6 +487,61 @@ class TestSharedTaus:
                 assert (shared / name).read_bytes() == (own / name).read_bytes(), name
 
 
+SEEDED_FILES = ("clicks.csv", "bits.bin", "bits.json", "extracted.bin")
+
+
+def seeded_digests(out_dir):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in SEEDED_FILES}
+
+
+class TestInProcessReuse:
+    """The binomial tables and the parsers are kept for the process; a run
+    writes the bytes of a fresh interpreter whatever ran before it.  B draws
+    more photons than A at another misalignment, so it grows the p = 1/2
+    table that A then reads, and both runs span two chunks."""
+
+    A = ["simulate", "--pulses", "300000", "--nu", "1", "--e-q", "0.02",
+         "--window-depth", "2", "--p-hat", "0.05", "--q-x", "0.1", "--seed", "5"]
+    B = ["simulate", "--pulses", "300000", "--nu", "6", "--e-q", "0.3",
+         "--window-depth", "40", "--p-hat", "0.05", "--q-x", "0.1", "--seed", "5"]
+
+    @staticmethod
+    def fresh_digests(argv, out_dir):
+        import os
+        import subprocess
+        import sys
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "siqrng.cli", *argv, "--out-dir",
+                               str(out_dir)], capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert done.returncode == 0, done.stderr
+        return seeded_digests(out_dir)
+
+    def test_runs_in_one_process_match_fresh_interpreters(self, tmp_path):
+        want = {"A": self.fresh_digests(self.A, tmp_path / "fresh_A"),
+                "B": self.fresh_digests(self.B, tmp_path / "fresh_B")}
+        for i, name in enumerate("ABA"):
+            out = tmp_path / f"{i}_{name}"
+            assert run(getattr(self, name) + ["--out-dir", str(out)]) == 0
+            assert seeded_digests(out) == want[name], (i, name)
+
+    def test_two_threads_after_one_write_the_same_bytes(self, tmp_path):
+        for threads in ("1", "2"):
+            assert run(self.B + ["--threads", threads, "--out-dir", str(tmp_path / threads)]) == 0
+        assert seeded_digests(tmp_path / "1") == seeded_digests(tmp_path / "2")
+
+    def test_good_run_after_rejected_ones(self, tmp_path, capsys):
+        assert run(self.A + ["--out-dir", str(tmp_path / "before")]) == 0
+        with pytest.raises(SystemExit) as exc:      # argparse rejects the flag's value
+            run(["simulate", "--pulses", "many", "--out-dir", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert run(["simulate", "--seed", "-1", "--out-dir", str(tmp_path / "bad")]) == 2
+        assert run(self.A + ["--out-dir", str(tmp_path / "after")]) == 0
+        assert seeded_digests(tmp_path / "after") == seeded_digests(tmp_path / "before")
+        capsys.readouterr()
+
+
 class TestSimulateCommand:
     def test_outputs_and_reproducibility(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -665,7 +720,10 @@ class TestRunRecord:
     ], ids=lambda v: "_".join(v).replace("-", "") if isinstance(v, list) else None)
     def test_default_manifest_hashes_are_pinned(self, tmp_path, argv, mhash):
         assert run(argv + ["--out-dir", str(tmp_path)]) == 0
-        assert json.loads((tmp_path / "manifest.json").read_text())["manifest_hash"] == mhash
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["manifest_hash"] == mhash
+        # recorded to tell hosts apart, outside the hash like duration_s
+        assert manifest["numpy"] == np.__version__
 
     def test_bits_json_describes_bits_bin(self, tmp_path, monkeypatch):
         runs = []

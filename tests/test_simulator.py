@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,20 +101,51 @@ class TestDeterminism:
         want = simulate(cfg)
         assert_same_result(got, want)
 
-    def test_coefficients_built_once_per_distinct_spec(self, monkeypatch):
-        calls = []
-        coefficient = AfterpulseSpec.coefficient
-        monkeypatch.setattr(AfterpulseSpec, "coefficient",
-                            lambda spec, lag: calls.append(lag) or coefficient(spec, lag))
-        spec = AfterpulseSpec.exponential_from_rate(0.05, 0.01, 30)
-        simulate(make_config(pulses=100, spec=spec))
-        assert len(calls) == 30                  # four detectors, one spec
-
     def test_seed_changes_output(self):
         cfg_a = make_config(seed=1, pulses=20_000)
         cfg_b = make_config(seed=2, pulses=20_000)
         assert not np.array_equal(simulate(cfg_a).clicks.d0,
                                   simulate(cfg_b).clicks.d0)
+
+
+def per_lag_coefficients(spec):
+    """Reference: ``spec.coefficient(j)`` lag by lag, trailing zeros cut."""
+    coeffs = [spec.coefficient(j) for j in range(1, (spec.window_depth or 0) + 1)]
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    return np.array(coeffs, dtype=float)
+
+
+def assert_same_coefficients(spec):
+    got, want = simulator._coefficient_array(spec), per_lag_coefficients(spec)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+class TestCoefficientArray:
+    @pytest.mark.parametrize("spec", [
+        AfterpulseSpec.exponential(0.5, 1.0, 800),       # the tail underflows to 0
+        AfterpulseSpec.exponential_from_rate(0.05, 0.001, 1000),
+        AfterpulseSpec(mode="explicit", coefficients=(0.03, 0.0, 0.02, 0.0, 0.0),
+                       window_depth=9),
+        AfterpulseSpec(mode="explicit", coefficients=(0.03, 0.02, 0.01), window_depth=2),
+        AfterpulseSpec.explicit([0.0, 0.0]),
+        AfterpulseSpec.none(),
+        AfterpulseSpec.exponential(0.05, 0.01, 0),
+        AfterpulseSpec.exponential(0.0, 0.0, 50),
+    ], ids=["exp_underflow", "exp_depth_1000", "explicit_trailing_zeros_past_len",
+            "explicit_cut_by_depth", "explicit_all_zero", "none", "exp_depth_0",
+            "exp_zero_amplitude"])
+    def test_bit_equal_to_per_lag_coefficients(self, spec):
+        assert_same_coefficients(spec)
+
+    def test_underflowing_tail_is_cut(self):
+        # 0.5 * exp(-j) rounds to 0 from j = 745 on
+        assert simulator._coefficient_array(AfterpulseSpec.exponential(0.5, 1.0, 800)).size == 744
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.9), st.floats(1e-9, 700.0), st.integers(0, 2000))
+    def test_exponential_bit_equal_at_random_specs(self, rate, decay, depth):
+        assert_same_coefficients(AfterpulseSpec.exponential_from_rate(rate, decay, depth))
 
 
 def assert_same_result(got, want):
@@ -286,7 +318,7 @@ def dense_chunk_draws(config, seed, chunk, count, cdf_z, cdf_x):
     own, each window's click probability raised to its own photon count, and
     the reductions that simulator._chunk_draws returns taken at the end."""
     def stream(stream_id):
-        return simulator._stream(seed, stream_id, chunk)
+        return np.random.Generator(simulator._stream(seed, stream_id, chunk))
 
     u_basis = stream(simulator.STREAM_BASIS).random(count)
     u_photon = stream(simulator.STREAM_PHOTON).random(count)
@@ -446,6 +478,40 @@ def numpy_binomial_inversion(u, n, p):
     return x
 
 
+_EDGE_P = [0.0, 5e-324, 2.0**-53, 3 * 2.0**-53, 0.5 - 2.0**-53, 0.5, 0.5 + 2.0**-53,
+           float(np.nextafter(1.0, 0.0)), 1.0]
+
+
+class TestRawWords:
+    """The Monte Carlo draws read Philox raw words: a float uniform is
+    m * 2^-53 with m = ``random_raw() >> 11``, and u < p is m < ceil(p * 2^53)."""
+
+    @pytest.mark.parametrize("key", [0, 1, 2**64 - 1, [7, 2**32 * 12 + 3], [2**63, 2**64 - 1]])
+    def test_float_uniforms_are_raw_words(self, key):
+        # Philox makes 4 words per counter step, so these n cross its blocks
+        for n in (1, 3, 4, 5, 8, 9, 1001):
+            want = np.random.Generator(np.random.Philox(key=key)).random(n)
+            got = (np.random.Philox(key=key).random_raw(n) >> 11) * 2.0**-53
+            assert np.array_equal(got, want), n
+        # and a stream read in spans continues where the last span stopped
+        bits = np.random.Philox(key=key)
+        spans = np.concatenate([bits.random_raw(n) for n in (3, 5, 1, 7)])
+        assert np.array_equal((spans >> 11) * 2.0**-53,
+                              np.random.Generator(np.random.Philox(key=key)).random(16))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0),
+                     st.integers(0, 2**53).map(lambda k: k * 2.0**-53)),
+           st.integers(0, 2**53 - 1))
+    def test_threshold_comparison_is_exact(self, p, m_random):
+        t = int(simulator._threshold(p))
+        assert t == math.ceil(Fraction(p) * 2**53)
+        assert np.array_equal(simulator._threshold(np.array([p, p])), [t, t])
+        for m in (t - 1, t, t + 1, m_random):
+            if 0 <= m < 2**53:
+                assert (m < t) == (m * 2.0**-53 < p) == (Fraction(m, 2**53) < p), m
+
+
 class TestTableInversion:
     SPLIT = simulator.STREAM_SPLIT
 
@@ -462,7 +528,7 @@ class TestTableInversion:
             n[rng.random(n.size) < 0.2] = 0
             if seed >= 22:
                 n[5] = 300 if seed == 22 else 101 if p == 0.3 else 1501
-            want = simulator._stream(seed, self.SPLIT, 2).binomial(n, p)
+            want = np.random.Generator(simulator._stream(seed, self.SPLIT, 2)).binomial(n, p)
             got = simulator._binomial(seed, self.SPLIT, 2, n, p, inversion)
             assert np.array_equal(got, want), seed
             where = rng.random(n.size) < 0.1
@@ -498,8 +564,7 @@ class TestTableInversion:
                                np.nextafter(on_grid, 2.0) * 2.0**53])
         m = np.concatenate([np.floor(near) + d for d in (-1, 0, 1)])
         m = m[(m >= 0) & (m < 2.0**53)].astype(np.int64)
-        m = np.concatenate([m, simulator._m(simulator._stream(1, 1, 0).bit_generator
-                                            .random_raw(50_000))])
+        m = np.concatenate([m, simulator._m(simulator._stream(1, 1, 0).random_raw(50_000))])
         got = simulator._count_at_or_below(simulator._photon_inversion(cdf), m)
         want = np.minimum(np.searchsorted(cdf, m * 2.0**-53, side="right"), cdf.size - 1)
         assert np.array_equal(got, want)
@@ -512,8 +577,7 @@ class TestTableInversion:
         p, seed = 0.3, 4
         n = np.random.default_rng(3).integers(0, 30, size=3 * simulator._BLOCK)
         drawn = np.count_nonzero(n[:simulator._BLOCK])
-        m = simulator._m(simulator._stream(seed, self.SPLIT, 0).bit_generator
-                         .random_raw(np.count_nonzero(n)))
+        m = simulator._m(simulator._stream(seed, self.SPLIT, 0).random_raw(np.count_nonzero(n)))
         restart = int(m[:drawn].max()) + 1
         assert m[drawn:].max() >= restart        # a later block restarts
         inversion = simulator._BinomialInversion(p)
@@ -526,7 +590,8 @@ class TestTableInversion:
 
         monkeypatch.setattr(inversion, "tables", zero_tables)
         got = simulator._binomial(seed, self.SPLIT, 0, n, p, inversion)
-        assert np.array_equal(got, simulator._stream(seed, self.SPLIT, 0).binomial(n, p))
+        assert np.array_equal(
+            got, np.random.Generator(simulator._stream(seed, self.SPLIT, 0)).binomial(n, p))
 
 
 def assert_matches_dense_product(case):
@@ -797,8 +862,8 @@ class TestStreamBits:
         """The extractor seed and the double-click fill read raw words; NumPy's
         bounded uint8 integers give the same bits."""
         for size in (0, 1, 7, 8, 9, 63, 64, 65, 4097, 465_066, 1_000_003):
-            want = simulator._stream(seed, simulator.STREAM_FILL, 3).integers(
-                0, 2, size=size, dtype=np.uint8)
+            want = np.random.Generator(simulator._stream(seed, simulator.STREAM_FILL, 3)
+                                       ).integers(0, 2, size=size, dtype=np.uint8)
             got = simulator._stream_bits(seed, simulator.STREAM_FILL, 3, size)
             assert got.dtype == np.uint8 and np.array_equal(got, want), size
 
@@ -830,8 +895,8 @@ class TestExtract:
         result = extract(x, out_len, seed)
         from siqrng.simulator import STREAM_EXTRACTOR, _stream
         n = x.size
-        r = _stream(seed, STREAM_EXTRACTOR, 0).integers(0, 2, n + out_len - 1,
-                                                        dtype=np.uint8)
+        r = np.random.Generator(_stream(seed, STREAM_EXTRACTOR, 0)).integers(
+            0, 2, n + out_len - 1, dtype=np.uint8)
         T = np.zeros((out_len, n), dtype=np.uint8)
         for i in range(out_len):
             for j in range(n):
@@ -850,8 +915,8 @@ class TestExtract:
         """Reference: the Toeplitz product as one exact integer np.convolve."""
         from siqrng.simulator import STREAM_EXTRACTOR, _stream
         n = x.size
-        r = _stream(seed, STREAM_EXTRACTOR, 0).integers(0, 2, n + out_len - 1,
-                                                        dtype=np.uint8)
+        r = np.random.Generator(_stream(seed, STREAM_EXTRACTOR, 0)).integers(
+            0, 2, n + out_len - 1, dtype=np.uint8)
         conv = np.convolve(x.astype(np.int64), r.astype(np.int64))
         return (conv[n - 1:n - 1 + out_len] & 1).astype(np.uint8)
 
@@ -868,8 +933,8 @@ class TestExtract:
         from scipy import fft
         from siqrng.simulator import STREAM_EXTRACTOR, _stream
         n = x.size
-        r = _stream(seed, STREAM_EXTRACTOR, 0).integers(0, 2, n + out_len - 1,
-                                                        dtype=np.uint8)
+        r = np.random.Generator(_stream(seed, STREAM_EXTRACTOR, 0)).integers(
+            0, 2, n + out_len - 1, dtype=np.uint8)
         size = n + r.size - 1
         fast = fft.next_fast_len(size, True)
         conv = fft.irfft(fft.rfft(x.astype(float), fast) * fft.rfft(r.astype(float), fast),
@@ -901,7 +966,7 @@ class TestExtract:
         from siqrng.simulator import STREAM_EXTRACTOR, _stream
         n = (1 << 22) + 1
         x = np.random.default_rng(67).integers(0, 2, n, dtype=np.uint8)
-        r = _stream(71, STREAM_EXTRACTOR, 0).integers(0, 2, n, dtype=np.uint8)
+        r = np.random.Generator(_stream(71, STREAM_EXTRACTOR, 0)).integers(0, 2, n, dtype=np.uint8)
         parity = int(np.dot(x.astype(np.int64), r[::-1].astype(np.int64))) & 1
         assert extract(x, 1, 71).tolist() == [parity]
 
