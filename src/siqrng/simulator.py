@@ -24,7 +24,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO, NamedTuple, Optional, Tuple
+from typing import BinaryIO, Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,8 +48,12 @@ _MASK64 = (1 << 64) - 1
 SEED_LIMIT = 1 << 64
 DEFAULT_CHUNK = 1 << 18
 # Windows per lookup pass, and (window, fire) pairs per product block of the
-# afterpulse pass, to keep their temporaries small.
-_BLOCK = 1 << 15
+# afterpulse pass, to keep their temporaries small.  A block's int64 arrays
+# are 128 KB.  In a loop of runs of 5*10^4 windows, 2^15-window blocks made
+# simulate take 127 to 352 minor page faults per run (getrusage), as the
+# heap that the lookups' temporaries grew was given back and faulted in
+# again; 2^14-window blocks take none.
+_BLOCK = 1 << 14
 
 
 def _check_seed(name: str, seed: int) -> None:
@@ -57,15 +61,42 @@ def _check_seed(name: str, seed: int) -> None:
         raise ParameterError(f"{name} must lie in [0, 2^64), got {seed}")
 
 
+def _key(seed: int, stream_id: int, chunk: int) -> Tuple[int, int]:
+    return seed, ((stream_id << 32) | chunk) & _MASK64
+
+
 def _stream(seed: int, stream_id: int, chunk: int) -> np.random.Philox:
-    """The keyed Philox bit generator of one purpose and chunk.  Every draw
+    """A new keyed Philox bit generator of one purpose and chunk.  Every draw
     is a function of its ``random_raw()`` words, whose sequence NumPy keeps
     stable across versions (NEP 19), unlike that of ``Generator`` methods."""
-    key = np.array([seed, ((stream_id << 32) | chunk) & _MASK64], dtype=np.uint64)
-    return np.random.Philox(key=key)
+    return np.random.Philox(key=np.array(_key(seed, stream_id, chunk), dtype=np.uint64))
 
 
-def _stream_bits(seed: int, stream_id: int, chunk: int, size: int) -> np.ndarray:
+def _chunk_streams(seed: int, chunk: int) -> Callable[[int], np.random.Philox]:
+    """``stream(stream_id)``: the keyed streams of one chunk from one bit
+    generator, so that a chunk builds one.
+
+    Each call sets the generator to the state a new ``_stream(seed,
+    stream_id, chunk)`` starts in (counter 0, an empty buffer, no spare
+    32-bit half) and returns it.  Philox is counter-based, so its words are
+    then those of a new generator (J. K. Salmon et al., SC'11), at about 2 µs
+    a call against 22 µs for a construction, which first draws a seed
+    sequence from OS entropy for the key to override.  A stream is read
+    until the next call; the caller owns the generator and keeps it to one
+    thread.
+    """
+    bits = _stream(seed, STREAM_BASIS, chunk)
+
+    def stream(stream_id: int) -> np.random.Philox:
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": (0, 0, 0, 0), "key": _key(seed, stream_id, chunk)},
+                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return bits
+
+    return stream
+
+
+def _stream_bits(bits: np.random.Philox, size: int) -> np.ndarray:
     """``size`` uniform 0/1 bytes of a keyed stream: the top bit of each byte
     of ceil(size/8) raw 64-bit words, taken little-endian.
 
@@ -73,7 +104,7 @@ def _stream_bits(seed: int, stream_id: int, chunk: int, size: int) -> np.ndarray
     it takes the bytes of 32-bit halves, low half first, and maps each to
     its top bit.
     """
-    words = _stream(seed, stream_id, chunk).random_raw(-(-size // 8))
+    words = bits.random_raw(-(-size // 8))
     return words.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
 
 
@@ -513,6 +544,15 @@ def _m(raw: np.ndarray) -> np.ndarray:
     return raw.view(np.int64)
 
 
+def _raw_limit(t) -> Optional[np.uint64]:
+    """For a threshold t = :func:`_threshold` of p, the largest raw word
+    whose m lies below t, or None where t = 0 and none does.  m = raw >> 11
+    < t exactly where raw < t * 2^11, and t * 2^11 - 1 fits 64 bits for
+    every t up to 2^53, so a comparison of raw words needs no shift."""
+    t = int(t)
+    return np.uint64((t << _M_SHIFT) - 1) if t else None
+
+
 def _threshold(p) -> np.ndarray:
     """``ceil(p * 2^53)`` as int64, for p >= 0, or every p of an array, up
     to 2^10: the m with ``m * 2^-53 < p`` are exactly those below it.
@@ -614,13 +654,13 @@ def _binomial_inversion(p: float) -> Optional[_BinomialInversion]:
     return _BinomialInversion(p) if 0.0 < p <= 0.5 else None
 
 
-def _photon_counts(seed: int, chunk: int, count: int, cdf_z: np.ndarray,
+def _photon_counts(bits: np.random.Philox, count: int, cdf_z: np.ndarray,
                    cdf_x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Photons at the Z and the X arm, one photon-stream uniform per window,
-    each ``min(searchsorted(cdf, u, "right"), cdf.size - 1)`` exactly."""
+    """Photons at the Z and the X arm, one uniform of the photon stream
+    ``bits`` per window, each ``min(searchsorted(cdf, u, "right"), cdf.size
+    - 1)`` exactly."""
     invs = [_photon_inversion(cdf) for cdf in ((cdf_z,) if cdf_x is cdf_z else (cdf_z, cdf_x))]
     counts = [np.empty(count, dtype=np.min_scalar_type(inv.width - 1)) for inv in invs]
-    bits = _stream(seed, STREAM_PHOTON, chunk)
     for lo in range(0, count, _BLOCK):
         m = _m(bits.random_raw(min(_BLOCK, count - lo)))
         for out, inv in zip(counts, invs):
@@ -628,39 +668,56 @@ def _photon_counts(seed: int, chunk: int, count: int, cdf_z: np.ndarray,
     return counts[0], counts[-1]
 
 
-def _binomial(seed: int, stream_id: int, chunk: int, n: np.ndarray, p: float,
-              inversion: Optional[_BinomialInversion], where=None) -> np.ndarray:
-    """``Generator(_stream(seed, stream_id, chunk)).binomial(n, p)``, by table
-    lookup.
+def _binomial(stream: Callable[[int], np.random.Philox], stream_id: int, n: np.ndarray,
+              p: float, inversion: Optional[_BinomialInversion], where=None) -> np.ndarray:
+    """``Generator(stream(stream_id)).binomial(n, p)``, by table lookup;
+    ``stream`` is a chunk's :func:`_chunk_streams`.
 
     ``inversion`` is :func:`_binomial_inversion` of p.  The lookup reads the
-    same uniforms as NumPy, so it is exact unless NumPy would read others:
-    where p * n > 30 for some n (NumPy samples by BTPE) or some m reaches its
-    row's restart threshold (NumPy reads one more uniform, which shifts every
-    later window).  Then, and where n exceeds the table's ``n_limit`` or
-    ``inversion`` is None, the whole chunk is drawn by NumPy.  With
-    ``where``, only those windows are looked up, though every window's uniform
-    is read; the others hold a count in [0, n].
+    same uniforms as NumPy, one per window with n > 0, so it is exact unless
+    NumPy would read others: where p * n > 30 for some n (NumPy samples by
+    BTPE) or some m reaches its row's restart threshold (NumPy reads one
+    more uniform, which shifts every later window).  Then, and where n
+    exceeds the table's ``n_limit`` or ``inversion`` is None, the whole chunk
+    is drawn by NumPy from the stream re-keyed.  Every uniform is checked
+    against the restart threshold, but with ``where`` only those windows are
+    looked up; the others hold a count in [0, n].
+
+    A window with n = 0 counts 0.  Where more than 5/6 of a block's windows
+    read a word, every window of the block is looked up, those without a
+    word at m = 0; otherwise only the windows with a word, picked by index.
+    (At 2^16 windows the split took 1.04 ms against 0.74 ms by index at
+    nu = 1, 63% drawn; 0.82 ms against 1.08 ms at nu = 10.)
     """
     if inversion is not None and (top := int(n.max())) <= inversion.n_limit:
         inv, restart = inversion.tables(top)
-        bits = _stream(seed, stream_id, chunk)
-        drawn = n > 0
+        bits = stream(stream_id)
         out = np.zeros(n.size, dtype=n.dtype)
         for lo in range(0, n.size, _BLOCK):
             span = slice(lo, lo + _BLOCK)
-            m = np.zeros(min(_BLOCK, n.size - lo), dtype=np.int64)
-            m[drawn[span]] = _m(bits.random_raw(np.count_nonzero(drawn[span])))
-            if m.max() >= restart:
+            drawn = n[span] > 0
+            m = _m(bits.random_raw(np.count_nonzero(drawn)))   # one per drawn window
+            if m.size and m.max() >= restart:
                 break
+            if where is None and 6 * m.size > 5 * drawn.size:
+                dense = np.zeros(drawn.size, dtype=np.int64)
+                dense[drawn] = m
+                del m        # before the lookup's temporaries, to keep the peak down
+                out[span] = _count_at_or_below(inv, dense, n[span])
+                continue
             if where is None:
-                out[span] = _count_at_or_below(inv, m, n[span])
+                at = np.flatnonzero(drawn)
             else:
-                w = where[span]
-                out[span][w] = _count_at_or_below(inv, m[w], n[span][w])
+                # A window's word is at its index less the windows before it
+                # that read none; masking the drawn windows by ``where`` took
+                # several times longer.
+                at = np.flatnonzero(where[span] & drawn)
+                m = m.take(at - np.searchsorted(np.flatnonzero(~drawn), at))
+            at += lo
+            out[at] = _count_at_or_below(inv, m, n.take(at))
         else:
             return out
-    return np.random.Generator(_stream(seed, stream_id, chunk)).binomial(n, p)
+    return np.random.Generator(stream(stream_id)).binomial(n, p)
 
 
 class _ChunkDraws(NamedTuple):
@@ -702,9 +759,11 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     next is drawn.  A uniform u = m * 2^-53 lies below p exactly where its m
     = ``random_raw() >> 11`` lies below :func:`_threshold` of p, so each
     comparison is one of integers against ``thresholds`` that decides as the
-    float comparison would.  Where a detector's afterpulse threshold is 0 no window
-    can afterpulse, and the stream is not drawn; the candidates' draws are
-    kept as the floats m * 2^-53, which are exact.
+    float comparison would.  The basis, dark and afterpulse words, each
+    compared with one threshold, are compared unshifted with its
+    :func:`_raw_limit`.  Where that threshold is 0 no window reads the
+    stream (no X window, no dark fire, no afterpulse), and it is not drawn.
+    The candidates' draws are kept as the floats m * 2^-53, which are exact.
 
     The photon counts, the split of Z photons between "0" and "1" and the
     misaligned X photons are exact table inversions of the same m, from
@@ -714,53 +773,70 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     things: the lookups read the same m; the binomial tables replay NumPy's
     inversion algorithm operation for operation; and where NumPy would not
     invert (p = 0 or p > 1/2, p * n > 30, or a restart), or n is past the
-    table's rows, the chunk's draw falls back to ``Generator.binomial``.  The
-    flip stream is read at every window with n_x > 0, as NumPy reads it, but
-    looked up only in X windows, since a Z window masks the "+" and "-"
-    signal.
+    table's rows, the chunk's draw falls back to ``Generator.binomial``.
+
+    A Z window masks the "+" and "-" signal.  So the flip stream is read at
+    every window with n_x > 0, as NumPy reads it, but looked up only in X
+    windows, and the "+" and "-" signal streams are drawn at every window,
+    which keeps every later word in place, but compared only in X windows.
+
+    The streams come from one bit generator, re-keyed for each
+    (:func:`_chunk_streams`), and each is read to its end before the next.
     """
     spans = [slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK)]
+    stream = _chunk_streams(seed, chunk)
 
-    def draws(stream_id: int):
-        """The stream's m, one span at a time."""
-        bits = _stream(seed, stream_id, chunk)
+    def draws(stream_id: int, raw: bool = False):
+        """The stream's m, or its raw words, one span at a time."""
+        bits = stream(stream_id)
         for span in spans:
-            yield span, _m(bits.random_raw(span.stop - span.start))
+            words = bits.random_raw(span.stop - span.start)
+            yield span, (words if raw else _m(words))
 
-    is_x = np.empty(count, dtype=bool)
-    for span, m in draws(STREAM_BASIS):
-        np.less(m, thresholds.basis, out=is_x[span])
+    is_x = np.zeros(count, dtype=bool)
+    if (basis := _raw_limit(thresholds.basis)) is not None:
+        for span, words in draws(STREAM_BASIS, raw=True):
+            np.less_equal(words, basis, out=is_x[span])
     is_z = ~is_x
-    n_z, n_x = _photon_counts(seed, chunk, count, cdf_z, cdf_x)
+    x_index = np.flatnonzero(is_x)
+    x_spans = np.searchsorted(x_index, [span.start for span in spans] + [count])
+    n_z, n_x = _photon_counts(stream(STREAM_PHOTON), count, cdf_z, cdf_x)
     split, flip = binomials
-    n_0 = _binomial(seed, STREAM_SPLIT, chunk, n_z, 0.5, split)
-    n_minus = _binomial(seed, STREAM_FLIP, chunk, n_x, config.misalignment, flip, is_x)
-    # Photons at detectors 0, 1, +, -; a difference is formed only for its
-    # detector's lookup, so no two of them are alive at once.
-    photons = (lambda: n_0, lambda: n_z - n_0, lambda: n_x - n_minus, lambda: n_minus)
-    arms = (is_z, is_z, is_x, is_x)
+    n_0 = _binomial(stream, STREAM_SPLIT, n_z, 0.5, split)
+    minus = _binomial(stream, STREAM_FLIP, n_x, config.misalignment, flip, is_x).take(x_index)
+    # Photons at detectors 0 and 1 in every window, at + and - in the X
+    # windows; a difference is formed only for its detector's lookup.
+    photons = (lambda: n_0, lambda: n_z - n_0, lambda: n_x.take(x_index) - minus, lambda: minus)
     base, cand, u_cand = [], [], []
     for k in range(4):
         n_k, table = photons[k](), thresholds.click[k]
-        dark, limit = thresholds.dark[k], thresholds.afterpulse[k]
-        fired = np.empty(count, dtype=bool)
-        for span, m in draws(STREAM_SIGNAL[k]):
-            # take() is several times slower with indices narrower than intp.
-            np.less(m, table.take(n_k[span].astype(np.intp)), out=fired[span])
-        # A detector of the other arm holds no photons: click probability 0.
-        fired &= arms[k]
-        for span, m in draws(STREAM_DARK[k]):
-            fired[span] |= m < dark
+        dark, limit = _raw_limit(thresholds.dark[k]), _raw_limit(thresholds.afterpulse[k])
+        if k < 2:
+            fired = np.empty(count, dtype=bool)
+            for span, m in draws(STREAM_SIGNAL[k]):
+                # take() is several times slower with indices narrower than intp.
+                np.less(m, table.take(n_k[span].astype(np.intp)), out=fired[span])
+            # A detector of the other arm holds no photons: click probability 0.
+            fired &= is_z
+        else:
+            fired = np.zeros(count, dtype=bool)
+            clicks = table.take(n_k.astype(np.intp))
+            for (span, m), lo, hi in zip(draws(STREAM_SIGNAL[k]), x_spans, x_spans[1:]):
+                at = x_index[lo:hi]
+                fired[at] = m.take(at - span.start) < clicks[lo:hi]
+        if dark is not None:
+            for span, words in draws(STREAM_DARK[k], raw=True):
+                fired[span] |= words <= dark
         base.append(fired)
         hits, u_hits = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-        if limit > 0:
-            for span, m in draws(STREAM_AFTERPULSE[k]):
-                hit = np.flatnonzero(m < limit)
-                u_hits.append(m[hit] * 2.0**-53)
+        if limit is not None:
+            for span, words in draws(STREAM_AFTERPULSE[k], raw=True):
+                hit = np.flatnonzero(words <= limit)
+                u_hits.append((words[hit] >> _M_SHIFT) * 2.0**-53)
                 hits.append(hit + span.start)
         cand.append(np.concatenate(hits))
         u_cand.append(np.concatenate(u_hits))
-    fill = _stream_bits(seed, STREAM_FILL, chunk, count)
+    fill = _stream_bits(stream(STREAM_FILL), count)
     return _ChunkDraws(is_x, tuple(base), tuple(cand), tuple(u_cand), fill)
 
 
@@ -844,6 +920,7 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     dets = config.dets
     spec_coeffs = {spec: _coefficient_array(spec) for spec in {det.afterpulse for det in dets}}
+    spec_limits = {spec: _threshold(1.0 - _survival_floor(c)) for spec, c in spec_coeffs.items()}
     coeffs = [spec_coeffs[det.afterpulse] for det in dets]
     carries = [np.zeros(c.size, dtype=bool) for c in coeffs]
 
@@ -855,7 +932,7 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
         basis=_threshold(config.x_fraction),
         click=tuple(_threshold(_click_prob(det.efficiency, photon_range)) for det in dets),
         dark=tuple(_threshold(det.dark_rate) for det in dets),
-        afterpulse=tuple(_threshold(1.0 - _survival_floor(c)) for c in coeffs))
+        afterpulse=tuple(spec_limits[det.afterpulse] for det in dets))
     binomials = (_binomial_inversion(0.5), _binomial_inversion(config.misalignment))
 
     n_pulses = config.pulses
@@ -948,7 +1025,7 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
         raise ParameterError(f"output_len {output_len} exceeds input length {n}")
     if output_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    r = _stream_bits(extractor_seed, STREAM_EXTRACTOR, 0, n + output_len - 1)
+    r = _stream_bits(_stream(extractor_seed, STREAM_EXTRACTOR, 0), n + output_len - 1)
     # Circular convolution by real FFTs at a 5-smooth length N >= r.size.
     # Output i needs the linear convolution at k = n - 1 + i <= r.size - 1;
     # the circular one adds the linear terms at k + N, k + 2N, ..., and

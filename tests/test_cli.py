@@ -46,6 +46,15 @@ class TestAutocorr:
         for p_i, a_th, a_mc, se in rows:
             assert abs(a_mc - a_th) <= 4.0 * se or abs(a_mc - a_th) < 5e-3
 
+    def test_mc_threads_write_the_same_bytes(self, tmp_path):
+        """The points' simulate runs on two threads each draw from their own
+        generators."""
+        for threads in ("1", "2"):
+            assert run(["autocorr", "--mc", "--points", "3", "--pulses", "20000", "--seed", "3",
+                        "--threads", threads, "--out-dir", str(tmp_path / threads)]) == 0
+        assert ((tmp_path / "1" / "autocorr.csv").read_bytes()
+                == (tmp_path / "2" / "autocorr.csv").read_bytes())
+
     @pytest.mark.parametrize("argv, message", [
         # the lag-1 not-fired afterpulse probability p_hat/(1-p_hat)*p_b
         # exceeds 1 at p_hat = 0.96

@@ -80,16 +80,18 @@ class TestDeterminism:
 
     def test_bitwise_reproducible_and_thread_invariant(self):
         spec = AfterpulseSpec.explicit([0.03, 0.02])
-        cfg = make_config(pulses=3 * 2**14 + 17, spec=spec, x_fraction=0.05,
-                          misalignment=0.02, chunk_size=2**14)
-        runs = [simulate(cfg), simulate(cfg), simulate(cfg, threads=4)]
-        for other in runs[1:]:
-            for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
-                assert np.array_equal(getattr(runs[0].clicks, col),
-                                      getattr(other.clicks, col))
-            assert np.array_equal(runs[0].bits.bits, other.bits.bits)
-            assert np.array_equal(runs[0].bits.window_index, other.bits.window_index)
-            assert runs[0].eq_empirical == other.eq_empirical
+        # 4 chunks on 4 threads, and 10 chunks, more than the pool prefetches
+        for pulses, chunk_size in ((3 * 2**14 + 17, 2**14), (10 * 2**12, 2**12)):
+            cfg = make_config(pulses=pulses, spec=spec, x_fraction=0.05,
+                              misalignment=0.02, chunk_size=chunk_size)
+            runs = [simulate(cfg), simulate(cfg), simulate(cfg, threads=4)]
+            for other in runs[1:]:
+                for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
+                    assert np.array_equal(getattr(runs[0].clicks, col),
+                                          getattr(other.clicks, col))
+                assert np.array_equal(runs[0].bits.bits, other.bits.bits)
+                assert np.array_equal(runs[0].bits.window_index, other.bits.window_index)
+                assert runs[0].eq_empirical == other.eq_empirical
 
     def test_shared_photon_search_matches_separate_searches(self, monkeypatch):
         cfg = make_config(pulses=5000, nu=5.0, x_fraction=0.3, misalignment=0.05)
@@ -408,11 +410,33 @@ class TestChunkDraws:
         dict(nu=5.0, eta=1.0, e_d=0.0, x_fraction=0.5, misalignment=1.0, t_x=0.3),
         dict(nu=30.0, eta=0.5, e_d=0.01, spec=AfterpulseSpec.explicit([0.2, 0.0, 0.1]),
              x_fraction=0.3, misalignment=0.0, t_z=0.6),
+        # every window in X: a basis threshold of 2^53, the largest raw-word limit
         dict(nu=1.0, x_fraction=1.0, misalignment=0.3),
     ])
     def test_reduced_draws_match_whole_streams(self, monkeypatch, kw):
         """Every field of every chunk's draws equals the whole-stream
         reference, at the tables and limits simulate builds."""
+        config = make_config(pulses=3 * 2**12 + 5, chunk_size=2**12, seed=11, **kw)
+        assert self.checked_chunks(monkeypatch, config) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("misalignment", [0.0, 0.02, 0.7])
+    @pytest.mark.parametrize("x_fraction", [0.0, 0.02, 0.5, 1.0])
+    def test_check_arm_lookups_match_whole_streams(self, monkeypatch, x_fraction,
+                                                   misalignment):
+        """The "+" and "-" signal, compared only in X windows, and the flip,
+        looked up only there, equal the whole-stream reference, in chunks of
+        two lookup blocks and a last one of less than a block; at e_q = 0.7
+        the flip takes Generator.binomial."""
+        chunk = simulator._BLOCK + 2**13
+        config = make_config(pulses=2 * chunk + 100, nu=3.0, eta=0.5, chunk_size=chunk,
+                             spec=AfterpulseSpec.explicit([0.2, 0.1]), seed=5,
+                             x_fraction=x_fraction, misalignment=misalignment)
+        assert self.checked_chunks(monkeypatch, config) == [0, 1, 2]
+
+    @staticmethod
+    def checked_chunks(monkeypatch, config):
+        """Simulate ``config`` with every chunk's draws checked against
+        :func:`dense_chunk_draws`; returns the chunks checked."""
         draws = simulator._chunk_draws
         chunks = []
 
@@ -428,8 +452,28 @@ class TestChunkDraws:
             return got
 
         monkeypatch.setattr(simulator, "_chunk_draws", checked)
-        simulate(make_config(pulses=3 * 2**12 + 5, chunk_size=2**12, seed=11, **kw))
-        assert chunks == [0, 1, 2, 3]
+        simulate(config)
+        return chunks
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("misalignment", [0.02, 0.7])
+    def test_one_philox_per_chunk(self, monkeypatch, threads, misalignment):
+        """A run builds one Philox bit generator per chunk, and extract one
+        more; the Generator.binomial fallback (e_q = 0.7) builds none."""
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(kwargs.get("key"))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        config = make_config(pulses=4 * 2**12 + 5, chunk_size=2**12, x_fraction=0.3,
+                             misalignment=misalignment, spec=AfterpulseSpec.explicit([0.1]))
+        result = simulate(config, threads=threads)
+        assert len(built) == 5
+        extract(result.bits.bits, len(result.bits) // 2, 7)
+        assert len(built) == 6
 
     def test_peak_memory_holds_one_chunk(self):
         """Beyond its result, simulate holds one chunk at a time.  The traced
@@ -511,6 +555,68 @@ class TestRawWords:
             if 0 <= m < 2**53:
                 assert (m < t) == (m * 2.0**-53 < p) == (Fraction(m, 2**53) < p), m
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0)),
+           st.integers(0, 2**53 - 1), st.integers(0, 2**11 - 1))
+    def test_raw_word_limit_is_exact(self, p, m_random, low):
+        """A raw word lies at or below _raw_limit of a threshold exactly where
+        its m = word >> 11 lies below the threshold, whatever its low 11 bits."""
+        t = int(simulator._threshold(p))
+        limit = simulator._raw_limit(t)
+        for m in (t - 1, t, t + 1, m_random, 0, 2**53 - 1):
+            if 0 <= m < 2**53:
+                for bits in (0, low, 2**11 - 1):
+                    word = np.uint64(m << 11 | bits)
+                    assert (limit is not None and word <= limit) == (m < t), (m, bits)
+
+
+def philox_words(seed, stream_id, chunk, n):
+    """Reference: the first n raw words of a new generator at the stream's key."""
+    key = np.array([seed, ((stream_id << 32) | chunk) % 2**64], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(n)
+
+
+class TestChunkStreams:
+    """A chunk's streams come from one generator, re-keyed per stream."""
+
+    USES = {
+        "new": lambda bits: None,
+        "3 words": lambda bits: bits.random_raw(3),             # leaves a half-used buffer
+        "a block": lambda bits: bits.random_raw(simulator._BLOCK),
+        "binomial": lambda bits: np.random.Generator(bits).binomial(
+            np.arange(40), 0.3),
+        "uint32": lambda bits: np.random.Generator(bits).integers(   # leaves a spare half
+            0, 2**32, size=3, dtype=np.uint32),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+           st.one_of(st.integers(2**32 - 3, 2**32 - 1), st.integers(0, 2**32 - 1)),
+           st.integers(0, simulator.STREAM_EXTRACTOR),
+           st.integers(0, simulator.STREAM_EXTRACTOR))
+    def test_rekeyed_words_are_a_new_generators(self, seed, chunk, before, stream_id):
+        """After any use of the generator, re-keying gives the raw words, and
+        the 32-bit draws, of a new Philox at the stream's key."""
+        for name, use in self.USES.items():
+            stream = simulator._chunk_streams(seed, chunk)
+            use(stream(before))
+            got = stream(stream_id).random_raw(9)          # crosses a 4-word buffer
+            assert np.array_equal(got, philox_words(seed, stream_id, chunk, 9)), name
+            use(stream(before))
+            key = np.array(simulator._key(seed, stream_id, chunk), dtype=np.uint64)
+            assert np.array_equal(
+                np.random.Generator(stream(stream_id)).integers(0, 2**32, 5, np.uint32),
+                np.random.Generator(np.random.Philox(key=key)).integers(0, 2**32, 5, np.uint32)
+            ), name
+
+    def test_new_stream_is_independent(self):
+        """``_stream`` returns a new generator each call, so two of them
+        read on alternately do not alias."""
+        a, b = simulator._stream(3, 1, 0), simulator._stream(3, 2, 0)
+        words = [a.random_raw(3), b.random_raw(3), a.random_raw(3), b.random_raw(3)]
+        assert np.array_equal(np.concatenate(words[::2]), philox_words(3, 1, 0, 6))
+        assert np.array_equal(np.concatenate(words[1::2]), philox_words(3, 2, 0, 6))
+
 
 class TestTableInversion:
     SPLIT = simulator.STREAM_SPLIT
@@ -529,11 +635,30 @@ class TestTableInversion:
             if seed >= 22:
                 n[5] = 300 if seed == 22 else 101 if p == 0.3 else 1501
             want = np.random.Generator(simulator._stream(seed, self.SPLIT, 2)).binomial(n, p)
-            got = simulator._binomial(seed, self.SPLIT, 2, n, p, inversion)
+            stream = simulator._chunk_streams(seed, 2)
+            got = simulator._binomial(stream, self.SPLIT, n, p, inversion)
             assert np.array_equal(got, want), seed
-            where = rng.random(n.size) < 0.1
-            got = simulator._binomial(seed, self.SPLIT, 2, n, p, inversion, where)
-            assert np.array_equal(got[where], want[where]), seed
+            for where in (rng.random(n.size) < 0.1, np.zeros(n.size, dtype=bool),
+                          np.ones(n.size, dtype=bool)):
+                got = simulator._binomial(stream, self.SPLIT, n, p, inversion, where)
+                assert np.array_equal(got[where], want[where]), seed
+                assert (got <= n).all()
+
+    # Zero shares in the first block and after it: the split looks up every
+    # window of a block where more than 5/6 read a word (0.0), and only those
+    # with a word, by index, otherwise (0.6); the last case has one of each.
+    @pytest.mark.parametrize("zeros", [(0.0, 0.0), (0.6, 0.6), (0.0, 0.6)])
+    def test_whole_block_and_by_index_lookups_match_numpy(self, zeros):
+        inversion = simulator._binomial_inversion(0.5)
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            n = rng.integers(1, 30, size=3 * simulator._BLOCK // 2).astype(np.uint8)
+            share = np.where(np.arange(n.size) < simulator._BLOCK, *zeros)
+            n[rng.random(n.size) < share] = 0
+            want = np.random.Generator(simulator._stream(seed, self.SPLIT, 1)).binomial(n, 0.5)
+            got = simulator._binomial(simulator._chunk_streams(seed, 1), self.SPLIT, n, 0.5,
+                                      inversion)
+            assert np.array_equal(got, want), seed
 
     @pytest.mark.parametrize("p", [0.5, 0.3, 0.02, 1e-3])
     def test_thresholds_invert_numpys_recurrence(self, p):
@@ -589,7 +714,7 @@ class TestTableInversion:
                                 thresholds=np.full_like(inv.thresholds, 2**53)), restart
 
         monkeypatch.setattr(inversion, "tables", zero_tables)
-        got = simulator._binomial(seed, self.SPLIT, 0, n, p, inversion)
+        got = simulator._binomial(simulator._chunk_streams(seed, 0), self.SPLIT, n, p, inversion)
         assert np.array_equal(
             got, np.random.Generator(simulator._stream(seed, self.SPLIT, 0)).binomial(n, p))
 
@@ -864,7 +989,7 @@ class TestStreamBits:
         for size in (0, 1, 7, 8, 9, 63, 64, 65, 4097, 465_066, 1_000_003):
             want = np.random.Generator(simulator._stream(seed, simulator.STREAM_FILL, 3)
                                        ).integers(0, 2, size=size, dtype=np.uint8)
-            got = simulator._stream_bits(seed, simulator.STREAM_FILL, 3, size)
+            got = simulator._stream_bits(simulator._stream(seed, simulator.STREAM_FILL, 3), size)
             assert got.dtype == np.uint8 and np.array_equal(got, want), size
 
 
