@@ -31,6 +31,7 @@ from .errors import (
     DegenerateError,
     InfeasibleError,
     ParameterError,
+    PrecisionError,
     SiqrngError,
 )
 from .finite_size import (

@@ -47,7 +47,7 @@ from .entropy_engine import (
     worst_afterpulse,
     worst_afterpulse_exponential,
 )
-from .errors import DegenerateError, ParameterError, SiqrngError
+from .errors import DegenerateError, ParameterError, PrecisionError, SiqrngError
 from .finite_size import (
     SCENARIO_DEFAULTS,
     hmin_with_tau_uncertainty,
@@ -564,6 +564,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for path in outputs + [manifest_path]:
             print(path)
         return EXIT_OK
+    except PrecisionError as exc:       # no setting is wrong
+        print(f"siqrng: error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (SiqrngError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"siqrng: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

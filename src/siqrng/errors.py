@@ -19,3 +19,7 @@ class DegenerateError(SiqrngError, ValueError):
 
 class InfeasibleError(SiqrngError, RuntimeError):
     """No statistical deviation satisfies the requested failure probability."""
+
+
+class PrecisionError(SiqrngError, ArithmeticError):
+    """A floating-point computation lost the precision its exact result needs."""

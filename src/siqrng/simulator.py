@@ -29,7 +29,7 @@ from typing import BinaryIO, Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .detector_model import AfterpulseSpec, DetectorParams, afterpulse_coeff
-from .errors import ParameterError
+from .errors import ParameterError, PrecisionError
 from .source_monitor import PhotonDistribution, bernoulli_transform
 
 # Stream identifiers; append only, never renumber.
@@ -1004,6 +1004,90 @@ def _next_5_smooth(n: int) -> int:
     return best
 
 
+# Points per block of the four-step transforms, and at most N / 4 (half a
+# spectrum), so their scratch arrays stay small next to the two spectra.
+_FFT_BLOCK = 1 << 14
+
+
+class _FourStep(NamedTuple):
+    """An N = rows x cols grid of the four-step FFT and its twiddle factors:
+    ``hi[k1, h]`` = w^(k1 * span * h) and ``lo[k1, l]`` = w^(k1 * l) with
+    w = exp(-2 pi i / N), so w^(k1 j2) = hi[k1, j2 // span] lo[k1, j2 % span]."""
+    size: int
+    rows: int
+    cols: int
+    span: int
+    hi: np.ndarray
+    lo: np.ndarray
+    block: int
+
+
+def _four_step(min_size: int) -> _FourStep:
+    """The grid of the smallest even 5-smooth N >= min_size.  ``rows`` is the
+    even divisor of N nearest sqrt(N): the one with the least |rows^2 - N|,
+    the smaller on a tie."""
+    size = 2 * _next_5_smooth(-(-min_size // 2))
+    divisors = [1]
+    for p in (2, 3, 5):
+        k = 0
+        while size % p ** (k + 1) == 0:
+            k += 1
+        divisors = [d * p ** i for d in divisors for i in range(k + 1)]
+    rows = min((d for d in divisors if d % 2 == 0), key=lambda d: (abs(d * d - size), d))
+    cols = size // rows
+    span = max(d for d in divisors if d * d <= cols and cols % d == 0)
+    k1 = np.arange(rows // 2 + 1)[:, None]
+    scale = -2.0 * np.pi / size
+
+    def factor(j2):
+        # k1 j2 < N / 2 is an exact integer, so each angle is rounded once
+        return np.exp(1j * (scale * (k1 * j2)))
+
+    return _FourStep(size, rows, cols, span, factor(np.arange(0, cols, span)),
+                     factor(np.arange(span)), min(_FFT_BLOCK, size // 4))
+
+
+def _on_grid(v: np.ndarray, grid: _FourStep) -> np.ndarray:
+    """The 0/1 bytes ``v`` zero-padded to whole rows of the grid: element j
+    sits at [j // cols, j % cols]."""
+    full = -(-v.size // grid.cols)
+    padded = np.zeros(full * grid.cols, dtype=np.uint8)
+    padded[:v.size] = v
+    return padded.reshape(full, grid.cols)
+
+
+def _spectrum(padded: np.ndarray, grid: _FourStep) -> np.ndarray:
+    """The DFT of the ``_on_grid`` bytes ``padded`` zero-padded to N, as the
+    (rows/2 + 1) x cols array whose [k1, k2] entry is X[k1 + rows k2]."""
+    rows, cols = grid.rows, grid.cols
+    spectrum = np.empty((rows // 2 + 1, cols), dtype=complex)
+    # Column blocks bound the float copy that rfft makes of the bytes.
+    width = max(1, grid.block // rows)
+    for c in range(0, cols, width):
+        spectrum[:, c:c + width] = np.fft.rfft(padded[:, c:c + width], rows, axis=0)
+    by_span = spectrum.reshape(rows // 2 + 1, cols // grid.span, grid.span)
+    height = max(1, grid.block // cols)
+    for k in range(0, rows // 2 + 1, height):
+        by_span[k:k + height] *= grid.hi[k:k + height, :, None]
+        by_span[k:k + height] *= grid.lo[k:k + height, None, :]
+        spectrum[k:k + height] = np.fft.fft(spectrum[k:k + height], axis=1)
+    return spectrum
+
+
+def _inverse(spectrum: np.ndarray, grid: _FourStep) -> np.ndarray:
+    """The real length-N sequence, in natural order, whose ``_spectrum``
+    layout is ``spectrum``; overwrites ``spectrum``."""
+    rows, cols = grid.rows, grid.cols
+    by_span = spectrum.reshape(rows // 2 + 1, cols // grid.span, grid.span)
+    hi, lo = grid.hi.conj(), grid.lo.conj()
+    height = max(1, grid.block // cols)
+    for k in range(0, rows // 2 + 1, height):
+        spectrum[k:k + height] = np.fft.ifft(spectrum[k:k + height], axis=1)
+        by_span[k:k + height] *= hi[k:k + height, :, None]
+        by_span[k:k + height] *= lo[k:k + height, None, :]
+    return np.fft.irfft(spectrum, rows, axis=0).ravel()
+
+
 def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
     """Two-universal Toeplitz hash of a 0/1 bit sequence.
 
@@ -1011,6 +1095,35 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
     Philox stream of n + output_len - 1 bits; the product T x over GF(2) is a
     convolution reduced mod 2.  Deterministic in (bits, seed, output_len); the
     caller is responsible for choosing output_len within the entropy budget.
+
+    The convolution is circular, of the smallest even 5-smooth length
+    N >= r.size.  Output i needs the linear convolution at k = n - 1 + i <=
+    r.size - 1; the circular one adds the linear terms at k + N, k + 2N, ...,
+    and k + N >= n - 1 + r.size exceeds the last linear index n + r.size - 2,
+    so those outputs do not alias.  That holds for every N >= r.size, so
+    rounding up to an even N (for an even number of rows below) changes no
+    output bit, even where r.size is an odd 5-smooth number.
+
+    Each DFT of length N is Bailey's four-step FFT on an N = rows x cols grid
+    (rows even, near sqrt(N); see ``_four_step``).  Input j = cols j1 + j2
+    sits at [j1, j2] of a row-major grid, so with w = exp(-2 pi i / N),
+
+        X[k1 + rows k2] = sum_j2 w^(rows j2 k2) w^(j2 k1) sum_j1 x[j] w^(cols j1 k1):
+
+    a real FFT of length rows down each column (k1 <= rows/2 suffices, as X
+    is Hermitian), the twiddle w^(k1 j2), then an FFT of length cols along
+    each row, which leaves X[k1 + rows k2] at [k1, k2].  Both inputs' spectra
+    come out in that same permuted layout, so the pointwise product needs no
+    transpose: it is the convolution's spectrum in that layout.  The inverse
+    runs the steps backwards (inverse FFT along rows, the conjugate twiddle,
+    an inverse real FFT down columns, valid as the result is real) and lands
+    at [j1, j2] again, so the row-major ravel is the convolution in natural
+    order.  The transforms work on blocks of rows or columns, so the peak
+    memory is about the two spectra, 16 N bytes.
+
+    The exact convolution is integer, so rint recovers it whenever the float
+    error stays below 1/2; the check keeps it under 0.1 at every one of the
+    N points and raises ``PrecisionError`` otherwise.
     """
     x = np.asarray(bits, dtype=np.uint8)
     if x.ndim != 1:
@@ -1025,21 +1138,16 @@ def extract(bits, output_len: int, extractor_seed: int) -> np.ndarray:
         raise ParameterError(f"output_len {output_len} exceeds input length {n}")
     if output_len == 0:
         return np.zeros(0, dtype=np.uint8)
-    r = _stream_bits(_stream(extractor_seed, STREAM_EXTRACTOR, 0), n + output_len - 1)
-    # Circular convolution by real FFTs at a 5-smooth length N >= r.size.
-    # Output i needs the linear convolution at k = n - 1 + i <= r.size - 1;
-    # the circular one adds the linear terms at k + N, k + 2N, ..., and
-    # k + N >= n - 1 + r.size exceeds the last linear index n + r.size - 2,
-    # so those outputs do not alias.  The exact convolution is integer, so
-    # rint recovers it whenever the float error stays below 1/2; the check
-    # below keeps it under 0.1 at every one of the N points.
-    fast = _next_5_smooth(r.size)
-    spectrum = np.fft.rfft(x, fast)      # the 0/1 bytes convert to float exactly
-    spectrum *= np.fft.rfft(r, fast)
-    conv_f = np.fft.irfft(spectrum, fast)
+    size = n + output_len - 1               # the length of r
+    grid = _four_step(size)
+    spectrum = _spectrum(_on_grid(x, grid), grid)
+    spectrum *= _spectrum(_on_grid(_stream_bits(
+        _stream(extractor_seed, STREAM_EXTRACTOR, 0), size), grid), grid)
+    conv_f = _inverse(spectrum, grid)
     del spectrum
     conv = np.rint(conv_f)
     np.subtract(conv_f, conv, out=conv_f)
     if float(np.max(np.abs(conv_f, out=conv_f))) > 0.1:
-        raise ArithmeticError("FFT convolution lost integer precision")
+        raise PrecisionError("FFT convolution lost integer precision")
+    del conv_f
     return (conv[n - 1:n - 1 + output_len].astype(np.int64) & 1).astype(np.uint8)

@@ -620,6 +620,22 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"siqrng: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_lost_precision_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """An extraction whose float convolution no longer rounds to the exact
+        one is an internal failure, not a bad setting: exit 1, one line."""
+        irfft = np.fft.irfft
+
+        def off_by_three_tenths(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out.flat[7] += 0.3
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", off_by_three_tenths)
+        assert run(["simulate", "--pulses", "20000", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "siqrng: error: FFT convolution lost integer precision\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bad, good", [(-1, 2**64 - 1), (2**64, 0)])
     def test_seed_outside_philox_key_range_rejected(self, tmp_path, capsys, bad, good):
         # both seeds of each pair used to draw the same Philox streams
@@ -996,25 +1012,28 @@ OUTPUT_DIGESTS = json.loads((Path(__file__).parent / "output_digests.json").read
 
 
 class TestOutputDigests:
-    """CSV bytes of commands the benchmark references do not cover.  Each key
-    is the CSV name and then the argv that writes it.  The ``rates --points
-    50`` keys are edge settings: zero rows, infeasible theta (N = 60, 100)
-    and the theta floor (eps_e = 0.5); their digests were made before the
-    theta search was reworked.  The others pass detectors and vacuum
-    probabilities through every entropy path (autocorr with and without
-    Monte Carlo, finite-sampling, rates, the efficiency sweep); their
+    """Output bytes of commands the benchmark references do not cover.  Each
+    key is the output file's name and then the argv that writes it.  The
+    ``rates --points 50`` keys are edge settings: zero rows, infeasible theta
+    (N = 60, 100) and the theta floor (eps_e = 0.5); their digests were made
+    before the theta search was reworked.  The others pass detectors and
+    vacuum probabilities through every entropy path (autocorr with and
+    without Monte Carlo, finite-sampling, rates, the efficiency sweep); their
     digests were made before those paths took one detector tuple and one
     TauSet.  The ``simulate`` keys at ``--nu 50``, ``--e-q 0.7 --q-x 0.5``
     and ``--e-q 0`` reach the Monte Carlo's binomial paths that no reference
     run takes (NumPy's BTPE, p > 1/2, p = 0); their digests were made with
     ``Generator.binomial`` and ``searchsorted`` drawing every split, flip and
-    photon count, before those became table lookups."""
+    photon count, before those became table lookups.  The ``extracted.bin``
+    keys pin extraction at sizes no reference reaches: 1,237,932 raw bits
+    (``--pulses 2000000``) and a short output of 1,000 bits; their digests
+    were made with three length-N real FFTs, before the four-step grid."""
 
     @pytest.mark.parametrize("key", sorted(OUTPUT_DIGESTS))
     def test_bytes_unchanged(self, tmp_path, key):
-        csv_name, *argv = key.split()
+        name, *argv = key.split()
         assert run([*argv, "--out-dir", str(tmp_path)]) == 0
-        digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == OUTPUT_DIGESTS[key]
 
 

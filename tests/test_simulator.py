@@ -12,6 +12,7 @@ from siqrng import (
     DetectorParams,
     ParameterError,
     PhotonDistribution,
+    PrecisionError,
     PulseTrainConfig,
     extract,
     poisson_distribution,
@@ -1109,3 +1110,66 @@ class TestExtract:
         assert abs(out.mean() - 0.5) <= 4.0 * math.sqrt(0.25 / n_out)
         for lag in range(1, 17):
             assert abs(empirical_autocorrelation(out, lag)) <= 4.0 / math.sqrt(n_out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_four_step_path_matches_direct(self, data):
+        n = data.draw(st.integers(1, 4000), label="n")
+        out_len = data.draw(st.integers(1, n), label="out_len")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        x = np.random.default_rng(n + out_len).integers(0, 2, n, dtype=np.uint8)
+        assert np.array_equal(extract(x, out_len, seed), self.direct_extract(x, out_len, seed))
+
+    # n + out_len - 1 = r.size; each grid has rows = 2, N in {2, 4, 6, 10}
+    @pytest.mark.parametrize("n, out_len, size", [(1, 1, 2), (2, 1, 2), (2, 2, 4), (3, 2, 4),
+                                                  (3, 3, 6), (4, 3, 6), (5, 5, 10), (6, 5, 10)])
+    def test_two_row_grids_match_direct(self, n, out_len, size):
+        grid = simulator._four_step(n + out_len - 1)
+        assert (grid.size, grid.rows, grid.cols) == (size, 2, size // 2)
+        for seed in range(8):
+            x = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+            assert np.array_equal(extract(x, out_len, seed), self.direct_extract(x, out_len, seed))
+
+    @pytest.mark.parametrize("size", [243, 625, 2187, 15625])
+    def test_odd_5_smooth_lengths_round_up_to_even(self, size):
+        """r.size = 3^5, 5^4, 3^7, 5^6 is its own 5-smooth length, which the
+        grid rounds up to an even N; the output bits are the exact ones."""
+        grid = simulator._four_step(size)
+        assert simulator._next_5_smooth(size) == size < grid.size
+        assert grid.size % 2 == 0 == grid.rows % 2 and grid.rows * grid.cols == grid.size
+        out_len = size // 3
+        n = size - out_len + 1
+        x = np.random.default_rng(size).integers(0, 2, n, dtype=np.uint8)
+        assert np.array_equal(extract(x, out_len, 73), self.direct_extract(x, out_len, 73))
+
+    @pytest.mark.parametrize("n", [4839, 310_045, 3_100_000])
+    def test_traced_peak_stays_near_two_spectra(self, n):
+        """The traced peak, twiddle tables included, stays within 3.2 x 8 N0
+        bytes, N0 the 5-smooth length of r: two half spectra take 2 x 8 N, a
+        full (rows/2 + 1) x cols twiddle table would add 8 N more.  The bound
+        was measured with NumPy 2 only; NumPy 1's FFT wrappers copy their
+        input and may read higher."""
+        x = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+        n0 = simulator._next_5_smooth(n + n // 2 - 1)
+        extract(x, n // 2, 79)      # the first call in a process imports numpy.fft
+        tracemalloc.start()
+        try:
+            extract(x, n // 2, 79)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * 8 * n0, peak / (8 * n0)
+
+    def test_lost_precision_raises_package_error(self, monkeypatch):
+        irfft = np.fft.irfft
+
+        def off_by_three_tenths(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out.flat[7] += 0.3
+            return out
+
+        x = np.random.default_rng(83).integers(0, 2, 3000, dtype=np.uint8)
+        monkeypatch.setattr(np.fft, "irfft", off_by_three_tenths)
+        with pytest.raises(PrecisionError, match="^FFT convolution lost integer precision$"):
+            extract(x, 1000, 89)
+        assert issubclass(PrecisionError, ArithmeticError)
