@@ -494,10 +494,18 @@ def _command_parser(command: Optional[str]) -> argparse.ArgumentParser:
     return parser
 
 
+# What a config file holds instead of an object, named without its content.
+_JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     config = dict(_DEFAULTS[command])
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_cfg, dict):
+            raise ParameterError(f"config file must hold a JSON object, got "
+                                 f"{_JSON_KINDS[type(file_cfg)]}")
         if "sweep_var" in file_cfg:
             if command != "rates":
                 raise ParameterError("sweep specifications apply to the rates command")

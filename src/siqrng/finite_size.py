@@ -480,12 +480,13 @@ class RateScenario:
         still Python's float power: NumPy's ``10.0 ** array`` differs from
         it in the last bit.
         """
-        if np.ndim(loss_db):
-            return np.array([self.transmittance(loss) for loss in np.ravel(loss_db).tolist()])
-        if loss_db < 0.0:
-            raise ParameterError(f"loss must be >= 0 dB, got {loss_db}")
-        t0 = monitor_attenuation(self.eta_bs, self.eta_det)
-        return self.eta_bs * t0 * 10.0 ** (-loss_db / 10.0)
+        losses = np.ravel(loss_db).tolist() if np.ndim(loss_db) else [loss_db]
+        for loss in losses:
+            if loss < 0.0:
+                raise ParameterError(f"loss must be >= 0 dB, got {loss}")
+        scale = self.eta_bs * monitor_attenuation(self.eta_bs, self.eta_det)
+        values = [scale * 10.0 ** (-loss / 10.0) for loss in losses]
+        return np.array(values) if np.ndim(loss_db) else values[0]
 
     def taus(self, loss_db: float) -> TauSet:
         """Vacuum probability at each detector behind ``loss_db`` of attenuation;
