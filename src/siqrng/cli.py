@@ -134,7 +134,8 @@ def _row_format(width: int) -> str:
 def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
                rows: Sequence[Sequence]) -> None:
     """Write the comment line, ``header`` and ``rows`` of floats, each cell
-    with 17 significant digits."""
+    with 17 significant digits: a command's first write, which makes the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["# " + _comment_line(command, manifest_hash), header]
     lines += [_row_format(len(row)) % tuple(row) for row in rows]
     text = "\n".join(lines) + "\n"
@@ -196,10 +197,9 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
             try:
                 return (empirical_autocorrelation(bits, lag, mask=mask),
                         autocorrelation_stderr(mask, lag))
-            except DegenerateError as exc:
-                raise DegenerateError(
-                    f"point p_hat_i={grid[idx]:.6g}, seed={seed + idx}: {exc}; "
-                    "raise --pulses") from exc
+            except SiqrngError as exc:
+                raise type(exc)(f"point p_hat_i={grid[idx]:.6g}, seed={seed + idx}: "
+                                f"{exc}; raise --pulses") from exc
 
         # Each point is a NumPy Monte Carlo run, so worker threads overlap.
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -387,9 +387,10 @@ def cmd_simulate(config: dict, out_dir: Path, manifest_hash: str,
     extract_bits = config.get("extract_bits")
     if extract_bits is None:
         extract_bits = len(stream) // 2   # demonstration default, not an entropy claim
-    # Extract before writing, so a rejected length leaves no output files.
+    # Extract before writing, so a rejected length leaves no output directory.
     extracted = extract(stream.bits, int(extract_bits), seed)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     clicks_path = out_dir / "clicks.csv"
     result.clicks.to_csv(clicks_path, header_comment=_comment_line("simulate", manifest_hash))
     bits_path = out_dir / "bits.bin"
@@ -502,7 +503,10 @@ _JSON_KINDS = {list: "an array", str: "a string", int: "a number", float: "a num
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     config = dict(_DEFAULTS[command])
     if args.config:
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ParameterError(f"config file must hold a JSON object, got "
                                  f"{_JSON_KINDS[type(file_cfg)]}")
@@ -551,8 +555,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _resolve_config(args.command, args)
         threads = _thread_count(args)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(args.out_dir)    # made by the first write: a failed run makes none
         seed = config.get("seed")
         manifest_hash = _manifest_hash(args.command, config, seed)
         outputs = _COMMANDS[args.command](config, out_dir, manifest_hash, threads)
@@ -575,7 +578,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PrecisionError as exc:       # no setting is wrong
         print(f"siqrng: error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (SiqrngError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (SiqrngError, ValueError, KeyError) as exc:
         print(f"siqrng: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -159,9 +159,8 @@ def composition_total(coefficients: Sequence[float], windows: int) -> float:
     ``coefficients[j-1]`` is the first-order coefficient at lag j; lags beyond
     the list contribute nothing.  Algebraically identical to enumerating every
     integer composition of each k, evaluated by convolution in O(windows*lags).
+    ``windows`` is a window depth, which :class:`AfterpulseSpec` bounds at >= 0.
     """
-    if windows < 0:
-        raise ParameterError(f"windows must be >= 0, got {windows}")
     lags = len(coefficients)
     if windows == 0 or lags == 0:
         return 0.0

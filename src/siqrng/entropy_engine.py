@@ -280,11 +280,10 @@ def empirical_autocorrelation(bits, lag: int, mask=None) -> float:
 
 
 def autocorrelation_stderr(mask, lag: int) -> float:
-    """Null standard error of the masked estimator: sqrt(N_pairs)/N_valid."""
+    """Null standard error of the masked estimator: sqrt(N_pairs)/N_valid, for a
+    ``mask`` that :func:`empirical_autocorrelation` took, so N_valid >= 1."""
     m = np.asarray(mask, dtype=bool)
     n_valid = int(m.sum())
-    if n_valid == 0:
-        raise DegenerateError("mask selects no entries")
     n_pairs = int((m[:-lag] & m[lag:]).sum())
     return math.sqrt(n_pairs) / n_valid
 

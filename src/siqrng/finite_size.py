@@ -411,6 +411,8 @@ def _min_bracket_over_taus(dets: Sequence[DetectorParams],
     fl(x + y) <= 2 max(x, y) and the larger of the two ratios is >= 1/2.  So
     r lies in [1/2, 1] and log2(r) in [-1, 0].  Both ends are floats, so a
     faithful math.log2 (error below 1 ulp) stays in [-1, 0]: z lies in [0, 1].
+    Nor can Q_single + Q_double > 1 + 1e-12: it is 1 - (1 - p_0)(1 - p_1) up
+    to a few roundings, and :func:`click_probabilities` checked p_0, p_1 in [0, 1].
     """
     if grid_points < 2:
         raise ParameterError(f"grid_points must be >= 2, got {grid_points}")
@@ -421,8 +423,6 @@ def _min_bracket_over_taus(dets: Sequence[DetectorParams],
     ratio = _max_guess_ratio(z_arm.p1_a, z_arm.p0_a, z_arm.p1_b, z_arm.p0_b)
     for name, value in (("eq", eq), ("q_single", q_single), ("q_double", q_double)):
         _check_unit(name, value)
-    if np.max(q_single + q_double) > 1.0 + 1e-12:
-        raise ParameterError("Q_single + Q_double exceeds 1")
     proxy = -np.log2(ratio)
     ends = [_bracket_of(proxy + d, q_single, q_double, eq, theta)
             for d in (-_LOG2_PROXY_ERROR, _LOG2_PROXY_ERROR)]
@@ -551,10 +551,8 @@ class RateScenario:
 
 def scenario_from_params(params: dict) -> RateScenario:
     """Build a :class:`RateScenario` from flat sweep-specification keys; a
-    missing key takes its :data:`SCENARIO_DEFAULTS` value."""
-    unknown = set(params) - set(SCENARIO_DEFAULTS)
-    if unknown:
-        raise ParameterError(f"unknown sweep parameters: {sorted(unknown)}")
+    missing key takes its :data:`SCENARIO_DEFAULTS` value; ``rates`` passes
+    no other key, as the command line rejects unknown config keys."""
     p = {**SCENARIO_DEFAULTS, **params}
     security = SecurityParams(
         total_pulses=float(p["N"]), x_fraction=float(p["q_x"]),

@@ -220,8 +220,7 @@ def hoeffding_delta(n_samples: int, eps_d: float) -> float:
 
 
 def clipped_interval(center: float, delta: float) -> Tuple[float, float]:
-    """Confidence interval [center-delta, center+delta] clipped to [0, 1]."""
-    if not (delta >= 0.0):    # a NaN radius fails too
-        raise ParameterError(f"delta must be >= 0, got {delta}")
+    """Confidence interval [center-delta, center+delta] clipped to [0, 1] of a
+    radius ``delta`` >= 0: :func:`hoeffding_delta`'s, or one checked so."""
     return max(0.0, center - delta), min(1.0, center + delta)
 

@@ -3,10 +3,11 @@
 ``tests/test_cli.py::test_failing_command_line`` runs each row through
 ``siqrng.cli.main`` and requires the row's exit status, nothing on stdout,
 exactly one stderr line, ``siqrng: error: `` (status 2) or
-``siqrng: i/o error: `` (status 1) followed by the row's text, and an
-``--out-dir`` that is absent or empty (absent for the rows of
-``BEFORE_OUT_DIR``).  This table is the one list of
-command-line failures: add a row here, not a test or a CI line.
+``siqrng: i/o error: `` (status 1) followed by the row's text, and no
+``--out-dir``: a failed run makes none.  ``tests/test_reachability.py`` runs
+every row too, as command lines that reach the package's checks.  This table
+is the one list of command-line failures: add a row here, not a test or a CI
+line.
 
 A row's argv is split on spaces.  ``{tmp}``, in the argv or the text, stands
 for the test's scratch directory.  ``env`` sets environment variables for
@@ -18,7 +19,8 @@ is written as JSON, a string as it is.  A run whose argv names no
 from __future__ import annotations
 
 import json
-from typing import Dict, NamedTuple, Optional, Union
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Optional, Union
 
 
 class Failure(NamedTuple):
@@ -37,12 +39,24 @@ class Failure(NamedTuple):
             words.append(f"--config {payload}")
         return " ".join(words)
 
+    def argv_in(self, tmp: Path) -> List[str]:
+        """The row's argv with ``{tmp}`` standing for ``tmp``: the config file
+        written there, and ``--out-dir {tmp}/out`` where the row names none."""
+        argv = self.argv.replace("{tmp}", str(tmp)).split()
+        if self.config is not None:
+            cfg = tmp / "cfg.json"
+            cfg.write_text(self.config if isinstance(self.config, str)
+                           else json.dumps(self.config))
+            argv += ["--config", str(cfg)]
+        if "--out-dir" not in argv:
+            argv += ["--out-dir", str(tmp / "out")]
+        return argv
+
 
 F = Failure
 
-# Rejected while the settings are read, before ``--out-dir`` is made, so the
-# directory must not exist after the run.
-BEFORE_OUT_DIR = [
+FAILURES = [
+    # --- settings read before any command runs --------------------------------
     F("hmin --points 3 --threads 0", "threads must be >= 1, got 0"),
     F("hmin --points 3", "SIQRNG_THREADS must be an integer, got 'abc'",
       env={"SIQRNG_THREADS": "abc"}),
@@ -65,8 +79,8 @@ BEFORE_OUT_DIR = [
     F("autocorr", "config key 'mc' must be bool, got 1",
       config={"mc": 1, "points": 2, "pulses": 1000}),
     F("hmin", "config key 'points' must be int, got true", config={"points": True}),
-    F("hmin", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
-      config="{"),
+    F("hmin", "config file {tmp}/cfg.json is not valid JSON: Expecting property name "
+      "enclosed in double quotes: line 1 column 2 (char 1)", config="{"),
     F("hmin", "config file must hold a JSON object, got a number", config="5"),
     F("hmin", "config file must hold a JSON object, got an array", config="[1, 2]"),
     F("rates", "unsupported sweep variable 'nu'", config={"sweep_var": "nu"}),
@@ -75,6 +89,8 @@ BEFORE_OUT_DIR = [
               "method": "entropy_inequality", "params": {"nu": 10}}),
     F("rates", "sweep specification key 'params' must be an object, got 5",
       config={"sweep_var": "voa_loss_db", "params": 5}),
+    F("rates", "unknown config keys: ['bogus']",
+      config={"sweep_var": "voa_loss_db", "params": {"bogus": 1}}),
     F("hmin", "sweep specifications apply to the rates command",
       config={"sweep_var": "voa_loss_db", "from": 0.0, "to": 1.0, "points": 3}),
     # --- files that cannot be read or written (exit 1) ---------------------
@@ -83,9 +99,6 @@ BEFORE_OUT_DIR = [
     # the config file stands in for any regular file
     F("hmin --points 3 --out-dir {tmp}/cfg.json/out",
       "[Errno 20] Not a directory: '{tmp}/cfg.json/out'", status=1, config={}),
-]
-
-FAILURES = BEFORE_OUT_DIR + [
     # --- each command checks its own settings ---------------------------------
     F("autocorr --points 1", "autocorr needs points >= 2, got 1"),
     F("hmin --points 1", "hmin needs points >= 2, got 1"),
@@ -126,6 +139,11 @@ FAILURES = BEFORE_OUT_DIR + [
     F("autocorr --mc --points 3 --pulses 1000 --seed 18446744073709551614",
       "autocorr --mc draws point i with seed + i, so seed must lie in [0, 2^64 - points]; "
       "got seed 18446744073709551614 for 3 points"),
+    # no detector can click, so the raw bit's expectation is undefined
+    F("autocorr --eta 0 --e-d 0", "no single-click events: k is undefined"),
+    # 1 pulse leaves one Z window, too few for a lag-1 pair
+    F("autocorr --mc --points 2 --pulses 1",
+      "point p_hat_i=0, seed=1: sequence of length 1 too short for lag 1; raise --pulses"),
     # 10 pulses at nu = 1 and eta = 0.1 leave a constant Z-window bit sequence
     F("autocorr --points 3 --mc --pulses 10",
       "point p_hat_i=0, seed=1: constant sequence has undefined autocorrelation; "
@@ -136,8 +154,12 @@ FAILURES = BEFORE_OUT_DIR + [
     F("autocorr --points 3 --mc --pulses 10 --seed 7 --threads 2",
       "point p_hat_i=0, seed=7: constant sequence has undefined autocorrelation; "
       "raise --pulses"),
+    # with seed 3 the 10 pulses leave no single-click Z window
+    F("autocorr --points 2 --mc --pulses 10 --seed 3",
+      "point p_hat_i=0, seed=3: mask selects no entries; raise --pulses"),
     # --- hmin -----------------------------------------------------------------
     F("hmin --sweep bogus", "unknown hmin sweep 'bogus'"),
+    F("hmin --nu -1", "mean photon number must be finite and >= 0, got -1.0"),
     F("hmin --p-hat-max 1.2", "first_order_rate must lie in [0, 1), got 1.02"),
     F("hmin --eta 1.02", "efficiency must lie in [0, 1], got 1.02"),
     F("hmin --eta 1.5", "efficiency must lie in [0, 1], got 1.5"),
@@ -173,6 +195,12 @@ FAILURES = BEFORE_OUT_DIR + [
     F("rates --N 10 --points 3",
       "N = 10 and q_x = 0.02 leave n_x = 0.2 and n_z = 9.8 pulses; both must be >= 1"),
     F("rates --v -5 --points 3", "z_rate must be >= 0, got -5.0"),
+    F("rates --N 0 --points 2", "total_pulses must be >= 1, got 0.0"),
+    F("rates --q-x 1", "x_fraction must lie in (0, 1), got 1.0"),
+    F("rates --eps-all 1", "eps_all must lie in (0, 1), got 1.0"),
+    F("rates --t-e 0", "t_e must be >= 1, got 0"),
+    F("rates --e-q 1.5", "misalignment must lie in [0, 1], got 1.5"),
+    F("rates --nu -1", "nu must be >= 0, got -1.0"),
     F("rates --eta-bs 1 --points 3",
       "beam-splitter transmittance must lie in (0, 1), got 1.0"),
     F("rates --eta-det 0 --points 3",
@@ -200,11 +228,14 @@ FAILURES = BEFORE_OUT_DIR + [
       "hmin_il at the exact vacuum probabilities, before any monitor box: "
       "single-click probability vanishes in the worst case"),
     # --- simulate -------------------------------------------------------------
+    F("simulate --pulses 0", "pulses must be >= 1, got 0"),
+    F("simulate --t-z 2", "t_z must lie in [0, 1], got 2.0"),
     F("simulate --p-hat 0 --window-depth -1", "window_depth must be >= 0, got -1"),
     F("simulate --p-hat 0.05 --omega 0", "decay must be > 0, got 0.0"),
     # the extraction is checked before any file is written
     F("simulate --pulses 1000 --extract-bits 100000",
       "output_len 100000 exceeds input length 79"),
+    F("simulate --pulses 1000 --extract-bits -1", "output_len must be >= 0, got -1"),
     # both seeds of each pair -1, 2^64 - 1 and 2^64, 0 used to draw the same
     # Philox streams
     F("simulate --seed -1", "seed must lie in [0, 2^64), got -1"),

@@ -14,7 +14,7 @@ from siqrng.entropy_engine import (ArmState, entropy_report_from_taus,
                                    prior_autocorrelation, worst_afterpulse)
 from siqrng.finite_size import RateScenario, hmin_with_tau_uncertainty
 
-from cli_failures import BEFORE_OUT_DIR, FAILURES
+from cli_failures import FAILURES
 
 
 def run(argv):
@@ -32,27 +32,18 @@ def read_csv(path):
 @pytest.mark.parametrize("row", FAILURES, ids=lambda row: row.label())
 def test_failing_command_line(tmp_path, capsys, monkeypatch, row):
     """The row's status, nothing on stdout, one stderr line that is the prefix
-    and the row's text (so no traceback), and no file in ``--out-dir``, which
-    a run rejected while its settings are read must not make."""
+    and the row's text (so no traceback), and no ``--out-dir``, which a failed
+    run must not make."""
     for key, value in (row.env or {}).items():
         monkeypatch.setenv(key, value)
-    argv = row.argv.replace("{tmp}", str(tmp_path)).split()
-    if row.config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(row.config if isinstance(row.config, str) else json.dumps(row.config))
-        argv += ["--config", str(cfg)]
-    if "--out-dir" not in argv:
-        argv += ["--out-dir", str(tmp_path / "out")]
+    argv = row.argv_in(tmp_path)
     out_dir = Path(argv[argv.index("--out-dir") + 1])
     assert run(argv) == row.status
     prefix = "siqrng: i/o error: " if row.status == 1 else "siqrng: error: "
     out, err = capsys.readouterr()
     assert err == prefix + row.message.replace("{tmp}", str(tmp_path)) + "\n"
     assert out == ""
-    if row in BEFORE_OUT_DIR:
-        assert not out_dir.exists()
-    else:
-        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 class TestAutocorr:

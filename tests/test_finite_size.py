@@ -566,11 +566,6 @@ class TestHminWithTauUncertainty:
         with pytest.raises(ParameterError, match="grid_points must be >= 2"):
             RateScenario(args[0]).monitored(args[1], 0.01, grid_points=grid_points)
 
-    def test_nan_radius_is_named(self):
-        # a NaN radius used to clip to the box [0, 1] and raise DegenerateError
-        with pytest.raises(ParameterError, match="^delta must be >= 0, got nan$"):
-            hmin_with_tau_uncertainty(make_detectors(), _taus_at(), math.nan)
-
     def test_box_reaching_vacuum_without_noise_is_degenerate(self):
         # tau = 1 with e_d = 0 and no afterpulse: neither detector can click
         with pytest.raises(DegenerateError):
@@ -725,11 +720,6 @@ class TestRateScenario:
         theta, bits = scenario.monitored(scenario.taus(loss_db),
                                          hoeffding_delta(100, scenario.security.eps_d))
         assert math.isnan(theta) and bits == 0.0
-
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ParameterError,
-                           match=r"^unknown sweep parameters: \['bogus'\]$"):
-            scenario_from_params({"bogus": 1.0})
 
     def test_negative_afterpulse_rate_rejected(self):
         with pytest.raises(ParameterError, match="first_order_rate"):
