@@ -40,14 +40,6 @@ from .finite_size import (
     theta_entropy_inequality,
     theta_random_sampling,
 )
-from .simulator import (
-    BitStream,
-    ClickRecords,
-    PulseTrainConfig,
-    SimulationResult,
-    extract,
-    simulate,
-)
 from .source_monitor import (
     PhotonDistribution,
     bernoulli_transform,
@@ -57,4 +49,18 @@ from .source_monitor import (
     vacuum_probability,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The simulator is imported on the first use of one of its names (PEP 562),
+# so a command that never simulates does not load it.
+_SIMULATOR_NAMES = ("BitStream", "ClickRecords", "PulseTrainConfig", "SimulationResult",
+                    "extract", "simulate", "simulator")
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from importlib import import_module    # `from . import simulator` recurses here
+        simulator = import_module(".simulator", __name__)
+        return simulator if name == "simulator" else getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_SIMULATOR_NAMES))

@@ -20,6 +20,7 @@ internal failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -27,9 +28,8 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .entropy_engine import (
     worst_afterpulse_exponential,
 )
 from .errors import DegenerateError, ParameterError, PrecisionError, SiqrngError
+from .files import open_new
 from .finite_size import (
     SCENARIO_DEFAULTS,
     hmin_with_tau_uncertainty,
@@ -56,14 +57,6 @@ from .finite_size import (
     split_sweep_spec,
 )
 from .source_monitor import hoeffding_delta, poisson_distribution
-from .simulator import (
-    SEED_LIMIT,
-    PulseTrainConfig,
-    extract,
-    open_new,
-    simulate,
-    z_window_bits,
-)
 
 CSV_FORMAT_VERSION = 1
 
@@ -124,23 +117,36 @@ def _comment_line(command: str, manifest_hash: str) -> str:
     return f"siqrng csv={CSV_FORMAT_VERSION} command={command} manifest={manifest_hash}"
 
 
-@functools.lru_cache(maxsize=None)
-def _row_format(width: int) -> str:
-    """The format of a CSV row of ``width`` floats, each with 17 significant
-    digits."""
-    return ",".join(["%.17g"] * width)
+# Lines per block of CSV text: a 4000-point rates.csv is 16 blocks of about 64 KB
+_CSV_BLOCK_LINES = 256
 
 
 def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
-               rows: Sequence[Sequence]) -> None:
+               rows: Iterable[Sequence]) -> None:
     """Write the comment line, ``header`` and ``rows`` of floats, each cell
-    with 17 significant digits: a command's first write, which makes the directory."""
+    with 17 significant digits: a command's first write, which makes the directory.
+
+    ``rows`` may be a generator.  Each row is formatted as it comes, and its
+    line joins a block of ``_CSV_BLOCK_LINES`` lines of text, so the rows
+    themselves are not kept.  Every row is formatted before the directory is
+    made, so a row that raises leaves none; then each block is encoded as it
+    is written.
+    """
+    blocks, lines = [], [f"# {_comment_line(command, manifest_hash)}\n{header}\n"]
+    width = None
+    for row in rows:
+        if len(row) != width:
+            width = len(row)
+            line_format = ",".join(["%.17g"] * width) + "\n"
+        lines.append(line_format % tuple(row))
+        if len(lines) == _CSV_BLOCK_LINES:
+            blocks.append("".join(lines))
+            lines = []
+    blocks.append("".join(lines))
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["# " + _comment_line(command, manifest_hash), header]
-    lines += [_row_format(len(row)) % tuple(row) for row in rows]
-    text = "\n".join(lines) + "\n"
     with open_new(path) as fh:
-        fh.write(text.encode("utf-8"))
+        for block in blocks:
+            fh.write(block.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +189,7 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
     header = "p_hat_i,a_prior"
 
     if config["mc"]:
+        from .simulator import SEED_LIMIT, PulseTrainConfig, simulate, z_window_bits
         pulses = int(config["pulses"])
         seed = int(config["seed"])
         if not 0 <= seed <= SEED_LIMIT - points:
@@ -190,7 +197,14 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
                                  f"lie in [0, 2^64 - points]; got seed {seed} for "
                                  f"{points} points")
 
+        # failed[i]: point i raised.  Each entry has one writer, so no update
+        # is lost; a point after a failed one is skipped, as the map raises
+        # at the failed point before it reads the skipped one.
+        failed = [False] * points
+
         def mc_point(idx: int):
+            if any(failed[:idx]):
+                return None
             sim_cfg = PulseTrainConfig(pulses=pulses, source=source, dets=dets[idx],
                                        x_fraction=0.0, seed=seed + idx)
             bits, mask = z_window_bits(simulate(sim_cfg).clicks)
@@ -198,9 +212,11 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
                 return (empirical_autocorrelation(bits, lag, mask=mask),
                         autocorrelation_stderr(mask, lag))
             except SiqrngError as exc:
+                failed[idx] = True
                 raise type(exc)(f"point p_hat_i={grid[idx]:.6g}, seed={seed + idx}: "
                                 f"{exc}; raise --pulses") from exc
 
+        from concurrent.futures import ThreadPoolExecutor
         # Each point is a NumPy Monte Carlo run, so worker threads overlap.
         with ThreadPoolExecutor(max_workers=threads) as pool:
             mc = list(pool.map(mc_point, range(points)))
@@ -256,7 +272,7 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
         columns = [_hmin_a(e_d, np.zeros(points), taus)] + [
             _hmin_a(e_d, worst_afterpulse_exponential(p_hats, omega, depth), taus)
             for depth in depths]
-        rows = [list(row) for row in zip(grid, *(c.tolist() for c in columns))]
+        rows = zip(grid, *(c.tolist() for c in columns))
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
@@ -271,7 +287,7 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
         dets = detector_set(eta, e_d, AfterpulseSpec.none(), ratios * eta)
         taus = measurement_taus(source, dets, e_q)
         columns = [_hmin_a(e_d, worst, taus) for worst in (0.0, worst_afterpulse(spec_ap))]
-        rows = [list(row) for row in zip(ratios.tolist(), *(c.tolist() for c in columns))]
+        rows = zip(ratios.tolist(), *(c.tolist() for c in columns))
         header = "eta_ratio,hmin_a_no_ap,hmin_a_ap"
         path = out_dir / "hmin_efficiency.csv"
     else:
@@ -297,17 +313,19 @@ def cmd_rates(config: dict, out_dir: Path, manifest_hash: str,
     n = plain.security.total_pulses
     taus = plain.taus(losses)    # the scenarios differ only in afterpulsing
     cells = [scenario.entropy(taus).cells() for scenario in (plain, withap)]
-    rows = []
-    for loss, plain_cell, withap_cell in zip(losses.tolist(), *cells):
-        a, b = plain.rates(plain_cell), withap.rates(withap_cell)
-        bits = [a["random_sampling"], a["entropy_inequality"], a["infinite_length"],
-                b["random_sampling"], b["entropy_inequality"], b["infinite_length"]]
-        rows.append([loss] + bits + [v / n for v in bits])
+
+    def rows():
+        for loss, plain_cell, withap_cell in zip(losses.tolist(), *cells):
+            a, b = plain.rates(plain_cell), withap.rates(withap_cell)
+            bits = (a["random_sampling"], a["entropy_inequality"], a["infinite_length"],
+                    b["random_sampling"], b["entropy_inequality"], b["infinite_length"])
+            yield (loss, *bits, *(v / n for v in bits))
+
     header = ("loss_db,bits_rs,bits_ei,bits_il,bits_rs_ap,bits_ei_ap,bits_il_ap,"
               "per_pulse_rs,per_pulse_ei,per_pulse_il,"
               "per_pulse_rs_ap,per_pulse_ei_ap,per_pulse_il_ap")
     path = out_dir / "rates.csv"
-    _write_csv(path, "rates", manifest_hash, header, rows)
+    _write_csv(path, "rates", manifest_hash, header, rows())
     return [path]
 
 
@@ -370,6 +388,7 @@ def cmd_finite_sampling(config: dict, out_dir: Path, manifest_hash: str,
 
 def cmd_simulate(config: dict, out_dir: Path, manifest_hash: str,
                  threads: int = 1) -> List[Path]:
+    from .simulator import PulseTrainConfig, extract, simulate
     seed = int(config["seed"])
     spec = AfterpulseSpec.exponential_from_rate(
         float(config["p_hat"]), float(config["omega"]), int(config["window_depth"]))
@@ -547,6 +566,17 @@ def _thread_count(args: argparse.Namespace) -> int:
     return threads
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise the error that making ``out_dir`` would raise where a file stands
+    in its place or on its path, so that the command fails before it computes."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                code = errno.EEXIST if path == out_dir else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(out_dir))
+            return
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -556,6 +586,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _resolve_config(args.command, args)
         threads = _thread_count(args)
         out_dir = Path(args.out_dir)    # made by the first write: a failed run makes none
+        _check_out_dir(out_dir)
         seed = config.get("seed")
         manifest_hash = _manifest_hash(args.command, config, seed)
         outputs = _COMMANDS[args.command](config, out_dir, manifest_hash, threads)

@@ -20,16 +20,15 @@ import functools
 import hashlib
 import json
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .detector_model import AfterpulseSpec, DetectorParams, afterpulse_coeff
 from .errors import ParameterError, PrecisionError
+from .files import open_new
 from .source_monitor import PhotonDistribution, bernoulli_transform
 
 # Stream identifiers; append only, never renumber.
@@ -161,24 +160,6 @@ class PulseTrainConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def open_new(path) -> BinaryIO:
-    """Open ``path`` for binary writing as a new file.
-
-    Whatever ``path`` names is unlinked first, not truncated: truncating a
-    large file in place can cost several times writing a new one (on ext4
-    mounted with ``discard``, rewriting an 8.5 MB file took 12.8 ms through
-    ``O_TRUNC`` and 3.8 ms after an unlink).  So a symlink at ``path`` is
-    replaced, not written through; other hard links keep the old content;
-    and the new file's mode comes from the umask.  The file is created
-    exclusively, so a link made at ``path`` in between is not followed.
-    """
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    return open(path, "xb")
 
 
 # clicks.csv rows: the index, then the 11-byte suffix ",basis,d0,d1,ap0,ap1\n".
@@ -945,7 +926,10 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
         return _chunk_draws(config, config.seed, chunk, chunk_counts[chunk], cdf_z, cdf_x,
                             thresholds, binomials)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = None
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor    # loaded only for a pool
+        pool = ThreadPoolExecutor(max_workers=threads)
     parts, totals = [], (0,) * 6
     try:
         pending = {}

@@ -178,7 +178,7 @@ def vacuum_probability(dist: PhotonDistribution, xi) -> np.ndarray:
     Each cell equals the float result of its own ``xi``: each distinct
     ``xi`` is its own ``np.dot`` with the power row, since a matrix product
     sums in another order, and the power matrix is built ``_POWER_ROWS``
-    rows at a time.
+    rows at a time in one reused block.
     """
     xis = np.asarray(xi, dtype=float)
     outside = ~((xis >= 0.0) & (xis <= 1.0))
@@ -188,8 +188,10 @@ def vacuum_probability(dist: PhotonDistribution, xi) -> np.ndarray:
     n = np.arange(dist.n_max + 1)
     distinct, inverse = np.unique(xis.ravel(), return_inverse=True)
     lo = np.empty(distinct.size)
+    space = np.empty((min(distinct.size, _POWER_ROWS), n.size))
     for start in range(0, distinct.size, _POWER_ROWS):
-        powers = np.power((1.0 - distinct[start:start + _POWER_ROWS])[:, None], n)
+        bases = 1.0 - distinct[start:start + _POWER_ROWS]
+        powers = np.power(bases[:, None], n, out=space[:bases.size])
         lo[start:start + _POWER_ROWS] = [np.dot(dist.probs, row) for row in powers]
     return np.clip(lo[inverse], 0.0, 1.0).reshape(xis.shape)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siqrng import cli, finite_size, poisson_distribution
+from siqrng import cli, finite_size, poisson_distribution, simulator
 from siqrng.cli import main
 from siqrng.detector_model import AfterpulseSpec, detector_set
 from siqrng.entropy_engine import (ArmState, entropy_report_from_taus,
@@ -46,6 +46,24 @@ def test_failing_command_line(tmp_path, capsys, monkeypatch, row):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("out_dir, message", [
+    ("{tmp}/cfg.json/out", "[Errno 20] Not a directory: '{tmp}/cfg.json/out'"),
+    ("{tmp}/cfg.json", "[Errno 17] File exists: '{tmp}/cfg.json'"),
+], ids=["under_a_file", "a_file"])
+def test_out_dir_that_cannot_be_made_fails_before_the_command(tmp_path, capsys, monkeypatch,
+                                                              out_dir, message):
+    """The error that making the directory gives, before the command computes."""
+    entered = []
+    monkeypatch.setitem(cli._COMMANDS, "hmin", lambda *args: entered.append(args))
+    (tmp_path / "cfg.json").write_text("{}")
+    assert run(["hmin", "--points", "3", "--out-dir",
+                out_dir.replace("{tmp}", str(tmp_path))]) == 1
+    assert capsys.readouterr().err == (
+        "siqrng: i/o error: " + message.replace("{tmp}", str(tmp_path)) + "\n")
+    assert entered == []
+    assert (tmp_path / "cfg.json").read_text() == "{}"
+
+
 class TestAutocorr:
     def test_analytic_sweep(self, tmp_path):
         assert run(["autocorr", "--out-dir", str(tmp_path), "--points", "6"]) == 0
@@ -79,6 +97,23 @@ class TestAutocorr:
                     "--out-dir", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["manifest_hash"] == (
             "80e10757626090db")
+
+    def test_mc_stops_at_the_first_failed_point(self, tmp_path, capsys, monkeypatch):
+        """Point 0 fails, so no later point simulates, and the error line is
+        the failure table's."""
+        (row,) = [row for row in FAILURES
+                  if row.argv == "autocorr --points 3 --mc --pulses 10 --seed 7 --threads 1"]
+        seeds = []
+        simulate = simulator.simulate
+
+        def spy(cfg, threads=1):
+            seeds.append(cfg.seed)
+            return simulate(cfg, threads=threads)
+
+        monkeypatch.setattr(simulator, "simulate", spy)
+        assert run(row.argv_in(tmp_path)) == row.status
+        assert seeds == [7]
+        assert capsys.readouterr().err == f"siqrng: error: {row.message}\n"
 
     def test_mc_seed_range_ends_at_2_64_minus_points(self, tmp_path):
         # point i draws with seed + i, so 3 points reach seed + 2 = 2^64 - 1
@@ -600,13 +635,14 @@ class TestRunRecord:
 
     def test_bits_json_describes_bits_bin(self, tmp_path, monkeypatch):
         runs = []
-        simulate = cli.simulate
+        simulate = simulator.simulate
 
         def spy(cfg, threads=1):
             runs.append((cfg, simulate(cfg, threads=threads)))
             return runs[-1][1]
 
-        monkeypatch.setattr(cli, "simulate", spy)
+        # cmd_simulate imports simulate from the simulator when it runs
+        monkeypatch.setattr(simulator, "simulate", spy)
         assert run(["simulate", "--pulses", "2000", "--seed", "19",
                     "--out-dir", str(tmp_path)]) == 0
         ((sim_cfg, result),) = runs
@@ -805,9 +841,43 @@ class TestWriteCsv:
         write = cli._write_csv
 
         def spy(path, command, manifest_hash, header, rows):
+            rows = list(rows)    # a generator of rows is read once
             cells.extend(v for row in rows for v in row)
             write(path, command, manifest_hash, header, rows)
 
         monkeypatch.setattr(cli, "_write_csv", spy)
         assert run([*argv, "--out-dir", str(tmp_path)]) == 0
         assert cells and {type(v) for v in cells} == {float}
+
+
+class TestWhatASweepHolds:
+    def test_sweeps_load_neither_the_simulator_nor_a_thread_pool(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        code = ("import sys, siqrng.cli\n"
+                "for argv in sys.argv[2:]:\n"
+                "    assert siqrng.cli.main([*argv.split(), '--out-dir', sys.argv[1]]) == 0, argv\n"
+                "print(sorted({'siqrng.simulator', 'concurrent.futures'} & set(sys.modules)))")
+        argvs = ["hmin --points 3", "hmin --sweep efficiency --points 3", "rates --points 3",
+                 "finite-sampling --points 3"]
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path), *argvs],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_rates_traced_peak_is_bounded(self, tmp_path):
+        """rates keeps its CSV as text blocks, not as rows, lines, one string
+        and its encoding: the traced peak of 4000 points fell from 5.67 MB to
+        about 2.1 MB."""
+        import tracemalloc
+        argv = ["rates", "--points", "4000", "--out-dir", str(tmp_path)]
+        assert run(argv) == 0    # the imports, the parser and the tables
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6

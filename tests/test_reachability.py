@@ -19,12 +19,14 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import threading
 from functools import lru_cache, partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import siqrng
@@ -33,7 +35,8 @@ from siqrng import (AfterpulseSpec, BitStream, ClickRecords, ConvergenceError,
                     PhotonDistribution, PulseTrainConfig, RateScenario,
                     afterpulse_coeff, bernoulli_transform, cli, detector_set,
                     empirical_autocorrelation, extract, hoeffding_delta,
-                    poisson_distribution, simulate, theta_entropy_inequality,
+                    poisson_distribution, response_prob_no_afterpulse, simulate,
+                    theta_entropy_inequality,
                     theta_random_sampling, total_afterpulse_finite, vacuum_probability)
 
 from cli_failures import FAILURES
@@ -68,6 +71,11 @@ ARGVS = [
     SHORT + ["--threads", "2"],
     SHORT + ["--config", "{seed_config}"],
     ["rates", "--config", "{sweep_spec}"],
+    # branches that only these lines take; test_edge_lines_write_their_branch_output
+    # checks what each wrote
+    SHORT + ["--extract-bits", "0"],
+    SHORT + ["--nu", "0"],
+    SHORT + ["--config", "{null_config}"],
 ]
 
 DETS = detector_set(0.1, 6e-7, AfterpulseSpec.none())
@@ -79,6 +87,9 @@ SCENARIO = RateScenario(DETS)
 # lines cannot reach, because the commands check the same settings first or
 # never pass such a value.
 LIBRARY = [
+    # --- the package ----------------------------------------------------------
+    (AttributeError, "module 'siqrng' has no attribute 'no_such_name'",
+     lambda: siqrng.no_such_name),
     # --- detector model -------------------------------------------------------
     (ParameterError, "lag must be >= 1, got 0", lambda: afterpulse_coeff(0.1, 0.5, 0)),
     (ParameterError, "amplitude must be >= 0, got -0.1",
@@ -105,6 +116,9 @@ LIBRARY = [
     (ParameterError, "lag must be >= 1, got 0", lambda: AfterpulseSpec.none().coefficient(0)),
     (ParameterError, "label must be one of ('0', '1', '+', '-'), got '2'",
      lambda: DetectorParams(0.1, 6e-7, label="2")),
+    # an array names its first entry outside [0, 1]
+    (ParameterError, "tau must lie in [0, 1], got 1.5",
+     lambda: response_prob_no_afterpulse(np.array([0.5, 1.5, -0.1]), 6e-7)),
     # --- entropy engine -------------------------------------------------------
     (ParameterError, "bit sequence must be one-dimensional",
      lambda: empirical_autocorrelation([[0, 1], [1, 0]], 1)),
@@ -169,6 +183,8 @@ LIBRARY = [
 # Functions no command line reaches, and raises nothing reaches, each with
 # the reason it stays.
 ALLOWED = {
+    "__init__.__getattr__": "a library lookup of a package attribute, which no command "
+                            "line makes; LIBRARY's siqrng.no_such_name enters it",
     "finite_size.RateScenario.monitored": "ROADMAP item 3 gives it a command",
     "cli.cmd_hmin: raise": "the loop above it re-raises at grid[-1] at the latest",
     'simulator.extract: raise PrecisionError("FFT convolution lost integer precision")':
@@ -271,11 +287,14 @@ def reach(tmp_path_factory):
     """Every command line and library call, run once under the trace hook."""
     tmp = tmp_path_factory.mktemp("reach")
     seed_config, sweep_spec = tmp / "seed.json", tmp / "sweep.json"
+    null_config = tmp / "null.json"
     seed_config.write_text(json.dumps({"seed": 3.0}))
+    null_config.write_text(json.dumps({"extract_bits": None}))
     sweep_spec.write_text(README.read_text().split("```json\n", 1)[1].split("```", 1)[0])
     commands = []    # (label, expected exit status, call)
     for i, argv in enumerate(ARGVS):
-        argv = [arg.format(seed_config=seed_config, sweep_spec=sweep_spec) for arg in argv]
+        argv = [arg.format(seed_config=seed_config, sweep_spec=sweep_spec,
+                           null_config=null_config) for arg in argv]
         commands.append((" ".join(argv), 0,
                          partial(cli.main, argv + ["--out-dir", str(tmp / f"ok{i}")])))
     for i, row in enumerate(FAILURES):
@@ -286,6 +305,7 @@ def reach(tmp_path_factory):
     outcomes, _, library_raised = run_traced(
         [partial(_library_outcome, *entry) for entry in LIBRARY])
     return {
+        "out": {tuple(argv): tmp / f"ok{i}" for i, argv in enumerate(ARGVS)},
         "wrong_status": [f"{label}: exit {got}, expected {want}"
                          for (label, want, _), got in zip(commands, statuses) if got != want],
         "entered": {(_resolved(c.co_filename), c.co_firstlineno) for c in entered},
@@ -314,6 +334,22 @@ def _unreached(names, reached):
 
 def test_command_lines_exit_as_listed(reach):
     assert not reach["wrong_status"], "\n".join(reach["wrong_status"])
+
+
+def test_edge_lines_write_their_branch_output(reach):
+    """``extract``'s empty return, the nu = 0 source and a ``null`` config value."""
+    no_extract = reach["out"][tuple(SHORT + ["--extract-bits", "0"])]
+    assert (no_extract / "extracted.bin").read_bytes() == b""
+    assert (no_extract / "bits.bin").read_bytes()
+    dark = reach["out"][tuple(SHORT + ["--nu", "0"])]
+    record = json.loads((dark / "bits.json").read_text())
+    assert (record["bit_count"], record["z_windows"] + record["x_windows"]) == (0, 20000)
+    assert (dark / "bits.bin").read_bytes() == (dark / "extracted.bin").read_bytes() == b""
+    null = reach["out"][tuple(SHORT + ["--config", "{null_config}"])]
+    assert json.loads((null / "manifest.json").read_text())["config"]["extract_bits"] is None
+    bit_count = json.loads((null / "bits.json").read_text())["bit_count"]
+    # the default output length: half the raw bits
+    assert len((null / "extracted.bin").read_bytes()) == math.ceil(bit_count // 2 / 8) > 0
 
 
 def test_every_function_runs_under_a_command(reach):
