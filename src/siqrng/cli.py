@@ -312,11 +312,15 @@ def cmd_rates(config: dict, out_dir: Path, manifest_hash: str,
     withap = scenario_from_params({**base_params, "p_hat": config["p_hat_ap"]})
     n = plain.security.total_pulses
     taus = plain.taus(losses)    # the scenarios differ only in afterpulsing
-    cells = [scenario.entropy(taus).cells() for scenario in (plain, withap)]
+    reports = [scenario.entropy(taus) for scenario in (plain, withap)]
+    # theta's Newton estimates: one NumPy pass per variant, checked cell by cell
+    windows = [scenario.windows(report.eq) for scenario, report in zip((plain, withap), reports)]
 
     def rows():
-        for loss, plain_cell, withap_cell in zip(losses.tolist(), *cells):
-            a, b = plain.rates(plain_cell), withap.rates(withap_cell)
+        for loss, plain_cell, withap_cell, plain_window, withap_window in zip(
+                losses.tolist(), *(report.cells() for report in reports), *windows):
+            a = plain.rates(plain_cell, plain_window)
+            b = withap.rates(withap_cell, withap_window)
             bits = (a["random_sampling"], a["entropy_inequality"], a["infinite_length"],
                     b["random_sampling"], b["entropy_inequality"], b["infinite_length"])
             yield (loss, *bits, *(v / n for v in bits))

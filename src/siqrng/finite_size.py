@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,6 +156,7 @@ def _excess_error_bound(eq: float, q_x: float, n_x: float, offset: float,
     and ``slope`` is :func:`_zeta_slope` at theta.
 
     Z is replaced by its bound |log2_pref| + |log2_target| + |excess|.
+    Arrays give the bound of each cell.
     """
     tested = eq + theta
     mixed = eq + (1.0 - q_x) * theta
@@ -164,7 +165,78 @@ def _excess_error_bound(eq: float, q_x: float, n_x: float, offset: float,
                                 + 2.0**-44 * tested * tested / mixed))
 
 
-def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -> float:
+def _zeta_estimates(eq: np.ndarray, q_x: float, theta: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """(zeta, zeta') of :func:`_zeta_exponent` and :func:`_zeta_slope`, the
+    same formulas in NumPy, for the cells of :func:`theta_windows`.
+
+    They only steer Newton's estimate and the width of a window that
+    :func:`theta_random_sampling` checks in ``math`` before it uses it, so
+    their rounding (``np.log1p`` differs from ``math.log1p`` in the last bit,
+    and by SIMD kernel) needs no bound.  For the same reason they need no
+    pole branches.  On the bracket m and t are at most 1/2, so 1 - m is not
+    0 and t < 1.  Where (EQ - m)/m rounds to -1, log1p gives -inf; the
+    estimate then turns infinite or NaN, its window fails the checks, and
+    the plain bisection decides that point.
+    """
+    p_x = 1.0 - q_x
+    mixed = eq + p_x * theta
+    tested = eq + theta
+    mixed_comp = 1.0 - mixed
+    d_eq = (eq * np.log1p((eq - mixed) / mixed)
+            + (1.0 - eq) * np.log1p((mixed - eq) / mixed_comp))
+    d_tested = (tested * np.log1p((tested - mixed) / mixed)
+                + (1.0 - tested) * np.log1p((mixed - tested) / mixed_comp))
+    zeta = q_x * (d_eq / _LN2) + p_x * (d_tested / _LN2)
+    slope = p_x * np.log1p(q_x * theta / (mixed * (1.0 - eq - theta))) / _LN2
+    return zeta, slope
+
+
+def theta_windows(eq, q_x: float, n_total: float, eps_e: float
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrays (a, b) of the window that :func:`theta_random_sampling`
+    checks, for every EQ of ``eq`` (any shape) at once; NaN where there is
+    no estimate.
+
+    Newton's method runs on the analytic zeta' from the Gaussian estimate
+    theta_0 = sqrt(2 ln2 L EQ(1-EQ) / (n_x q_x (1-q_x))), L = log2_pref -
+    log2(eps_e), in NumPy (:func:`_zeta_estimates`).  The window is the
+    estimate plus and minus 4 g / (n_x zeta') + 4 s^2 / theta, with g the
+    bound of :func:`_excess_error_bound` and s the last step.  It never
+    raises: a cell with EQ outside (0, 1/2 - 2 _THETA_FLOOR), L <= 0, or an
+    n_x q_x(1-q_x) or n_x zeta' that underflows to 0 gets (NaN, NaN).
+    """
+    with np.errstate(all="ignore"):
+        eq = np.asarray(eq, dtype=float)[()]    # one EQ: a NumPy scalar, not a 0-d array
+        n_x = q_x * n_total
+        lo, hi = _THETA_FLOOR, 0.5 - eq - _THETA_FLOOR
+        log2_pref = -0.5 * np.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
+        log2_target = math.log2(eps_e)
+        gap = log2_pref - log2_target
+        spread = n_x * q_x * (1.0 - q_x)
+        theta = np.minimum(np.maximum(
+            np.sqrt(2.0 * _LN2 * gap * eq * (1.0 - eq) / spread), lo), hi)
+        # Newton's error after a step s is about s^2 / theta, so a step below
+        # 2^-26 theta leaves the estimate within a few ulps of the root.
+        for _ in range(_NEWTON_STEPS):
+            zeta, slope = _zeta_estimates(eq, q_x, theta)
+            rise = n_x * slope
+            step = (gap - n_x * zeta) / rise
+            theta = np.minimum(np.maximum(theta + step, lo), hi)
+            if not np.count_nonzero(np.abs(step) > 2.0**-26 * theta):
+                break
+        # A half-width of 4 g / slope puts |excess| near 4 g at the window
+        # ends, twice the margin the checks need.  The slope is the last
+        # step's, within 2^-26 relative of the one at the estimate.
+        offset = np.abs(log2_pref) + abs(log2_target)
+        width = (4.0 * _excess_error_bound(eq, q_x, n_x, offset, theta, slope, 0.0) / rise
+                 + 4.0 * step * step / theta)
+        known = (gap > 0.0) & (spread > 0.0) & (rise > 0.0) & (hi > lo)
+        return np.where(known, theta - width, np.nan), np.where(known, theta + width, np.nan)
+
+
+def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
+                          window: Optional[Tuple[float, float]] = None) -> float:
     """Smallest deviation theta whose random-sampling bound is at most eps_e.
 
     Bisection of excess(theta) = log2_pref - n_x zeta(theta) - log2(eps_e)
@@ -221,28 +293,29 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     zeta' increases, E + B is decreasing on [b, 1/2 - EQ] whenever
     zeta'(b) >= 2^-47 (8 q_x + 3 + 2^-43/(1-q_x)).
 
-    Certified window.  Newton's method runs on the analytic zeta', starting
-    at the Gaussian estimate theta_0 = sqrt(2 ln2 L EQ(1-EQ) / (n_x q_x (1-q_x))),
-    where L = P - T.  It gives a root estimate with a window a < b around it.
-    The window needs excess(a) > 2 g(a), excess(b) < -2 g(b) and the slope
-    condition at b.  For any theta <= a:
+    Certified window.  ``window`` is a pair (a, b) around the root, and
+    :func:`theta_windows` computes it, for one EQ when ``window`` is None or
+    for a whole sweep at once.  It is only an estimate: the checks below,
+    made here in ``math``, decide whether each end is used, so its rounding
+    needs no bound.  An end is used only inside the bracket and only where
+    its check passes: excess(a) > 2 g(a), or excess(b) < -2 g(b) together
+    with the slope condition at b.  For any theta <= a:
     excess(theta) >= E(theta) - B(theta) >= E(a) - B(a) >= excess(a) - 2 B(a) > 0.
     Symmetrically, excess(theta) < 0 for any theta >= b.  So the bisection
     sets lo at a midpoint <= a, and hi at a midpoint >= b, without
-    evaluating it.  A side that fails its check falls back to its bracket
-    end, and the same loop then evaluates every midpoint on that side.
+    evaluating it.  An end that is NaN, infinite, outside the bracket or
+    fails its check falls back to its bracket end, and the same loop then
+    evaluates every midpoint on that side.  So any window, reversed or
+    wrong, gives the plain bisection's float.
 
     End checks.  A passed check at a proves excess(_THETA_FLOOR) > 0 by the
     same chain, so the floor is evaluated, and returned when its excess is
     <= 0, only where that check fails.  Symmetrically, a passed check at b
     proves excess(hi) < 0, so hi is evaluated, and an infeasible point
-    raises, only where the check at b fails.  Newton therefore meets
-    infeasible points too, where n_x can be so small that n_x q_x(1-q_x) or
-    n_x zeta' underflows to 0 (q_x = 1e-200 with N = 1).  The Gaussian
-    estimate and the Newton step would divide by it, so there Newton stops
-    and no window is set: a = lo and b = hi.  Where L <= 0 there is no
-    Gaussian estimate either, and the plain bisection decides every
-    midpoint.
+    raises, only where the check at b fails.  Where L <= 0, or where n_x is
+    so small that n_x q_x(1-q_x) or n_x zeta' underflows to 0 (q_x = 1e-200
+    with N = 1), there is no estimate: the window is NaN, both ends fall
+    back, and the plain bisection decides every midpoint.
     """
     if not (0.0 < eq < 0.5):
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
@@ -263,40 +336,20 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float) -
     def bound(theta: float, slope: float, value: float) -> float:
         return _excess_error_bound(eq, q_x, n_x, offset, theta, slope, value)
 
-    lo = a = _THETA_FLOOR
-    hi = b = 0.5 - eq - _THETA_FLOOR
+    lo = _THETA_FLOOR
+    hi = 0.5 - eq - _THETA_FLOOR
     if hi <= lo:
         raise InfeasibleError(f"no admissible theta below 0.5 - EQ for EQ = {eq}")
-    spread = n_x * q_x * (1.0 - q_x)
-    if log2_pref - log2_target > 0.0 and spread > 0.0:
-        theta = min(max(math.sqrt(2.0 * _LN2 * (log2_pref - log2_target) * eq * (1.0 - eq)
-                                  / spread), lo), hi)
-        # Newton's error after a step s is about s^2 / theta, so a step below
-        # 2^-26 theta leaves the estimate within a few ulps of the root.
-        for _ in range(_NEWTON_STEPS):
-            rise = n_x * _zeta_slope(eq, q_x, theta)
-            if not rise > 0.0:    # underflowed: no step, and no window below
-                break
-            step = excess(theta) / rise
-            theta = min(max(theta + step, lo), hi)
-            if abs(step) <= 2.0**-26 * theta:
-                break
-        # A half-width of 4 g / slope puts |excess| near 4 g at the window
-        # ends, twice the margin the checks need.
-        slope = _zeta_slope(eq, q_x, theta)
-        if n_x * slope > 0.0:
-            width = (4.0 * bound(theta, slope, 0.0) / (n_x * slope)
-                     + 4.0 * step * step / theta)
-            a, b = theta - width, theta + width
-        if not (lo < a and (value := excess(a)) > 2.0 * bound(a, _zeta_slope(eq, q_x, a),
+    a, b = map(float, theta_windows(eq, q_x, n_total, eps_e)) if window is None else window
+    if not (lo < a < hi and (value := excess(a)) > 2.0 * bound(a, _zeta_slope(eq, q_x, a),
                                                                 value)):
-            a = lo
-        # Past b, the slope condition of the docstring keeps E + B decreasing.
-        if not (b < hi
-                and (slope := _zeta_slope(eq, q_x, b))
-                >= 2.0**-47 * (8.0 * q_x + 3.0 + 2.0**-43 / (1.0 - q_x))
-                and (value := excess(b)) < -2.0 * bound(b, slope, value)):
-            b = hi
+        a = lo
+    # Past b, the slope condition of the docstring keeps E + B decreasing.
+    if not (lo < b < hi
+            and (slope := _zeta_slope(eq, q_x, b))
+            >= 2.0**-47 * (8.0 * q_x + 3.0 + 2.0**-43 / (1.0 - q_x))
+            and (value := excess(b)) < -2.0 * bound(b, slope, value)):
+        b = hi
     if b == hi and excess(hi) > 0.0:
         raise InfeasibleError(
             f"no theta <= {hi:.6g} reaches eps_e = {eps_e:.3e} "
@@ -499,19 +552,31 @@ class RateScenario:
         :class:`TauSet` of arrays gives one broadcast report."""
         return entropy_report_from_taus(self.dets, taus)
 
-    def _theta(self, eq: float) -> float:
-        """Random-sampling deviation theta at the check-basis error ``eq``;
-        nan when no theta is admissible."""
+    def windows(self, eq: np.ndarray) -> Iterator[Tuple[float, float]]:
+        """The window (a, b) of :func:`theta_windows` at each check-basis
+        error of the one-dimensional ``eq``, as floats, in order: the
+        ``window`` of :meth:`rates` for each cell of a broadcast report."""
+        sec = self.security
+        a, b = theta_windows(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
+        return zip(a.tolist(), b.tolist())
+
+    def _theta(self, eq: float, window: Optional[Tuple[float, float]] = None) -> float:
+        """Random-sampling deviation theta at the check-basis error ``eq``,
+        with the window of :func:`theta_random_sampling`; nan when no theta
+        is admissible."""
         sec = self.security
         try:
-            return theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
+            return theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e,
+                                         window)
         except (InfeasibleError, ParameterError):
             return math.nan
 
-    def _random_sampling(self, report: EntropyReport) -> Tuple[float, float]:
+    def _random_sampling(self, report: EntropyReport,
+                         window: Optional[Tuple[float, float]] = None
+                         ) -> Tuple[float, float]:
         """(theta, bits) of the random-sampling bound; (nan, 0) when no theta
         is admissible."""
-        theta = self._theta(report.eq)
+        theta = self._theta(report.eq, window)
         if math.isnan(theta):
             return theta, 0.0
         return theta, _bits_after(self.security.n_z, report, theta, self.security.t_e)
@@ -537,12 +602,14 @@ class RateScenario:
         min_bracket = _min_bracket_over_taus(self.dets, boxes, x_arm, theta, grid_points)
         return theta, max(0.0, self.security.n_z * min_bracket - self.security.t_e)
 
-    def rates(self, report: EntropyReport) -> Dict[str, float]:
+    def rates(self, report: EntropyReport,
+              window: Optional[Tuple[float, float]] = None) -> Dict[str, float]:
         """Bit counts of all three bounding methods for the scalar report of
         one attenuation, as :meth:`entropy` gives it (or a cell of its
-        broadcast report)."""
+        broadcast report); ``window`` is that cell's pair of
+        :meth:`windows`, or None to compute it for this report alone."""
         n_z = self.security.n_z
-        _, r_rs = self._random_sampling(report)
+        _, r_rs = self._random_sampling(report, window)
         r_ei = _bits_after(n_z, report, *self._entropy_inequality)
         r_il = _bits_after(n_z, report, 0.0, 0.0)
         return {"random_sampling": r_rs, "entropy_inequality": r_ei,

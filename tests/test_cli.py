@@ -347,8 +347,8 @@ def per_row_taus(monkeypatch):
         seen["losses"] = np.ravel(loss_db).tolist()
         return real_scenario_taus(self, loss_db)
 
-    def per_row_rates(self, report):
-        # each scenario asks for its rows in loss order
+    def per_row_rates(self, report, window=None):
+        # each scenario asks for its rows in loss order; theta computes its own window
         losses = seen.setdefault(id(self), iter(seen["losses"]))
         return real_rates(self, self.entropy(real_scenario_taus(self, next(losses))))
 

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from siqrng.finite_size import (
     hmin_with_tau_uncertainty,
     loss_grid,
     scenario_from_params,
+    theta_windows,
 )
 from siqrng.source_monitor import clipped_interval, hoeffding_delta
 
@@ -320,6 +323,77 @@ class TestThetaBelowAnUlpOfTheMixturePoint:
         assert excess(theta * (1.0 + 1e-9)) < 0 < excess(theta * (1.0 - 1e-9))
 
 
+def _window(kind, args):
+    """The window that ``kind`` names for the inputs ``args`` of
+    :func:`theta_random_sampling`: None, a pair of floats, or a pair built
+    from the batch window (a, b) of :func:`theta_windows`."""
+    if kind is None or isinstance(kind[0], float):
+        return kind
+    a, b = map(float, theta_windows(*args))
+    name, *shifts = kind
+    if name == "shifted":
+        return a + shifts[0] * math.ulp(a), b + shifts[1] * math.ulp(b)
+    eq = args[0]
+    # "crossed": each end an eighth of the width past the root, where its
+    # |excess| is near g, inside the margin its check demands
+    middle, eighth = 0.5 * (a + b), 0.125 * (b - a)
+    return {"batch": (a, b), "reversed": (b, a), "crossed": (middle + eighth, middle - eighth),
+            "bracket": (_THETA_FLOOR, 0.5 - eq - _THETA_FLOOR),
+            "below": (a - (b - a), a), "above": (b, b + (b - a))}[name]
+
+
+# 0, or +-n ulps with n from 1 to 2^20, spread evenly over the powers of two
+_ULPS = st.one_of(st.just(0), st.integers(0, 19).flatmap(
+    lambda k: st.integers(2**k, 2**(k + 1))).flatmap(lambda n: st.sampled_from([n, -n])))
+_INF = math.inf
+
+# None; the batch window, shifted or not; NaN and infinite ends; the bracket;
+# a reversed or crossed pair; and a window wholly below or above the root
+window_kinds = st.one_of(
+    st.none(), st.tuples(st.just("shifted"), _ULPS, _ULPS),
+    st.sampled_from([("batch",), ("reversed",), ("crossed",), ("bracket",), ("below",),
+                     ("above",), (math.nan, math.nan), (math.nan, _INF), (-_INF, _INF),
+                     (_INF, -_INF), (_INF, _INF), (-_INF, -_INF)]))
+
+# Fixed examples of test_theta_does_not_depend_on_its_window: windows that
+# pass their checks, and finite windows inside the bracket whose checks fail
+# at either end, which test_window_examples_reach_both_fallbacks traces.
+WINDOW_EXAMPLES = [
+    ((0.015, 0.02, 1e10, 2.0**-50), ("batch",)),
+    ((0.015, 0.02, 1e10, 2.0**-50), ("reversed",)),
+    ((0.015, 0.02, 1e10, 2.0**-50), ("crossed",)),
+    ((1e-6, 0.999, 1e16, 2.0**-120), ("crossed",)),
+    ((0.015, 0.02, 1e10, 2.0**-50), ("below",)),
+    ((0.015, 0.02, 1e10, 2.0**-50), ("above",)),
+    ((0.015, 0.02, 1e10, 2.0**-50), ("shifted", 2**20, -2**20)),
+    ((1e-6, 0.999, 1e16, 2.0**-120), ("shifted", 2**20, 1)),
+    ((0.4999999, 0.5, 1e10, 2.0**-50), ("batch",)),
+    ((0.01, 0.5, 1e12, 0.5), ("bracket",)),
+    ((0.25, 1e-300, 1.0, 0.5), (-_INF, _INF)),
+]
+
+
+def _lines_run(fn, *args):
+    """The lines of ``fn`` that ``fn(*args)`` runs, by a line tracer."""
+    code, lines = fn.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        _theta_outcome(fn, *args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
 class TestCertifiedBisection:
     @settings(max_examples=1000, deadline=None)
     @given(theta_inputs)
@@ -343,6 +417,35 @@ class TestCertifiedBisection:
         assert _theta_outcome(theta_random_sampling, *args) == \
             _theta_outcome(plain_bisection_theta, *args)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(theta_inputs, window_kinds)
+    def test_theta_does_not_depend_on_its_window(self, args, kind):
+        window = _window(kind, args)
+        assert _theta_outcome(theta_random_sampling, *args, window) == \
+            _theta_outcome(plain_bisection_theta, *args)
+
+    for _args, _kind in WINDOW_EXAMPLES:
+        test_theta_does_not_depend_on_its_window = example(_args, _kind)(
+            test_theta_does_not_depend_on_its_window)
+    del _args, _kind
+
+    def test_window_examples_reach_both_fallbacks(self):
+        """Some example of the test above passes a finite window end inside
+        the bracket whose check fails, for each end: the lines a = lo and
+        b = hi run with that end in (lo, hi)."""
+        source, first = inspect.getsourcelines(theta_random_sampling)
+        fallback = {text.strip(): first + i for i, text in enumerate(source)
+                    if text.strip() in ("a = lo", "b = hi")}
+        reached = set()
+        for args, kind in WINDOW_EXAMPLES:
+            window = _window(kind, args)
+            lines = _lines_run(theta_random_sampling, *args, window)
+            lo, hi = _THETA_FLOOR, 0.5 - args[0] - _THETA_FLOOR
+            for end, text in zip(window, ("a = lo", "b = hi")):
+                if lo < end < hi and fallback[text] in lines:
+                    reached.add(text)
+        assert reached == {"a = lo", "b = hi"}
+
     def test_examples_reach_the_floor_and_infeasibility(self):
         assert theta_random_sampling(0.01, 0.5, 1e12, 0.5) == _THETA_FLOOR
         for args in ((0.25, 1e-300, 1.0, 0.5), (0.49, 1e-200, 1.0, 1e-300)):
@@ -362,26 +465,33 @@ class TestCertifiedBisection:
                for scenario in (scenario_from_params({}),
                                 scenario_from_params({"p_hat": defaults["p_hat_ap"]}))
                for loss in loss_grid(defaults["from"], defaults["to"], defaults["points"])]
+        # both scenarios have the default security parameters: one batch serves both
+        windows = scenario_from_params({}).windows(np.array(eqs))
         monkeypatch.setattr(finite_size, "_zeta_exponent", counted)
-        for eq in eqs:
+        for eq, window in zip(eqs, windows):
             calls.clear()
-            theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
-            assert len(calls) <= 22
+            theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e, window)
+            assert len(calls) <= 19
 
-    def test_rates_sweep_thetas_are_pinned(self):
+    @pytest.mark.parametrize("route", ["batch_windows", "no_window"])
+    def test_rates_sweep_thetas_are_pinned(self, route):
         """Every theta of ``rates --points 4000``, both scenarios: the sha256 of
         each float's repr (or the exception's type name), one per line, so a
         change to the solver's evaluation order that moves any theta by one
-        bit fails here."""
+        bit fails here.  Each theta takes its cell's window of the sweep's
+        batch, as ``rates`` does, or computes its own."""
         defaults = cli._DEFAULTS["rates"]
         sec = SecurityParams()
         outcomes = []
         for p_hat in (0.0, defaults["p_hat_ap"]):
             scenario = scenario_from_params({"p_hat": p_hat})
             losses = loss_grid(defaults["from"], defaults["to"], 4000)
-            for cell in scenario.entropy(scenario.taus(losses)).cells():
+            report = scenario.entropy(scenario.taus(losses))
+            windows = (scenario.windows(report.eq) if route == "batch_windows"
+                       else [None] * len(losses))
+            for cell, window in zip(report.cells(), windows):
                 outcome = _theta_outcome(theta_random_sampling, cell.eq, sec.x_fraction,
-                                         sec.total_pulses, sec.eps_e)
+                                         sec.total_pulses, sec.eps_e, window)
                 outcomes.append(outcome.__name__ if isinstance(outcome, type)
                                 else repr(outcome))
         assert len(outcomes) == 8000
