@@ -313,7 +313,8 @@ def cmd_rates(config: dict, out_dir: Path, manifest_hash: str,
     n = plain.security.total_pulses
     taus = plain.taus(losses)    # the scenarios differ only in afterpulsing
     reports = [scenario.entropy(taus) for scenario in (plain, withap)]
-    # theta's Newton estimates: one NumPy pass per variant, checked cell by cell
+    # theta's Newton windows and walked bisection starts: one NumPy pass per
+    # variant, checked cell by cell
     windows = [scenario.windows(report.eq) for scenario, report in zip((plain, withap), reports)]
 
     def rows():

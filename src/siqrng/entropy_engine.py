@@ -200,7 +200,12 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int) -> Tuple[fl
         P_fired     = p_hat/(1-p_hat)*p_b + p_hat_lag * (1 - p_b)
         P_not_fired = p_hat/(1-p_hat)*p_b - p_hat_lag * p_b
 
-    A negative not-fired correction is clamped at 0 with a warning.  Either
+    Exactly, p_hat_lag <= p_hat < p_hat/(1-p_hat) keeps P_not_fired >= 0.
+    In floats it can fall below 0, and is then clamped at 0 with a warning:
+    a one-window exponential profile's p_hat = A e (1-e)/(1-e) can round an
+    ulp below p_hat_1 = A e, and below about 1e-16 p_hat/(1-p_hat) rounds
+    to p_hat.  An explicit table's p_hat, an fsum, is never below its
+    p_hat_lag, so it cannot meet the clamp.  Either
     probability above 1 means p_hat is too large and raises
     :class:`ParameterError`, which names p_hat, the lag and the probability.
     """

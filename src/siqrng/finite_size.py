@@ -49,6 +49,7 @@ SCENARIO_DEFAULTS = {
 
 _THETA_FLOOR = 1e-15
 _NEWTON_STEPS = 8
+_BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,41 @@ def theta_windows(eq, q_x: float, n_total: float, eps_e: float
         return np.where(known, theta - width, np.nan), np.where(known, theta + width, np.nan)
 
 
+def theta_starts(eq: np.ndarray, a: np.ndarray, b: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (lo, hi, steps): the node of the bisection of
+    :func:`theta_random_sampling` at which it first evaluates ``excess``
+    when the window ``(a, b)`` passes both its checks, and the steps taken
+    to reach it, for every cell of the one-dimensional ``eq``, ``a`` and
+    ``b`` at once.
+
+    Each step is the loop's own: mid = 0.5 (lo + hi); a cell stops where
+    mid equals lo or hi or lies strictly between a and b, and otherwise
+    sets lo = mid where mid <= a and hi = mid where mid >= b.  NumPy's
+    float64 ``+``, ``* 0.5`` and ``<=`` round as Python's floats do, so each
+    cell ends at the node the loop reaches, for any a and b, NaN and
+    infinite included.  No check of the window is made here.
+    """
+    lo = np.full(eq.shape, _THETA_FLOOR)
+    hi = 0.5 - eq - _THETA_FLOOR
+    steps = np.zeros(eq.shape, dtype=int)
+    walking = np.ones(eq.shape, dtype=bool)
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        walking &= (mid != lo) & (mid != hi)
+        up = walking & (mid <= a)
+        down = walking & ~up & (mid >= b)
+        walking = up | down
+        if not walking.any():
+            break
+        lo = np.where(up, mid, lo)
+        hi = np.where(down, mid, hi)
+        steps += walking
+    return lo, hi, steps
+
+
 def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
-                          window: Optional[Tuple[float, float]] = None) -> float:
+                          window: Optional[Tuple[float, ...]] = None) -> float:
     """Smallest deviation theta whose random-sampling bound is at most eps_e.
 
     Bisection of excess(theta) = log2_pref - n_x zeta(theta) - log2(eps_e)
@@ -295,7 +329,9 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
 
     Certified window.  ``window`` is a pair (a, b) around the root, and
     :func:`theta_windows` computes it, for one EQ when ``window`` is None or
-    for a whole sweep at once.  It is only an estimate: the checks below,
+    for a whole sweep at once.  A sweep's window may carry its start node
+    too, as (a, b, lo, hi, steps) from :func:`theta_starts`; see Start node
+    below.  The pair is only an estimate: the checks below,
     made here in ``math``, decide whether each end is used, so its rounding
     needs no bound.  An end is used only inside the bracket and only where
     its check passes: excess(a) > 2 g(a), or excess(b) < -2 g(b) together
@@ -316,6 +352,19 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
     so small that n_x q_x(1-q_x) or n_x zeta' underflows to 0 (q_x = 1e-200
     with N = 1), there is no estimate: the window is NaN, both ends fall
     back, and the plain bisection decides every midpoint.
+
+    Start node.  The loop runs the plain bisection's steps, at most
+    ``_BISECTION_STEPS`` of them.  Where both checks passed unchanged, its
+    first steps only compare the midpoint with a or b, and
+    :func:`theta_starts` walks them in NumPy for a whole sweep, with the
+    same floats.  The loop starts at the walked node (lo, hi), with the
+    walked steps charged against its cap, only if both checks passed and
+    lo <= a < b <= hi lies inside the bracket; otherwise it starts from the
+    bracket.  So a start does not change the float returned.  Soundness
+    still rests on the two checks alone: every hi the loop can return is
+    the node's hi or a midpoint, each either >= b or with an evaluated
+    excess <= 0, as in the plain bisection.  A wrong start node can move
+    the last bits of theta, but it cannot return an uncertified theta.
     """
     if not (0.0 < eq < 0.5):
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
@@ -340,7 +389,8 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
     hi = 0.5 - eq - _THETA_FLOOR
     if hi <= lo:
         raise InfeasibleError(f"no admissible theta below 0.5 - EQ for EQ = {eq}")
-    a, b = map(float, theta_windows(eq, q_x, n_total, eps_e)) if window is None else window
+    a, b, *start = (map(float, theta_windows(eq, q_x, n_total, eps_e)) if window is None
+                    else window)
     if not (lo < a < hi and (value := excess(a)) > 2.0 * bound(a, _zeta_slope(eq, q_x, a),
                                                                 value)):
         a = lo
@@ -357,8 +407,13 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
         )
     if a == lo and excess(lo) <= 0.0:
         return lo
+    steps = _BISECTION_STEPS
+    # The walked start of theta_starts holds where both checks passed unchanged.
+    if start and lo < a and b < hi and lo <= start[0] <= a < b <= start[1] <= hi:
+        lo, hi, walked = start
+        steps -= walked
 
-    for _ in range(200):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -552,15 +607,16 @@ class RateScenario:
         :class:`TauSet` of arrays gives one broadcast report."""
         return entropy_report_from_taus(self.dets, taus)
 
-    def windows(self, eq: np.ndarray) -> Iterator[Tuple[float, float]]:
-        """The window (a, b) of :func:`theta_windows` at each check-basis
-        error of the one-dimensional ``eq``, as floats, in order: the
+    def windows(self, eq: np.ndarray) -> Iterator[Tuple[float, float, float, float, int]]:
+        """The window (a, b) of :func:`theta_windows` and its start node
+        (lo, hi, steps) of :func:`theta_starts` at each check-basis error of
+        the one-dimensional ``eq``, as Python numbers, in order: the
         ``window`` of :meth:`rates` for each cell of a broadcast report."""
         sec = self.security
         a, b = theta_windows(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
-        return zip(a.tolist(), b.tolist())
+        return zip(a.tolist(), b.tolist(), *(v.tolist() for v in theta_starts(eq, a, b)))
 
-    def _theta(self, eq: float, window: Optional[Tuple[float, float]] = None) -> float:
+    def _theta(self, eq: float, window: Optional[Tuple[float, ...]] = None) -> float:
         """Random-sampling deviation theta at the check-basis error ``eq``,
         with the window of :func:`theta_random_sampling`; nan when no theta
         is admissible."""
@@ -572,7 +628,7 @@ class RateScenario:
             return math.nan
 
     def _random_sampling(self, report: EntropyReport,
-                         window: Optional[Tuple[float, float]] = None
+                         window: Optional[Tuple[float, ...]] = None
                          ) -> Tuple[float, float]:
         """(theta, bits) of the random-sampling bound; (nan, 0) when no theta
         is admissible."""
@@ -603,15 +659,18 @@ class RateScenario:
         return theta, max(0.0, self.security.n_z * min_bracket - self.security.t_e)
 
     def rates(self, report: EntropyReport,
-              window: Optional[Tuple[float, float]] = None) -> Dict[str, float]:
+              window: Optional[Tuple[float, ...]] = None) -> Dict[str, float]:
         """Bit counts of all three bounding methods for the scalar report of
         one attenuation, as :meth:`entropy` gives it (or a cell of its
-        broadcast report); ``window`` is that cell's pair of
-        :meth:`windows`, or None to compute it for this report alone."""
+        broadcast report); ``window`` is that cell's tuple of
+        :meth:`windows`, or None to compute it for this report alone.
+
+        The infinite-length count is n_z hmin_a, clamped at 0: hmin_a is the
+        bracket at theta = 0 (:func:`_bracket`), bit for bit."""
         n_z = self.security.n_z
         _, r_rs = self._random_sampling(report, window)
         r_ei = _bits_after(n_z, report, *self._entropy_inequality)
-        r_il = _bits_after(n_z, report, 0.0, 0.0)
+        r_il = max(0.0, n_z * report.hmin_a)
         return {"random_sampling": r_rs, "entropy_inequality": r_ei,
                 "infinite_length": r_il}
 

@@ -175,10 +175,11 @@ def vacuum_probability(dist: PhotonDistribution, xi) -> np.ndarray:
     ``xi``'s shape.
 
     tau = sum_n P(n) (1-xi)^n, to which the truncation tail contributes 0.
-    Each cell equals the float result of its own ``xi``: each distinct
-    ``xi`` is its own ``np.dot`` with the power row, since a matrix product
-    sums in another order, and the power matrix is built ``_POWER_ROWS``
-    rows at a time in one reused block.
+    Each cell equals the float result of its own ``xi``: the power matrix is
+    built ``_POWER_ROWS`` rows at a time in one reused block, and one
+    ``np.vecdot`` per block sums each row with the pmf.  Its loop makes one
+    BLAS ``ddot`` per row, the sum ``np.dot`` makes for that row alone; a
+    matrix product would block the rows and sum in another order.
     """
     xis = np.asarray(xi, dtype=float)
     outside = ~((xis >= 0.0) & (xis <= 1.0))
@@ -192,7 +193,7 @@ def vacuum_probability(dist: PhotonDistribution, xi) -> np.ndarray:
     for start in range(0, distinct.size, _POWER_ROWS):
         bases = 1.0 - distinct[start:start + _POWER_ROWS]
         powers = np.power(bases[:, None], n, out=space[:bases.size])
-        lo[start:start + _POWER_ROWS] = [np.dot(dist.probs, row) for row in powers]
+        np.vecdot(powers, dist.probs, out=lo[start:start + _POWER_ROWS])
     return np.clip(lo[inverse], 0.0, 1.0).reshape(xis.shape)
 
 

@@ -187,9 +187,9 @@ class TestLaggedResponseProbs:
             assert fired >= not_fired
 
     def test_not_fired_probability_never_negative(self):
-        # the background p_hat/(1-p_hat)*p_b always dominates the lag
-        # correction p_hat_lag*p_b, so the defensive clamp stays inactive;
-        # without dark counts the prior p_b is 1 - tau
+        # in an explicit table p_hat_lag <= p_hat, so the background
+        # p_hat/(1-p_hat)*p_b dominates the lag correction p_hat_lag*p_b and
+        # the clamp stays inactive; without dark counts the prior p_b is 1 - tau
         for p1, p2, prior in [(0.4999, 0.0001, 0.001), (0.05, 0.0, 1.0),
                               (0.01, 0.04, 0.3)]:
             spec = AfterpulseSpec.explicit([p1, p2])
@@ -200,6 +200,20 @@ class TestLaggedResponseProbs:
                 fired, not_fired = lagged_response_probs(det, tau, lag=1)
             base = 1.0 - tau
             assert not_fired >= base - 1e-15
+
+
+    def test_not_fired_clamp_fires_where_rounding_breaks_the_bound(self):
+        # One window of history: p_hat = A e (1-e)/(1-e) rounds an ulp below
+        # p_hat_1 = A e, and at this p_hat, p_hat/(1-p_hat) rounds to p_hat.
+        spec = AfterpulseSpec.exponential(3.1972436011946124e-298, 0.01935601124833297, 1)
+        assert spec.first_order_rate < spec.coefficient(1)
+        det = DetectorParams(0.1, 6e-7, spec, label="0")
+        tau = 0.4441076342346534
+        with pytest.warns(RuntimeWarning, match=r"^lag-1 correction drives the afterpulse "
+                                                r"probability negative \(-2\.122e-314\); "
+                                                r"clamped to 0$"):
+            _, not_fired = lagged_response_probs(det, tau, lag=1)
+        assert not_fired == 1.0 - tau * (1.0 - 6e-7)
 
 
 class TestPriorAutocorrelation:

@@ -41,6 +41,7 @@ from siqrng.finite_size import (
     hmin_with_tau_uncertainty,
     loss_grid,
     scenario_from_params,
+    theta_starts,
     theta_windows,
 )
 from siqrng.source_monitor import clipped_interval, hoeffding_delta
@@ -337,9 +338,37 @@ def _window(kind, args):
     # "crossed": each end an eighth of the width past the root, where its
     # |excess| is near g, inside the margin its check demands
     middle, eighth = 0.5 * (a + b), 0.125 * (b - a)
+    if name == "node":
+        return walk_reference(eq, a, b)[:2]
     return {"batch": (a, b), "reversed": (b, a), "crossed": (middle + eighth, middle - eighth),
             "bracket": (_THETA_FLOOR, 0.5 - eq - _THETA_FLOOR),
             "below": (a - (b - a), a), "above": (b, b + (b - a))}[name]
+
+
+def walk_reference(eq, a, b):
+    """Reference: (lo, hi, steps) where the bisection loop of
+    :func:`theta_random_sampling`, given the window (a, b) with no checks,
+    first evaluates ``excess`` or stops."""
+    lo, hi = _THETA_FLOOR, 0.5 - eq - _THETA_FLOOR
+    for steps in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        else:
+            break
+    return lo, hi, steps
+
+
+def _with_start(args, window):
+    """``window``, or the batch window of ``args`` where it is None, with
+    the start node that :func:`theta_starts` walks for it."""
+    a, b = map(float, theta_windows(*args)) if window is None else window
+    start = theta_starts(np.array([args[0]]), np.array([a]), np.array([b]))
+    return (a, b, *(v.tolist()[0] for v in start))
 
 
 # 0, or +-n ulps with n from 1 to 2^20, spread evenly over the powers of two
@@ -348,11 +377,12 @@ _ULPS = st.one_of(st.just(0), st.integers(0, 19).flatmap(
 _INF = math.inf
 
 # None; the batch window, shifted or not; NaN and infinite ends; the bracket;
-# a reversed or crossed pair; and a window wholly below or above the root
+# a reversed or crossed pair; a window wholly below or above the root; and
+# the node of the batch window's walk, whose ends are midpoints of the loop
 window_kinds = st.one_of(
     st.none(), st.tuples(st.just("shifted"), _ULPS, _ULPS),
     st.sampled_from([("batch",), ("reversed",), ("crossed",), ("bracket",), ("below",),
-                     ("above",), (math.nan, math.nan), (math.nan, _INF), (-_INF, _INF),
+                     ("above",), ("node",), (math.nan, math.nan), (math.nan, _INF), (-_INF, _INF),
                      (_INF, -_INF), (_INF, _INF), (-_INF, -_INF)]))
 
 # Fixed examples of test_theta_does_not_depend_on_its_window: windows that
@@ -420,14 +450,39 @@ class TestCertifiedBisection:
     @settings(max_examples=1000, deadline=None)
     @given(theta_inputs, window_kinds)
     def test_theta_does_not_depend_on_its_window(self, args, kind):
+        """The plain bisection's outcome, from the window alone and from the
+        window with the start node walked for it."""
         window = _window(kind, args)
-        assert _theta_outcome(theta_random_sampling, *args, window) == \
-            _theta_outcome(plain_bisection_theta, *args)
+        expected = _theta_outcome(plain_bisection_theta, *args)
+        assert _theta_outcome(theta_random_sampling, *args, window) == expected
+        assert _theta_outcome(theta_random_sampling, *args, _with_start(args, window)) == expected
 
     for _args, _kind in WINDOW_EXAMPLES:
         test_theta_does_not_depend_on_its_window = example(_args, _kind)(
             test_theta_does_not_depend_on_its_window)
     del _args, _kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(theta_inputs, window_kinds), min_size=1, max_size=6))
+    @example([((0.015, 0.02, 1e10, 2.0**-50), ("node",)),
+              ((0.015, 0.02, 1e10, 2.0**-50), ("batch",))])
+    def test_walk_equals_the_loops_prefix(self, cells):
+        """theta_starts gives every cell at once the node at which the Python
+        loop would first evaluate excess or stop, and the steps to reach it."""
+        eqs = [args[0] for args, _ in cells]
+        windows = [_window(kind, args) or tuple(map(float, theta_windows(*args)))
+                   for args, kind in cells]
+        lo, hi, steps = theta_starts(np.array(eqs), *np.array(windows, dtype=float).T)
+        assert list(zip(lo.tolist(), hi.tolist(), steps.tolist())) == [
+            walk_reference(eq, *window) for eq, window in zip(eqs, windows)]
+
+    def test_walked_steps_count_against_the_cap(self):
+        """A start whose walk took every step of the cap leaves the loop
+        none, so theta is the node's hi, which the check at b certifies."""
+        args = (0.015, 0.02, 1e10, 2.0**-50)
+        a, b, lo, hi, steps = _with_start(args, None)
+        assert 0 < steps and b <= hi < 0.5 - args[0] - _THETA_FLOOR
+        assert theta_random_sampling(*args, (a, b, lo, hi, finite_size._BISECTION_STEPS)) == hi
 
     def test_window_examples_reach_both_fallbacks(self):
         """Some example of the test above passes a finite window end inside
@@ -571,6 +626,18 @@ class TestHminAIsTheBracketAtZeroTheta:
         report = make_entropy_report(z_arm, x_arm)
         assert (report.eq > 0.5) == above_half
         assert report.hmin_a == _bracket(report, 0.0)
+
+    @pytest.mark.parametrize("p_hat", [0.0, 0.05, 0.3])
+    def test_every_cell_of_a_rates_sweep(self, p_hat):
+        """So the infinite-length bits of rates, n_z hmin_a clamped at 0,
+        equal those of the bracket at theta = 0 in every cell of the
+        broadcast report."""
+        defaults = cli._DEFAULTS["rates"]
+        scenario = scenario_from_params({"p_hat": p_hat})
+        report = scenario.entropy(scenario.taus(loss_grid(defaults["from"], defaults["to"],
+                                                          4000)))
+        cells = list(report.cells())
+        assert [cell.hmin_a for cell in cells] == [_bracket(cell, 0.0) for cell in cells]
 
 
 class TestSecurityParams:

@@ -283,6 +283,17 @@ class TestVacuumProbability:
         assert lo.tolist() == [[float(vacuum_probability(d, xi)) for xi in row]
                                for row in xis.tolist()]
 
+    @pytest.mark.parametrize("nu", [0.5, 5.0, 50.0, 500.0])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257])
+    def test_vecdot_of_a_power_block_equals_per_row_dot(self, nu, rows):
+        """One np.vecdot over a block of power rows, as vacuum_probability
+        sums them, gives each row the float of its own np.dot."""
+        d = poisson_distribution(nu)
+        xis = (np.arange(rows) + 0.5) / rows
+        powers = np.power((1.0 - xis)[:, None], np.arange(d.n_max + 1))
+        assert np.vecdot(powers, d.probs).tolist() == [float(np.dot(d.probs, row))
+                                                      for row in powers]
+
     @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, math.nan, -math.inf])
     @pytest.mark.parametrize("where", [0, 3, 6])
     def test_array_outside_unit_interval_rejected(self, bad, where):
