@@ -153,6 +153,15 @@ def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
 # autocorr
 
 
+def _refuse_unused(command: str, config: dict, keys: Sequence[str], needs: str) -> None:
+    """Raise where one of ``keys``, which take effect only with ``needs``,
+    differs from its default."""
+    stray = [f"{key}={config[key]}" for key in keys if config[key] != _DEFAULTS[command][key]]
+    if stray:
+        raise ParameterError(f"{command} {', '.join(keys[:-1])} and {keys[-1]} take effect "
+                             f"only with {needs}; got {', '.join(stray)}")
+
+
 def _autocorr_spec(p_hat_i: float, p_hat: float, lag: int) -> AfterpulseSpec:
     """Explicit profile: the swept coefficient at ``lag``, the remaining
     first-order rate one window later."""
@@ -173,11 +182,8 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
         raise ParameterError(f"autocorr needs 0 <= p_hat < 1, got {p_hat}")
     if lag < 1:
         raise ParameterError(f"autocorr needs lag >= 1, got {lag}")
-    stray = [f"{key}={config[key]}" for key in ("pulses", "seed")
-             if config[key] != _DEFAULTS["autocorr"][key]]
-    if stray and not config["mc"]:
-        raise ParameterError(f"autocorr pulses and seed take effect only with --mc; "
-                             f"got {', '.join(stray)}")
+    if not config["mc"]:
+        _refuse_unused("autocorr", config, ("pulses", "seed"), "--mc")
     source = poisson_distribution(nu)
     grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
@@ -252,6 +258,8 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
     sweep = config["sweep"]
 
     if sweep == "afterpulse":
+        _refuse_unused("hmin", config, ("p_hat_ap", "ratio_min", "ratio_max"),
+                       "--sweep efficiency")
         fp_windows = int(config["fp_windows"])
         if fp_windows < 0:
             raise ParameterError(f"fp_windows must be >= 0, got {fp_windows}")
@@ -276,6 +284,7 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
+        _refuse_unused("hmin", config, ("p_hat_max", "fp_windows"), "--sweep afterpulse")
         spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], omega)
         _check_unit("efficiency", eta)
         for key in ("ratio_min", "ratio_max"):    # the grid's ends bound eta_1 = ratio * eta
@@ -313,8 +322,8 @@ def cmd_rates(config: dict, out_dir: Path, manifest_hash: str,
     n = plain.security.total_pulses
     taus = plain.taus(losses)    # the scenarios differ only in afterpulsing
     reports = [scenario.entropy(taus) for scenario in (plain, withap)]
-    # theta's Newton windows and walked bisection starts: one NumPy pass per
-    # variant, checked cell by cell
+    # theta's Newton windows and walked bisections: one NumPy pass per
+    # variant, each theta certified cell by cell
     windows = [scenario.windows(report.eq) for scenario, report in zip((plain, withap), reports)]
 
     def rows():

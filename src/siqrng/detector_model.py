@@ -90,7 +90,7 @@ def _exponential_first_order_rate(amplitude: float, decay: float,
     e = math.exp(-decay)
     if depth is None:
         return amplitude * e / (1.0 - e)
-    return amplitude * e * (1.0 - e**depth) / (1.0 - e)
+    return amplitude * e * (math.expm1(-decay * depth) / math.expm1(-decay))
 
 
 def _amplitude_of(rate, decay: float):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -201,12 +200,19 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int) -> Tuple[fl
         P_not_fired = p_hat/(1-p_hat)*p_b - p_hat_lag * p_b
 
     Exactly, p_hat_lag <= p_hat < p_hat/(1-p_hat) keeps P_not_fired >= 0.
-    In floats it can fall below 0, and is then clamped at 0 with a warning:
-    a one-window exponential profile's p_hat = A e (1-e)/(1-e) can round an
-    ulp below p_hat_1 = A e, and below about 1e-16 p_hat/(1-p_hat) rounds
-    to p_hat.  An explicit table's p_hat, an fsum, is never below its
-    p_hat_lag, so it cannot meet the clamp.  Either
-    probability above 1 means p_hat is too large and raises
+    So do the floats, if ``math.exp`` and ``math.expm1`` are monotone.
+    Rounding is monotone, so fl(p_hat/(1-p_hat)) >= p_hat, and it suffices
+    that the float p_hat is >= the float c = p_hat_lag (0 past the depth):
+    then fl(background) >= fl(c p_b) and their difference is >= 0.
+      * Explicit table: p_hat is the fsum of the coefficients in the
+        history, the correctly rounded sum of terms >= 0, so it is never
+        below one of them.
+      * Exponential, e = exp(-omega): fl(-lag omega) <= -omega for lag >= 1,
+        so c = fl(A exp(fl(-lag omega))) <= fl(A e).  Unlimited history
+        divides fl(A e) by fl(1 - e) <= 1.  Depth m >= lag multiplies it by
+        fl(expm1(-m omega) / expm1(-omega)) >= 1, since
+        expm1(fl(-m omega)) <= expm1(-omega) < 0.  So p_hat >= fl(A e) >= c.
+    Either probability above 1 means p_hat is too large and raises
     :class:`ParameterError`, which names p_hat, the lag and the probability.
     """
     p_b = response_prob_no_afterpulse(tau, det.dark_rate)
@@ -215,14 +221,6 @@ def lagged_response_probs(det: DetectorParams, tau: float, lag: int) -> Tuple[fl
     coeff = spec.coefficient(lag)
     p_ap_fired = background + coeff * (1.0 - p_b)
     p_ap_not = background - coeff * p_b
-    if p_ap_not < 0.0:
-        warnings.warn(
-            f"lag-{lag} correction drives the afterpulse probability negative "
-            f"({p_ap_not:.3e}); clamped to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        p_ap_not = 0.0
     for branch, p_ap in (("not-fired", p_ap_not), ("fired", p_ap_fired)):
         if p_ap > 1.0:
             raise ParameterError(

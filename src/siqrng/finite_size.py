@@ -143,11 +143,12 @@ def _log2_prefactor(eq: float, q_x: float, n_total: float) -> float:
     return -0.5 * math.log2(product)
 
 
-def _zeta_slope(eq: float, q_x: float, theta: float) -> float:
+def _zeta_slope(eq: float, q_x: float, theta: float, log1p=math.log1p) -> float:
     """d zeta / d theta = (1-q_x)/ln 2 * ln(1 + q_x theta / (m (1-EQ-theta))),
-    m = EQ + (1-q_x) theta; see :func:`theta_random_sampling`."""
+    m = EQ + (1-q_x) theta; see :func:`theta_random_sampling`.  Arrays, with
+    an array ``log1p``, give the slope of each cell."""
     mixed = eq + (1.0 - q_x) * theta
-    return (1.0 - q_x) * math.log1p(q_x * theta / (mixed * (1.0 - eq - theta))) / _LN2
+    return (1.0 - q_x) * log1p(q_x * theta / (mixed * (1.0 - eq - theta))) / _LN2
 
 
 def _excess_error_bound(eq: float, q_x: float, n_x: float, offset: float,
@@ -166,31 +167,34 @@ def _excess_error_bound(eq: float, q_x: float, n_x: float, offset: float,
                                 + 2.0**-44 * tested * tested / mixed))
 
 
-def _zeta_estimates(eq: np.ndarray, q_x: float, theta: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """(zeta, zeta') of :func:`_zeta_exponent` and :func:`_zeta_slope`, the
-    same formulas in NumPy, for the cells of :func:`theta_windows`.
+def _zeta_estimates(eq: np.ndarray, q_x: float, theta: np.ndarray, log1p=np.log1p
+                    ) -> np.ndarray:
+    """zeta of :func:`_zeta_exponent`, the same formula on arrays with the
+    given ``log1p``.
 
-    They only steer Newton's estimate and the width of a window that
-    :func:`theta_random_sampling` checks in ``math`` before it uses it, so
-    their rounding (``np.log1p`` differs from ``math.log1p`` in the last bit,
-    and by SIMD kernel) needs no bound.  For the same reason they need no
-    pole branches.  On the bracket m and t are at most 1/2, so 1 - m is not
-    0 and t < 1.  Where (EQ - m)/m rounds to -1, log1p gives -inf; the
-    estimate then turns infinite or NaN, its window fails the checks, and
-    the plain bisection decides that point.
+    With ``np.log1p`` (:func:`theta_windows`) it only steers Newton's
+    estimate and a window that :func:`theta_random_sampling` checks in
+    ``math``, so its rounding needs no bound.  With :func:`_log1p_cells`
+    (:func:`theta_starts`) each cell is :func:`_zeta_exponent`'s float, as
+    every other operation is a float64 ``+ - * /``, which NumPy rounds as
+    Python does; it is NaN where a log1p argument rounds to -1, the pole at
+    which that function branches.  No other branch is needed: on the
+    bracket m and t are at most 1/2, so 1 - m is not 0 and t < 1.
     """
     p_x = 1.0 - q_x
     mixed = eq + p_x * theta
     tested = eq + theta
     mixed_comp = 1.0 - mixed
-    d_eq = (eq * np.log1p((eq - mixed) / mixed)
-            + (1.0 - eq) * np.log1p((mixed - eq) / mixed_comp))
-    d_tested = (tested * np.log1p((tested - mixed) / mixed)
-                + (1.0 - tested) * np.log1p((mixed - tested) / mixed_comp))
-    zeta = q_x * (d_eq / _LN2) + p_x * (d_tested / _LN2)
-    slope = p_x * np.log1p(q_x * theta / (mixed * (1.0 - eq - theta))) / _LN2
-    return zeta, slope
+    d_eq = (eq * log1p((eq - mixed) / mixed)
+            + (1.0 - eq) * log1p((mixed - eq) / mixed_comp))
+    d_tested = (tested * log1p((tested - mixed) / mixed)
+                + (1.0 - tested) * log1p((mixed - tested) / mixed_comp))
+    return q_x * (d_eq / _LN2) + p_x * (d_tested / _LN2)
+
+
+def _log1p_cells(x: np.ndarray) -> np.ndarray:
+    """``math.log1p`` of each cell of ``x``; NaN where x <= -1 or is NaN."""
+    return _cellwise(math.log1p, np.where(x > -1.0, x, np.nan))
 
 
 def theta_windows(eq, q_x: float, n_total: float, eps_e: float
@@ -220,9 +224,9 @@ def theta_windows(eq, q_x: float, n_total: float, eps_e: float
         # Newton's error after a step s is about s^2 / theta, so a step below
         # 2^-26 theta leaves the estimate within a few ulps of the root.
         for _ in range(_NEWTON_STEPS):
-            zeta, slope = _zeta_estimates(eq, q_x, theta)
+            slope = _zeta_slope(eq, q_x, theta, np.log1p)
             rise = n_x * slope
-            step = (gap - n_x * zeta) / rise
+            step = (gap - n_x * _zeta_estimates(eq, q_x, theta)) / rise
             theta = np.minimum(np.maximum(theta + step, lo), hi)
             if not np.count_nonzero(np.abs(step) > 2.0**-26 * theta):
                 break
@@ -236,37 +240,57 @@ def theta_windows(eq, q_x: float, n_total: float, eps_e: float
         return np.where(known, theta - width, np.nan), np.where(known, theta + width, np.nan)
 
 
-def theta_starts(eq: np.ndarray, a: np.ndarray, b: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays (lo, hi, steps): the node of the bisection of
-    :func:`theta_random_sampling` at which it first evaluates ``excess``
-    when the window ``(a, b)`` passes both its checks, and the steps taken
-    to reach it, for every cell of the one-dimensional ``eq``, ``a`` and
-    ``b`` at once.
+def theta_starts(eq: np.ndarray, q_x: float, n_total: float, eps_e: float,
+                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The theta that :func:`theta_random_sampling` returns from the window
+    (a, b) at every cell of the one-dimensional ``eq``, ``a`` and ``b``
+    whose window passes both checks, all cells at once; NaN elsewhere.
 
-    Each step is the loop's own: mid = 0.5 (lo + hi); a cell stops where
-    mid equals lo or hi or lies strictly between a and b, and otherwise
-    sets lo = mid where mid <= a and hi = mid where mid >= b.  NumPy's
-    float64 ``+``, ``* 0.5`` and ``<=`` round as Python's floats do, so each
-    cell ends at the node the loop reaches, for any a and b, NaN and
-    infinite included.  No check of the window is made here.
+    It makes that function's checks and runs its loop, with log2_pref from
+    ``math.log2`` and zeta and zeta' with ``math.log1p`` per cell
+    (:func:`_zeta_estimates`, :func:`_zeta_slope`).  Every other step is a
+    float64 ``+ - * /`` or comparison, which NumPy rounds as Python does, so
+    each cell meets the scalar floats.  A log1p argument that rounds to -1
+    also gives NaN, and the scalar path decides that cell.
     """
-    lo = np.full(eq.shape, _THETA_FLOOR)
-    hi = 0.5 - eq - _THETA_FLOOR
-    steps = np.zeros(eq.shape, dtype=int)
-    walking = np.ones(eq.shape, dtype=bool)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        walking &= (mid != lo) & (mid != hi)
-        up = walking & (mid <= a)
-        down = walking & ~up & (mid >= b)
-        walking = up | down
-        if not walking.any():
-            break
-        lo = np.where(up, mid, lo)
-        hi = np.where(down, mid, hi)
-        steps += walking
-    return lo, hi, steps
+    with np.errstate(all="ignore"):
+        n_x = q_x * n_total
+        product = q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total
+        log2_pref = -0.5 * _cellwise(math.log2, np.where(product > 0.0, product, np.nan))
+        log2_target = math.log2(eps_e)
+        offset = np.abs(log2_pref) + abs(log2_target)
+        lo = np.full(eq.shape, _THETA_FLOOR)
+        hi = 0.5 - eq - _THETA_FLOOR
+
+        def excess(cells, theta):
+            zeta = _zeta_estimates(eq[cells], q_x, theta, _log1p_cells)
+            return log2_pref[cells] - n_x * zeta - log2_target
+
+        def bound(theta, slope, value):
+            return _excess_error_bound(eq, q_x, n_x, offset, theta, slope, value)
+
+        value, slope = excess(..., a), _zeta_slope(eq, q_x, a, _log1p_cells)
+        known = (lo < a) & (a < hi) & (value > 2.0 * bound(a, slope, value))
+        value, slope = excess(..., b), _zeta_slope(eq, q_x, b, _log1p_cells)
+        known &= ((lo < b) & (b < hi)
+                  & (slope >= 2.0**-47 * (8.0 * q_x + 3.0 + 2.0**-43 / (1.0 - q_x)))
+                  & (value < -2.0 * bound(b, slope, value)))
+        walking = known.copy()
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            walking &= (mid != lo) & (mid != hi)
+            if not walking.any():
+                break
+            up = walking & (mid <= a)
+            down = walking & ~up & (mid >= b)
+            cells = np.flatnonzero(walking & ~up & ~down)
+            value = excess(cells, mid[cells])
+            known[cells] &= ~np.isnan(value)    # a log1p pole
+            down[cells] = value <= 0.0
+            up[cells] = ~down[cells]
+            lo = np.where(up, mid, lo)
+            hi = np.where(down, mid, hi)
+        return np.where(known, hi, np.nan)
 
 
 def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
@@ -329,8 +353,8 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
 
     Certified window.  ``window`` is a pair (a, b) around the root, and
     :func:`theta_windows` computes it, for one EQ when ``window`` is None or
-    for a whole sweep at once.  A sweep's window may carry its start node
-    too, as (a, b, lo, hi, steps) from :func:`theta_starts`; see Start node
+    for a whole sweep at once.  A sweep's window may carry a third entry,
+    the theta that :func:`theta_starts` walked for it; see Walked theta
     below.  The pair is only an estimate: the checks below,
     made here in ``math``, decide whether each end is used, so its rounding
     needs no bound.  An end is used only inside the bracket and only where
@@ -353,18 +377,16 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
     with N = 1), there is no estimate: the window is NaN, both ends fall
     back, and the plain bisection decides every midpoint.
 
-    Start node.  The loop runs the plain bisection's steps, at most
-    ``_BISECTION_STEPS`` of them.  Where both checks passed unchanged, its
-    first steps only compare the midpoint with a or b, and
-    :func:`theta_starts` walks them in NumPy for a whole sweep, with the
-    same floats.  The loop starts at the walked node (lo, hi), with the
-    walked steps charged against its cap, only if both checks passed and
-    lo <= a < b <= hi lies inside the bracket; otherwise it starts from the
-    bracket.  So a start does not change the float returned.  Soundness
-    still rests on the two checks alone: every hi the loop can return is
-    the node's hi or a midpoint, each either >= b or with an evaluated
-    excess <= 0, as in the plain bisection.  A wrong start node can move
-    the last bits of theta, but it cannot return an uncertified theta.
+    Walked theta.  A walked theta is returned, before any check of the
+    window, if it lies in the bracket and its ``excess``, evaluated here in
+    ``math``, is <= 0.  Every theta the plain bisection returns has that
+    property: the floor and each hi the loop sets were evaluated <= 0, or
+    lie at or past a b whose check proves excess < 0.  Any other walked
+    theta, NaN included, is ignored, and the window is used as above.  So
+    soundness rests on this one evaluation: a wrong walk can return a larger
+    admissible theta, never an uncertified one.  That it returns the plain
+    bisection's float rests on the walk making the checks and the loop
+    below with the same floats; a test pins every theta of the sweep.
     """
     if not (0.0 < eq < 0.5):
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
@@ -389,8 +411,10 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
     hi = 0.5 - eq - _THETA_FLOOR
     if hi <= lo:
         raise InfeasibleError(f"no admissible theta below 0.5 - EQ for EQ = {eq}")
-    a, b, *start = (map(float, theta_windows(eq, q_x, n_total, eps_e)) if window is None
-                    else window)
+    a, b, *walked = (map(float, theta_windows(eq, q_x, n_total, eps_e)) if window is None
+                     else window)
+    if walked and lo <= walked[0] <= hi and excess(walked[0]) <= 0.0:
+        return walked[0]
     if not (lo < a < hi and (value := excess(a)) > 2.0 * bound(a, _zeta_slope(eq, q_x, a),
                                                                 value)):
         a = lo
@@ -407,13 +431,7 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
         )
     if a == lo and excess(lo) <= 0.0:
         return lo
-    steps = _BISECTION_STEPS
-    # The walked start of theta_starts holds where both checks passed unchanged.
-    if start and lo < a and b < hi and lo <= start[0] <= a < b <= start[1] <= hi:
-        lo, hi, walked = start
-        steps -= walked
-
-    for _ in range(steps):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -607,14 +625,15 @@ class RateScenario:
         :class:`TauSet` of arrays gives one broadcast report."""
         return entropy_report_from_taus(self.dets, taus)
 
-    def windows(self, eq: np.ndarray) -> Iterator[Tuple[float, float, float, float, int]]:
-        """The window (a, b) of :func:`theta_windows` and its start node
-        (lo, hi, steps) of :func:`theta_starts` at each check-basis error of
-        the one-dimensional ``eq``, as Python numbers, in order: the
-        ``window`` of :meth:`rates` for each cell of a broadcast report."""
+    def windows(self, eq: np.ndarray) -> Iterator[Tuple[float, float, float]]:
+        """The window (a, b) of :func:`theta_windows` and the theta that
+        :func:`theta_starts` walks from it at each check-basis error of the
+        one-dimensional ``eq``, as Python floats, in order: the ``window``
+        of :meth:`rates` for each cell of a broadcast report."""
         sec = self.security
-        a, b = theta_windows(eq, sec.x_fraction, sec.total_pulses, sec.eps_e)
-        return zip(a.tolist(), b.tolist(), *(v.tolist() for v in theta_starts(eq, a, b)))
+        args = (sec.x_fraction, sec.total_pulses, sec.eps_e)
+        a, b = theta_windows(eq, *args)
+        return zip(a.tolist(), b.tolist(), theta_starts(eq, *args, a, b).tolist())
 
     def _theta(self, eq: float, window: Optional[Tuple[float, ...]] = None) -> float:
         """Random-sampling deviation theta at the check-basis error ``eq``,

@@ -186,6 +186,17 @@ FAILURES = [
     # exp(-decay) rounds to 1, which first_order_rate divides by 1 minus
     F("hmin --omega 1e-17", "decay must be large enough that exp(-decay) < 1, got 1e-17"),
     F("hmin --fp-windows -1", "fp_windows must be >= 0, got -1"),
+    # each sweep refuses the other sweep's keys, from a flag or a config file
+    F("hmin --sweep afterpulse --points 5 --ratio-min 0.1 --ratio-max 1.5 --p-hat-ap 0.2",
+      "hmin p_hat_ap, ratio_min and ratio_max take effect only with --sweep efficiency; "
+      "got p_hat_ap=0.2, ratio_min=0.1"),
+    F("hmin --ratio-max 2", "hmin p_hat_ap, ratio_min and ratio_max take effect only with "
+      "--sweep efficiency; got ratio_max=2.0"),
+    F("hmin --sweep efficiency --points 5 --p-hat-max 0.3 --fp-windows 7",
+      "hmin p_hat_max and fp_windows take effect only with --sweep afterpulse; "
+      "got p_hat_max=0.3, fp_windows=7"),
+    F("hmin --sweep efficiency", "hmin p_hat_max and fp_windows take effect only with "
+      "--sweep afterpulse; got fp_windows=0", config={"fp_windows": 0}),
     # --- rates ----------------------------------------------------------------
     F("rates --points 3 --p-hat-ap -0.1", "first_order_rate must lie in [0, 1), got -0.1"),
     F("rates --from -1 --points 2", "loss must be >= 0 dB, got -1.0"),

@@ -211,6 +211,55 @@ class TestRates:
         assert rows[0][0] == spec["from"] and rows[-1][0] == spec["to"]
 
 
+def rates_columns(out_dir, *flags):
+    """The columns of ``rates --points 60 --to 30`` with ``flags``, by name."""
+    assert run(["rates", "--points", "60", "--to", "30", *flags, "--out-dir", str(out_dir)]) == 0
+    _, header, rows = read_csv(out_dir / "rates.csv")
+    return {name: np.array(column) for name, column in zip(header, zip(*rows))}
+
+
+_BITS = ["bits_rs", "bits_ei", "bits_il", "bits_rs_ap", "bits_ei_ap", "bits_il_ap"]
+
+
+class TestRatesOrderings:
+    """Directions that the physics gives the analytic rates, on every row of
+    60 losses from 0 to 30 dB, with one setting moved at a time over the
+    range where ROADMAP item 21 measured them; each range holds the default."""
+
+    @pytest.mark.parametrize("flag, values, columns, sign", [
+        # afterpulses are clicks whose cause the adversary may know
+        ("--p-hat-ap", ["0", "0.05", "0.2", "0.45"], _BITS[3:], -1),
+        # misalignment raises the check-basis error, so theta and h(EQ)
+        ("--e-q", ["0", "0.02", "0.1", "0.2"], _BITS, -1),
+        # a looser budget needs a smaller deviation theta
+        ("--eps-e", ["1e-30", "8.881784197001252e-16", "1e-6", "0.1"], ["bits_rs"], 1),
+        # more rounds, a smaller deviation per pulse
+        ("--N", ["1e6", "1e8", "1e10", "1e12"],
+         ["per_pulse_rs", "per_pulse_rs_ap", "per_pulse_ei"], 1),
+    ], ids=["p_hat_ap", "e_q", "eps_e", "N"])
+    def test_orderings(self, tmp_path, flag, values, columns, sign):
+        runs = [rates_columns(tmp_path / value, flag, value) for value in values]
+        for c in runs:
+            # afterpulsing never adds bits, and neither finite-size route
+            # exceeds the infinite-length count
+            for name in _BITS[:3]:
+                assert np.all(c[name + "_ap"] <= c[name])
+            for suffix in ("", "_ap"):
+                assert np.all(c["bits_rs" + suffix] <= c["bits_il" + suffix])
+                assert np.all(c["bits_ei" + suffix] <= c["bits_il" + suffix])
+        for before, after in zip(runs, runs[1:]):
+            for name in columns:
+                assert np.all(sign * (after[name] - before[name]) >= 0.0), (flag, name)
+
+    def test_dark_count_direction_is_recorded(self, tmp_path, record_property):
+        """Not asserted: the bracket credits a dark click with the pair's
+        hmin_z, so on high-loss rows the bits rise with --e-d.  Whether that
+        credit is sound is ROADMAP item 8's question."""
+        low, high = (rates_columns(tmp_path / v, "--e-d", v)["bits_rs"] for v in ("0", "1e-4"))
+        record_property("bits_rs_rows_rising_with_e_d", int(np.count_nonzero(high > low)))
+        record_property("bits_rs_rows_falling_with_e_d", int(np.count_nonzero(high < low)))
+
+
 class TestFiniteSampling:
     def test_eq_above_half_monitored_value_tends_to_the_exact_one(self, tmp_path):
         # EQ is about 0.95, where h(EQ) < h(1/2) = 1

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from siqrng import (
@@ -188,8 +188,8 @@ class TestLaggedResponseProbs:
 
     def test_not_fired_probability_never_negative(self):
         # in an explicit table p_hat_lag <= p_hat, so the background
-        # p_hat/(1-p_hat)*p_b dominates the lag correction p_hat_lag*p_b and
-        # the clamp stays inactive; without dark counts the prior p_b is 1 - tau
+        # p_hat/(1-p_hat)*p_b dominates the lag correction p_hat_lag*p_b;
+        # without dark counts the prior p_b is 1 - tau
         for p1, p2, prior in [(0.4999, 0.0001, 0.001), (0.05, 0.0, 1.0),
                               (0.01, 0.04, 0.3)]:
             spec = AfterpulseSpec.explicit([p1, p2])
@@ -202,18 +202,37 @@ class TestLaggedResponseProbs:
             assert not_fired >= base - 1e-15
 
 
-    def test_not_fired_clamp_fires_where_rounding_breaks_the_bound(self):
-        # One window of history: p_hat = A e (1-e)/(1-e) rounds an ulp below
-        # p_hat_1 = A e, and at this p_hat, p_hat/(1-p_hat) rounds to p_hat.
-        spec = AfterpulseSpec.exponential(3.1972436011946124e-298, 0.01935601124833297, 1)
-        assert spec.first_order_rate < spec.coefficient(1)
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.floats(math.log(1e-300), math.log(0.1)).map(math.exp),
+                  st.floats(math.log(1e-3), math.log(10.0)).map(math.exp),
+                  st.one_of(st.none(), st.integers(1, 1000))),
+        st.lists(st.one_of(st.floats(0.0, 0.12), st.floats(-690.0, -23.0).map(math.exp)),
+                 min_size=1, max_size=8)),
+        st.floats(0.0, 1.0))
+    # one window of history, whose p_hat rounded an ulp below p_hat_1 with
+    # the form A e (1 - e^m)/(1 - e)
+    @example((3.1972436011946124e-298, 0.01935601124833297, 1), 0.4441076342346534)
+    def test_p_hat_dominates_every_coefficient(self, profile, tau):
+        """The float p_hat is >= every lag coefficient, so the not-fired
+        probability stays >= 0 at every lag, with no warning
+        (lagged_response_probs' docstring gives the proof)."""
+        try:
+            spec = (AfterpulseSpec.exponential(*profile) if isinstance(profile, tuple)
+                    else AfterpulseSpec.explicit(profile))
+        except SiqrngError:     # unlimited history needs decay > ln(1 + A)
+            assume(False)
+        p_hat = spec.first_order_rate
+        assume(p_hat <= 0.5)    # so that no probability exceeds 1
+        depth = spec.window_depth
+        lags = range(1, (1000 if depth is None else depth) + 2)
+        assert all(p_hat >= spec.coefficient(lag) for lag in lags)
         det = DetectorParams(0.1, 6e-7, spec, label="0")
-        tau = 0.4441076342346534
-        with pytest.warns(RuntimeWarning, match=r"^lag-1 correction drives the afterpulse "
-                                                r"probability negative \(-2\.122e-314\); "
-                                                r"clamped to 0$"):
-            _, not_fired = lagged_response_probs(det, tau, lag=1)
-        assert not_fired == 1.0 - tau * (1.0 - 6e-7)
+        for lag in {1, 2, lags[-2], lags[-1]}:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, not_fired = lagged_response_probs(det, tau, lag=lag)
+            assert not_fired >= 1.0 - tau * (1.0 - 6e-7)
 
 
 class TestPriorAutocorrelation:

@@ -34,8 +34,10 @@ from siqrng.finite_size import (
     _bits_after,
     _bracket,
     _excess_error_bound,
+    _log1p_cells,
     _min_bracket_over_taus,
     _worst_eq_arm,
+    _zeta_estimates,
     _zeta_exponent,
     _zeta_slope,
     hmin_with_tau_uncertainty,
@@ -263,6 +265,29 @@ class TestZetaExponent:
                 assert abs(float.fromhex(got) - exact) <= 2.0**-40 * (exact + q_x * theta)
 
 
+class TestArrayZeta:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_log_uniform(1e-300, 0.5), st.floats(0.5, 1.0, exclude_max=True)),
+           st.lists(st.tuples(_log_uniform(1e-300, 0.4999), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=20))
+    @example(0.02, [(0.015, 0.0), (0.015, 0.01), (1e-300, 0.4), (0.3, 1e-300), (0.4999, 1e-4)])
+    @example(0.5, [(1e-300, 0.4), (1e-300, 1e-310), (0.25, 0.25)])
+    def test_equals_scalar_bit_for_bit(self, q_x, cells):
+        """With math.log1p per cell, zeta and zeta' of a batch on the bracket,
+        theta <= 1/2 - EQ, are the floats of _zeta_exponent and _zeta_slope,
+        except that zeta is NaN exactly where (EQ - m)/m rounds to -1."""
+        eq = np.array([e for e, _ in cells])
+        theta = np.array([u * (0.5 - e) for e, u in cells])
+        zeta = _zeta_estimates(eq, q_x, theta, _log1p_cells).tolist()
+        slope = _zeta_slope(eq, q_x, theta, _log1p_cells).tolist()
+        for e, t, z, d in zip(eq.tolist(), theta.tolist(), zeta, slope):
+            mixed = e + (1.0 - q_x) * t
+            assert math.isnan(z) == ((e - mixed) / mixed == -1.0)
+            if not math.isnan(z):
+                assert z.hex() == _zeta_exponent(e, q_x, t).hex()
+            assert d.hex() == _zeta_slope(e, q_x, t).hex()
+
+
 def zeta_exact(eq, q_x, theta):
     """zeta as q_x D(EQ||m) + (1-q_x) D(t||m) in bits at the rounded
     t = EQ + theta that ``_zeta_exponent`` sees, with m = q_x EQ + (1-q_x) t
@@ -338,37 +363,31 @@ def _window(kind, args):
     # "crossed": each end an eighth of the width past the root, where its
     # |excess| is near g, inside the margin its check demands
     middle, eighth = 0.5 * (a + b), 0.125 * (b - a)
-    if name == "node":
-        return walk_reference(eq, a, b)[:2]
+    # an end at the plain theta, or at the float below it, where its check
+    # must fail: any weaker check moves the loop's last step
+    if name.startswith("root"):
+        root = _theta_outcome(plain_bisection_theta, *args)
+        if not isinstance(root, float):
+            return a, b
+        return (root, b) if name == "root_a" else (a, math.nextafter(root, 0.0))
     return {"batch": (a, b), "reversed": (b, a), "crossed": (middle + eighth, middle - eighth),
             "bracket": (_THETA_FLOOR, 0.5 - eq - _THETA_FLOOR),
             "below": (a - (b - a), a), "above": (b, b + (b - a))}[name]
 
 
-def walk_reference(eq, a, b):
-    """Reference: (lo, hi, steps) where the bisection loop of
-    :func:`theta_random_sampling`, given the window (a, b) with no checks,
-    first evaluates ``excess`` or stops."""
-    lo, hi = _THETA_FLOOR, 0.5 - eq - _THETA_FLOOR
-    for steps in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        else:
-            break
-    return lo, hi, steps
-
-
-def _with_start(args, window):
+def _with_walk(args, window):
     """``window``, or the batch window of ``args`` where it is None, with
-    the start node that :func:`theta_starts` walks for it."""
+    the theta that :func:`theta_starts` walks from it."""
     a, b = map(float, theta_windows(*args)) if window is None else window
-    start = theta_starts(np.array([args[0]]), np.array([a]), np.array([b]))
-    return (a, b, *(v.tolist()[0] for v in start))
+    return a, b, theta_starts(np.array([args[0]]), *args[1:], np.array([a]),
+                              np.array([b])).tolist()[0]
+
+
+def _excess(args, theta):
+    """excess(theta) of :func:`theta_random_sampling` at its inputs ``args``."""
+    eq, q_x, n_total, eps_e = args
+    return (-0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
+            - q_x * n_total * _zeta_exponent(eq, q_x, theta) - math.log2(eps_e))
 
 
 # 0, or +-n ulps with n from 1 to 2^20, spread evenly over the powers of two
@@ -378,12 +397,13 @@ _INF = math.inf
 
 # None; the batch window, shifted or not; NaN and infinite ends; the bracket;
 # a reversed or crossed pair; a window wholly below or above the root; and
-# the node of the batch window's walk, whose ends are midpoints of the loop
+# one end at the root
 window_kinds = st.one_of(
     st.none(), st.tuples(st.just("shifted"), _ULPS, _ULPS),
     st.sampled_from([("batch",), ("reversed",), ("crossed",), ("bracket",), ("below",),
-                     ("above",), ("node",), (math.nan, math.nan), (math.nan, _INF), (-_INF, _INF),
-                     (_INF, -_INF), (_INF, _INF), (-_INF, -_INF)]))
+                     ("above",), ("root_a",), ("root_b",), (math.nan, math.nan),
+                     (math.nan, _INF), (-_INF, _INF), (_INF, -_INF), (_INF, _INF),
+                     (-_INF, -_INF)]))
 
 # Fixed examples of test_theta_does_not_depend_on_its_window: windows that
 # pass their checks, and finite windows inside the bracket whose checks fail
@@ -451,11 +471,11 @@ class TestCertifiedBisection:
     @given(theta_inputs, window_kinds)
     def test_theta_does_not_depend_on_its_window(self, args, kind):
         """The plain bisection's outcome, from the window alone and from the
-        window with the start node walked for it."""
+        window with the theta walked from it."""
         window = _window(kind, args)
         expected = _theta_outcome(plain_bisection_theta, *args)
         assert _theta_outcome(theta_random_sampling, *args, window) == expected
-        assert _theta_outcome(theta_random_sampling, *args, _with_start(args, window)) == expected
+        assert _theta_outcome(theta_random_sampling, *args, _with_walk(args, window)) == expected
 
     for _args, _kind in WINDOW_EXAMPLES:
         test_theta_does_not_depend_on_its_window = example(_args, _kind)(
@@ -463,26 +483,48 @@ class TestCertifiedBisection:
     del _args, _kind
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(theta_inputs, window_kinds), min_size=1, max_size=6))
-    @example([((0.015, 0.02, 1e10, 2.0**-50), ("node",)),
-              ((0.015, 0.02, 1e10, 2.0**-50), ("batch",))])
-    def test_walk_equals_the_loops_prefix(self, cells):
-        """theta_starts gives every cell at once the node at which the Python
-        loop would first evaluate excess or stop, and the steps to reach it."""
-        eqs = [args[0] for args, _ in cells]
-        windows = [_window(kind, args) or tuple(map(float, theta_windows(*args)))
-                   for args, kind in cells]
-        lo, hi, steps = theta_starts(np.array(eqs), *np.array(windows, dtype=float).T)
-        assert list(zip(lo.tolist(), hi.tolist(), steps.tolist())) == [
-            walk_reference(eq, *window) for eq, window in zip(eqs, windows)]
+    @given(theta_inputs, st.lists(st.tuples(_log_uniform(1e-6, 0.499), window_kinds),
+                                  min_size=1, max_size=6))
+    @example((0.015, 0.02, 1e10, 2.0**-50), [(0.015, ("batch",)), (0.0155, None),
+                                             (0.015, ("crossed",)), (1e-6, None),
+                                             (0.015, ("root_a",)), (0.0155, ("root_b",))])
+    @example((0.4999999, 0.5, 1e10, 2.0**-50), [(0.4999999, None), (0.01, ("bracket",))])
+    def test_walk_equals_plain_bisection(self, args, cells):
+        """theta_starts gives each cell of a batch that shares q_x, N and
+        eps_e the plain bisection's theta, or NaN for the scalar path."""
+        cell_args = [(eq, *args[1:]) for eq, _ in cells]
+        windows = [_window(kind, a) or tuple(map(float, theta_windows(*a)))
+                   for a, (_, kind) in zip(cell_args, cells)]
+        walked = theta_starts(np.array([a[0] for a in cell_args]), *args[1:],
+                              *np.array(windows, dtype=float).T).tolist()
+        for a, theta in zip(cell_args, walked):
+            assert math.isnan(theta) or theta == _theta_outcome(plain_bisection_theta, *a)
 
-    def test_walked_steps_count_against_the_cap(self):
-        """A start whose walk took every step of the cap leaves the loop
-        none, so theta is the node's hi, which the check at b certifies."""
-        args = (0.015, 0.02, 1e10, 2.0**-50)
-        a, b, lo, hi, steps = _with_start(args, None)
-        assert 0 < steps and b <= hi < 0.5 - args[0] - _THETA_FLOOR
-        assert theta_random_sampling(*args, (a, b, lo, hi, finite_size._BISECTION_STEPS)) == hi
+    @settings(max_examples=500, deadline=None)
+    @given(theta_inputs, window_kinds, st.one_of(
+        _ULPS, st.sampled_from(["floor", "hi", "a", "b", 0.0, 1.0, math.nan, _INF, -_INF])))
+    @example((0.015, 0.02, 1e10, 2.0**-50), ("batch",), -1)
+    @example((0.015, 0.02, 1e10, 2.0**-50), None, 1)
+    @example((0.015, 0.02, 1e10, 2.0**-50), None, "floor")
+    @example((0.4999999, 0.5, 1e10, 2.0**-50), None, "hi")
+    def test_walked_theta_is_certified(self, args, kind, proposal):
+        """A walked theta comes back only if it lies in the bracket with
+        excess <= 0; any other, such as the plain theta shifted down to
+        excess > 0, gives the plain bisection's outcome."""
+        expected = _theta_outcome(plain_bisection_theta, *args)
+        lo, hi = _THETA_FLOOR, 0.5 - args[0] - _THETA_FLOOR
+        a, b = _window(kind, args) or tuple(map(float, theta_windows(*args)))
+        if isinstance(proposal, int):
+            base = expected if isinstance(expected, float) else hi
+            theta = base + proposal * math.ulp(base)
+        else:
+            theta = {"floor": lo, "hi": hi, "a": a, "b": b}.get(proposal, proposal)
+        certified = lo <= theta <= hi and _excess(args, theta) <= 0.0
+        got = _theta_outcome(theta_random_sampling, *args, (a, b, theta))
+        if isinstance(expected, float) or certified:
+            assert got == (theta if certified else expected)
+        else:
+            assert got is expected
 
     def test_window_examples_reach_both_fallbacks(self):
         """Some example of the test above passes a finite window end inside
@@ -526,7 +568,8 @@ class TestCertifiedBisection:
         for eq, window in zip(eqs, windows):
             calls.clear()
             theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e, window)
-            assert len(calls) <= 19
+            # the walked theta's certificate, and no window check
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("route", ["batch_windows", "no_window"])
     def test_rates_sweep_thetas_are_pinned(self, route):

@@ -58,6 +58,9 @@ ARGVS = [
     ["rates", "--points", "5", "--p-hat-ap", "0.6"],
     # 1000 pulses admit no random-sampling theta: a zero rate, not an error
     ["rates", "--N", "1000", "--points", "2"],
+    # at 10^5 pulses theta's windows fail their checks, so no theta is walked
+    # and each point checks its window in math
+    ["rates", "--N", "1e5", "--points", "2"],
     ["finite-sampling"],
     ["simulate"],
     SHORT + ["--p-hat", "0.05", "--window-depth", "0"],
