@@ -183,7 +183,7 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
     if lag < 1:
         raise ParameterError(f"autocorr needs lag >= 1, got {lag}")
     if not config["mc"]:
-        _refuse_unused("autocorr", config, ("pulses", "seed"), "--mc")
+        _refuse_unused("autocorr", config, ("lag", "pulses", "seed"), "--mc")
     source = poisson_distribution(nu)
     grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
@@ -415,32 +415,33 @@ def cmd_simulate(config: dict, out_dir: Path, manifest_hash: str,
         x_fraction=float(config["q_x"]), misalignment=float(config["e_q"]),
         seed=seed,
     )
-    result = simulate(sim_cfg, threads=threads)
-    stream = result.bits
+    clicks, stream, eq_empirical = simulate(sim_cfg, threads=threads)
+    # Only the raw bits, their packed bytes and the counts outlive the bit
+    # stream, so its fill flags and window indices are freed before extraction.
+    bits, packed = stream.bits, stream.packed()
+    counts = {"bit_count": len(stream), **{key: int(getattr(stream, key)) for key in (
+        "n_single", "n_double", "z_windows", "x_windows")}}
+    del stream
     extract_bits = config.get("extract_bits")
     if extract_bits is None:
-        extract_bits = len(stream) // 2   # demonstration default, not an entropy claim
+        extract_bits = counts["bit_count"] // 2   # demonstration default, not an entropy claim
     # Extract before writing, so a rejected length leaves no output directory.
-    extracted = extract(stream.bits, int(extract_bits), seed)
+    extracted = extract(bits, int(extract_bits), seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     clicks_path = out_dir / "clicks.csv"
-    result.clicks.to_csv(clicks_path, header_comment=_comment_line("simulate", manifest_hash))
+    clicks.to_csv(clicks_path, header_comment=_comment_line("simulate", manifest_hash))
     bits_path = out_dir / "bits.bin"
     with open_new(bits_path) as fh:
-        fh.write(stream.packed())
+        fh.write(packed)
     sidecar_path = out_dir / "bits.json"
     _write_json(sidecar_path, {
         "seed": seed,
         "config_hash": sim_cfg.config_hash(),
         "manifest_hash": manifest_hash,
-        "bit_count": len(stream),
-        "n_single": int(stream.n_single),
-        "n_double": int(stream.n_double),
-        "z_windows": int(stream.z_windows),
-        "x_windows": int(stream.x_windows),
+        **counts,
         # no X windows leaves EQ undefined (NaN), which JSON cannot carry
-        "eq_empirical": result.eq_empirical if stream.x_windows else None,
+        "eq_empirical": eq_empirical if counts["x_windows"] else None,
     })
 
     extracted_path = out_dir / "extracted.bin"

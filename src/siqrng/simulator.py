@@ -175,23 +175,28 @@ _FLAG_COLS = (3, 5, 7, 9)
 
 
 class ClickRecords:
-    """Columnar per-pulse outcomes: basis, active-arm clicks and afterpulses."""
+    """Per-pulse outcomes, one ``uint8`` code each: ``is_x << 4 | d0 << 3 |
+    d1 << 2 | ap0 << 1 | ap1``, the basis, the active arm's clicks and its
+    afterpulses.  Each column is decoded where it is read."""
 
     CSV_HEADER = "index,basis,d0,d1,ap0,ap1"
 
-    def __init__(self, basis_is_x, d0, d1, ap0, ap1):
-        self.basis_is_x = np.asarray(basis_is_x, dtype=bool)
-        self.d0 = np.asarray(d0, dtype=bool)
-        self.d1 = np.asarray(d1, dtype=bool)
-        self.ap0 = np.asarray(ap0, dtype=bool)
-        self.ap1 = np.asarray(ap1, dtype=bool)
-        n = self.basis_is_x.size
-        for name in ("d0", "d1", "ap0", "ap1"):
-            if getattr(self, name).size != n:
-                raise ParameterError("click columns must have equal length")
+    def __init__(self, codes):
+        self.codes = np.asarray(codes, dtype=np.uint8)
+        if self.codes.ndim != 1 or self.codes.max(initial=0) >= 32:
+            raise ParameterError("click codes must be a 1-d array of values in [0, 32)")
 
     def __len__(self) -> int:
-        return self.basis_is_x.size
+        return self.codes.size
+
+    def _column(self, shift: int) -> np.ndarray:
+        """Bit ``shift`` of every code, as a new read-only bool array."""
+        flags = (self.codes >> shift & 1).view(bool)
+        flags.flags.writeable = False
+        return flags
+
+    basis_is_x, d0, d1, ap0, ap1 = (property(lambda self, shift=shift: self._column(shift))
+                                    for shift in (4, 3, 2, 1, 0))
 
     def to_csv(self, path, header_comment: Optional[str] = None) -> None:
         """Write one ``index,basis,d0,d1,ap0,ap1`` row per pulse.
@@ -207,14 +212,16 @@ class ClickRecords:
         ``_LOW_DIGITS``, since blocks past 4 digits start on a multiple of
         ``_DIGIT_RUN``.  Each block then gets the digits above the low four,
         one value per run of ``_DIGIT_RUN`` rows, and one byte column per
-        flag (``"Z" - 2 * is_x`` and ``"0" + flag``), and goes to the file
-        through the buffer protocol.  Beyond its columns the writer holds
-        about 1 MB, whatever the pulse count.
+        flag (``"Z" - 2 * is_x`` and ``"0" + flag``), each decoded from the
+        codes into one reused row of bytes, and goes to the file through the
+        buffer protocol.  Beyond its codes the writer holds about 1.1 MB,
+        whatever the pulse count.
         """
-        flags = [col.view(np.uint8) for col in (self.d0, self.d1, self.ap0, self.ap1)]
+        codes = self.codes
         n = len(self)
         row_bytes = len(str(n - 1)) + _ROW_SUFFIX.size
         space = np.empty(min(n, _CSV_BLOCK_ROWS) * row_bytes, dtype=np.uint8)
+        column = np.empty(min(n, _CSV_BLOCK_ROWS), dtype=np.uint8)   # one decoded flag
         with open_new(path) as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n".encode("utf-8"))
@@ -239,10 +246,14 @@ class ClickRecords:
                             for col in range(high - 1, -1, -1):
                                 block[run:run + _DIGIT_RUN, col] = ord("0") + value % 10
                                 value //= 10
-                    np.subtract(ord("Z"), self.basis_is_x[span].view(np.uint8) << 1,
-                                out=block[:, width + _BASIS_COL])
-                    for col, flag in zip(_FLAG_COLS, flags):
-                        np.add(flag[span], ord("0"), out=block[:, width + col])
+                    code, flag = codes[span], column[:block.shape[0]]
+                    np.right_shift(code, 3, out=flag)
+                    np.bitwise_and(flag, 2, out=flag)           # 2 * is_x
+                    np.subtract(ord("Z"), flag, out=block[:, width + _BASIS_COL])
+                    for col, shift in zip(_FLAG_COLS, (3, 2, 1, 0)):
+                        np.right_shift(code, shift, out=flag)
+                        np.bitwise_and(flag, 1, out=flag)
+                        np.add(flag, ord("0"), out=block[:, width + col])
                     fh.write(block)
                 start, width = band_end, width + 1
 
@@ -821,15 +832,15 @@ def _chunk_draws(config: PulseTrainConfig, seed: int, chunk: int, count: int,
     return _ChunkDraws(is_x, tuple(base), tuple(cand), tuple(u_cand), fill)
 
 
-def _resolve_chunk(d: _ChunkDraws, coeffs, carries, records, offset: int):
-    """Afterpulse passes, click columns and raw bits of one chunk.
+def _resolve_chunk(d: _ChunkDraws, coeffs, carries, codes, offset: int):
+    """Afterpulse passes, click codes and raw bits of one chunk.
 
     ``coeffs[k]`` and ``carries[k]`` are detector k's lag coefficients and
-    fired history; the carries are replaced by the chunk's.  The click
-    columns are written into ``records`` at ``offset``; the afterpulse
-    columns are only set, so they must start False.  Returns the chunk's
-    (bits, fill flags, window indices) and its counts of singles, doubles,
-    Z windows, X windows, X windows where only "-" fires and X doubles.
+    fired history; the carries are replaced by the chunk's.  The chunk's
+    :class:`ClickRecords` codes are written into ``codes`` at ``offset``.
+    Returns the chunk's (bits, fill flags, window indices) and its counts of
+    singles, doubles, Z windows, X windows, X windows where only "-" fires
+    and X doubles.
     """
     fires, aps = [], []
     for k in range(4):
@@ -840,16 +851,15 @@ def _resolve_chunk(d: _ChunkDraws, coeffs, carries, records, offset: int):
 
     is_x = d.is_x
     x_windows = np.flatnonzero(is_x)
-    span = slice(offset, offset + is_x.size)
-    records[0][span] = is_x
-    # Each record column holds the active arm: "0"/"1" in Z windows, "+"/"-"
-    # in X windows.
-    for rec, z_fires, x_fires in zip(records[1:3], fires[:2], fires[2:]):
-        rec[span] = z_fires
-        rec[span][x_windows] = x_fires[x_windows]
-    for rec, z_aps, x_aps in zip(records[3:], aps[:2], aps[2:]):
-        rec[span][z_aps[~is_x[z_aps]]] = True
-        rec[span][x_aps[is_x[x_aps]]] = True
+    code = codes[offset:offset + is_x.size]
+    np.left_shift(is_x.view(np.uint8), 4, out=code)
+    # Each click and afterpulse bit is the active arm's: "0"/"1" in Z
+    # windows, "+"/"-" in X windows.
+    for shift, z_fires, x_fires in zip((3, 2), fires[:2], fires[2:]):
+        code |= np.where(is_x, x_fires, z_fires).view(np.uint8) << shift
+    for bit, z_aps, x_aps in zip((2, 1), aps[:2], aps[2:]):
+        code[z_aps[~is_x[z_aps]]] |= bit
+        code[x_aps[is_x[x_aps]]] |= bit
 
     # A Z window with a click gives one bit: the clicking detector of a
     # single, the fill bit of a double.
@@ -887,15 +897,15 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
     afterpulse recursion is applied chunk after chunk with carried history, so
     the result does not depend on the thread count.
 
-    Memory.  Beyond the result, which grows with the pulse count, one thread
+    Memory.  The result holds one click code per pulse and 10 bytes per raw
+    bit (the bit, its fill flag and its window index).  Beyond it one thread
     holds one chunk at a time: while it is drawn one block of ``_BLOCK`` raw
     words and a few one-byte arrays of one entry per window,
     then its reduced draws, about 6 bytes per window plus 16 per afterpulse
-    candidate, and the arrays of its afterpulse passes.  The chunk's click
-    columns and raw bits are written by index, from the X windows and from
-    the Z windows with a click.  With ``threads`` > 1 up to ``threads``
-    chunks are in flight: each holds its reduced draws, and each one being
-    drawn its own block and one-byte arrays.
+    candidate, and the arrays of its afterpulse passes.  The chunk's raw
+    bits are taken by index from the Z windows with a click.  With
+    ``threads`` > 1 up to ``threads`` chunks are in flight: each holds its
+    reduced draws, and each one being drawn its own block and one-byte arrays.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -920,7 +930,7 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
     chunk_size = config.chunk_size
     n_chunks = (n_pulses + chunk_size - 1) // chunk_size
     chunk_counts = [min(chunk_size, n_pulses - c * chunk_size) for c in range(n_chunks)]
-    records = tuple(np.zeros(n_pulses, dtype=bool) for _ in range(5))
+    codes = np.empty(n_pulses, dtype=np.uint8)
 
     def draws_for(chunk: int) -> _ChunkDraws:
         return _chunk_draws(config, config.seed, chunk, chunk_counts[chunk], cdf_z, cdf_x,
@@ -942,7 +952,7 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
             # gone before the next chunk is drawn.
             part, counts = _resolve_chunk(
                 pending.pop(chunk).result() if pool is not None else draws_for(chunk),
-                coeffs, carries, records, chunk * chunk_size)
+                coeffs, carries, codes, chunk * chunk_size)
             parts.append(part)
             totals = tuple(map(sum, zip(totals, counts)))
     finally:
@@ -952,7 +962,7 @@ def simulate(config: PulseTrainConfig, threads: int = 1) -> SimulationResult:
     bits, fill_mask, window_index = (np.concatenate(col) for col in zip(*parts))
     n_single, n_double, z_windows, x_windows, minus_only, x_doubles = totals
     eq_hat = ((minus_only + 0.5 * x_doubles) / x_windows) if x_windows else math.nan
-    clicks = ClickRecords(*records)
+    clicks = ClickRecords(codes)
     stream = BitStream(bits=bits, fill_mask=fill_mask, window_index=window_index,
                        z_windows=z_windows, x_windows=x_windows,
                        n_single=n_single, n_double=n_double)

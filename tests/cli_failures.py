@@ -119,18 +119,21 @@ FAILURES = [
     F("autocorr --p-hat 0.9 --points 5",
       "afterpulse rate p_hat = 0.9 is too large: the lag-1 fired afterpulse "
       "probability is 1.0810197924225313 > 1"),
-    # only the Monte Carlo columns read pulses and seed, so without --mc a value
-    # other than the default would change the run hash and nothing else
+    # only the Monte Carlo columns read lag, pulses and seed (the prior does not
+    # depend on the lag), so without --mc a value other than the default would
+    # change the run hash and nothing else
+    F("autocorr --points 3 --lag 4",
+      "autocorr lag, pulses and seed take effect only with --mc; got lag=4"),
     F("autocorr --points 3 --seed 5",
-      "autocorr pulses and seed take effect only with --mc; got seed=5"),
+      "autocorr lag, pulses and seed take effect only with --mc; got seed=5"),
     F("autocorr --points 3 --pulses 20000",
-      "autocorr pulses and seed take effect only with --mc; got pulses=20000"),
+      "autocorr lag, pulses and seed take effect only with --mc; got pulses=20000"),
     F("autocorr --points 3 --seed -1 --pulses 7",
-      "autocorr pulses and seed take effect only with --mc; got pulses=7, seed=-1"),
-    F("autocorr --points 3", "autocorr pulses and seed take effect only with --mc; got seed=3",
+      "autocorr lag, pulses and seed take effect only with --mc; got pulses=7, seed=-1"),
+    F("autocorr --points 3", "autocorr lag, pulses and seed take effect only with --mc; got seed=3",
       config={"seed": 3}),
     F("autocorr --points 3",
-      "autocorr pulses and seed take effect only with --mc; got pulses=1000",
+      "autocorr lag, pulses and seed take effect only with --mc; got pulses=1000",
       config={"pulses": 1000, "points": 4}),
     # point i draws with seed + i, so 3 points reach seed + 2 < 2^64
     F("autocorr --mc --points 3 --pulses 1000 --seed -1",

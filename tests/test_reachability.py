@@ -160,8 +160,8 @@ LIBRARY = [
                                                        AfterpulseSpec(mode="explicit")))),
     (ParameterError, "threads must be >= 1, got 0",
      lambda: simulate(PulseTrainConfig(10, SOURCE, DETS), threads=0)),
-    (ParameterError, "click columns must have equal length",
-     lambda: ClickRecords([False], [True], [False], [False], [])),
+    (ParameterError, "click codes must be a 1-d array of values in [0, 32)",
+     lambda: ClickRecords([0, 32])),
     (ParameterError, "bit-stream columns must have equal length",
      lambda: BitStream([1], [], [0], z_windows=1, x_windows=0, n_single=1, n_double=0)),
     (ParameterError, "bit count must equal singles plus doubles",

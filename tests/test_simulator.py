@@ -33,6 +33,8 @@ from conftest import make_detectors
 from references import empirical_click_stats
 
 VACUUM = PhotonDistribution(probs=np.array([1.0]))
+# ClickRecords' decoded columns, from the code's bit 4 down to bit 0
+CLICK_COLUMNS = ("basis_is_x", "d0", "d1", "ap0", "ap1")
 
 
 def make_config(pulses=200_000, nu=1.0, eta=0.1, e_d=6e-7, spec=None,
@@ -87,7 +89,7 @@ class TestDeterminism:
                               misalignment=0.02, chunk_size=chunk_size)
             runs = [simulate(cfg), simulate(cfg), simulate(cfg, threads=4)]
             for other in runs[1:]:
-                for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
+                for col in CLICK_COLUMNS:
                     assert np.array_equal(getattr(runs[0].clicks, col),
                                           getattr(other.clicks, col))
                 assert np.array_equal(runs[0].bits.bits, other.bits.bits)
@@ -153,7 +155,7 @@ class TestCoefficientArray:
 
 def assert_same_result(got, want):
     """Every column and counter of two simulation results are equal."""
-    for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"):
+    for col in CLICK_COLUMNS:
         assert np.array_equal(getattr(got.clicks, col), getattr(want.clicks, col))
     for col in ("bits", "fill_mask", "window_index"):
         assert np.array_equal(getattr(got.bits, col), getattr(want.bits, col))
@@ -391,10 +393,12 @@ class TestResolveChunk:
         carries = [rng.random(c.size) < density for c in coeffs]
         want_carries = [c.copy() for c in carries]
         offset = int(rng.integers(0, 50))
-        records = tuple(np.zeros(offset + n, dtype=bool) for _ in range(5))
-        part, counts = simulator._resolve_chunk(d, coeffs, carries, records, offset)
+        codes = np.zeros(offset + n, dtype=np.uint8)
+        part, counts = simulator._resolve_chunk(d, coeffs, carries, codes, offset)
         columns, want_part, want_counts = dense_resolve_chunk(d, coeffs, want_carries, offset)
-        for rec, col in zip(records, columns):
+        records = ClickRecords(codes)
+        for name, col in zip(CLICK_COLUMNS, columns):
+            rec = getattr(records, name)
             assert not rec[:offset].any()
             assert np.array_equal(rec[offset:], col)
         for got, want in zip(part, want_part):
@@ -495,9 +499,7 @@ class TestChunkDraws:
                 tracemalloc.stop()
             bits = sum(getattr(result.bits, col).nbytes
                        for col in ("bits", "fill_mask", "window_index"))
-            clicks = sum(getattr(result.clicks, col).nbytes
-                         for col in ("basis_is_x", "d0", "d1", "ap0", "ap1"))
-            return peak, clicks + bits, bits
+            return peak, result.clicks.codes.nbytes + bits, bits
 
         run(1)                                   # first-call allocations
         peak_1, kept_1, _ = run(1)
@@ -918,6 +920,22 @@ class TestAutocorrelationOracle:
 
 
 class TestClickRecords:
+    def test_every_code_round_trips_through_read_only_columns(self):
+        codes = np.arange(32, dtype=np.uint8)
+        clicks = ClickRecords(codes)
+        columns = [getattr(clicks, name) for name in CLICK_COLUMNS]
+        for col in columns:
+            assert col.dtype == bool and col.size == 32
+        rebuilt = sum(col.astype(np.uint8) << shift
+                      for col, shift in zip(columns, (4, 3, 2, 1, 0)))
+        assert np.array_equal(rebuilt, codes)
+        for name, col in zip(CLICK_COLUMNS, columns):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = True
+            with pytest.raises(AttributeError):
+                setattr(clicks, name, col)
+        assert np.array_equal(clicks.codes, codes)
+
     def test_row_view_and_csv(self, tmp_path):
         cfg = make_config(pulses=64, x_fraction=0.5, seed=2)
         result = simulate(cfg)
@@ -939,8 +957,7 @@ class TestClickRecords:
         codes = np.arange(n) % 32
         rng = np.random.default_rng(n)
         codes[n // 2:] = rng.integers(0, 32, size=n - n // 2)
-        cols = [(codes >> shift) & 1 == 1 for shift in (4, 3, 2, 1, 0)]
-        clicks = ClickRecords(*cols)
+        clicks = ClickRecords(codes)
         path = tmp_path / "clicks.csv"
         clicks.to_csv(path, header_comment=header_comment)
 
@@ -963,7 +980,7 @@ class TestClickRecords:
         per row."""
         n = 1_000_000
         rng = np.random.default_rng(7)
-        clicks = ClickRecords(*(rng.random(n) < 0.5 for _ in range(5)))
+        clicks = ClickRecords(rng.integers(0, 32, size=n))
         tracemalloc.start()
         try:
             clicks.to_csv(tmp_path / "clicks.csv")
