@@ -75,11 +75,13 @@ _DEFAULTS: Dict[str, dict] = {
         "p_hat_max": 0.1, "p_hat_ap": 0.05, "ratio_min": 0.5, "ratio_max": 1.5,
         "points": 41,
     },
-    # The scenario keys, with the afterpulsed curve's p_hat_ap for p_hat
+    # The scenario keys, with the afterpulsed curve's p_hat_ap for p_hat.  v
+    # (pulses/s) and eps_d change no output, so cmd_rates refuses any other
+    # value; they stay keys so that the manifest hash keeps its bytes.
     "rates": {
         "from": 0.0, "to": 2.5, "points": 200,
         **{key: value for key, value in SCENARIO_DEFAULTS.items() if key != "p_hat"},
-        "p_hat_ap": 0.05,
+        "p_hat_ap": 0.05, "v": 1e6,
     },
     "finite-sampling": {
         "nu": 10.0, "eta": 0.1, "e_d": 6e-7, "e_q": 0.02, "eps_d": 2.0**-50,
@@ -153,13 +155,13 @@ def _write_csv(path: Path, command: str, manifest_hash: str, header: str,
 # autocorr
 
 
-def _refuse_unused(command: str, config: dict, keys: Sequence[str], needs: str) -> None:
-    """Raise where one of ``keys``, which take effect only with ``needs``,
-    differs from its default."""
+def _refuse_unused(command: str, config: dict, keys: Sequence[str], why: str) -> None:
+    """Raise where one of ``keys``, which this run does not read for the
+    reason ``why`` states, differs from its default."""
     stray = [f"{key}={config[key]}" for key in keys if config[key] != _DEFAULTS[command][key]]
     if stray:
-        raise ParameterError(f"{command} {', '.join(keys[:-1])} and {keys[-1]} take effect "
-                             f"only with {needs}; got {', '.join(stray)}")
+        raise ParameterError(f"{command} {', '.join(keys[:-1])} and {keys[-1]} {why}; "
+                             f"got {', '.join(stray)}")
 
 
 def _autocorr_spec(p_hat_i: float, p_hat: float, lag: int) -> AfterpulseSpec:
@@ -183,7 +185,8 @@ def cmd_autocorr(config: dict, out_dir: Path, manifest_hash: str,
     if lag < 1:
         raise ParameterError(f"autocorr needs lag >= 1, got {lag}")
     if not config["mc"]:
-        _refuse_unused("autocorr", config, ("lag", "pulses", "seed"), "--mc")
+        _refuse_unused("autocorr", config, ("lag", "pulses", "seed"),
+                       "take effect only with --mc")
     source = poisson_distribution(nu)
     grid = [float(p) for p in np.linspace(0.0, p_hat, points)]
     dets = [detector_set(eta, e_d, _autocorr_spec(p_hat_i, p_hat, lag))
@@ -259,7 +262,7 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
 
     if sweep == "afterpulse":
         _refuse_unused("hmin", config, ("p_hat_ap", "ratio_min", "ratio_max"),
-                       "--sweep efficiency")
+                       "take effect only with --sweep efficiency")
         fp_windows = int(config["fp_windows"])
         if fp_windows < 0:
             raise ParameterError(f"fp_windows must be >= 0, got {fp_windows}")
@@ -284,7 +287,8 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
         header = "p_hat,hmin_a_np,hmin_a_ip,hmin_a_fp"
         path = out_dir / "hmin_afterpulse.csv"
     elif sweep == "efficiency":
-        _refuse_unused("hmin", config, ("p_hat_max", "fp_windows"), "--sweep afterpulse")
+        _refuse_unused("hmin", config, ("p_hat_max", "fp_windows"),
+                       "take effect only with --sweep afterpulse")
         spec_ap = AfterpulseSpec.exponential_from_rate(config["p_hat_ap"], omega)
         _check_unit("efficiency", eta)
         for key in ("ratio_min", "ratio_max"):    # the grid's ends bound eta_1 = ratio * eta
@@ -312,6 +316,7 @@ def cmd_hmin(config: dict, out_dir: Path, manifest_hash: str,
 
 def cmd_rates(config: dict, out_dir: Path, manifest_hash: str,
               threads: int = 1) -> List[Path]:
+    _refuse_unused("rates", config, ("v", "eps_d"), "change no rates output")
     points = int(config["points"])
     if points < 2:
         raise ParameterError(f"rates needs points >= 2, got {points}")
@@ -324,13 +329,13 @@ def cmd_rates(config: dict, out_dir: Path, manifest_hash: str,
     reports = [scenario.entropy(taus) for scenario in (plain, withap)]
     # theta's Newton windows and walked bisections: one NumPy pass per
     # variant, each theta certified cell by cell
-    windows = [scenario.windows(report.eq) for scenario, report in zip((plain, withap), reports)]
+    thetas = [scenario.thetas(report.eq) for scenario, report in zip((plain, withap), reports)]
 
     def rows():
-        for loss, plain_cell, withap_cell, plain_window, withap_window in zip(
-                losses.tolist(), *(report.cells() for report in reports), *windows):
-            a = plain.rates(plain_cell, plain_window)
-            b = withap.rates(withap_cell, withap_window)
+        for loss, plain_cell, withap_cell, plain_theta, withap_theta in zip(
+                losses.tolist(), *(report.cells() for report in reports), *thetas):
+            a = plain.rates(plain_cell, plain_theta)
+            b = withap.rates(withap_cell, withap_theta)
             bits = (a["random_sampling"], a["entropy_inequality"], a["infinite_length"],
                     b["random_sampling"], b["entropy_inequality"], b["infinite_length"])
             yield (loss, *bits, *(v / n for v in bits))

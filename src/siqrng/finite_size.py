@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .source_monitor import (
 SCENARIO_DEFAULTS = {
     "nu": 50.0, "eta": 0.1, "e_d": 6e-7, "e_q": 0.02, "N": 1e10, "q_x": 0.02,
     "eps_all": 2.0 * 2.0**-50, "eps_d": 2.0**-50, "eps_e": 2.0**-50, "t_e": 100,
-    "v": 1e6, "eta_bs": 0.5, "eta_det": 0.65, "p_hat": 0.0, "omega": 0.001,
+    "eta_bs": 0.5, "eta_det": 0.65, "p_hat": 0.0, "omega": 0.001,
 }
 
 _THETA_FLOOR = 1e-15
@@ -63,8 +63,6 @@ class SecurityParams:
     eps_e: float = SCENARIO_DEFAULTS["eps_e"]
     t_e: int = SCENARIO_DEFAULTS["t_e"]
     misalignment: float = SCENARIO_DEFAULTS["e_q"]
-    # pulses/s measured in the generation basis; informational
-    z_rate: float = SCENARIO_DEFAULTS["v"]
     n_z: float = field(init=False)
     n_x: float = field(init=False)
 
@@ -82,8 +80,6 @@ class SecurityParams:
             raise ParameterError(f"t_e must be >= 1, got {self.t_e}")
         if not (0.0 <= self.misalignment <= 1.0):
             raise ParameterError(f"misalignment must lie in [0, 1], got {self.misalignment}")
-        if not (self.z_rate >= 0.0):
-            raise ParameterError(f"z_rate must be >= 0, got {self.z_rate}")
         n_x = self.x_fraction * self.total_pulses
         n_z = self.total_pulses - n_x
         # Both bases need a pulse: the entropy-inequality theta divides by each.
@@ -143,10 +139,10 @@ def _log2_prefactor(eq: float, q_x: float, n_total: float) -> float:
     return -0.5 * math.log2(product)
 
 
-def _zeta_slope(eq: float, q_x: float, theta: float, log1p=math.log1p) -> float:
+def _zeta_slope(eq: np.ndarray, q_x: float, theta: np.ndarray, log1p) -> np.ndarray:
     """d zeta / d theta = (1-q_x)/ln 2 * ln(1 + q_x theta / (m (1-EQ-theta))),
-    m = EQ + (1-q_x) theta; see :func:`theta_random_sampling`.  Arrays, with
-    an array ``log1p``, give the slope of each cell."""
+    m = EQ + (1-q_x) theta, at each cell, with the given array ``log1p``; see
+    :func:`theta_random_sampling`."""
     mixed = eq + (1.0 - q_x) * theta
     return (1.0 - q_x) * log1p(q_x * theta / (mixed * (1.0 - eq - theta))) / _LN2
 
@@ -173,13 +169,13 @@ def _zeta_estimates(eq: np.ndarray, q_x: float, theta: np.ndarray, log1p=np.log1
     given ``log1p``.
 
     With ``np.log1p`` (:func:`theta_windows`) it only steers Newton's
-    estimate and a window that :func:`theta_random_sampling` checks in
-    ``math``, so its rounding needs no bound.  With :func:`_log1p_cells`
-    (:func:`theta_starts`) each cell is :func:`_zeta_exponent`'s float, as
-    every other operation is a float64 ``+ - * /``, which NumPy rounds as
-    Python does; it is NaN where a log1p argument rounds to -1, the pole at
-    which that function branches.  No other branch is needed: on the
-    bracket m and t are at most 1/2, so 1 - m is not 0 and t < 1.
+    estimate and a window that :func:`theta_starts` checks, so its rounding
+    needs no bound.  With :func:`_log1p_cells` (:func:`theta_starts`) each
+    cell is :func:`_zeta_exponent`'s float, as every other operation is a
+    float64 ``+ - * /``, which NumPy rounds as Python does; it is NaN where
+    a log1p argument rounds to -1, the pole at which that function branches.
+    No other branch is needed: on the bracket m and t are at most 1/2, so
+    1 - m is not 0 and t < 1.
     """
     p_x = 1.0 - q_x
     mixed = eq + p_x * theta
@@ -197,11 +193,10 @@ def _log1p_cells(x: np.ndarray) -> np.ndarray:
     return _cellwise(math.log1p, np.where(x > -1.0, x, np.nan))
 
 
-def theta_windows(eq, q_x: float, n_total: float, eps_e: float
+def theta_windows(eq: np.ndarray, q_x: float, n_total: float, eps_e: float
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Arrays (a, b) of the window that :func:`theta_random_sampling`
-    checks, for every EQ of ``eq`` (any shape) at once; NaN where there is
-    no estimate.
+    """Arrays (a, b) of the window that :func:`theta_starts` checks, for
+    every EQ of the array ``eq`` at once; NaN where there is no estimate.
 
     Newton's method runs on the analytic zeta' from the Gaussian estimate
     theta_0 = sqrt(2 ln2 L EQ(1-EQ) / (n_x q_x (1-q_x))), L = log2_pref -
@@ -212,7 +207,6 @@ def theta_windows(eq, q_x: float, n_total: float, eps_e: float
     n_x q_x(1-q_x) or n_x zeta' that underflows to 0 gets (NaN, NaN).
     """
     with np.errstate(all="ignore"):
-        eq = np.asarray(eq, dtype=float)[()]    # one EQ: a NumPy scalar, not a 0-d array
         n_x = q_x * n_total
         lo, hi = _THETA_FLOOR, 0.5 - eq - _THETA_FLOOR
         log2_pref = -0.5 * np.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total)
@@ -242,16 +236,32 @@ def theta_windows(eq, q_x: float, n_total: float, eps_e: float
 
 def theta_starts(eq: np.ndarray, q_x: float, n_total: float, eps_e: float,
                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The theta that :func:`theta_random_sampling` returns from the window
-    (a, b) at every cell of the one-dimensional ``eq``, ``a`` and ``b``
-    whose window passes both checks, all cells at once; NaN elsewhere.
+    """The theta of :func:`theta_random_sampling`'s plain bisection at every
+    cell of the one-dimensional ``eq``, ``a`` and ``b`` whose window (a, b)
+    passes both checks below, all cells at once; NaN elsewhere.
 
-    It makes that function's checks and runs its loop, with log2_pref from
-    ``math.log2`` and zeta and zeta' with ``math.log1p`` per cell
-    (:func:`_zeta_estimates`, :func:`_zeta_slope`).  Every other step is a
-    float64 ``+ - * /`` or comparison, which NumPy rounds as Python does, so
-    each cell meets the scalar floats.  A log1p argument that rounds to -1
-    also gives NaN, and the scalar path decides that cell.
+    Certified window.  (a, b) is an estimate of an interval around the
+    root, as :func:`theta_windows` gives it, so its rounding needs no bound.
+    With E, B and g of :func:`theta_random_sampling`'s error bound, a passes
+    its check if it lies inside the bracket and excess(a) > 2 g(a); b passes
+    if it lies inside the bracket, excess(b) < -2 g(b) and zeta'(b) meets
+    the slope floor.  E - B is decreasing, so for any theta <= a,
+    excess(theta) >= E(theta) - B(theta) >= E(a) - B(a) >= excess(a) - 2 B(a) > 0.
+    Symmetrically, the slope floor keeps E + B decreasing past b, so
+    excess(theta) < 0 for any theta >= b.  So the bisection sets lo at a
+    midpoint <= a, and hi at a midpoint >= b, without evaluating it, and
+    reaches the plain bisection's float.  Nor do its end checks need an
+    evaluation: the chain at a proves excess(_THETA_FLOOR) > 0, so the floor
+    is not the answer, and the one at b proves excess(hi) < 0, so the point
+    is feasible.  A cell whose window end is NaN, infinite, outside the
+    bracket or fails its check gets NaN.
+
+    It takes log2_pref from ``math.log2`` and zeta and zeta' with
+    ``math.log1p`` per cell (:func:`_zeta_estimates`, :func:`_zeta_slope`).
+    Every other step is a float64 ``+ - * /`` or comparison, which NumPy
+    rounds as Python does, so each cell meets the scalar floats.  A log1p
+    argument that rounds to -1 also gives NaN, and the scalar bisection
+    decides that cell.
     """
     with np.errstate(all="ignore"):
         n_x = q_x * n_total
@@ -294,16 +304,14 @@ def theta_starts(eq: np.ndarray, q_x: float, n_total: float, eps_e: float,
 
 
 def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
-                          window: Optional[Tuple[float, ...]] = None) -> float:
+                          walked: Optional[float] = None) -> float:
     """Smallest deviation theta whose random-sampling bound is at most eps_e.
 
-    Bisection of excess(theta) = log2_pref - n_x zeta(theta) - log2(eps_e)
-    over [_THETA_FLOOR, 0.5 - EQ - _THETA_FLOOR]; raises
-    :class:`InfeasibleError` when even the largest admissible theta cannot
-    reach the target (the rate is then 0).  The result is the float that a
-    plain bisection returns: same bracket, midpoints, stopping rule and end
-    checks.  Only midpoints whose sign is not certified in advance evaluate
-    ``excess``.
+    Plain bisection of excess(theta) = log2_pref - n_x zeta(theta) - log2(eps_e)
+    over [_THETA_FLOOR, hi = 0.5 - EQ - _THETA_FLOOR].  hi is evaluated
+    first, and :class:`InfeasibleError` raised when even that largest
+    admissible theta cannot reach the target (the rate is then 0); then the
+    floor, returned when its excess is <= 0; then every midpoint.
 
     Monotonicity.  With t = EQ + theta, m = EQ + (1-q_x) theta and
     h'(x) = log2((1-x)/x),
@@ -348,45 +356,19 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
     (:func:`_excess_error_bound`).  Every theta-dependent term of B grows
     with theta, so E - B is decreasing.  The derivative of those terms of g
     is at most 2^-48 n_x (2 zeta' + 8 q_x + 3 + 2^-43/(1-q_x)).  Since
-    zeta' increases, E + B is decreasing on [b, 1/2 - EQ] whenever
-    zeta'(b) >= 2^-47 (8 q_x + 3 + 2^-43/(1-q_x)).
+    zeta' increases, E + B is decreasing on [b, 1/2 - EQ] wherever
+    zeta'(b) >= 2^-47 (8 q_x + 3 + 2^-43/(1-q_x)), the slope floor of
+    :func:`theta_starts`.
 
-    Certified window.  ``window`` is a pair (a, b) around the root, and
-    :func:`theta_windows` computes it, for one EQ when ``window`` is None or
-    for a whole sweep at once.  A sweep's window may carry a third entry,
-    the theta that :func:`theta_starts` walked for it; see Walked theta
-    below.  The pair is only an estimate: the checks below,
-    made here in ``math``, decide whether each end is used, so its rounding
-    needs no bound.  An end is used only inside the bracket and only where
-    its check passes: excess(a) > 2 g(a), or excess(b) < -2 g(b) together
-    with the slope condition at b.  For any theta <= a:
-    excess(theta) >= E(theta) - B(theta) >= E(a) - B(a) >= excess(a) - 2 B(a) > 0.
-    Symmetrically, excess(theta) < 0 for any theta >= b.  So the bisection
-    sets lo at a midpoint <= a, and hi at a midpoint >= b, without
-    evaluating it.  An end that is NaN, infinite, outside the bracket or
-    fails its check falls back to its bracket end, and the same loop then
-    evaluates every midpoint on that side.  So any window, reversed or
-    wrong, gives the plain bisection's float.
-
-    End checks.  A passed check at a proves excess(_THETA_FLOOR) > 0 by the
-    same chain, so the floor is evaluated, and returned when its excess is
-    <= 0, only where that check fails.  Symmetrically, a passed check at b
-    proves excess(hi) < 0, so hi is evaluated, and an infeasible point
-    raises, only where the check at b fails.  Where L <= 0, or where n_x is
-    so small that n_x q_x(1-q_x) or n_x zeta' underflows to 0 (q_x = 1e-200
-    with N = 1), there is no estimate: the window is NaN, both ends fall
-    back, and the plain bisection decides every midpoint.
-
-    Walked theta.  A walked theta is returned, before any check of the
-    window, if it lies in the bracket and its ``excess``, evaluated here in
-    ``math``, is <= 0.  Every theta the plain bisection returns has that
-    property: the floor and each hi the loop sets were evaluated <= 0, or
-    lie at or past a b whose check proves excess < 0.  Any other walked
-    theta, NaN included, is ignored, and the window is used as above.  So
-    soundness rests on this one evaluation: a wrong walk can return a larger
-    admissible theta, never an uncertified one.  That it returns the plain
-    bisection's float rests on the walk making the checks and the loop
-    below with the same floats; a test pins every theta of the sweep.
+    Walked theta.  ``walked`` is the theta that :func:`theta_starts` walked
+    for this point of a sweep.  It is returned, before the bisection, if it
+    lies in the bracket and its ``excess``, evaluated here in ``math``, is
+    <= 0.  Every theta the bisection returns has that property: the floor
+    and each hi it sets were evaluated <= 0.  Any other walked theta, NaN
+    included, is ignored, and the bisection runs.  So soundness rests on
+    this one evaluation: a wrong walk can return a larger admissible theta,
+    never an uncertified one.  That it returns the bisection's float rests
+    on the walk's certified window; a test pins every theta of the sweep.
     """
     if not (0.0 < eq < 0.5):
         raise ParameterError(f"EQ must lie in (0, 0.5), got {eq}")
@@ -399,48 +381,28 @@ def theta_random_sampling(eq: float, q_x: float, n_total: float, eps_e: float,
     n_x = q_x * n_total
     log2_pref = _log2_prefactor(eq, q_x, n_total)
     log2_target = math.log2(eps_e)
-    offset = abs(log2_pref) + abs(log2_target)
 
     def excess(theta: float) -> float:
         return log2_pref - n_x * _zeta_exponent(eq, q_x, theta) - log2_target
-
-    def bound(theta: float, slope: float, value: float) -> float:
-        return _excess_error_bound(eq, q_x, n_x, offset, theta, slope, value)
 
     lo = _THETA_FLOOR
     hi = 0.5 - eq - _THETA_FLOOR
     if hi <= lo:
         raise InfeasibleError(f"no admissible theta below 0.5 - EQ for EQ = {eq}")
-    a, b, *walked = (map(float, theta_windows(eq, q_x, n_total, eps_e)) if window is None
-                     else window)
-    if walked and lo <= walked[0] <= hi and excess(walked[0]) <= 0.0:
-        return walked[0]
-    if not (lo < a < hi and (value := excess(a)) > 2.0 * bound(a, _zeta_slope(eq, q_x, a),
-                                                                value)):
-        a = lo
-    # Past b, the slope condition of the docstring keeps E + B decreasing.
-    if not (lo < b < hi
-            and (slope := _zeta_slope(eq, q_x, b))
-            >= 2.0**-47 * (8.0 * q_x + 3.0 + 2.0**-43 / (1.0 - q_x))
-            and (value := excess(b)) < -2.0 * bound(b, slope, value)):
-        b = hi
-    if b == hi and excess(hi) > 0.0:
+    if walked is not None and lo <= walked <= hi and excess(walked) <= 0.0:
+        return walked
+    if excess(hi) > 0.0:
         raise InfeasibleError(
             f"no theta <= {hi:.6g} reaches eps_e = {eps_e:.3e} "
             f"(EQ={eq:.3e}, q_x={q_x}, N={n_total:.3e})"
         )
-    if a == lo and excess(lo) <= 0.0:
+    if excess(lo) <= 0.0:
         return lo
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        # excess(mid) written out: most evaluations are made here
-        elif log2_pref - n_x * _zeta_exponent(eq, q_x, mid) - log2_target <= 0.0:
+        if excess(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -625,33 +587,32 @@ class RateScenario:
         :class:`TauSet` of arrays gives one broadcast report."""
         return entropy_report_from_taus(self.dets, taus)
 
-    def windows(self, eq: np.ndarray) -> Iterator[Tuple[float, float, float]]:
-        """The window (a, b) of :func:`theta_windows` and the theta that
-        :func:`theta_starts` walks from it at each check-basis error of the
-        one-dimensional ``eq``, as Python floats, in order: the ``window``
-        of :meth:`rates` for each cell of a broadcast report."""
+    def thetas(self, eq: np.ndarray) -> List[float]:
+        """The theta that :func:`theta_starts` walks from the window of
+        :func:`theta_windows` at each check-basis error of the
+        one-dimensional ``eq``, as Python floats (NaN where the plain
+        bisection decides), in order: the ``walked`` theta of :meth:`rates`
+        for each cell of a broadcast report."""
         sec = self.security
         args = (sec.x_fraction, sec.total_pulses, sec.eps_e)
-        a, b = theta_windows(eq, *args)
-        return zip(a.tolist(), b.tolist(), theta_starts(eq, *args, a, b).tolist())
+        return theta_starts(eq, *args, *theta_windows(eq, *args)).tolist()
 
-    def _theta(self, eq: float, window: Optional[Tuple[float, ...]] = None) -> float:
+    def _theta(self, eq: float, walked: Optional[float] = None) -> float:
         """Random-sampling deviation theta at the check-basis error ``eq``,
-        with the window of :func:`theta_random_sampling`; nan when no theta
-        is admissible."""
+        with the walked theta of :func:`theta_random_sampling`; nan when no
+        theta is admissible."""
         sec = self.security
         try:
             return theta_random_sampling(eq, sec.x_fraction, sec.total_pulses, sec.eps_e,
-                                         window)
+                                         walked)
         except (InfeasibleError, ParameterError):
             return math.nan
 
-    def _random_sampling(self, report: EntropyReport,
-                         window: Optional[Tuple[float, ...]] = None
+    def _random_sampling(self, report: EntropyReport, walked: Optional[float] = None
                          ) -> Tuple[float, float]:
         """(theta, bits) of the random-sampling bound; (nan, 0) when no theta
         is admissible."""
-        theta = self._theta(report.eq, window)
+        theta = self._theta(report.eq, walked)
         if math.isnan(theta):
             return theta, 0.0
         return theta, _bits_after(self.security.n_z, report, theta, self.security.t_e)
@@ -677,17 +638,17 @@ class RateScenario:
         min_bracket = _min_bracket_over_taus(self.dets, boxes, x_arm, theta, grid_points)
         return theta, max(0.0, self.security.n_z * min_bracket - self.security.t_e)
 
-    def rates(self, report: EntropyReport,
-              window: Optional[Tuple[float, ...]] = None) -> Dict[str, float]:
+    def rates(self, report: EntropyReport, walked: Optional[float] = None
+              ) -> Dict[str, float]:
         """Bit counts of all three bounding methods for the scalar report of
         one attenuation, as :meth:`entropy` gives it (or a cell of its
-        broadcast report); ``window`` is that cell's tuple of
-        :meth:`windows`, or None to compute it for this report alone.
+        broadcast report); ``walked`` is that cell's theta of
+        :meth:`thetas`, or None to bisect for this report alone.
 
         The infinite-length count is n_z hmin_a, clamped at 0: hmin_a is the
         bracket at theta = 0 (:func:`_bracket`), bit for bit."""
         n_z = self.security.n_z
-        _, r_rs = self._random_sampling(report, window)
+        _, r_rs = self._random_sampling(report, walked)
         r_ei = _bits_after(n_z, report, *self._entropy_inequality)
         r_il = max(0.0, n_z * report.hmin_a)
         return {"random_sampling": r_rs, "entropy_inequality": r_ei,
@@ -702,7 +663,7 @@ def scenario_from_params(params: dict) -> RateScenario:
     security = SecurityParams(
         total_pulses=float(p["N"]), x_fraction=float(p["q_x"]),
         eps_all=float(p["eps_all"]), eps_d=float(p["eps_d"]), eps_e=float(p["eps_e"]),
-        t_e=int(p["t_e"]), misalignment=float(p["e_q"]), z_rate=float(p["v"]),
+        t_e=int(p["t_e"]), misalignment=float(p["e_q"]),
     )
     spec = AfterpulseSpec.exponential_from_rate(float(p["p_hat"]), float(p["omega"]))
     return RateScenario(

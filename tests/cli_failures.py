@@ -208,7 +208,9 @@ FAILURES = [
       "both must be >= 1"),
     F("rates --N 10 --points 3",
       "N = 10 and q_x = 0.02 leave n_x = 0.2 and n_z = 9.8 pulses; both must be >= 1"),
-    F("rates --v -5 --points 3", "z_rate must be >= 0, got -5.0"),
+    # no rates output reads v or eps_d; the keys stay so the manifest hash holds
+    F("rates --v -5 --points 3", "rates v and eps_d change no rates output; got v=-5.0"),
+    F("rates --eps-d 1e-9", "rates v and eps_d change no rates output; got eps_d=1e-09"),
     F("rates --N 0 --points 2", "total_pulses must be >= 1, got 0.0"),
     F("rates --q-x 1", "x_fraction must lie in (0, 1), got 1.0"),
     F("rates --eps-all 1", "eps_all must lie in (0, 1), got 1.0"),

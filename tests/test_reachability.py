@@ -59,7 +59,7 @@ ARGVS = [
     # 1000 pulses admit no random-sampling theta: a zero rate, not an error
     ["rates", "--N", "1000", "--points", "2"],
     # at 10^5 pulses theta's windows fail their checks, so no theta is walked
-    # and each point checks its window in math
+    # and each point runs the plain bisection
     ["rates", "--N", "1e5", "--points", "2"],
     ["finite-sampling"],
     ["simulate"],
