@@ -101,31 +101,24 @@ def _zeta_exponent(eq: float, q_x: float, theta: float) -> float:
     Evaluated as the cancellation-free mixture of relative entropies
     q_x D(EQ || m) + (1-q_x) D(EQ+theta || m) around m = EQ + (1-q_x) theta,
     which is the same quantity exactly, with
-    D(x || m) = x ln(1 + (x-m)/m) + (1-x) ln(1 + (m-x)/(1-m)) nats.  Callers
-    keep 0 < EQ and EQ + theta <= 1, so only D(EQ+theta || m) can meet x = 1.
-    Where a log1p argument rounds to -1, its pole, the term is taken as
-    x ln(x/m) or (1-x) ln((1-x)/(1-m)) instead.
+    D(x || m) = x ln(1 + (x-m)/m) + (1-x) ln(1 + (m-x)/(1-m)) nats.  Its one
+    caller, :func:`theta_random_sampling`, keeps theta on its bracket
+    [_THETA_FLOOR, 1/2 - EQ - _THETA_FLOOR] with 0 < EQ, so t = EQ + theta
+    < 1/2 and 1 - m > 1/2: no branch is needed for m or t near 1.  There
+    (m-t)/(1-m) = -q_x theta/((1-t) + q_x theta) lies in (-1/2, 0], far from
+    log1p's pole at -1, and an x that rounds to m gives log1p(0) = 0 terms.
+    (EQ-m)/m rounds to -1 where EQ is below about an ulp of m; that term is
+    then taken as EQ ln(EQ/m).
     """
     p_x = 1.0 - q_x
     mixed = eq + p_x * theta
     tested = eq + theta
     mixed_comp = 1.0 - mixed
-    if mixed_comp == 0.0:
-        # m rounded to 1; (1 - EQ - theta) + q_x theta does not round m first
-        mixed_comp = (1.0 - eq - theta) + q_x * theta
-    d_eq = d_tested = 0.0
-    if eq != mixed:
-        ratio = (eq - mixed) / mixed
-        # EQ below about an ulp of m rounds the ratio to -1, log1p's pole
-        d_eq = (eq * (math.log(eq / mixed) if ratio == -1.0 else math.log1p(ratio))
-                + (1.0 - eq) * math.log1p((mixed - eq) / mixed_comp))
-    if tested != mixed:
-        d_tested = tested * math.log1p((tested - mixed) / mixed)
-        if tested < 1.0:
-            ratio = (mixed - tested) / mixed_comp
-            # t within about an ulp of 1 rounds the ratio to -1, as for d_eq
-            d_tested += (1.0 - tested) * (math.log((1.0 - tested) / mixed_comp)
-                                          if ratio == -1.0 else math.log1p(ratio))
+    ratio = (eq - mixed) / mixed
+    d_eq = (eq * (math.log(eq / mixed) if ratio == -1.0 else math.log1p(ratio))
+            + (1.0 - eq) * math.log1p((mixed - eq) / mixed_comp))
+    d_tested = (tested * math.log1p((tested - mixed) / mixed)
+                + (1.0 - tested) * math.log1p((mixed - tested) / mixed_comp))
     return q_x * (d_eq / _LN2) + p_x * (d_tested / _LN2)
 
 

@@ -47,10 +47,9 @@ def random_sampling_epsilon(eq: float, q_x: float, n_total: float, theta: float)
         raise ParameterError(f"N must be >= 1, got {n_total}")
     if theta < 0.0:
         raise ParameterError(f"theta must be >= 0, got {theta}")
-    # With EQ + theta <= 1 and theta > 0, the mixture point EQ + (1-q_x) theta
-    # of the relative entropies stays below 1.
-    if eq + theta > 1.0:
-        raise ParameterError(f"theta must keep EQ + theta <= 1, got theta={theta} "
+    # zeta's domain: theta_random_sampling's bracket keeps EQ + theta < 1/2.
+    if eq + theta > 0.5:
+        raise ParameterError(f"theta must keep EQ + theta <= 1/2, got theta={theta} "
                              f"with EQ={eq}")
     log2_eps = (_log2_prefactor(eq, q_x, n_total)
                 - q_x * n_total * _zeta_exponent(eq, q_x, theta))

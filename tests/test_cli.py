@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -903,6 +905,146 @@ class TestConfigHandling:
         lines = (tmp_path / "hmin_afterpulse.csv").read_text().splitlines()
         value = lines[2].split(",")[1]
         assert float(value) == pytest.approx(0.4116161068536443, rel=1e-15)
+
+
+# The small run of each command, and of each sweep of hmin and autocorr, that
+# every key perturbation starts from.  finite-sampling starts at 631 samples,
+# whose row minimum is <= 0: only such rows depend on grid_points (ROADMAP
+# item 2).  simulate's dark counts, and the afterpulses of a decay of 1, are
+# common enough that 20000 pulses show e_d and p_hat.
+KEY_VARIANTS = {
+    "autocorr": ("autocorr", {"points": 3}),
+    "autocorr --mc": ("autocorr", {"mc": True, "points": 3, "pulses": 20000}),
+    "hmin": ("hmin", {"points": 3}),
+    "hmin --sweep efficiency": ("hmin", {"sweep": "efficiency", "points": 3}),
+    "rates": ("rates", {"points": 3}),
+    "finite-sampling": ("finite-sampling", {"points": 3, "length_min": 631.0}),
+    "simulate": ("simulate", {"pulses": 20000, "e_d": 0.01, "omega": 1.0}),
+}
+
+# Keys that move no output cell of their variant, each with the reason.
+INERT_KEYS = {
+    ("simulate", "omega"): "at the default p_hat 0 the detectors have no afterpulsing, "
+                           "so the decay has nothing to shape",
+    ("simulate", "window_depth"): "at the default p_hat 0 no window has an afterpulse "
+                                  "history to reach back into",
+    **{(variant, "omega"): "the unlimited-history worst case p_hat/(1 - p_hat) does not "
+                           "depend on the decay; omega moves the afterpulsed columns only "
+                           "in their last digits, through the amplitude's rounding"
+       for variant in ("hmin --sweep efficiency", "rates", "finite-sampling")},
+}
+
+# Every (variant, key) but autocorr's flip to --mc, which would run the Monte
+# Carlo at its default 10^7 pulses: the --mc variant flips mc back instead.
+KEY_CASES = [(variant, key) for variant, (command, _) in KEY_VARIANTS.items()
+             for key in cli._DEFAULTS[command] if (variant, key) != ("autocorr", "mc")]
+
+
+def _perturbed(value):
+    """A value near ``value`` of the same type, which keeps every range of
+    the variants: a float times 0.9 (0.01 for 0), an int plus a tenth of it
+    (at least 1), the other bool or hmin sweep, and 100 for ``None``, which
+    only ``extract_bits`` takes."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + max(1, value // 10)
+    if isinstance(value, float):
+        return 0.9 * value if value else 0.01
+    if value is None:
+        return 100
+    return {"afterpulse": "efficiency", "efficiency": "afterpulse"}[value]
+
+
+def _outputs(out_dir):
+    """{file name: (text, cells)} of a run's outputs without their hash lines
+    and hash fields, the text to compare exactly and the float cells to
+    1e-12 relative: a CSV's header and rows (clicks.csv, whose basis letters
+    make its rows text), bits.json's keys and values, a binary file's bytes.
+    manifest.json holds the config and the hash alone."""
+    outputs = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".csv":
+            lines = [line for line in path.read_text().splitlines() if line[0] != "#"]
+            try:
+                outputs[path.name] = (lines[0], np.array(
+                    [[float(v) for v in line.split(",")] for line in lines[1:]]))
+            except ValueError:
+                outputs[path.name] = (lines, np.empty(0))
+        elif path.name == "bits.json":
+            record = json.loads(path.read_text())
+            del record["config_hash"], record["manifest_hash"]
+            outputs[path.name] = (sorted(record), np.array(
+                [math.nan if v is None else v for _, v in sorted(record.items())], dtype=float))
+        elif path.name != "manifest.json":
+            outputs[path.name] = (path.read_bytes(), np.empty(0))
+    return outputs
+
+
+def _moved(a, b):
+    """Whether two runs' :func:`_outputs` differ: in a file, a text, or a
+    cell by more than 1e-12 relative."""
+    if a.keys() != b.keys():
+        return True
+    for (text_a, x), (text_b, y) in zip(a.values(), b.values()):
+        if text_a != text_b or x.shape != y.shape:
+            return True
+        with np.errstate(invalid="ignore"):
+            far = np.abs(x - y) > 1e-12 * np.maximum(np.abs(x), np.abs(y))
+        if np.any(far | (np.isnan(x) != np.isnan(y))):
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def key_run(tmp_path_factory):
+    """Runs a command on a config: ("exit", status, stderr lines) where it
+    fails, else its :func:`_outputs`; each base run once."""
+    tmp = tmp_path_factory.mktemp("keys")
+    bases = {}
+
+    def run_config(command, config):
+        out_dir = Path(tempfile.mkdtemp(dir=tmp))
+        cfg = out_dir / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = run([command, "--config", str(cfg), "--out-dir", str(out_dir / "out")])
+        if status:
+            return ("exit", status, err.getvalue().splitlines())
+        return _outputs(out_dir / "out")
+
+    def key_run(variant, key=None):
+        command, base = KEY_VARIANTS[variant]
+        if key is None:
+            if variant not in bases:
+                bases[variant] = run_config(command, base)
+            return bases[variant]
+        value = base.get(key, cli._DEFAULTS[command][key])
+        return run_config(command, {**base, key: _perturbed(value)})
+    return key_run
+
+
+class TestEveryKeyTakesEffect:
+    """ROADMAP item 22: each config key of each command, perturbed alone,
+    moves some output cell by more than 1e-12 relative or exits 2 with one
+    error line, unless INERT_KEYS names it with its reason."""
+
+    @pytest.mark.parametrize("variant, key", KEY_CASES, ids=[" ".join(c) for c in KEY_CASES])
+    def test_key_moves_an_output_or_is_refused(self, key_run, variant, key):
+        base, got = key_run(variant), key_run(variant, key)
+        assert isinstance(base, dict), base
+        if isinstance(got, tuple):
+            assert (variant, key) not in INERT_KEYS, "an inert key is refused"
+            assert got[1] == 2 and len(got[2]) == 1, got
+            return
+        if (variant, key) in INERT_KEYS:
+            assert not _moved(base, got), f"{variant} {key} is listed as inert but moves"
+        else:
+            assert _moved(base, got), f"{variant} {key} moves no output cell"
+
+    def test_inert_keys_are_cases(self):
+        assert set(INERT_KEYS) <= set(KEY_CASES)
 
 
 OUTPUT_DIGESTS = json.loads((Path(__file__).parent / "output_digests.json").read_text())

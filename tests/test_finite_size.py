@@ -113,24 +113,15 @@ class TestThetaRandomSampling:
         with pytest.raises(ParameterError):
             theta_random_sampling(0.6, 0.02, 1e10, 1e-9)
 
-    @pytest.mark.parametrize("eq, theta", [(0.1, 0.95), (0.1, 0.9 + 2**-52), (0.4, 5.0),
+    @pytest.mark.parametrize("eq, theta", [(0.1, 0.45), (0.1, 0.4 + 2**-52), (0.4, 5.0),
                                            (0.3, math.inf)])
-    def test_epsilon_rejects_theta_past_one_minus_eq(self, eq, theta):
-        with pytest.raises(ParameterError, match=r"theta must keep EQ \+ theta <= 1"):
+    def test_epsilon_rejects_theta_past_one_half_minus_eq(self, eq, theta):
+        with pytest.raises(ParameterError, match=r"theta must keep EQ \+ theta <= 1/2"):
             random_sampling_epsilon(eq, 0.02, 1e10, theta)
 
     def test_epsilon_at_the_largest_deviations(self):
-        assert random_sampling_epsilon(0.1, 0.02, 1e10, 0.5) == 0.0
-        assert random_sampling_epsilon(0.1, 0.02, 1e10, 0.9) == 0.0
-        assert random_sampling_epsilon(0.1, 0.02, 1.0, 0.9) > 0.0
-
-    def test_epsilon_where_the_mixture_point_rounds_to_one(self):
-        # EQ + theta = 1 and q_x theta is below half an ulp of 1, so
-        # m = EQ + (1 - q_x) theta rounds to 1.  n_x zeta is about 5e-17, so
-        # eps is the prefactor (q_x (1 - q_x) EQ (1 - EQ) N)^(-1/2)
-        eps = random_sampling_epsilon(0.25, 1e-20, 1e22, 0.75)
-        assert math.isfinite(eps)
-        assert eps == pytest.approx(18.75**-0.5, rel=1e-15)
+        assert random_sampling_epsilon(0.1, 0.02, 1e10, 0.4) == 0.0
+        assert random_sampling_epsilon(0.1, 0.02, 1.0, 0.4) > 0.0
 
     @pytest.mark.parametrize("fn, args", [(theta_random_sampling, (5e-324, 0.5, 1.0, 0.5)),
                                           (random_sampling_epsilon, (5e-324, 0.5, 1.0, 0.1))])
@@ -158,8 +149,6 @@ def zeta_reference(eq, q_x, theta):
     mixed = eq + (1.0 - q_x) * theta
     tested = eq + theta
     mixed_comp = 1.0 - mixed
-    if mixed_comp == 0.0:
-        mixed_comp = (1.0 - eq - theta) + q_x * theta
     return (q_x * _bernoulli_kl_bits_reference(eq, mixed, mixed_comp)
             + (1.0 - q_x) * _bernoulli_kl_bits_reference(tested, mixed, mixed_comp))
 
@@ -218,49 +207,40 @@ theta_inputs = st.tuples(_log_uniform(1e-6, 0.499), _log_uniform(1e-3, 0.999),
 
 
 def _zeta_inputs():
-    """(EQ, q_x, theta) with 0 < EQ < 1/2 and 0 <= theta <= 1 - EQ."""
+    """(EQ, q_x, theta) with 0 < EQ < 1/2 and 0 <= theta <= 1/2 - EQ, the
+    bracket of theta_random_sampling and its floor."""
     q_x = st.one_of(_log_uniform(1e-300, 0.5), st.floats(0.5, 1.0, exclude_max=True))
     return st.tuples(_log_uniform(1e-300, 0.4999), q_x, st.floats(0.0, 1.0)).map(
-        lambda t: (t[0], t[1], t[2] * (1.0 - t[0]))).filter(lambda t: t[0] + t[2] <= 1.0)
+        lambda t: (t[0], t[1], t[2] * (0.5 - t[0]))).filter(lambda t: t[0] + t[2] <= 0.5)
 
 
 class TestZetaExponent:
     @settings(max_examples=2000, deadline=None)
     @given(_zeta_inputs())
     @example((0.015, 0.02, 0.0))                # theta = 0: both relative entropies vanish
-    @example((0.25, 1e-20, 0.75))               # the mixture point rounds to 1
-    @example((0.25, 1e-300, 0.75))
     @example((0.3, 1e-300, 1e-3))               # q_x theta far below an ulp of EQ
     @example((1e-300, 0.5, 1e-310))
-    @example((0.1, 0.999, 0.9))                 # EQ + theta = 1
     @example((1e-300, 0.5, 0.5))                 # (EQ - m)/m rounds to -1
-    @example((0.01831563888873418, 0.75, 0.9816843611112657))  # (m - t)/(1 - m) rounds to -1
+    @example((1e-3, 0.999, 0.499))              # t = 1/2: (m - t)/(1 - m) near -1/2
     def test_equals_two_call_reference_bit_for_bit(self, args):
         def outcome(fn):
             try:
                 return fn(*args).hex()
-            except ValueError as exc:    # log1p(-1) at either pole below
+            except ValueError as exc:    # log1p(-1) at the pole below
                 return repr(exc)
         got, want = outcome(_zeta_exponent), outcome(zeta_reference)
         assert not got.startswith("ValueError"), got
         if got != want:
-            # Only where a log1p argument rounds to -1: EQ below an ulp of m,
-            # or t = EQ + theta within an ulp of 1.  The reference meets
-            # log1p's pole, and the EQ ln(EQ/m) or (1-t) ln((1-t)/(1-m))
-            # branch returns a value.  That value is compared with the exact
-            # zeta near t = 1, and near EQ = 0 on the domain of
-            # theta_random_sampling, EQ + theta <= 1/2, where it is within
-            # that function's error bound.
+            # Only where (EQ - m)/m rounds to -1, EQ below an ulp of m.  The
+            # reference meets log1p's pole, and the EQ ln(EQ/m) branch returns
+            # a value, within theta_random_sampling's error bound of the
+            # exact zeta.
             eq, q_x, theta = args
             mixed = eq + (1.0 - q_x) * theta
-            tested = eq + theta
-            eq_pole = (eq - mixed) / mixed == -1.0
-            tested_pole = tested < 1.0 and (mixed - tested) / (1.0 - mixed) == -1.0
-            assert (eq_pole or tested_pole) and want == repr(ValueError("math domain error"))
-            assert math.isfinite(float.fromhex(got))
-            if tested <= 0.5 or tested_pole:
-                exact = zeta_exact(*args)
-                assert abs(float.fromhex(got) - exact) <= 2.0**-40 * (exact + q_x * theta)
+            assert ((eq - mixed) / mixed == -1.0
+                    and want == repr(ValueError("math domain error")))
+            exact = zeta_exact(*args)
+            assert abs(float.fromhex(got) - exact) <= 2.0**-40 * (exact + q_x * theta)
 
 
 class TestArrayZeta:
@@ -523,6 +503,34 @@ class TestCertifiedBisection:
                         _theta_outcome(plain_bisection_theta, *args)
                     failed.add(end)
         assert failed == {0, 1}
+
+    def test_slope_floor_alone_refuses_b(self):
+        """At a tiny q_x and a huge N, both ends of the batch window meet their
+        margins, but zeta'(b) lies below the slope floor, which alone
+        refuses b: the walk gives NaN, and theta is the plain bisection's.
+        (The walk from this window reaches the plain theta even without the
+        floor, so only the refusal shows that the floor holds.)"""
+        args = eq, q_x, n_total, eps_e = (0.015, 1e-13, 1e33, 2.0**-50)
+        a, b = _batch_window(args)
+        offset = (abs(0.5 * math.log2(q_x * (1.0 - q_x) * eq * (1.0 - eq) * n_total))
+                  + abs(math.log2(eps_e)))
+
+        def excess_bound_slope(theta):
+            value = _excess(args, theta)
+            slope = _zeta_slope(eq, q_x, theta, math.log1p)
+            return (value, _excess_error_bound(eq, q_x, q_x * n_total, offset, theta,
+                                               slope, value), slope)
+
+        assert _THETA_FLOOR < a < b < 0.5 - eq - _THETA_FLOOR
+        value, bound, _ = excess_bound_slope(a)
+        assert value > 2.0 * bound
+        value, bound, slope = excess_bound_slope(b)
+        assert value < -2.0 * bound
+        assert slope < 2.0**-47 * (8.0 * q_x + 3.0 + 2.0**-43 / (1.0 - q_x))
+        walked = _walk(args, (a, b))
+        assert math.isnan(walked)
+        theta = theta_random_sampling(*args, walked)
+        assert theta == plain_bisection_theta(*args) == pytest.approx(2.0238e-4, rel=1e-4)
 
     def test_examples_reach_the_floor_and_infeasibility(self):
         assert theta_random_sampling(0.01, 0.5, 1e12, 0.5) == _THETA_FLOOR
